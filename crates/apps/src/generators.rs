@@ -146,13 +146,14 @@ mod tests {
         // of the sublinear solver.
         let n = 64usize;
         let iterations = |p: &TabulatedProblem<u64>| {
-            let cfg = SolverConfig {
-                exec: ExecBackend::Sequential,
-                termination: Termination::Fixpoint,
-                record_trace: false,
-                ..Default::default()
-            };
-            solve_sublinear(p, &cfg).trace.iterations
+            let opts = SolveOptions::default()
+                .exec(ExecBackend::Sequential)
+                .termination(Termination::Fixpoint);
+            Solver::new(Algorithm::Sublinear)
+                .options(opts)
+                .solve(p)
+                .trace
+                .iterations
         };
         let zig = iterations(&zigzag_instance(n));
         let skew = iterations(&skewed_instance(n));

@@ -120,25 +120,11 @@ mod tests {
             let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..64)).collect();
             let mc = MatrixChain::new(dims);
             let seq = solve_sequential(&mc).root();
-            let cfg = SolverConfig {
-                exec: ExecBackend::Sequential,
-                termination: Termination::FixedSqrtN,
-                record_trace: false,
-                ..Default::default()
-            };
-            assert_eq!(solve_sublinear(&mc, &cfg).value(), seq, "n={n}");
-            assert_eq!(
-                solve_reduced(
-                    &mc,
-                    &ReducedConfig {
-                        exec: ExecBackend::Sequential,
-                        ..Default::default()
-                    }
-                )
-                .value(),
-                seq,
-                "n={n}"
-            );
+            let opts = SolveOptions::default().exec(ExecBackend::Sequential);
+            for algo in [Algorithm::Sublinear, Algorithm::Reduced] {
+                let value = Solver::new(algo).options(opts).solve(&mc).value();
+                assert_eq!(value, seq, "{algo} n={n}");
+            }
         }
     }
 

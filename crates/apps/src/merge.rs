@@ -165,18 +165,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(23);
         let m = MergeOrder::new((0..20).map(|_| rng.gen_range(1..100)).collect());
         let oracle = solve_sequential(&m);
-        let cfg = SolverConfig {
-            exec: ExecBackend::Sequential,
-            termination: Termination::FixedSqrtN,
-            record_trace: false,
-            ..Default::default()
-        };
-        assert!(solve_sublinear(&m, &cfg).w.table_eq(&oracle));
-        let rcfg = ReducedConfig {
-            exec: ExecBackend::Sequential,
-            ..Default::default()
-        };
-        assert!(solve_reduced(&m, &rcfg).w.table_eq(&oracle));
+        let opts = SolveOptions::default().exec(ExecBackend::Sequential);
+        for algo in [Algorithm::Sublinear, Algorithm::Reduced] {
+            let sol = Solver::new(algo).options(opts).solve(&m);
+            assert!(sol.w.table_eq(&oracle), "{algo}");
+        }
     }
 
     #[test]

@@ -263,18 +263,11 @@ mod tests {
             let q: Vec<u64> = (0..=m).map(|_| rng.gen_range(0..30)).collect();
             let bst = OptimalBst::new(p, q);
             let oracle = solve_sequential(&bst).root();
-            let cfg = SolverConfig {
-                exec: ExecBackend::Sequential,
-                termination: Termination::FixedSqrtN,
-                record_trace: false,
-                ..Default::default()
-            };
-            assert_eq!(solve_sublinear(&bst, &cfg).value(), oracle, "m={m}");
-            let rcfg = ReducedConfig {
-                exec: ExecBackend::Sequential,
-                ..Default::default()
-            };
-            assert_eq!(solve_reduced(&bst, &rcfg).value(), oracle, "m={m}");
+            let opts = SolveOptions::default().exec(ExecBackend::Sequential);
+            for algo in [Algorithm::Sublinear, Algorithm::Reduced] {
+                let value = Solver::new(algo).options(opts).solve(&bst).value();
+                assert_eq!(value, oracle, "{algo} m={m}");
+            }
         }
     }
 

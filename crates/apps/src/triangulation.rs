@@ -230,20 +230,11 @@ mod tests {
     fn parallel_solvers_agree_on_point_polygons() {
         let poly = PointPolygon::regular(14);
         let oracle = solve_sequential(&poly).root();
-        let cfg = SolverConfig {
-            exec: ExecBackend::Sequential,
-            termination: Termination::FixedSqrtN,
-            record_trace: false,
-            ..Default::default()
-        };
-        let sub = solve_sublinear(&poly, &cfg).value();
-        assert!(sub.cost_eq(&oracle), "{sub} vs {oracle}");
-        let rcfg = ReducedConfig {
-            exec: ExecBackend::Sequential,
-            ..Default::default()
-        };
-        let red = solve_reduced(&poly, &rcfg).value();
-        assert!(red.cost_eq(&oracle), "{red} vs {oracle}");
+        let opts = SolveOptions::default().exec(ExecBackend::Sequential);
+        for algo in [Algorithm::Sublinear, Algorithm::Reduced] {
+            let value = Solver::new(algo).options(opts).solve(&poly).value();
+            assert!(value.cost_eq(&oracle), "{algo}: {value} vs {oracle}");
+        }
     }
 
     #[test]

@@ -122,12 +122,9 @@ proptest! {
         dims in proptest::collection::vec(1u64..30, 2..11)
     ) {
         let mc = MatrixChain::new(dims);
-        let cfg = SolverConfig {
-            exec: ExecBackend::Sequential,
-            termination: Termination::FixedSqrtN,
-            record_trace: false,
-            ..Default::default()
-        };
-        prop_assert_eq!(solve_sublinear(&mc, &cfg).value(), solve_sequential(&mc).root());
+        let sol = Solver::new(Algorithm::Sublinear)
+            .options(SolveOptions::default().exec(ExecBackend::Sequential))
+            .solve(&mc);
+        prop_assert_eq!(sol.value(), solve_sequential(&mc).root());
     }
 }

@@ -1,5 +1,5 @@
 //! Criterion benches for the solvers (E4/E7 timing companion): the
-//! sequential oracle, the Knuth speedup, the rayon wavefront, and the
+//! sequential oracle, the Knuth speedup, the pooled wavefront, and the
 //! paper's algorithms at the sizes their table sizes permit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -16,7 +16,8 @@ fn bench_baselines(c: &mut Criterion) {
             b.iter(|| black_box(solve_sequential(p).root()))
         });
         group.bench_with_input(BenchmarkId::new("wavefront", n), &p, |b, p| {
-            b.iter(|| black_box(solve_wavefront_default(p).root()))
+            let solver = Solver::new(Algorithm::Wavefront);
+            b.iter(|| black_box(solver.solve(p).value()))
         });
     }
     for m in [128usize, 512, 1024] {
@@ -33,25 +34,20 @@ fn bench_paper_algorithms(c: &mut Criterion) {
     group.sample_size(10);
     for n in [24usize, 40, 56] {
         let p = generators::random_chain(n, 100, 44);
-        let cfg = SolverConfig {
-            exec: ExecBackend::Parallel,
-            termination: Termination::FixedSqrtN,
-            record_trace: false,
-            ..Default::default()
-        };
+        let sublinear = Solver::new(Algorithm::Sublinear);
         group.bench_with_input(BenchmarkId::new("sublinear_dense", n), &p, |b, p| {
-            b.iter(|| black_box(solve_sublinear(p, &cfg).value()))
+            b.iter(|| black_box(sublinear.solve(p).value()))
         });
-        let rcfg = ReducedConfig::default();
+        let reduced = Solver::new(Algorithm::Reduced);
         group.bench_with_input(BenchmarkId::new("reduced_banded", n), &p, |b, p| {
-            b.iter(|| black_box(solve_reduced(p, &rcfg).value()))
+            b.iter(|| black_box(reduced.solve(p).value()))
         });
     }
     for n in [16usize, 24] {
         let p = generators::random_chain(n, 100, 45);
-        let ycfg = RytterConfig::default();
+        let rytter = Solver::new(Algorithm::Rytter);
         group.bench_with_input(BenchmarkId::new("rytter", n), &p, |b, p| {
-            b.iter(|| black_box(solve_rytter(p, &ycfg).value()))
+            b.iter(|| black_box(rytter.solve(p).value()))
         });
     }
     group.finish();
@@ -67,14 +63,10 @@ fn bench_termination_modes(c: &mut Criterion) {
         ("fixpoint", Termination::Fixpoint),
         ("w_stable_twice", Termination::WStableTwice),
     ] {
-        let cfg = SolverConfig {
-            exec: ExecBackend::Parallel,
-            termination: term,
-            record_trace: false,
-            ..Default::default()
-        };
+        let solver =
+            Solver::new(Algorithm::Sublinear).options(SolveOptions::default().termination(term));
         group.bench_with_input(BenchmarkId::new(name, n), &p, |b, p| {
-            b.iter(|| black_box(solve_sublinear(p, &cfg).value()))
+            b.iter(|| black_box(solver.solve(p).value()))
         });
     }
     group.finish();

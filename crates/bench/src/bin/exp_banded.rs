@@ -1,6 +1,6 @@
 //! B1 — the §5 banded path: wall-time of the flat-slice streamed
 //! `a-square-banded` kernel against the per-cell naive reference, and the
-//! solver-level payoff of convergence-aware scheduling in `solve_reduced`
+//! solver-level payoff of convergence-aware scheduling in the §5 solver
 //! (banded square row skipping + persistent pebble dirty bits).
 //!
 //! ```text
@@ -196,21 +196,18 @@ fn main() {
     // Solver-level: full §5 solves with and without convergence-aware
     // scheduling (fixed 2*ceil(sqrt n) schedule, windowed pebble — the
     // paper's configuration).
-    println!("\nConvergence-aware scheduling (solve_reduced, fixed schedule):");
+    println!("\nConvergence-aware scheduling (reduced solver, fixed schedule):");
     let solver_sizes: &[usize] = if quick { &[96, 128] } else { &[96, 128, 192] };
     let mut solver = Vec::new();
     for &n in solver_sizes {
         let p = generators::random_chain(n, 100, 7);
         for skip in [false, true] {
-            let cfg = ReducedConfig {
-                exec: ExecBackend::Sequential,
-                record_trace: false,
-                windowed_pebble: true,
-                band: None,
-                square: SquareStrategy::Auto,
-                skip_clean_rows: skip,
-            };
-            let (sol, t) = time_best(reps, || solve_reduced(&p, &cfg));
+            let configured = Solver::new(Algorithm::Reduced).options(
+                SolveOptions::default()
+                    .exec(ExecBackend::Sequential)
+                    .skip_clean_rows(skip),
+            );
+            let (sol, t) = time_best(reps, || configured.solve(&p));
             solver.push(SolverRecord {
                 n,
                 skip_clean_rows: skip,

@@ -158,20 +158,19 @@ fn main() {
     // Solver-level: total square work and wall time with and without
     // convergence-aware row scheduling (full fixed schedule, so the
     // post-convergence iterations are where the skip pays).
-    println!("\nDirty-row scheduling (solve_sublinear, FixedSqrtN schedule):");
+    println!("\nDirty-row scheduling (sublinear solver, FixedSqrtN schedule):");
     let solver_sizes: &[usize] = if quick { &[64] } else { &[64, 96] };
     let mut solver = Vec::new();
     for &n in solver_sizes {
         let p = generators::random_chain(n, 100, 7);
         for skip in [false, true] {
-            let cfg = SolverConfig {
-                exec: ExecBackend::Sequential,
-                termination: Termination::FixedSqrtN,
-                record_trace: true,
-                square: SquareStrategy::Auto,
-                skip_clean_rows: skip,
-            };
-            let (sol, t) = time_best(1, || solve_sublinear(&p, &cfg));
+            let configured = Solver::new(Algorithm::Sublinear).options(
+                SolveOptions::default()
+                    .exec(ExecBackend::Sequential)
+                    .record_trace(true)
+                    .skip_clean_rows(skip),
+            );
+            let (sol, t) = time_best(1, || configured.solve(&p));
             let (_, sq, _) = sol.trace.work_by_op();
             solver.push(SolverRecord {
                 n,

@@ -31,6 +31,8 @@
 
 use std::fmt;
 
+use disjoint::DisjointPartsMut;
+
 /// Which execution backend a solver uses for its data-parallel passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
@@ -141,162 +143,29 @@ impl ExecBackend {
         }
     }
 
-    /// Map-reduce over disjoint rows of a mutable buffer.
+    /// Map-reduce over a partitioned mutable buffer: part `r` of `data`
+    /// and part `r` of `side` go, both exclusively, to one call
+    /// `process(r, data_part, side_part)`, and the results are combined
+    /// with `merge`, starting from `identity`. The side partition
+    /// carries per-part metadata whose granularity may differ from the
+    /// data — one changed-flag per `pw'` row, or one flag per *pair* for
+    /// each `w'` row of the pebble (pairs sharing a left endpoint form a
+    /// contiguous flag range). Both partitions were validated disjoint
+    /// when they were built.
     ///
-    /// `spans` lists each row's `(start, end)` range in `data`; spans must
-    /// be **ascending, non-overlapping and within bounds** (they usually
-    /// partition the buffer) — validated up front, since the parallel path
-    /// hands each row to a worker as an exclusive `&mut [T]`.
-    /// `process(row_index, row_slice)` runs exactly once per row; partial
-    /// results are combined with `merge` starting from `identity`.
-    ///
-    /// # Panics
-    /// If the spans are out of order, overlapping, or out of bounds.
-    pub fn map_reduce_rows_mut<T, R>(
-        &self,
-        data: &mut [T],
-        spans: &[(usize, usize)],
-        process: impl Fn(usize, &mut [T]) -> R + Sync,
-        identity: impl Fn() -> R + Sync,
-        merge: impl Fn(R, R) -> R + Sync,
-    ) -> R
-    where
-        T: Send,
-        R: Send,
-    {
-        // Disjointness is validated (always on) at construction — the
-        // soundness of the parallel path's aliasing argument rests on
-        // it, which is why it is not a debug_assert.
-        let parts = disjoint::DisjointPartsMut::new(data, spans);
-        let workers = self.effective_threads();
-        if workers <= 1 || parts.parts() <= 1 {
-            let mut total = identity();
-            for row in 0..parts.parts() {
-                // SAFETY: this sequential loop claims each part index
-                // exactly once, and the previous iteration's borrow
-                // ended with its loop pass.
-                let slice = unsafe { parts.part(row) };
-                total = merge(total, process(row, slice));
-            }
-            return total;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let parts = &parts;
-            let (process, identity, merge) = (&process, &identity, &merge);
-            pool::run_blocks(
-                workers,
-                parts.parts(),
-                1,
-                &move |range, acc: &mut Option<R>| {
-                    let mut local = acc.take().unwrap_or_else(&identity);
-                    for row in range {
-                        // SAFETY: each part index is claimed by exactly
-                        // one block (the pool hands block indices out via
-                        // an atomic fetch_add), so this is the only live
-                        // borrow of part `row`.
-                        let slice = unsafe { parts.part(row) };
-                        local = merge(local, process(row, slice));
-                    }
-                    *acc = Some(local);
-                },
-            )
-            .into_iter()
-            .flatten()
-            .fold(identity(), merge)
-        }
-        #[cfg(not(feature = "parallel"))]
-        unreachable!("workers > 1 requires the `parallel` feature")
-    }
-
-    /// Map-reduce over the uniform-width rows of a mutable buffer: row `r`
-    /// is `data[r * row_len .. (r + 1) * row_len]`. Semantically identical
-    /// to [`Self::map_reduce_rows_mut`] with evenly spaced spans, but
-    /// without materialising a span table — the hot dense-table ops call
-    /// this once per iteration with `O(n^2)` rows.
+    /// `grain` is a floor on the parts per scheduling block (`1` = the
+    /// default split of about four blocks per worker). Passes whose parts
+    /// are mostly trivial — a square sweep the dirty-row scheduler turned
+    /// mostly into copies — raise it to amortise block-claim overhead.
     ///
     /// # Panics
-    /// If `data.len()` is not a multiple of `row_len` (for non-empty data).
-    pub fn map_reduce_chunks_mut<T, R>(
+    /// If the partitions have different part counts.
+    // Without the pool there are no blocks, so `grain` goes unread.
+    #[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
+    pub fn map_reduce<T, U, R>(
         &self,
-        data: &mut [T],
-        row_len: usize,
-        process: impl Fn(usize, &mut [T]) -> R + Sync,
-        identity: impl Fn() -> R + Sync,
-        merge: impl Fn(R, R) -> R + Sync,
-    ) -> R
-    where
-        T: Send,
-        R: Send,
-    {
-        if data.is_empty() {
-            return identity();
-        }
-        // Uniform consecutive chunks are disjoint by construction; the
-        // builder still validates the division (always on).
-        let parts = disjoint::DisjointPartsMut::uniform(data, row_len);
-        let rows = parts.parts();
-        let workers = self.effective_threads();
-        if workers <= 1 || rows <= 1 {
-            let mut total = identity();
-            for row in 0..rows {
-                // SAFETY: this sequential loop claims each part index
-                // exactly once.
-                let slice = unsafe { parts.part(row) };
-                total = merge(total, process(row, slice));
-            }
-            return total;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let parts = &parts;
-            let (process, identity, merge) = (&process, &identity, &merge);
-            pool::run_blocks(workers, rows, 1, &move |range, acc: &mut Option<R>| {
-                let mut local = acc.take().unwrap_or_else(&identity);
-                for row in range {
-                    // SAFETY: each part index is claimed by exactly one
-                    // block, so this is the only live borrow of part
-                    // `row`.
-                    let slice = unsafe { parts.part(row) };
-                    local = merge(local, process(row, slice));
-                }
-                *acc = Some(local);
-            })
-            .into_iter()
-            .flatten()
-            .fold(identity(), merge)
-        }
-        #[cfg(not(feature = "parallel"))]
-        unreachable!("workers > 1 requires the `parallel` feature")
-    }
-
-    /// Map-reduce over disjoint rows of **two** mutable buffers: row `r`
-    /// receives `data[spans[r]]` and `side[side_spans[r]]`, both
-    /// exclusively. The side buffer carries per-row metadata whose
-    /// granularity differs from the data rows — e.g. the banded pebble
-    /// writes one `w'` table row per task but one changed-flag per *pair*,
-    /// and pairs sharing a left endpoint form a contiguous flag range.
-    /// `grain` is a floor on rows per scheduling block (see
-    /// [`Self::map_reduce_chunks_flagged_mut`]).
-    ///
-    /// Both span lists must be ascending, non-overlapping and within
-    /// bounds (empty spans are fine); they are validated up front because
-    /// the parallel path hands each row its two slices as exclusive
-    /// `&mut` references.
-    ///
-    /// # Panics
-    /// If the span lists differ in length or either is out of order,
-    /// overlapping, or out of bounds.
-    // The argument list is the full shape of the operation (two buffers,
-    // two span tables, a grain, and the three map-reduce closures);
-    // bundling them into a struct would only move the names around.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_reduce_rows_sided_mut<T, U, R>(
-        &self,
-        data: &mut [T],
-        spans: &[(usize, usize)],
-        side: &mut [U],
-        side_spans: &[(usize, usize)],
+        data: DisjointPartsMut<'_, T>,
+        side: DisjointPartsMut<'_, U>,
         grain: usize,
         process: impl Fn(usize, &mut [T], &mut [U]) -> R + Sync,
         identity: impl Fn() -> R + Sync,
@@ -308,162 +177,43 @@ impl ExecBackend {
         R: Send,
     {
         assert_eq!(
-            spans.len(),
-            side_spans.len(),
-            "need exactly one side span per row"
+            data.parts(),
+            side.parts(),
+            "need exactly one side part per data part"
         );
-        // Both partitionings are validated disjoint at construction.
-        let parts = disjoint::DisjointPartsMut::new(data, spans);
-        let side_parts = disjoint::DisjointPartsMut::new(side, side_spans);
+        let parts = data.parts();
         let workers = self.effective_threads();
-        if workers <= 1 || parts.parts() <= 1 {
+        if workers <= 1 || parts <= 1 {
             let mut total = identity();
-            for row in 0..parts.parts() {
+            for r in 0..parts {
                 // SAFETY: this sequential loop claims each part index of
-                // both partitionings exactly once.
-                let (slice, side_slice) = unsafe { (parts.part(row), side_parts.part(row)) };
-                total = merge(total, process(row, slice, side_slice));
+                // both partitions exactly once, and the previous pass's
+                // borrows ended with it.
+                let (slice, side_slice) = unsafe { (data.part(r), side.part(r)) };
+                total = merge(total, process(r, slice, side_slice));
             }
             return total;
         }
         #[cfg(feature = "parallel")]
         {
-            let (parts, side_parts) = (&parts, &side_parts);
+            let (data, side) = (&data, &side);
             let (process, identity, merge) = (&process, &identity, &merge);
-            pool::run_blocks(workers, parts.parts(), grain, &move |range,
-                                                                   acc: &mut Option<
-                R,
-            >| {
+            pool::run_blocks(workers, parts, grain, &move |range, acc: &mut Option<R>| {
                 let mut local = acc.take().unwrap_or_else(&identity);
-                for row in range {
-                    // SAFETY: each row index is claimed by exactly
-                    // one block, and that single claim covers the
-                    // row's part in *both* partitionings — these are
-                    // the only live borrows of either.
-                    let (slice, side_slice) = unsafe { (parts.part(row), side_parts.part(row)) };
-                    local = merge(local, process(row, slice, side_slice));
+                for r in range {
+                    // SAFETY: each part index is claimed by exactly one
+                    // block (the pool hands block indices out via an
+                    // atomic fetch_add), and that single claim covers the
+                    // index's part in *both* partitions — these are the
+                    // only live borrows of either.
+                    let (slice, side_slice) = unsafe { (data.part(r), side.part(r)) };
+                    local = merge(local, process(r, slice, side_slice));
                 }
                 *acc = Some(local);
             })
             .into_iter()
             .flatten()
             .fold(identity(), merge)
-        }
-        #[cfg(not(feature = "parallel"))]
-        unreachable!("workers > 1 requires the `parallel` feature")
-    }
-
-    /// [`Self::map_reduce_rows_mut`] with per-row flag plumbing and a
-    /// scheduling grain — the ragged-row counterpart of
-    /// [`Self::map_reduce_chunks_flagged_mut`], used by the banded ops
-    /// (whose rows shrink with eccentricity) for convergence-aware
-    /// scheduling. Implemented on top of
-    /// [`Self::map_reduce_rows_sided_mut`] with one flag slot per row.
-    pub fn map_reduce_rows_flagged_mut<T, R>(
-        &self,
-        data: &mut [T],
-        spans: &[(usize, usize)],
-        grain: usize,
-        process: impl Fn(usize, &mut [T]) -> (R, bool) + Sync,
-        identity: impl Fn() -> R + Sync,
-        merge: impl Fn(R, R) -> R + Sync,
-    ) -> (R, Vec<bool>)
-    where
-        T: Send,
-        R: Send,
-    {
-        let mut flags = vec![false; spans.len()];
-        let flag_spans: Vec<(usize, usize)> = (0..spans.len()).map(|r| (r, r + 1)).collect();
-        let total = self.map_reduce_rows_sided_mut(
-            data,
-            spans,
-            &mut flags,
-            &flag_spans,
-            grain,
-            |row, slice, flag: &mut [bool]| {
-                let (partial, changed) = process(row, slice);
-                flag[0] = changed;
-                partial
-            },
-            identity,
-            merge,
-        );
-        (total, flags)
-    }
-
-    /// [`Self::map_reduce_chunks_mut`] with per-row flag plumbing and
-    /// scheduling-grain control, for convergence-aware row scheduling:
-    ///
-    /// * `process` additionally returns one `bool` per row (e.g. "did any
-    ///   cell of this row change?"); the flags come back as a `Vec<bool>`
-    ///   indexed by row, written race-free because each row is claimed by
-    ///   exactly one worker;
-    /// * `grain` is a floor on the number of rows per scheduling block
-    ///   (`1` = the default four-blocks-per-worker split). Passes whose
-    ///   rows are mostly trivial — e.g. a square sweep where the dirty-row
-    ///   scheduler turned most rows into copies — raise it to amortise
-    ///   block-claim overhead.
-    ///
-    /// # Panics
-    /// If `data.len()` is not a multiple of `row_len` (for non-empty data).
-    pub fn map_reduce_chunks_flagged_mut<T, R>(
-        &self,
-        data: &mut [T],
-        row_len: usize,
-        grain: usize,
-        process: impl Fn(usize, &mut [T]) -> (R, bool) + Sync,
-        identity: impl Fn() -> R + Sync,
-        merge: impl Fn(R, R) -> R + Sync,
-    ) -> (R, Vec<bool>)
-    where
-        T: Send,
-        R: Send,
-    {
-        if data.is_empty() {
-            return (identity(), Vec::new());
-        }
-        let parts = disjoint::DisjointPartsMut::uniform(data, row_len);
-        let rows = parts.parts();
-        let mut flags = vec![false; rows];
-        let workers = self.effective_threads();
-        if workers <= 1 || rows <= 1 {
-            let mut total = identity();
-            for (row, flag_slot) in flags.iter_mut().enumerate() {
-                // SAFETY: this sequential loop claims each part index
-                // exactly once.
-                let slice = unsafe { parts.part(row) };
-                let (partial, flag) = process(row, slice);
-                *flag_slot = flag;
-                total = merge(total, partial);
-            }
-            return (total, flags);
-        }
-        #[cfg(feature = "parallel")]
-        {
-            // The flag vector is partitioned too (one slot per row), so
-            // the per-row flag write goes through the same checked
-            // boundary as the row data.
-            let flag_parts = disjoint::DisjointPartsMut::uniform(&mut flags, 1);
-            let (parts, flag_parts) = (&parts, &flag_parts);
-            let (process, identity, merge) = (&process, &identity, &merge);
-            let total =
-                pool::run_blocks(workers, rows, grain, &move |range, acc: &mut Option<R>| {
-                    let mut local = acc.take().unwrap_or_else(&identity);
-                    for row in range {
-                        // SAFETY: each row index is claimed by exactly
-                        // one block; the single claim covers both the
-                        // data part and the row's flag slot.
-                        let (slice, flag_slot) = unsafe { (parts.part(row), flag_parts.part(row)) };
-                        let (partial, flag) = process(row, slice);
-                        flag_slot[0] = flag;
-                        local = merge(local, partial);
-                    }
-                    *acc = Some(local);
-                })
-                .into_iter()
-                .flatten()
-                .fold(identity(), merge);
-            (total, flags)
         }
         #[cfg(not(feature = "parallel"))]
         unreachable!("workers > 1 requires the `parallel` feature")
@@ -526,11 +276,9 @@ impl ExecBackend {
 
 pub mod disjoint {
     //! Checked disjoint-slice partitioning — the **single unsafe
-    //! boundary** behind every parallel map-reduce in [`super`].
+    //! boundary** behind the parallel map-reduce in [`super`].
     //!
-    //! Historically each map-reduce variant carried its own
-    //! `from_raw_parts_mut` call and its own copy of the aliasing
-    //! argument. [`DisjointPartsMut`] centralises that: it takes
+    //! [`DisjointPartsMut`] centralises the aliasing argument: it takes
     //! ownership of a `&mut [T]` plus a description of how the buffer is
     //! tiled into parts, **verifies pairwise non-overlap at
     //! construction** (an always-on `O(parts)` check, cross-checked
@@ -542,10 +290,11 @@ pub mod disjoint {
     //!
     //! What remains unsafe is only the *claim discipline*: `part` hands
     //! out `&mut` access through `&self`, so callers must guarantee each
-    //! part index has at most one live borrow at a time. Both users in
-    //! [`super`] get that for free — the sequential fallback loops over
-    //! each index once, and the pool's block scheduler hands every index
-    //! to exactly one worker via an atomic claim counter.
+    //! part index has at most one live borrow at a time.
+    //! [`ExecBackend::map_reduce`](super::ExecBackend::map_reduce) gets
+    //! that for free — its sequential fallback loops over each index
+    //! once, and the pool's block scheduler hands every index to exactly
+    //! one worker via an atomic claim counter.
 
     use std::marker::PhantomData;
 
@@ -706,9 +455,9 @@ pub mod disjoint {
         ///
         /// The caller must guarantee that at most one live borrow of any
         /// given part index exists at a time (across all threads). The
-        /// two callers in [`super`] discharge this structurally: the
-        /// sequential fallbacks visit each index once in a loop, and the
-        /// parallel paths hand each index to exactly one worker through
+        /// map-reduce in [`super`] discharges this structurally: its
+        /// sequential fallback visits each index once in a loop, and its
+        /// parallel path hands each index to exactly one worker through
         /// the pool's atomic block-claim counter.
         // `&mut` out of `&self` is the whole point of the type (see the
         // `Sync` SAFETY argument); the claim contract is the caller's.
@@ -784,9 +533,10 @@ mod pool {
     //! consecutive blocks; workers and the submitting thread repeatedly
     //! claim the next block index and run the region body on it.
 
+    use std::any::Any;
     use std::ops::Range;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
     /// A closure invoked as `body(block_range, &mut accumulator)`.
@@ -809,8 +559,9 @@ mod pool {
         items: usize,
         /// Finished blocks.
         finished: AtomicUsize,
-        /// Whether any block body panicked.
-        poisoned: AtomicBool,
+        /// The payload of the first block body that panicked, re-raised
+        /// by the submitter once every block has finished.
+        panic: Mutex<Option<Box<dyn Any + Send>>>,
         /// Completion signal.
         done: Mutex<bool>,
         done_cv: Condvar,
@@ -831,8 +582,7 @@ mod pool {
     unsafe impl Sync for Job {}
 
     impl Job {
-        /// Claim and run blocks until none remain. Returns whether this
-        /// participant ran at least one block.
+        /// Claim and run blocks until none remain.
         fn help(&self) {
             loop {
                 let b = self.next.fetch_add(1, Ordering::Relaxed);
@@ -846,8 +596,9 @@ mod pool {
                 // submitter is still inside `run_blocks` (it waits for
                 // `finished == blocks`), keeping the pointee alive.
                 let body = unsafe { &*self.body };
-                if catch_unwind(AssertUnwindSafe(|| body(start..end, &mut acc))).is_err() {
-                    self.poisoned.store(true, Ordering::Release);
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(start..end, &mut acc)))
+                {
+                    crate::fault::unpoison(self.panic.lock()).get_or_insert(payload);
                 }
                 let done = self.finished.fetch_add(1, Ordering::AcqRel) + 1;
                 if done == self.blocks {
@@ -923,7 +674,8 @@ mod pool {
     /// callers whose items are individually too cheap to schedule.
     ///
     /// # Panics
-    /// Re-raises (as a panic) any panic that occurred inside `body`.
+    /// Re-raises the first panic that occurred inside `body`, with its
+    /// payload, after every block has finished.
     pub(super) fn run_blocks<R: Send>(
         workers: usize,
         items: usize,
@@ -968,7 +720,7 @@ mod pool {
             block_len,
             items,
             finished: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             max_participants: workers,
@@ -992,8 +744,10 @@ mod pool {
             let mut queue = crate::fault::unpoison(shared().queue.lock());
             queue.retain(|j| !Arc::ptr_eq(j, &job));
         }
-        if job.poisoned.load(Ordering::Acquire) {
-            panic!("a parallel region panicked in a pool worker");
+        // The region has drained: re-raise the first panic with its
+        // own payload, wherever it happened.
+        if let Some(payload) = crate::fault::unpoison(job.panic.lock()).take() {
+            resume_unwind(payload);
         }
         slots
             .into_iter()
@@ -1082,13 +836,15 @@ mod tests {
                 let rows = 37usize;
                 let width = 5usize;
                 let mut data = vec![0u32; rows * width];
-                let (total, flags) = backend.map_reduce_chunks_flagged_mut(
-                    &mut data,
-                    width,
+                let mut flags = vec![false; rows];
+                let total = backend.map_reduce(
+                    DisjointPartsMut::uniform(&mut data, width),
+                    DisjointPartsMut::uniform(&mut flags, 1),
                     grain,
-                    |row, slice| {
+                    |row, slice, flag| {
                         slice.fill(row as u32);
-                        (1u64, row % 3 == 0)
+                        flag[0] = row % 3 == 0;
+                        1u64
                     },
                     || 0u64,
                     |a, b| a + b,
@@ -1120,11 +876,9 @@ mod tests {
             for grain in [1usize, 2, 100] {
                 let mut data = vec![0u64; 17];
                 let mut side = vec![0u32; 8];
-                let total = backend.map_reduce_rows_sided_mut(
-                    &mut data,
-                    &spans,
-                    &mut side,
-                    &side_spans,
+                let total = backend.map_reduce(
+                    DisjointPartsMut::new(&mut data, &spans),
+                    DisjointPartsMut::new(&mut side, &side_spans),
                     grain,
                     |row, slice, side| {
                         slice.fill(row as u64 + 1);
@@ -1152,13 +906,15 @@ mod tests {
         let spans: Vec<(usize, usize)> = (0..40).map(|r| (r * 3, r * 3 + 3)).collect();
         for backend in [ExecBackend::Sequential, ExecBackend::Threads(4)] {
             let mut data = vec![0u8; 120];
-            let (total, flags) = backend.map_reduce_rows_flagged_mut(
-                &mut data,
-                &spans,
+            let mut flags = vec![false; spans.len()];
+            let total = backend.map_reduce(
+                DisjointPartsMut::new(&mut data, &spans),
+                DisjointPartsMut::uniform(&mut flags, 1),
                 1,
-                |row, slice| {
+                |row, slice, flag| {
                     slice.fill(row as u8);
-                    (1u64, row % 5 == 0)
+                    flag[0] = row % 5 == 0;
+                    1u64
                 },
                 || 0u64,
                 |a, b| a + b,
@@ -1205,10 +961,12 @@ mod tests {
             let mut data = vec![0u64; rows * width];
             let spans: Vec<(usize, usize)> =
                 (0..rows).map(|r| (r * width, (r + 1) * width)).collect();
-            let total = backend.map_reduce_rows_mut(
-                &mut data,
-                &spans,
-                |row, slice| {
+            let mut unit = vec![(); rows];
+            let total = backend.map_reduce(
+                DisjointPartsMut::new(&mut data, &spans),
+                DisjointPartsMut::uniform(&mut unit, 1),
+                1,
+                |row, slice, _| {
                     for (c, cell) in slice.iter_mut().enumerate() {
                         *cell = (row * width + c) as u64 + 1;
                     }
@@ -1231,10 +989,12 @@ mod tests {
         let spans = [(0usize, 3usize), (3, 4), (4, 10), (10, 10), (10, 17)];
         let mut data = vec![1u64; 17];
         for backend in [ExecBackend::Sequential, ExecBackend::Threads(4)] {
-            let sum = backend.map_reduce_rows_mut(
-                &mut data,
-                &spans,
-                |_row, slice| slice.iter().sum::<u64>(),
+            let mut unit = [(); 5];
+            let sum = backend.map_reduce(
+                DisjointPartsMut::new(&mut data, &spans),
+                DisjointPartsMut::uniform(&mut unit, 1),
+                1,
+                |_row, slice, _| slice.iter().sum::<u64>(),
                 || 0u64,
                 |a, b| a + b,
             );
@@ -1353,6 +1113,7 @@ mod tests {
                 i
             })
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 }

@@ -27,17 +27,18 @@
 //! wall time, lazy tree reconstruction). [`solver::Algorithm`] is the
 //! registry: names, descriptions, capability flags.
 //!
-//! | [`solver::Algorithm`] | direct entry point | algorithm | time × processors (paper) |
+//! | [`solver::Algorithm`] | module | algorithm | time × processors (paper) |
 //! |---|---|---|---|
-//! | `Sequential` | [`seq::solve_sequential`] | classic DP \[1\] | `O(n^3)` × 1 |
-//! | `Knuth` | [`seq::solve_knuth`] | Knuth–Yao (QI instances) | `O(n^2)` × 1 |
-//! | `Wavefront` | [`wavefront::solve_wavefront`] | anti-diagonal \[10\] | `O(n)` × `O(n^2)` |
-//! | `Sublinear` | [`sublinear::solve_sublinear`] | **this paper §2** | `O(sqrt(n) log n)` × `O(n^5/log n)` |
-//! | `Reduced` | [`reduced::solve_reduced`] | **this paper §5** | `O(sqrt(n) log n)` × `O(n^3.5/log n)` |
-//! | `Rytter` | [`rytter::solve_rytter`] | Rytter \[8\] | `O(log^2 n)` × `O(n^6/log n)` |
+//! | `Sequential` | [`seq`] | classic DP \[1\] | `O(n^3)` × 1 |
+//! | `Knuth` | [`seq`] | Knuth–Yao (QI instances) | `O(n^2)` × 1 |
+//! | `Wavefront` | [`wavefront`] | anti-diagonal \[10\] | `O(n)` × `O(n^2)` |
+//! | `Sublinear` | [`sublinear`] | **this paper §2** | `O(sqrt(n) log n)` × `O(n^5/log n)` |
+//! | `Reduced` | [`reduced`] | **this paper §5** | `O(sqrt(n) log n)` × `O(n^3.5/log n)` |
+//! | `Rytter` | [`rytter`] | Rytter \[8\] | `O(log^2 n)` × `O(n^6/log n)` |
 //!
-//! The direct entry points remain as thin, stable functions (the façade
-//! dispatches through them, bit-identically). All parallel solvers
+//! The three iterative solvers (§2, §5, Rytter) share one iteration
+//! engine; only the sequential oracle [`seq::solve_sequential`] and
+//! [`seq::solve_knuth`] remain as free functions. All parallel solvers
 //! execute their data-parallel operations on a pluggable
 //! [`exec::ExecBackend`] (sequential reference or the work-stealing
 //! thread pool), and all agree exactly with the sequential oracle —
@@ -92,6 +93,7 @@
 
 pub mod batch;
 pub mod check;
+mod engine;
 pub mod exec;
 pub mod fault;
 pub mod ops;
@@ -121,8 +123,6 @@ pub mod prelude {
     pub use crate::ops::{OpStats, SquareStrategy};
     pub use crate::problem::{DpProblem, FnProblem, TabulatedProblem};
     pub use crate::reconstruct::{reconstruct_root, tree_cost, ParenTree};
-    pub use crate::reduced::{solve_reduced, ReducedConfig};
-    pub use crate::rytter::{solve_rytter, RytterConfig};
     pub use crate::seq::{solve_knuth, solve_sequential};
     pub use crate::serve::{ServeConfig, ServeStats, Server};
     pub use crate::solver::{Algorithm, OptionsError, Solution, SolveKnob, SolveOptions, Solver};
@@ -134,17 +134,12 @@ pub mod prelude {
         cached_solve, CacheCounters, CacheOutcome, CachedBatchReport, CachedSolution, CachedSolver,
         FileStore, MemoryCache, ProblemKey, ResilientCache, SolutionCache, StoreError, StoreStat,
     };
-    // The deprecated `ExecMode` prelude alias was removed in this
-    // release; see the release note in [`crate::sublinear`] for the
-    // remaining module-level alias and its removal timeline.
-    pub use crate::sublinear::{solve_sublinear, SolverConfig};
     pub use crate::tables::WTable;
     pub use crate::telemetry::{
         Event, EventKind, EventSink, LatencyHistogram, LogLevel, NullSink, RingSink, Telemetry,
         WorkSpan, WriterSink,
     };
     pub use crate::trace::{StopReason, Termination};
-    pub use crate::wavefront::{solve_wavefront, solve_wavefront_default, WavefrontConfig};
     pub use crate::weight::Weight;
 }
 

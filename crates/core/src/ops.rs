@@ -40,6 +40,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::exec::disjoint::DisjointPartsMut;
 use crate::exec::ExecBackend;
 use crate::problem::DpProblem;
 use crate::tables::{BandedPw, DensePw, PairIndexer, WTable};
@@ -75,6 +76,32 @@ impl OpStats {
             changed: self.changed || other.changed,
         }
     }
+}
+
+/// Run `process` once per `pw'` row of `rows` on `exec`, collecting the
+/// row's changed-flag: the shape of every `a-activate` and `a-square`
+/// pass. `grain` is the pool's block floor (see
+/// [`ExecBackend::map_reduce`]).
+fn map_rows_flagged<W: Weight>(
+    exec: &ExecBackend,
+    rows: DisjointPartsMut<'_, W>,
+    grain: usize,
+    process: impl Fn(usize, &mut [W]) -> (OpStats, bool) + Sync,
+) -> (OpStats, Vec<bool>) {
+    let mut flags = vec![false; rows.parts()];
+    let stats = exec.map_reduce(
+        rows,
+        DisjointPartsMut::uniform(&mut flags, 1),
+        grain,
+        |a, row, flag| {
+            let (stats, changed) = process(a, row);
+            flag[0] = changed;
+            stats
+        },
+        OpStats::default,
+        OpStats::merge,
+    );
+    (stats, flags)
 }
 
 // ---------------------------------------------------------------------------
@@ -222,13 +249,11 @@ pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
         stats.changed = stats.writes > 0;
         (stats, stats.changed)
     };
-    exec.map_reduce_chunks_flagged_mut(
-        pw.as_mut_slice(),
-        dim,
+    map_rows_flagged(
+        exec,
+        DisjointPartsMut::uniform(pw.as_mut_slice(), dim),
         1,
         process_row,
-        OpStats::default,
-        OpStats::merge,
     )
 }
 
@@ -301,13 +326,11 @@ pub fn a_square_dense_scheduled<W: Weight>(
     // cheap to schedule — coarsen the block floor so claim overhead is
     // amortised across several rows.
     let grain = if skip.is_some() { 8 } else { 1 };
-    exec.map_reduce_chunks_flagged_mut(
-        next.as_mut_slice(),
-        dim,
+    map_rows_flagged(
+        exec,
+        DisjointPartsMut::uniform(next.as_mut_slice(), dim),
         grain,
         process_row,
-        OpStats::default,
-        OpStats::merge,
     )
 }
 
@@ -530,16 +553,20 @@ pub fn a_square_rytter_with<W: Weight>(
         dim,
     };
     let tiled = strategy.tile_for(dim).is_some();
-    let process_row = |a: usize, next_row: &mut [W]| -> OpStats {
+    let process_row = |a: usize, next_row: &mut [W], _: &mut [()]| -> OpStats {
         if tiled {
             rytter_row_streamed(&ctx, a, next_row)
         } else {
             rytter_row_naive(&ctx, a, next_row)
         }
     };
-    exec.map_reduce_chunks_mut(
-        next.as_mut_slice(),
-        dim,
+    // No per-row flags here: the side partition is zero-sized, so it
+    // allocates nothing.
+    let mut unit = vec![(); dim];
+    exec.map_reduce(
+        DisjointPartsMut::uniform(next.as_mut_slice(), dim),
+        DisjointPartsMut::uniform(&mut unit, 1),
+        1,
         process_row,
         OpStats::default,
         OpStats::merge,
@@ -676,8 +703,6 @@ pub fn a_pebble_dense_scheduled<W: Weight>(
     let idx = pw.indexer().clone();
     let dim = pw.dim();
     let pw_data = pw.as_slice();
-    let stride = n + 1;
-    let spans: Vec<(usize, usize)> = (0..=n).map(|i| (i * stride, (i + 1) * stride)).collect();
     let flag_spans = pebble_flag_spans(&idx);
     let mut flags = vec![false; idx.len()];
     let process_w_row = |i: usize, out_row: &mut [W], flags: &mut [bool]| -> OpStats {
@@ -714,11 +739,9 @@ pub fn a_pebble_dense_scheduled<W: Weight>(
         }
         stats
     };
-    let total = exec.map_reduce_rows_sided_mut(
-        w_next.as_mut_slice(),
-        &spans,
-        &mut flags,
-        &flag_spans,
+    let total = exec.map_reduce(
+        DisjointPartsMut::uniform(w_next.as_mut_slice(), n + 1),
+        DisjointPartsMut::new(&mut flags, &flag_spans),
         1,
         process_w_row,
         OpStats::default,
@@ -799,13 +822,11 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
         }
         (stats, stats.changed)
     };
-    exec.map_reduce_rows_flagged_mut(
-        pw.as_mut_slice(),
-        &spans,
+    map_rows_flagged(
+        exec,
+        DisjointPartsMut::new(pw.as_mut_slice(), &spans),
         1,
         process_row,
-        OpStats::default,
-        OpStats::merge,
     )
 }
 
@@ -870,13 +891,11 @@ pub fn a_square_banded_scheduled<W: Weight>(
     // With a skip mask many rows degrade to memcpys; coarsen the block
     // floor so claim overhead is amortised (as in the dense scheduler).
     let grain = if skip.is_some() { 8 } else { 1 };
-    exec.map_reduce_rows_flagged_mut(
-        next.as_mut_slice(),
-        &spans,
+    map_rows_flagged(
+        exec,
+        DisjointPartsMut::new(next.as_mut_slice(), &spans),
         grain,
         process_row,
-        OpStats::default,
-        OpStats::merge,
     )
 }
 
@@ -1122,8 +1141,6 @@ pub fn a_pebble_banded_scheduled<W: Weight, P: DpProblem<W> + ?Sized>(
 ) -> (OpStats, Vec<bool>) {
     let n = w_prev.n();
     let idx = pw.indexer().clone();
-    let stride = n + 1;
-    let spans: Vec<(usize, usize)> = (0..=n).map(|i| (i * stride, (i + 1) * stride)).collect();
     let flag_spans = pebble_flag_spans(&idx);
     let mut flags = vec![false; idx.len()];
     let process_w_row = |i: usize, out_row: &mut [W], flags: &mut [bool]| -> OpStats {
@@ -1181,11 +1198,9 @@ pub fn a_pebble_banded_scheduled<W: Weight, P: DpProblem<W> + ?Sized>(
         }
         stats
     };
-    let total = exec.map_reduce_rows_sided_mut(
-        w_next.as_mut_slice(),
-        &spans,
-        &mut flags,
-        &flag_spans,
+    let total = exec.map_reduce(
+        DisjointPartsMut::uniform(w_next.as_mut_slice(), n + 1),
+        DisjointPartsMut::new(&mut flags, &flag_spans),
         1,
         process_w_row,
         OpStats::default,

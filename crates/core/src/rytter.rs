@@ -9,41 +9,12 @@
 //! to logarithmic — at the price of `Theta(n^6)` work per iteration, the
 //! gap the paper's restricted square closes to `O(n^5)` (§2) and §5
 //! further to `O(n^3.5)`.
-
-use crate::exec::ExecBackend;
-use crate::fault::CancelToken;
-use crate::ops::{a_activate_dense, a_pebble_dense, a_square_rytter_with, OpStats, SquareStrategy};
-use crate::problem::DpProblem;
-use crate::solver::{Algorithm, Solution};
-use crate::tables::{DensePw, WTable};
-use crate::trace::{IterationRecord, SolveTrace, StopReason};
-use crate::weight::Weight;
-
-/// Configuration of [`solve_rytter`].
-#[derive(Debug, Clone, Copy)]
-pub struct RytterConfig {
-    /// Execution backend for the data-parallel passes.
-    pub exec: ExecBackend,
-    /// Keep per-iteration records.
-    pub record_trace: bool,
-    /// Stop early at a fixpoint (on by default; the schedule cap is the
-    /// logarithmic bound below).
-    pub fixpoint_stop: bool,
-    /// Kernel of the full-composition square (same tables either way;
-    /// see [`SquareStrategy`]).
-    pub square: SquareStrategy,
-}
-
-impl Default for RytterConfig {
-    fn default() -> Self {
-        RytterConfig {
-            exec: ExecBackend::Parallel,
-            record_trace: false,
-            fixpoint_stop: true,
-            square: SquareStrategy::Auto,
-        }
-    }
-}
+//!
+//! Run it as [`Algorithm::Rytter`](crate::solver::Algorithm::Rytter)
+//! through [`Solver`](crate::solver::Solver). It stops at the exact
+//! fixpoint under every [`Termination`](crate::trace::Termination),
+//! within [`rytter_schedule`] iterations; the loop is the crate's one
+//! iteration engine, shared with §2 and §5.
 
 /// The iteration bound for the doubling argument: `2*ceil(log2 n) + 4`
 /// moves always reach the fixpoint (tests verify convergence well below
@@ -53,88 +24,13 @@ pub fn rytter_schedule(n: usize) -> u64 {
     2 * (usize::BITS - n.next_power_of_two().leading_zeros()) as u64 + 4
 }
 
-/// Solve recurrence (*) with Rytter's full-composition algorithm \[8\].
-pub fn solve_rytter<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-    config: &RytterConfig,
-) -> Solution<W> {
-    solve_rytter_cancel(problem, config, CancelToken::NONE)
-}
-
-/// Cancellable Rytter solve for the façade: `cancel` is checked once
-/// per iteration, and an expired deadline stops the run with
-/// [`StopReason::DeadlineExceeded`] and a partial table.
-pub(crate) fn solve_rytter_cancel<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-    config: &RytterConfig,
-    cancel: CancelToken,
-) -> Solution<W> {
-    let t0 = std::time::Instant::now();
-    let n = problem.n();
-    let exec = &config.exec;
-    let schedule = rytter_schedule(n);
-
-    let mut w = WTable::new(n);
-    for i in 0..n {
-        w.set(i, i + 1, problem.init(i));
-    }
-    let mut pw = DensePw::new(n);
-    let mut pw_next = DensePw::new(n);
-    let mut w_next = w.clone();
-
-    let mut trace = SolveTrace {
-        n,
-        iterations: 0,
-        schedule_bound: schedule,
-        stop: StopReason::ScheduleExhausted,
-        total_candidates: 0,
-        per_iteration: Vec::new(),
-    };
-    let mut stats = OpStats::default();
-
-    for iter in 1..=schedule {
-        if cancel.is_cancelled() {
-            trace.stop = StopReason::DeadlineExceeded;
-            break;
-        }
-        let act = a_activate_dense(problem, &w, &mut pw, exec);
-        let sq = a_square_rytter_with(&pw, &mut pw_next, config.square, exec);
-        std::mem::swap(&mut pw, &mut pw_next);
-        let pb = a_pebble_dense(&pw, &w, &mut w_next, exec);
-        std::mem::swap(&mut w, &mut w_next);
-
-        trace.iterations = iter;
-        trace.total_candidates += act.candidates + sq.candidates + pb.candidates;
-        stats = stats.merge(act).merge(sq).merge(pb);
-        if config.record_trace {
-            trace.per_iteration.push(IterationRecord {
-                iteration: iter,
-                activate: act.into(),
-                square: sq.into(),
-                pebble: pb.into(),
-                root_finite: w.root().is_finite_cost(),
-            });
-        }
-        if config.fixpoint_stop && !act.changed && !sq.changed && !pb.changed {
-            trace.stop = StopReason::Fixpoint;
-            break;
-        }
-    }
-
-    Solution {
-        algorithm: Algorithm::Rytter,
-        w,
-        trace,
-        stats,
-        wall: t0.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::problem::FnProblem;
+    use crate::exec::ExecBackend;
+    use crate::ops::SquareStrategy;
+    use crate::problem::{DpProblem, FnProblem};
     use crate::seq::solve_sequential;
+    use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -143,13 +39,14 @@ mod tests {
         FnProblem::new(n, |_| 0u64, move |i, k, j| dims[i] * dims[k] * dims[j])
     }
 
-    fn cfg() -> RytterConfig {
-        RytterConfig {
-            exec: ExecBackend::Sequential,
-            record_trace: true,
-            fixpoint_stop: true,
-            square: SquareStrategy::Auto,
-        }
+    fn cfg() -> SolveOptions {
+        SolveOptions::default()
+            .exec(ExecBackend::Sequential)
+            .record_trace(true)
+    }
+
+    fn solve<P: DpProblem<u64>>(p: &P, opts: &SolveOptions) -> Solution<u64> {
+        Solver::new(Algorithm::Rytter).options(*opts).solve(p)
     }
 
     #[test]
@@ -157,14 +54,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(99);
         let dims: Vec<u64> = (0..=13).map(|_| rng.gen_range(1..40)).collect();
         let p = chain(dims);
-        let streamed = solve_rytter(&p, &cfg());
-        let naive = solve_rytter(
-            &p,
-            &RytterConfig {
-                square: SquareStrategy::Naive,
-                ..cfg()
-            },
-        );
+        let streamed = solve(&p, &cfg());
+        let naive = solve(&p, &cfg().square(SquareStrategy::Naive));
         assert!(streamed.w.table_eq(&naive.w));
         assert_eq!(streamed.trace.iterations, naive.trace.iterations);
         assert_eq!(
@@ -176,7 +67,7 @@ mod tests {
     #[test]
     fn rytter_solves_clrs_chain() {
         let p = chain(vec![30, 35, 15, 5, 10, 20, 25]);
-        let sol = solve_rytter(&p, &cfg());
+        let sol = solve(&p, &cfg());
         assert_eq!(sol.value(), 15125);
         assert!(sol.w.table_eq(&solve_sequential(&p)));
     }
@@ -188,7 +79,7 @@ mod tests {
             let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..50)).collect();
             let p = chain(dims);
             let oracle = solve_sequential(&p);
-            let sol = solve_rytter(&p, &cfg());
+            let sol = solve(&p, &cfg());
             assert!(sol.w.table_eq(&oracle), "n={n}");
             let log = (n as f64).log2().ceil() as u64;
             assert!(
@@ -201,21 +92,11 @@ mod tests {
 
     #[test]
     fn rytter_work_dwarfs_everything() {
-        use crate::sublinear::{solve_sublinear, SolverConfig};
-        use crate::trace::Termination;
         let mut rng = SmallRng::seed_from_u64(3);
         let dims: Vec<u64> = (0..=20).map(|_| rng.gen_range(1..30)).collect();
         let p = chain(dims);
-        let ryt = solve_rytter(&p, &cfg());
-        let sub = solve_sublinear(
-            &p,
-            &SolverConfig {
-                exec: ExecBackend::Sequential,
-                termination: Termination::FixedSqrtN,
-                record_trace: true,
-                ..Default::default()
-            },
-        );
+        let ryt = solve(&p, &cfg());
+        let sub = Solver::new(Algorithm::Sublinear).options(cfg()).solve(&p);
         // Even though Rytter runs fewer iterations, its per-iteration work
         // is far larger — the processor gap the paper closes.
         assert!(ryt.trace.iterations < sub.trace.iterations);
@@ -232,14 +113,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let dims: Vec<u64> = (0..=14).map(|_| rng.gen_range(1..30)).collect();
         let p = chain(dims);
-        let seq = solve_rytter(&p, &cfg());
-        let par = solve_rytter(
-            &p,
-            &RytterConfig {
-                exec: ExecBackend::Parallel,
-                ..cfg()
-            },
-        );
+        let seq = solve(&p, &cfg());
+        let par = solve(&p, &cfg().exec(ExecBackend::Parallel));
         assert!(seq.w.table_eq(&par.w));
     }
 }

@@ -37,24 +37,22 @@
 //!
 //! ## Migration from the per-module entry points
 //!
-//! The free functions remain as thin, stable entry points — the façade
-//! produces bit-identical tables (property-tested in
-//! `crates/core/tests/proptest_facade.rs`):
+//! [`Solver`] is the one entry point of the wavefront and iterative
+//! solvers: their per-module solve functions and config structs were
+//! removed, and every old config field is a [`SolveOptions`] field of the
+//! same name unless noted. The sequential oracle
+//! ([`solve_sequential`]) and [`solve_knuth`] stay public.
 //!
-//! | old entry point | façade call |
+//! | removed entry point (config fields) | façade call |
 //! |---|---|
-//! | `seq::solve_sequential(p)` | `Solver::new(Algorithm::Sequential).solve(p)` |
-//! | `seq::solve_knuth(p)` | `Solver::new(Algorithm::Knuth).solve(p)` |
-//! | `wavefront::solve_wavefront(p, &WavefrontConfig { exec, parallel_threshold })` | `Solver::new(Algorithm::Wavefront).options(SolveOptions::default().exec(exec).wavefront_grain(g)).solve(p)` |
-//! | `sublinear::solve_sublinear(p, &SolverConfig { exec, termination, .. })` | `Solver::new(Algorithm::Sublinear).options(SolveOptions::default().exec(exec).termination(t)).solve(p)` |
-//! | `reduced::solve_reduced(p, &ReducedConfig { band, windowed_pebble, .. })` | `Solver::new(Algorithm::Reduced).options(SolveOptions::default().band(b).windowed_pebble(w)).solve(p)` |
-//! | `rytter::solve_rytter(p, &RytterConfig::default())` | `Solver::new(Algorithm::Rytter).solve(p)` (the exact fixpoint stop stays on; a full-schedule run still needs `RytterConfig` directly) |
+//! | `wavefront` (`exec`, `parallel_threshold`) | `Solver::new(Algorithm::Wavefront).options(SolveOptions::default().exec(e).wavefront_grain(g))` |
+//! | `sublinear` (`exec`, `termination`, `record_trace`, `square`, `skip_clean_rows`) | `Solver::new(Algorithm::Sublinear).options(SolveOptions::default().exec(e).termination(t))` |
+//! | `reduced` (`exec`, `record_trace`, `windowed_pebble`, `band`, `square`, `skip_clean_rows`) | `Solver::new(Algorithm::Reduced).options(SolveOptions::default().band(b).windowed_pebble(w))` |
+//! | `rytter` (`exec`, `record_trace`, `fixpoint_stop`, `square`) | `Solver::new(Algorithm::Rytter)` — the fixpoint stop is always on |
 //!
-//! The legacy config structs convert losslessly: [`SolveOptions`] carries
-//! the union of their knobs and [`SolveOptions::sublinear_config`] /
-//! [`SolveOptions::reduced_config`] / [`SolveOptions::rytter_config`] /
-//! [`SolveOptions::wavefront_config`] produce the per-module structs the
-//! façade itself dispatches through.
+//! Rytter's stop is exact, so it changes no table. For the work of a
+//! full-schedule Rytter run, use the cost model
+//! [`model_rytter`](crate::pram_exec::model_rytter)`(n, `[`rytter_schedule`](crate::rytter::rytter_schedule)`(n))`.
 
 #![deny(missing_docs)]
 
@@ -66,13 +64,9 @@ use crate::fault::CancelToken;
 use crate::ops::{OpStats, SquareStrategy};
 use crate::problem::DpProblem;
 use crate::reconstruct::{reconstruct_root, ParenTree};
-use crate::reduced::{solve_reduced_cancel, ReducedConfig};
-use crate::rytter::{solve_rytter_cancel, RytterConfig};
 use crate::seq::{solve_knuth, solve_sequential};
-use crate::sublinear::{solve_sublinear_cancel, SolverConfig};
 use crate::tables::WTable;
 use crate::trace::{SolveTrace, StopReason, Termination};
-use crate::wavefront::{solve_wavefront_cancel, WavefrontConfig};
 use crate::weight::Weight;
 
 /// Every solver on the paper's spectrum (§1), slowest-sequential to
@@ -344,9 +338,10 @@ pub struct SolveOptions {
     /// Stopping rule for the §2 solver (it honours all three rules).
     /// The other iterative algorithms keep their own exact defaults:
     /// Rytter always stops at its fixpoint (running past it is a no-op,
-    /// so the stop is exact — use [`RytterConfig`] directly to force a
-    /// full-schedule run for work accounting), and the §5 solver always
-    /// runs its fixed schedule (its window argument requires it).
+    /// so the stop is exact — the work of a full-schedule run is
+    /// [`model_rytter`](crate::pram_exec::model_rytter)`(n, `[`rytter_schedule`](crate::rytter::rytter_schedule)`(n))`
+    /// in the cost model), and the §5 solver always runs its fixed
+    /// schedule (its window argument requires it).
     pub termination: Termination,
     /// Keep per-iteration records in the trace (iterative algorithms).
     pub record_trace: bool,
@@ -360,7 +355,8 @@ pub struct SolveOptions {
     /// point; reduced solver only).
     pub windowed_pebble: bool,
     /// Wavefront fork-join grain: diagonals with fewer candidate
-    /// evaluations than this run sequentially.
+    /// evaluations than this run sequentially (default 4096, which
+    /// avoids fork-join overhead on tiny diagonals).
     pub wavefront_grain: usize,
     /// Cooperative deadline: the iterative solvers check it once per
     /// iteration and the wavefront once per diagonal, stopping with
@@ -385,7 +381,7 @@ impl Default for SolveOptions {
             skip_clean_rows: true,
             band: None,
             windowed_pebble: true,
-            wavefront_grain: WavefrontConfig::default().parallel_threshold,
+            wavefront_grain: 4096,
             deadline: None,
         }
     }
@@ -599,51 +595,6 @@ impl SolveOptions {
         }
         Ok(())
     }
-
-    /// The [`SolverConfig`] these options denote for the §2 solver.
-    pub fn sublinear_config(&self) -> SolverConfig {
-        SolverConfig {
-            exec: self.exec,
-            termination: self.termination,
-            record_trace: self.record_trace,
-            square: self.square,
-            skip_clean_rows: self.skip_clean_rows,
-        }
-    }
-
-    /// The [`ReducedConfig`] these options denote for the §5 solver.
-    pub fn reduced_config(&self) -> ReducedConfig {
-        ReducedConfig {
-            exec: self.exec,
-            record_trace: self.record_trace,
-            windowed_pebble: self.windowed_pebble,
-            band: self.band,
-            square: self.square,
-            skip_clean_rows: self.skip_clean_rows,
-        }
-    }
-
-    /// The [`RytterConfig`] these options denote. The fixpoint stop stays
-    /// on — Rytter's legacy default — under every [`Termination`]: the
-    /// stop is exact (iterating past a fixpoint is a no-op), so the rule
-    /// choice cannot change the result. A full-schedule Rytter run (for
-    /// work accounting) needs [`RytterConfig`] directly.
-    pub fn rytter_config(&self) -> RytterConfig {
-        RytterConfig {
-            exec: self.exec,
-            record_trace: self.record_trace,
-            fixpoint_stop: true,
-            square: self.square,
-        }
-    }
-
-    /// The [`WavefrontConfig`] these options denote.
-    pub fn wavefront_config(&self) -> WavefrontConfig {
-        WavefrontConfig {
-            exec: self.exec,
-            parallel_threshold: self.wavefront_grain,
-        }
-    }
 }
 
 /// Result of any solver run: the full `w` table plus uniform diagnostics.
@@ -771,18 +722,15 @@ impl Solver {
         &self.options
     }
 
-    /// Run the selected algorithm on `problem`. Dispatches to the
-    /// per-module entry points, so results are bit-identical to calling
-    /// them directly with the equivalent config.
+    /// Run the selected algorithm on `problem`. The iterative solvers
+    /// run through the one iteration engine; the direct solvers through
+    /// their own sweeps.
     ///
     /// [`Solution::wall`] is measured here, around the whole dispatch,
     /// so its scope is uniform across the spectrum: solve plus
     /// diagnostics assembly, for direct and iterative algorithms alike.
-    /// (The direct entry points keep their own narrower measurement
-    /// when called directly.)
     pub fn solve<W: Weight, P: DpProblem<W> + ?Sized>(&self, problem: &P) -> Solution<W> {
         let opts = &self.options;
-        let cancel = opts.cancel_token();
         let t0 = Instant::now();
         let mut solution = match self.algorithm {
             Algorithm::Sequential => {
@@ -794,19 +742,14 @@ impl Solver {
                 Solution::direct(Algorithm::Knuth, w)
             }
             Algorithm::Wavefront => {
-                let (w, completed) =
-                    solve_wavefront_cancel(problem, &opts.wavefront_config(), cancel);
+                let (w, completed) = crate::wavefront::sweep(problem, opts);
                 let mut s = Solution::direct(Algorithm::Wavefront, w);
                 if !completed {
                     s.trace.stop = StopReason::DeadlineExceeded;
                 }
                 s
             }
-            Algorithm::Sublinear => {
-                solve_sublinear_cancel(problem, &opts.sublinear_config(), cancel)
-            }
-            Algorithm::Reduced => solve_reduced_cancel(problem, &opts.reduced_config(), cancel),
-            Algorithm::Rytter => solve_rytter_cancel(problem, &opts.rytter_config(), cancel),
+            iterative => crate::engine::solve(problem, iterative, opts, None),
         };
         solution.wall = t0.elapsed();
         solution
@@ -1042,19 +985,25 @@ mod tests {
     #[test]
     fn rytter_keeps_its_exact_fixpoint_stop_under_every_termination() {
         // The stop is exact, and it is Rytter's legacy default — the
-        // façade must not silently trade it for full-schedule work.
-        for term in [
-            Termination::FixedSqrtN,
-            Termination::Fixpoint,
-            Termination::WStableTwice,
-        ] {
-            let opts = SolveOptions::default().termination(term);
-            assert!(opts.rytter_config().fixpoint_stop, "{term:?}");
+        // façade must not silently trade it for full-schedule work, nor
+        // let the §2 stopping rules reach it.
+        let p = clrs();
+        let base = SolveOptions::default()
+            .exec(ExecBackend::Sequential)
+            .record_trace(true);
+        let fixpoint = Solver::new(Algorithm::Rytter)
+            .options(base.termination(Termination::Fixpoint))
+            .solve(&p);
+        assert_eq!(fixpoint.trace.stop, StopReason::Fixpoint);
+        assert!(fixpoint.trace.iterations < fixpoint.trace.schedule_bound);
+        let last = fixpoint.trace.per_iteration.last().unwrap();
+        assert!(!last.activate.changed && !last.square.changed && !last.pebble.changed);
+        for term in [Termination::FixedSqrtN, Termination::WStableTwice] {
+            let sol = Solver::new(Algorithm::Rytter)
+                .options(base.termination(term))
+                .solve(&p);
+            assert_eq!(sol.trace, fixpoint.trace, "{term:?}");
+            assert!(sol.w.table_eq(&fixpoint.w), "{term:?}");
         }
-        assert_eq!(
-            SolveOptions::default().rytter_config().fixpoint_stop,
-            RytterConfig::default().fixpoint_stop,
-            "façade default must match the legacy Rytter default"
-        );
     }
 }

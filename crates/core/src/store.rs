@@ -74,9 +74,8 @@
 //!   still feed the new region. The final table and value are
 //!   bit-identical to a cold solve; the trace and statistics are
 //!   smaller — they honestly report the work actually done.
-//! * **Rytter** — no seeded variant (its doubling structure has no
-//!   per-pair dirty bits); a miss falls back to a cold solve, which is
-//!   still cached for the next exact repeat.
+//! * **Rytter** — not warm-started: a miss falls back to a cold solve,
+//!   which is still cached for the next exact repeat.
 //!
 //! ## Cache sizing for batch and serve
 //!
@@ -104,10 +103,8 @@ use crate::batch::{BatchError, BatchResult, BatchSolver};
 use crate::fault::{unpoison, FaultPlan, FaultSite};
 use crate::ops::OpStats;
 use crate::problem::DpProblem;
-use crate::reduced::solve_reduced_seeded;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
 use crate::spec::{CanonicalHasher, ProblemSpec, ResolvedJob};
-use crate::sublinear::solve_sublinear_seeded;
 use crate::tables::WTable;
 use crate::telemetry::EventKind;
 use crate::trace::{SolveTrace, Termination};
@@ -1085,21 +1082,9 @@ fn warm_start(
                 let w = complete_sequential(&problem, m, &seed);
                 Solution::direct(algorithm, w)
             }
-            Algorithm::Sublinear => solve_sublinear_seeded(
-                &problem,
-                &options.sublinear_config(),
-                m,
-                &seed,
-                options.cancel_token(),
-            ),
-            Algorithm::Reduced => solve_reduced_seeded(
-                &problem,
-                &options.reduced_config(),
-                m,
-                &seed,
-                options.cancel_token(),
-            ),
-            _ => unreachable!("warm-startable algorithms are filtered above"),
+            // The iterative solvers run the engine with the seeded
+            // pairs marked final.
+            iterative => crate::engine::solve(&problem, iterative, options, Some((m, &seed))),
         };
         return Some((solution, m));
     }

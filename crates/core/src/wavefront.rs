@@ -9,51 +9,26 @@
 //! parallelised.
 //!
 //! The parallel implementation hands each diagonal's cells to the
-//! configured [`ExecBackend`] and falls back to sequential execution for
-//! small diagonals, where the fork-join overhead would dominate.
+//! configured [`ExecBackend`](crate::exec::ExecBackend) and falls back to
+//! sequential execution for small diagonals, where the fork-join
+//! overhead would dominate.
 
-use crate::exec::ExecBackend;
-use crate::fault::CancelToken;
 use crate::problem::DpProblem;
+use crate::solver::SolveOptions;
 use crate::tables::WTable;
 use crate::weight::Weight;
 
-/// Tuning for [`solve_wavefront`].
-#[derive(Debug, Clone, Copy)]
-pub struct WavefrontConfig {
-    /// Execution backend for the per-diagonal passes.
-    pub exec: ExecBackend,
-    /// Diagonals with fewer candidate evaluations than this run
-    /// sequentially (avoids fork-join overhead on tiny diagonals).
-    pub parallel_threshold: usize,
-}
-
-impl Default for WavefrontConfig {
-    fn default() -> Self {
-        WavefrontConfig {
-            exec: ExecBackend::Parallel,
-            parallel_threshold: 4096,
-        }
-    }
-}
-
-/// Solve recurrence (*) by parallel anti-diagonal sweeps.
-pub fn solve_wavefront<W: Weight, P: DpProblem<W> + Sync + ?Sized>(
+/// Solve recurrence (*) by anti-diagonal sweeps on `opts.exec`,
+/// checking `opts.deadline` once per diagonal. Diagonals with fewer
+/// candidate evaluations than `opts.wavefront_grain` run sequentially.
+/// Returns the table plus whether the sweep ran to completion — `false`
+/// means the deadline passed and the table is partial (diagonals past
+/// the cancellation point are still infinity).
+pub(crate) fn sweep<W: Weight, P: DpProblem<W> + ?Sized>(
     problem: &P,
-    config: &WavefrontConfig,
-) -> WTable<W> {
-    solve_wavefront_cancel(problem, config, CancelToken::NONE).0
-}
-
-/// Cancellable wavefront solve for the façade: `cancel` is checked once
-/// per diagonal. Returns the table plus whether the sweep ran to
-/// completion — `false` means the deadline passed and the table is
-/// partial (diagonals past the cancellation point are still infinity).
-pub(crate) fn solve_wavefront_cancel<W: Weight, P: DpProblem<W> + Sync + ?Sized>(
-    problem: &P,
-    config: &WavefrontConfig,
-    cancel: CancelToken,
+    opts: &SolveOptions,
 ) -> (WTable<W>, bool) {
+    let cancel = opts.cancel_token();
     let n = problem.n();
     let mut w = WTable::new(n);
     for i in 0..n {
@@ -74,9 +49,8 @@ pub(crate) fn solve_wavefront_cancel<W: Weight, P: DpProblem<W> + Sync + ?Sized>
             }
             best
         };
-        if config.exec.is_parallel() && cells * (d - 1) >= config.parallel_threshold {
-            config
-                .exec
+        if opts.exec.is_parallel() && cells * (d - 1) >= opts.wavefront_grain {
+            opts.exec
                 .map_collect_into(&mut diag, cells, |i| cell_value(i, &w));
         } else {
             diag.clear();
@@ -89,29 +63,28 @@ pub(crate) fn solve_wavefront_cancel<W: Weight, P: DpProblem<W> + Sync + ?Sized>
     (w, true)
 }
 
-/// Convenience wrapper with default tuning.
-pub fn solve_wavefront_default<W: Weight, P: DpProblem<W> + Sync + ?Sized>(
-    problem: &P,
-) -> WTable<W> {
-    solve_wavefront(problem, &WavefrontConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::problem::FnProblem;
+    use crate::exec::ExecBackend;
+    use crate::problem::{DpProblem, FnProblem};
     use crate::seq::solve_sequential;
+    use crate::solver::{Algorithm, SolveOptions, Solver};
+    use crate::tables::WTable;
 
     fn chain(dims: Vec<u64>) -> impl DpProblem<u64> {
         let n = dims.len() - 1;
         FnProblem::new(n, |_| 0u64, move |i, k, j| dims[i] * dims[k] * dims[j])
     }
 
+    fn wavefront(p: &impl DpProblem<u64>, opts: SolveOptions) -> WTable<u64> {
+        Solver::new(Algorithm::Wavefront).options(opts).solve(p).w
+    }
+
     #[test]
     fn wavefront_matches_sequential_small() {
         let p = chain(vec![30, 35, 15, 5, 10, 20, 25]);
         let seq = solve_sequential(&p);
-        let par = solve_wavefront_default(&p);
+        let par = wavefront(&p, SolveOptions::default());
         assert!(seq.table_eq(&par));
         assert_eq!(par.root(), 15125);
     }
@@ -125,35 +98,19 @@ mod tests {
             let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..64)).collect();
             let p = chain(dims);
             let seq = solve_sequential(&p);
-            // Force the parallel path with a zero threshold.
-            let par = solve_wavefront(
-                &p,
-                &WavefrontConfig {
-                    exec: ExecBackend::Threads(4),
-                    parallel_threshold: 0,
-                },
-            );
-            assert!(seq.table_eq(&par), "n={n}");
+            // Force the parallel path with a zero grain.
+            let opts = SolveOptions::default()
+                .exec(ExecBackend::Threads(4))
+                .wavefront_grain(0);
+            assert!(seq.table_eq(&wavefront(&p, opts)), "n={n}");
         }
     }
 
     #[test]
     fn threshold_zero_and_huge_agree() {
         let p = chain(vec![7, 3, 9, 4, 12, 5, 8, 6, 10]);
-        let a = solve_wavefront(
-            &p,
-            &WavefrontConfig {
-                parallel_threshold: 0,
-                ..Default::default()
-            },
-        );
-        let b = solve_wavefront(
-            &p,
-            &WavefrontConfig {
-                parallel_threshold: usize::MAX,
-                ..Default::default()
-            },
-        );
+        let a = wavefront(&p, SolveOptions::default().wavefront_grain(0));
+        let b = wavefront(&p, SolveOptions::default().wavefront_grain(usize::MAX));
         assert!(a.table_eq(&b));
     }
 }

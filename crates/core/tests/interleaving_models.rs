@@ -2,13 +2,14 @@
 //! run under the deterministic checker (`pardp_core::check`).
 //!
 //! Each model mirrors the *shape* of a real protocol — the serve job
-//! queue, the serve regime gate, telemetry sequencing — using the
-//! checker's shim primitives, and asserts the property the real code
-//! promises. Three further models pin the historical near-misses fixed
-//! in PRs 6–8 by reintroducing each bug in the model and asserting the
+//! queue, the serve regime gate, telemetry sequencing, the exec pool's
+//! poisoned region — using the checker's shim primitives, and asserts
+//! the property the real code promises. Further models pin historical
+//! near-misses by reintroducing each bug in the model and asserting the
 //! checker catches it.
 
 use pardp_core::check::{self, sync::Condvar, sync::Mutex, sync::RwLock, unpoison, Checker};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -346,6 +347,144 @@ fn regression_poisoned_lock_without_unpoison_fails() {
             .iter()
             .all(|f| f.messages.iter().any(|m| m.contains("Poisoned"))),
         "failures must be the poisoned-lock unwrap: {buggy:?}"
+    );
+}
+
+/// A parallel region of the exec pool, modelled after `exec::pool`'s
+/// `Job::help` / `Job::wait` / `run_blocks`: participants claim blocks
+/// from a shared counter, a panicking block keeps its payload only if
+/// it is the first, the last finisher signals completion, and the
+/// submitter re-raises the stored payload. Blocks 0 and 2 panic with
+/// different payloads.
+struct RegionModel {
+    /// Next unclaimed block (an atomic `fetch_add` in the pool).
+    next: Mutex<usize>,
+    blocks: usize,
+    /// Finished blocks (the pool's `AcqRel` completion counter).
+    finished: Mutex<usize>,
+    /// Block bodies that panicked.
+    panicked: AtomicUsize,
+    /// The first panic payload.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    done: Mutex<bool>,
+    done_cv: Condvar,
+}
+
+impl RegionModel {
+    fn new(blocks: usize) -> Self {
+        RegionModel {
+            next: Mutex::new(0),
+            blocks,
+            finished: Mutex::new(0),
+            panicked: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        }
+    }
+
+    fn help(&self) {
+        loop {
+            let b = {
+                let mut next = unpoison(self.next.lock());
+                *next += 1;
+                *next - 1
+            };
+            if b >= self.blocks {
+                return;
+            }
+            let body = check::catch_unwind(|| match b {
+                0 => panic!("block 0"),
+                2 => panic!("block 2"),
+                _ => check::yield_now(),
+            });
+            if let Err(payload) = body {
+                self.panicked.fetch_add(1, Ordering::SeqCst);
+                unpoison(self.panic.lock()).get_or_insert(payload);
+            }
+            let finished = {
+                let mut f = unpoison(self.finished.lock());
+                *f += 1;
+                *f
+            };
+            if finished == self.blocks {
+                *unpoison(self.done.lock()) = true;
+                self.done_cv.notify_all();
+            }
+        }
+    }
+
+    fn wait(&self) {
+        let mut done = unpoison(self.done.lock());
+        while !*done {
+            done = unpoison(self.done_cv.wait(done));
+        }
+    }
+}
+
+/// Run one region with two pool workers and the participating
+/// submitter, then re-raise like `run_blocks`: exactly one of the two
+/// payloads, only after every block has finished. `drain` = false drops
+/// the completion wait — the bug the model must catch.
+fn poisoned_region(drain: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let job = Arc::new(RegionModel::new(3));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let job = job.clone();
+                check::thread::spawn(move || job.help())
+            })
+            .collect();
+        job.help();
+        if drain {
+            job.wait();
+        }
+        assert_eq!(
+            *unpoison(job.finished.lock()),
+            job.blocks,
+            "re-raised before every block finished"
+        );
+        assert_eq!(job.panicked.load(Ordering::SeqCst), 2);
+        let payload = unpoison(job.panic.lock()).take().expect("a stored payload");
+        let raised = check::catch_unwind(move || -> () { std::panic::resume_unwind(payload) })
+            .expect_err("the payload is re-raised");
+        let message = *raised.downcast_ref::<&str>().expect("a &str payload");
+        assert!(message == "block 0" || message == "block 2", "{message}");
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+}
+
+/// Tentpole model 4 — the exec pool's poisoned region: when two blocks
+/// panic, the submitter re-raises exactly one original payload, only
+/// after the region has drained, and no schedule deadlocks.
+#[test]
+fn pool_region_reraises_one_payload_after_draining() {
+    quiet_model_panics();
+    let report = Checker::new().seed(0xb10c).run(poisoned_region(true));
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert!(
+        report.distinct >= 100,
+        "expected >= 100 distinct schedules, got {}",
+        report.distinct
+    );
+}
+
+/// Regression pin: re-raising as soon as the submitter runs out of
+/// blocks to claim — without waiting for the region to drain — can
+/// observe a block still running on a worker. The checker must find
+/// such a schedule.
+#[test]
+fn regression_reraise_before_drain_is_caught() {
+    quiet_model_panics();
+    let report = Checker::new()
+        .seed(0xb10c)
+        .schedules(256)
+        .run(poisoned_region(false));
+    assert!(
+        !report.failures.is_empty(),
+        "an undrained re-raise must be caught: {report:?}"
     );
 }
 

@@ -33,18 +33,13 @@ proptest! {
     #[test]
     fn all_parallel_solvers_match_sequential(p in instance_strategy(9)) {
         let oracle = solve_sequential(&p);
-        let cfg = SolverConfig {
-            exec: ExecBackend::Sequential,
-            termination: Termination::FixedSqrtN,
-            record_trace: false,
-            ..Default::default()
-        };
-        prop_assert!(solve_sublinear(&p, &cfg).w.table_eq(&oracle));
-        let rcfg = ReducedConfig { exec: ExecBackend::Sequential, ..Default::default() };
-        prop_assert!(solve_reduced(&p, &rcfg).w.table_eq(&oracle));
-        let ycfg = RytterConfig { exec: ExecBackend::Sequential, ..Default::default() };
-        prop_assert!(solve_rytter(&p, &ycfg).w.table_eq(&oracle));
-        prop_assert!(solve_wavefront_default(&p).table_eq(&oracle));
+        let seq = SolveOptions::default().exec(ExecBackend::Sequential);
+        for algo in [Algorithm::Sublinear, Algorithm::Reduced, Algorithm::Rytter] {
+            let sol = Solver::new(algo).options(seq).solve(&p);
+            prop_assert!(sol.w.table_eq(&oracle), "{}", algo);
+        }
+        let wavefront = Solver::new(Algorithm::Wavefront).solve(&p);
+        prop_assert!(wavefront.w.table_eq(&oracle));
     }
 
     #[test]
@@ -114,19 +109,14 @@ proptest! {
 
     #[test]
     fn termination_policies_agree(p in instance_strategy(8)) {
-        let fixed = solve_sublinear(&p, &SolverConfig {
-            exec: ExecBackend::Sequential,
-            termination: Termination::FixedSqrtN,
-            record_trace: false,
-            ..Default::default()
-        });
+        let sublinear = |term| {
+            Solver::new(Algorithm::Sublinear)
+                .options(SolveOptions::default().exec(ExecBackend::Sequential).termination(term))
+                .solve(&p)
+        };
+        let fixed = sublinear(Termination::FixedSqrtN);
         for term in [Termination::Fixpoint, Termination::WStableTwice] {
-            let sol = solve_sublinear(&p, &SolverConfig {
-                exec: ExecBackend::Sequential,
-                termination: term,
-                record_trace: false,
-                ..Default::default()
-            });
+            let sol = sublinear(term);
             prop_assert!(sol.w.table_eq(&fixed.w));
             prop_assert!(sol.trace.iterations <= fixed.trace.iterations);
         }

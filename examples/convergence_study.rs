@@ -10,13 +10,9 @@ use sublinear_dp::apps::generators;
 use sublinear_dp::prelude::*;
 
 fn iterations<P: DpProblem<u64> + ?Sized>(p: &P, term: Termination) -> (u64, u64) {
-    let cfg = SolverConfig {
-        exec: ExecBackend::Parallel,
-        termination: term,
-        record_trace: false,
-        ..Default::default()
-    };
-    let sol = solve_sublinear(p, &cfg);
+    let sol = Solver::new(Algorithm::Sublinear)
+        .options(SolveOptions::default().termination(term))
+        .solve(p);
     (sol.trace.iterations, sol.trace.schedule_bound)
 }
 

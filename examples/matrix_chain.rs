@@ -21,17 +21,16 @@ fn main() {
     println!("sequential O(n^3):              c(0,n) = {}", w.root());
 
     // 2. Wavefront (the practical multicore algorithm, [10]).
-    let wav = solve_wavefront_default(&chain);
-    println!("wavefront O(n) x O(n^2) procs:  c(0,n) = {}", wav.root());
+    let wav = Solver::new(Algorithm::Wavefront).solve(&chain);
+    println!("wavefront O(n) x O(n^2) procs:  c(0,n) = {}", wav.value());
 
     // 3. The paper's sublinear algorithm with trace.
-    let cfg = SolverConfig {
-        exec: ExecBackend::Parallel,
-        termination: Termination::Fixpoint,
-        record_trace: true,
-        ..Default::default()
-    };
-    let sub = solve_sublinear(&chain, &cfg);
+    let opts = SolveOptions::default()
+        .termination(Termination::Fixpoint)
+        .record_trace(true);
+    let sub = Solver::new(Algorithm::Sublinear)
+        .options(opts)
+        .solve(&chain);
     println!(
         "sublinear (paper §2):           c(0,n) = {} in {}/{} iterations ({:?})",
         sub.value(),
@@ -41,18 +40,18 @@ fn main() {
     );
 
     // 4. The §5 reduced-processor variant.
-    let red = solve_reduced(&chain, &ReducedConfig::default());
+    let red = Solver::new(Algorithm::Reduced).solve(&chain);
     println!("reduced (paper §5):             c(0,n) = {}", red.value());
 
     // 5. Rytter's baseline.
-    let ryt = solve_rytter(&chain, &RytterConfig::default());
+    let ryt = Solver::new(Algorithm::Rytter).solve(&chain);
     println!(
         "rytter [8]:                     c(0,n) = {} in {} iterations",
         ryt.value(),
         ryt.trace.iterations
     );
 
-    assert!(w.table_eq(&sub.w) && w.table_eq(&red.w) && w.table_eq(&ryt.w));
+    assert!([&wav, &sub, &red, &ryt].iter().all(|s| w.table_eq(&s.w)));
 
     // The witness tree, and how bad the naive left-to-right order is.
     let (cost, tree) = chain.optimal_order();

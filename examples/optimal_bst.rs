@@ -41,7 +41,7 @@ fn main() {
     let w_full = solve_sequential(&bst);
     let w_knuth = solve_knuth(&bst);
     assert!(w_full.table_eq(&w_knuth));
-    let sub = solve_sublinear(&bst, &SolverConfig::default());
+    let sub = Solver::new(Algorithm::Sublinear).solve(&bst);
     assert_eq!(sub.value(), 275);
     println!("O(n^3) DP, O(n^2) Knuth and the parallel solver all agree: 2.75");
 

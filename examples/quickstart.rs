@@ -13,8 +13,9 @@ fn main() {
     let chain = MatrixChain::new(vec![30, 35, 15, 5, 10, 20, 25]);
 
     // The paper's algorithm (§2): 2*ceil(sqrt(n)) iterations of
-    // a-activate / a-square / a-pebble, executed data-parallel with rayon.
-    let solution = solve_sublinear(&chain, &SolverConfig::default());
+    // a-activate / a-square / a-pebble, executed data-parallel on the
+    // work-stealing pool.
+    let solution = Solver::new(Algorithm::Sublinear).solve(&chain);
     println!("minimum scalar multiplications: {}", solution.value());
     println!(
         "iterations: {} (schedule bound 2*ceil(sqrt(n)) = {})",
@@ -29,7 +30,7 @@ fn main() {
     // Cross-check against the sequential oracle and the §5 variant.
     assert_eq!(solve_sequential(&chain).root(), solution.value());
     assert_eq!(
-        solve_reduced(&chain, &ReducedConfig::default()).value(),
+        Solver::new(Algorithm::Reduced).solve(&chain).value(),
         solution.value()
     );
     println!("sequential / reduced cross-checks: ok");

@@ -18,7 +18,7 @@ fn main() {
     assert_eq!(diagonals.len(), 6 - 3);
 
     // Parallel solver agreement.
-    let sub = solve_sublinear(&poly, &SolverConfig::default());
+    let sub = Solver::new(Algorithm::Sublinear).solve(&poly);
     assert_eq!(sub.value(), cost);
     println!("  parallel solver agrees: {}", sub.value());
 
@@ -62,7 +62,7 @@ fn main() {
 
     // Large instance through the reduced (§5) solver.
     let big = sublinear_dp::apps::generators::random_polygon(65, 30, 7);
-    let red = solve_reduced(&big, &ReducedConfig::default());
+    let red = Solver::new(Algorithm::Reduced).solve(&big);
     let oracle = solve_sequential(&big);
     assert_eq!(red.value(), oracle.root());
     println!(

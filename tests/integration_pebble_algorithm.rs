@@ -10,13 +10,9 @@ use sublinear_dp::pebble::{lemma_move_bound, SquareRule};
 use sublinear_dp::prelude::*;
 
 fn fixpoint_iterations<P: DpProblem<u64> + ?Sized>(p: &P) -> (u64, u64) {
-    let cfg = SolverConfig {
-        exec: ExecBackend::Parallel,
-        termination: Termination::Fixpoint,
-        record_trace: false,
-        ..Default::default()
-    };
-    let sol = solve_sublinear(p, &cfg);
+    let sol = Solver::new(Algorithm::Sublinear)
+        .options(SolveOptions::default().termination(Termination::Fixpoint))
+        .solve(p);
     (sol.trace.iterations, sol.trace.schedule_bound)
 }
 

@@ -52,7 +52,7 @@ fn audited_crew_execution_is_clean() {
 #[test]
 fn facade_prelude_quickstart_compiles_and_runs() {
     let chain = MatrixChain::new(vec![30, 35, 15, 5, 10, 20, 25]);
-    let solution = solve_sublinear(&chain, &SolverConfig::default());
+    let solution = Solver::new(Algorithm::Sublinear).solve(&chain);
     assert_eq!(solution.value(), 15125);
     let (cost, order) = chain.optimal_order();
     assert_eq!(cost, 15125);
@@ -80,13 +80,9 @@ fn termination_policies_never_return_wrong_values() {
             Termination::Fixpoint,
             Termination::WStableTwice,
         ] {
-            let cfg = SolverConfig {
-                exec: ExecBackend::Parallel,
-                termination: term,
-                record_trace: false,
-                ..Default::default()
-            };
-            let sol = solve_sublinear(&p, &cfg);
+            let sol = Solver::new(Algorithm::Sublinear)
+                .options(SolveOptions::default().termination(term))
+                .solve(&p);
             assert_eq!(sol.value(), oracle, "seed={seed} {term:?}");
             assert!(sol.trace.iterations <= sol.trace.schedule_bound);
         }

@@ -10,13 +10,14 @@ use sublinear_dp::prelude::*;
 #[test]
 fn solve_trace_roundtrips_through_json() {
     let p = generators::random_chain(10, 50, 3);
-    let cfg = SolverConfig {
-        exec: ExecBackend::Sequential,
-        termination: Termination::Fixpoint,
-        record_trace: true,
-        ..Default::default()
-    };
-    let sol = solve_sublinear(&p, &cfg);
+    let sol = Solver::new(Algorithm::Sublinear)
+        .options(
+            SolveOptions::default()
+                .exec(ExecBackend::Sequential)
+                .termination(Termination::Fixpoint)
+                .record_trace(true),
+        )
+        .solve(&p);
     let json = serde_json::to_string(&sol.trace).expect("serialize");
     let back: sublinear_dp::core::trace::SolveTrace =
         serde_json::from_str(&json).expect("deserialize");
