@@ -1,4 +1,4 @@
-//! Criterion benches for the solvers (E4/E7 timing companion): the
+//! Criterion benches for the solvers (E4/E11 timing companion): the
 //! sequential oracle, the Knuth speedup, the pooled wavefront, and the
 //! paper's algorithms at the sizes their table sizes permit.
 

@@ -5,7 +5,7 @@
 //! caterpillar (skewed or zigzag) and `O(log n)` on complete trees; with
 //! Rytter's pointer-jump square everything is `O(log n)`. The *algebraic*
 //! distinction of §6 — skewed optimal trees converge in `O(log n)`
-//! iterations, zigzag in `Theta(sqrt n)` — is measured in E6
+//! iterations, zigzag in `Theta(sqrt n)` — is measured in E10
 //! (`exp_termination`), because it arises from compositions the algorithm
 //! can take that the game cannot.
 //!

@@ -1,4 +1,4 @@
-//! E7 (§1 motivation) — real-machine behaviour on a multicore host.
+//! E11 (§1 motivation) — real-machine behaviour on a multicore host.
 //!
 //! The paper's result is a PRAM construction: its value is the depth
 //! bound, not constant-factor practicality. On `p` cores the work-optimal
@@ -13,8 +13,8 @@ use pardp_core::prelude::*;
 
 fn main() {
     banner(
-        "E7",
-        "wall-clock on real cores: sequential vs wavefront(rayon) vs sublinear(rayon)",
+        "E11",
+        "wall-clock on real cores: sequential vs wavefront vs sublinear (thread pool)",
     );
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -74,7 +74,7 @@ fn main() {
     );
 
     banner(
-        "E7b",
+        "E11b",
         "wavefront thread scaling (ExecBackend::Threads sweep)",
     );
     let n = 1024usize;

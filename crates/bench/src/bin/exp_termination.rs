@@ -1,4 +1,4 @@
-//! E6 (§7) — the convergence termination rule: "stop when the w(i,j)'s
+//! E10 (§7) — the convergence termination rule: "stop when the w(i,j)'s
 //! do not change during two consecutive iterations".
 //!
 //! Measures iterations-to-stop under (a) the provably sufficient fixpoint
@@ -22,7 +22,7 @@ fn iters<PB: DpProblem<u64> + ?Sized>(p: &PB, term: Termination) -> (u64, u64, b
 
 fn main() {
     banner(
-        "E6",
+        "E10",
         "§7 termination: convergence detection stops in ~O(log n) iterations on typical input",
     );
     let mut rows = Vec::new();

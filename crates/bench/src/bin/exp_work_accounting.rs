@@ -1,4 +1,4 @@
-//! E5 (§4, §5, §7 and the paper's headline comparison) — PRAM work,
+//! E9 (§4, §5, §7 and the paper's headline comparison) — PRAM work,
 //! depth, processor demand and processor–time product for every
 //! algorithm, with fitted growth exponents.
 //!
@@ -26,7 +26,7 @@ use pardp_pebble::analysis::fit_power_law;
 
 fn main() {
     banner(
-        "E5",
+        "E9",
         "PRAM work / depth / processors / PT product per algorithm",
     );
     let sizes = [8usize, 12, 16, 24, 32, 48, 64];

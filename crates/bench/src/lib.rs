@@ -1,8 +1,8 @@
 //! # pardp-bench — experiment harnesses
 //!
-//! One binary per experiment of EXPERIMENTS.md (E1–E8, F1–F2), plus the
-//! shared table-formatting and measurement helpers they use. The
-//! criterion benchmarks live in `benches/`.
+//! One binary per experiment of EXPERIMENTS.md (E1–E11, F1–F2, T1,
+//! B1), plus the shared table-formatting and measurement helpers they
+//! use. The criterion benchmarks live in `benches/`.
 //!
 //! Run any experiment with
 //!

@@ -1,7 +1,7 @@
 //! Pluggable parallel execution backends.
 //!
 //! Every data-parallel pass in this crate (the `a-activate` / `a-square` /
-//! `a-pebble` operations of [`crate::ops`] and the anti-diagonal sweeps of
+//! `a-pebble` operations of [`crate::ops`] and the tile-diagonal steps of
 //! [`crate::wavefront`]) runs through an [`ExecBackend`]:
 //!
 //! * [`ExecBackend::Sequential`] — the single-threaded reference
@@ -16,8 +16,8 @@
 //! rows, workers repeatedly claim the next unclaimed block via an atomic
 //! counter, and the submitting thread participates until the region
 //! drains. This keeps load balanced when per-row work is skewed (banded
-//! rows shrink with eccentricity; anti-diagonal cells shrink with the
-//! diagonal) without any per-task allocation.
+//! rows shrink with eccentricity; wavefront tiles on the table's
+//! diagonal hold half a tile's cells) without any per-task allocation.
 //!
 //! All parallel writes are partitioned by construction — each row /
 //! output cell is claimed by exactly one block — mirroring the CREW
@@ -220,57 +220,26 @@ impl ExecBackend {
     }
 
     /// Produce `len` values by evaluating `f(i)` for every index, in
-    /// parallel, preserving index order in the output.
+    /// parallel, preserving index order in the output. Runs on
+    /// [`Self::map_reduce`] with one output slot per part.
     pub fn map_collect<T, F>(&self, len: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut out = Vec::new();
-        self.map_collect_into(&mut out, len, f);
-        out
-    }
-
-    /// Like [`Self::map_collect`], but reuses `out`'s allocation: the
-    /// vector is cleared and refilled with `f(0), …, f(len - 1)`. Hot
-    /// loops that collect once per iteration (e.g. wavefront diagonals)
-    /// avoid a fresh allocation per call.
-    pub fn map_collect_into<T, F>(&self, out: &mut Vec<T>, len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        out.clear();
-        let workers = self.effective_threads();
-        if workers <= 1 || len <= 1 {
-            out.extend((0..len).map(f));
-            return;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            out.reserve(len);
-            let base = SendPtr(out.as_mut_ptr());
-            pool::run_blocks(workers, len, 1, &|range, _acc: &mut Option<()>| {
-                for i in range {
-                    // SAFETY: each index is claimed by exactly one block,
-                    // and `reserve` guarantees capacity for 0..len. The
-                    // vector's length is still 0, so these slots are spare
-                    // capacity no one else reads.
-                    unsafe {
-                        base.get().add(i).write(f(i));
-                    }
-                }
-            });
-            // SAFETY: run_blocks returns only after every index in 0..len
-            // was processed, so the first `len` slots are initialised. (On
-            // a worker panic run_blocks re-raises before this point and
-            // the written elements leak, which is safe.)
-            unsafe {
-                out.set_len(len);
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        unreachable!("workers > 1 requires the `parallel` feature")
+        let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+        self.map_reduce(
+            DisjointPartsMut::uniform(&mut slots, 1),
+            DisjointPartsMut::uniform(&mut vec![(); len], 1),
+            1,
+            |i, slot, _| slot[0] = Some(f(i)),
+            || (),
+            |(), ()| (),
+        );
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("map_reduce visits every part"))
+            .collect()
     }
 }
 
@@ -477,44 +446,6 @@ pub mod disjoint {
         }
     }
 }
-
-/// Raw-pointer wrapper that may cross thread boundaries; soundness is the
-/// caller's obligation (disjoint index claims). Slice partitioning goes
-/// through [`disjoint::DisjointPartsMut`] instead — this wrapper remains
-/// only for [`ExecBackend::map_collect_into`]'s writes into the spare
-/// capacity of a vector, which no `&mut [T]` covers yet.
-#[cfg(feature = "parallel")]
-struct SendPtr<T>(*mut T);
-
-#[cfg(feature = "parallel")]
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<T> Copy for SendPtr<T> {}
-
-#[cfg(feature = "parallel")]
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. Going through a method (rather than field
-    /// access) makes closures capture the whole `Sync` wrapper instead of
-    /// disjointly capturing the raw pointer field.
-    #[inline]
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: access discipline (one claimant per index) is enforced by the
-// block scheduler; the wrapper itself only moves the address.
-#[cfg(feature = "parallel")]
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as for `Send` — sharing the wrapper shares only the address;
-// every dereference site carries its own exclusivity argument.
-#[cfg(feature = "parallel")]
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(feature = "parallel")]
 fn host_threads() -> usize {

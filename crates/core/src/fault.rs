@@ -14,8 +14,8 @@
 //!   injected faults with named sites, zero-cost when absent (callers
 //!   hold an `Option<Arc<FaultPlan>>` and check it before any work).
 //! * [`CancelToken`] — deadline-based cooperative cancellation, checked
-//!   at iteration boundaries by the iterative solvers and per diagonal
-//!   by the wavefront (see [`SolveOptions::deadline`]).
+//!   at iteration boundaries by the iterative solvers and per
+//!   tile-diagonal step by the wavefront (see [`SolveOptions::deadline`]).
 //! * [`unpoison`] — the one poisoned-lock recovery used at every lock
 //!   site in `serve`, `store`, `batch`, and the thread pool.
 //! * [`FaultyCache`] — a [`SolutionCache`] wrapper that injects
@@ -117,8 +117,8 @@ pub fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
 /// A token is just an optional deadline: [`CancelToken::is_cancelled`]
 /// is a single `Option` check when no deadline is set (the common case),
 /// and one `Instant::now()` comparison when one is. Solvers check it at
-/// iteration boundaries (sublinear, reduced, Rytter) or per diagonal
-/// (wavefront); the sequential direct solvers do not check (they are
+/// iteration boundaries (sublinear, reduced, Rytter) or per tile-diagonal
+/// step (wavefront); the sequential direct solvers do not check (they are
 /// admission-capped instead). A cancelled solve stops with
 /// [`StopReason::DeadlineExceeded`](crate::trace::StopReason) and a
 /// partial table — [`Solution::timed_out`](crate::solver::Solution)

@@ -13,7 +13,7 @@
 //! other task reads in the same step, so it updates in place.
 //!
 //! Each function returns [`OpStats`]: the number of composition candidates
-//! examined (the unit-work measure used by the E5/E8 accounting) and
+//! examined (the unit-work measure used by the E8/E9 accounting) and
 //! whether any table cell strictly improved (the §7 convergence signal).
 //! All functions take an [`ExecBackend`]; the parallel backends partition
 //! work by table row, which keeps writes disjoint without locks (the CREW

@@ -1,4 +1,4 @@
-//! Replaying the algorithms on the CREW PRAM cost model (experiment E5).
+//! Replaying the algorithms on the CREW PRAM cost model (experiment E9).
 //!
 //! Two facilities:
 //!
@@ -316,7 +316,7 @@ fn banded_activate_tasks(n: usize, band: usize) -> u64 {
 
 /// The PRAM cost model of the §2 dense algorithm at size `n`, without
 /// executing it: the full `2*ceil(sqrt(n))` schedule with exact per-cell
-/// fan-ins. Used by the E5 scaling tables at sizes where the `O(n^4)`
+/// fan-ins. Used by the E9 scaling tables at sizes where the `O(n^4)`
 /// tables would not fit in memory.
 pub fn model_sublinear(n: usize) -> Pram {
     let mut pram = Pram::new(format!("sublinear-model(n={n})"));

@@ -199,7 +199,7 @@ pub fn solve_pw_oracle<W: Weight, P: DpProblem<W> + ?Sized>(
 }
 
 /// Total sequential work (candidate evaluations) of the `O(n^3)` DP for
-/// size `n` — the baseline row of the E5 work-accounting table.
+/// size `n` — the baseline row of the E9 work-accounting table.
 pub fn sequential_work(n: usize) -> u64 {
     // sum over d=2..n of (n - d + 1)(d - 1)
     let n = n as u64;

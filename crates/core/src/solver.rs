@@ -354,13 +354,14 @@ pub struct SolveOptions {
     /// Apply the §5 size window to the pebble step (the E8 ablation
     /// point; reduced solver only).
     pub windowed_pebble: bool,
-    /// Wavefront fork-join grain: diagonals with fewer candidate
-    /// evaluations than this run sequentially (default 4096, which
-    /// avoids fork-join overhead on tiny diagonals).
+    /// Wavefront fork-join grain, applied per tile-diagonal step: a step
+    /// with fewer candidate evaluations than this runs on the calling
+    /// thread (default 4096, which avoids fork-join overhead on tiny
+    /// steps). See [`crate::wavefront`] for the schedule.
     pub wavefront_grain: usize,
     /// Cooperative deadline: the iterative solvers check it once per
-    /// iteration and the wavefront once per diagonal, stopping with
-    /// [`StopReason::DeadlineExceeded`] (a **partial** table — see
+    /// iteration and the wavefront once per tile-diagonal step, stopping
+    /// with [`StopReason::DeadlineExceeded`] (a **partial** table — see
     /// [`Solution::timed_out`]) once it passes. The direct sequential
     /// solvers do not check (they do not iterate; bound them by problem
     /// size instead). `None` (the default) costs nothing. Unlike the
@@ -742,12 +743,7 @@ impl Solver {
                 Solution::direct(Algorithm::Knuth, w)
             }
             Algorithm::Wavefront => {
-                let (w, completed) = crate::wavefront::sweep(problem, opts);
-                let mut s = Solution::direct(Algorithm::Wavefront, w);
-                if !completed {
-                    s.trace.stop = StopReason::DeadlineExceeded;
-                }
-                s
+                crate::wavefront::solve(problem, Algorithm::Wavefront, opts, None)
             }
             iterative => crate::engine::solve(problem, iterative, opts, None),
         };

@@ -62,10 +62,11 @@
 //! `m(m+1)/2` cells of a size-`n` solve bit-exactly. On a miss, the
 //! store probes prefixes from `n-1` down to `2` and:
 //!
-//! * **Sequential / Wavefront** — completes the table with the
-//!   width-ascending sequential recurrence over the un-seeded pairs.
-//!   The result (table, direct trace, zero stats) is fully
-//!   bit-identical to a cold solve.
+//! * **Sequential / Wavefront** — completes the table with the tiled
+//!   wavefront sweep ([`crate::wavefront`]), which skips the seeded
+//!   pairs: on one thread for Sequential, on the job's backend (and
+//!   under its deadline) for Wavefront. The result (table, direct
+//!   trace, zero stats) is fully bit-identical to a cold solve.
 //! * **Sublinear / Reduced** — runs the iterative solver with the
 //!   seeded cells marked *final*: the dirty-bit initialization excludes
 //!   them from every pebble pass (the pebble is a monotone
@@ -100,15 +101,14 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchError, BatchResult, BatchSolver};
+use crate::exec::ExecBackend;
 use crate::fault::{unpoison, FaultPlan, FaultSite};
 use crate::ops::OpStats;
-use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
 use crate::spec::{CanonicalHasher, ProblemSpec, ResolvedJob};
 use crate::tables::WTable;
 use crate::telemetry::EventKind;
 use crate::trace::{SolveTrace, Termination};
-use crate::weight::Weight;
 
 /// Store error: a human-readable description, CLI-grade.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -902,7 +902,8 @@ impl CacheOutcome {
 /// [`solve_miss`](CachedSolver::solve_miss) →
 /// [`insert`](CachedSolver::insert) — composed by
 /// [`solve`](CachedSolver::solve). Takes a [`ProblemSpec`] rather than
-/// a bare [`DpProblem`]: identity needs the canonical payload.
+/// a bare [`DpProblem`](crate::problem::DpProblem): identity needs the
+/// canonical payload.
 #[derive(Clone, Copy)]
 pub struct CachedSolver<'c> {
     solver: Solver,
@@ -1075,12 +1076,19 @@ fn warm_start(
         };
         let problem = spec.build();
         let solution = match algorithm {
-            // The direct solvers complete the table sequentially over
-            // the un-seeded pairs: table, trace, and (zero) stats are
-            // fully bit-identical to a cold solve.
-            Algorithm::Sequential | Algorithm::Wavefront => {
-                let w = complete_sequential(&problem, m, &seed);
-                Solution::direct(algorithm, w)
+            // The direct solvers finish the table with the tiled sweep,
+            // skipping the seeded pairs: table, trace, and (zero) stats
+            // are fully bit-identical to a cold solve. The sequential
+            // solver's warm start runs on one thread and, like its cold
+            // solve, without a deadline.
+            Algorithm::Sequential => crate::wavefront::solve(
+                &problem,
+                algorithm,
+                &SolveOptions::default().exec(ExecBackend::Sequential),
+                Some((m, &seed)),
+            ),
+            Algorithm::Wavefront => {
+                crate::wavefront::solve(&problem, algorithm, options, Some((m, &seed)))
             }
             // The iterative solvers run the engine with the seeded
             // pairs marked final.
@@ -1089,45 +1097,6 @@ fn warm_start(
         return Some((solution, m));
     }
     None
-}
-
-/// Width-ascending sequential completion of a seeded table: pairs
-/// `(i,j)` with `j <= m` come from the seed (they are prefix-exact, see
-/// [`ProblemSpec::prefix`]); every other pair is computed by the plain
-/// recurrence, in the same order as
-/// [`solve_sequential`](crate::seq::solve_sequential) — so the result
-/// is bit-identical to an unseeded sequential solve.
-fn complete_sequential<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-    m: usize,
-    seed: &WTable<W>,
-) -> WTable<W> {
-    let n = problem.n();
-    debug_assert!(seed.n() == m && m < n);
-    let mut w = WTable::new(n);
-    for i in 0..n {
-        w.set(i, i + 1, problem.init(i));
-    }
-    for i in 0..m {
-        for j in i + 1..=m {
-            w.set(i, j, seed.get(i, j));
-        }
-    }
-    for d in 2..=n {
-        for i in 0..=n - d {
-            let j = i + d;
-            if j <= m {
-                continue;
-            }
-            let mut best = W::INFINITY;
-            for k in i + 1..j {
-                let cand = w.get(i, k).add(w.get(k, j)).add(problem.f(i, k, j));
-                best = best.min2(cand);
-            }
-            w.set(i, j, best);
-        }
-    }
-    w
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ pub enum Termination {
     /// The §7 heuristic suggested by the authors' simulations: stop when
     /// the `w'` values did not change during two consecutive iterations
     /// (`pw'` may still be evolving). Also capped at `2 * ceil(sqrt(n))`.
-    /// Experiment E6 probes whether this heuristic can ever stop early
+    /// Experiment E10 probes whether this heuristic can ever stop early
     /// with a wrong value.
     WStableTwice,
 }
@@ -117,7 +117,7 @@ pub struct SolveTrace {
     /// Why the run stopped.
     pub stop: StopReason,
     /// Total composition candidates across all ops and iterations — the
-    /// measured work figure of experiments E5/E8.
+    /// measured work figure of experiments E8/E9.
     pub total_candidates: u64,
     /// Per-iteration details (empty unless trace recording was enabled).
     pub per_iteration: Vec<IterationRecord>,

@@ -123,6 +123,43 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // The tiled wavefront is `==` to the sequential oracle over the
+    // whole flat table, so a mirror cell left in the lower triangle
+    // fails. Every n up to three full tiles plus two, and a few larger
+    // ones, cover partial last tiles and every tile edge the rule picks;
+    // each backend runs with its steps forced parallel, at the default
+    // grain, and forced inline. Float tables are compared bit for bit.
+    #[test]
+    fn wavefront_tables_equal_the_oracle_across_tile_edges(seed in 0u64..u64::MAX) {
+        let edge = pardp_core::wavefront::tile_edge(1 << 20, 1);
+        let grains = [0, SolveOptions::default().wavefront_grain, usize::MAX];
+        for n in (1..=3 * edge + 2).chain([63, 64, 100, 129]) {
+            let (ints, floats) = wavefront_instances(n, seed);
+            let int_oracle = solve_sequential(&ints);
+            let float_oracle = solve_sequential(&floats);
+            let float_bits =
+                |w: &WTable<f64>| w.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for exec in [ExecBackend::Sequential, ExecBackend::Parallel, ExecBackend::Threads(3)] {
+                for grain in grains {
+                    let wavefront = Solver::new(Algorithm::Wavefront)
+                        .options(SolveOptions::default().exec(exec).wavefront_grain(grain));
+                    prop_assert!(
+                        wavefront.solve(&ints).w == int_oracle,
+                        "u64 n={} {} grain={}", n, exec, grain
+                    );
+                    prop_assert!(
+                        float_bits(&wavefront.solve(&floats).w) == float_bits(&float_oracle),
+                        "f64 n={} {} grain={}", n, exec, grain
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic instance from a seed (cheaper than a full vec strategy
 /// for the brute-force comparison, where n varies).
 fn make_instance(n: usize, seed: u64) -> TabulatedProblem<u64> {
@@ -133,4 +170,23 @@ fn make_instance(n: usize, seed: u64) -> TabulatedProblem<u64> {
     let init: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
     let f: Vec<u64> = (0..m * m * m).map(|_| rng.gen_range(0..100)).collect();
     TabulatedProblem::new(init, |i, k, j| f[(i * m + k) * m + j])
+}
+
+/// A `u64` and an `f64` instance of size `n` from one seed, with costs
+/// hashed from `(i, k, j)`. The float costs have fractional parts, so a
+/// changed reduction order would show in the bits.
+fn wavefront_instances(n: usize, seed: u64) -> (impl DpProblem<u64>, impl DpProblem<f64>) {
+    let cost = move |i: usize, k: usize, j: usize| {
+        let mut h = seed ^ ((i as u64) << 42 | (k as u64) << 21 | j as u64);
+        h = (h ^ (h >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h ^ (h >> 29)) % 1000
+    };
+    (
+        FnProblem::new(n, move |i| cost(i, i, i), cost),
+        FnProblem::new(
+            n,
+            move |i| cost(i, i, i) as f64 / 7.0,
+            move |i, k, j| cost(i, k, j) as f64 / 7.0,
+        ),
+    )
 }

@@ -250,7 +250,7 @@ proptest! {
                     "{} {}", spec.family(), algo
                 );
                 prop_assert_eq!(warm.value(), cold.value(), "{} {}", spec.family(), algo);
-                prop_assert!(warm.w.table_eq(&cold.w), "{} {}", spec.family(), algo);
+                prop_assert!(warm.w == cold.w, "{} {}", spec.family(), algo);
                 if !algo.is_iterative() {
                     assert_identical(&warm, &cold)?;
                 } else {
@@ -261,6 +261,46 @@ proptest! {
                 let (hit, o3) = cached_solve(&cache, spec, algo, &opts());
                 prop_assert_eq!(o3, CacheOutcome::Hit);
                 assert_identical(&hit, &warm)?;
+            }
+        }
+    }
+
+    // The direct solvers' warm starts run the tiled wavefront sweep over
+    // the un-seeded pairs. Prefixes that end just before, on, and just
+    // after a tile edge give full-table `==` with the cold solve on every
+    // backend (the edge depends on the worker count).
+    #[test]
+    fn direct_warm_starts_are_exact_across_tile_edges(
+        vals in proptest::collection::vec(1u64..40, 18..42)
+    ) {
+        let n = vals.len() - 1;
+        let specs = [
+            ProblemSpec::chain(vals.clone()).unwrap(),
+            ProblemSpec::obst(vals[..n].to_vec(), vals.clone()).unwrap(),
+        ];
+        for exec in BACKENDS {
+            let options = opts().exec(exec);
+            let edge = pardp_core::wavefront::tile_edge(n, exec.effective_threads());
+            let prefixes: Vec<usize> = [1, 2]
+                .iter()
+                .flat_map(|t| [t * edge - 1, t * edge, t * edge + 1])
+                .filter(|&m| (2..n).contains(&m))
+                .collect();
+            for spec in &specs {
+                for algo in [Algorithm::Sequential, Algorithm::Wavefront] {
+                    let cold = Solver::new(algo).options(options).solve(&spec.build());
+                    for &m in &prefixes {
+                        let cache = MemoryCache::new(4);
+                        cached_solve(&cache, &spec.prefix(m).unwrap(), algo, &options);
+                        let (warm, outcome) = cached_solve(&cache, spec, algo, &options);
+                        prop_assert_eq!(outcome, CacheOutcome::Warm { seed_n: m });
+                        prop_assert!(
+                            warm.w == cold.w,
+                            "{} {} {} m={}", spec.family(), algo, exec, m
+                        );
+                        assert_identical(&warm, &cold)?;
+                    }
+                }
             }
         }
     }

@@ -26,7 +26,7 @@
 //! The intended use (see `pardp-core::pram_exec`) is to replay each
 //! `a-activate` / `a-square` / `a-pebble` operation of the paper as one or
 //! more recorded phases, producing the processor/time/work tables of
-//! EXPERIMENTS.md (experiment E5).
+//! EXPERIMENTS.md (experiment E9).
 //!
 //! ## Example
 //!

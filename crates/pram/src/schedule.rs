@@ -5,7 +5,7 @@
 //! and end step under the exact layer-by-layer Brent schedule (all `w`
 //! operations of a layer are spread over `ceil(w / p)` steps). The result
 //! supports utilisation queries and an ASCII Gantt rendering used by the
-//! E5 experiment discussion.
+//! E9 experiment discussion.
 
 use serde::{Deserialize, Serialize};
 

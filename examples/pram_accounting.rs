@@ -1,4 +1,4 @@
-//! PRAM cost accounting (E5 companion): replay the three parallel
+//! PRAM cost accounting (E9 companion): replay the three parallel
 //! algorithms on the CREW cost model, print their work/depth/processor
 //! figures, Brent times and a Gantt timeline, and run a fully audited
 //! exclusive-write execution.

@@ -1,8 +1,8 @@
 //! Backend parity: the sequential reference and the thread-pool backends
 //! must produce identical DP value tables *and* identical reconstructed
 //! orders on every problem family — the multithreaded hot paths
-//! (`a-square`, `a-pebble`, wavefront diagonals) may not diverge from the
-//! textbook loops by a single cell.
+//! (`a-square`, `a-pebble`, wavefront tile-diagonal steps) may not
+//! diverge from the textbook loops by a single cell.
 //!
 //! Every algorithm runs through the [`Solver`] façade: one loop over
 //! [`Algorithm::ALL`] replaces the per-algorithm config dispatch this
@@ -123,55 +123,64 @@ proptest! {
 
 /// Release-mode sanity check (ignored in debug builds, where the solver
 /// constants are uncalibrated): on a multi-core host, the thread-pool
-/// backend must beat the sequential backend on a large matrix-chain
-/// wavefront solve. On single-core hosts the check degrades to a
-/// correctness assertion, since there is no parallel speedup to measure.
+/// backend must not lose to the sequential backend on a wavefront solve,
+/// neither on a mid-size matrix chain (n = 256, where one pool region
+/// per anti-diagonal used to cost 1.5–1.9x) nor on a large one. On
+/// single-core hosts the check degrades to a correctness assertion,
+/// since there is no parallel speedup to measure.
 #[cfg(not(debug_assertions))]
 #[test]
 fn threads_backend_beats_sequential_on_large_chain() {
     use sublinear_dp::apps::generators;
 
-    let n = 2048usize;
-    let p = generators::random_chain(n, 100, 20260728);
-    let time_with = |exec: ExecBackend| {
-        // Best of two runs, to shave scheduler noise. The façade's
-        // uniform Solution carries the wall time directly.
-        let mut best = f64::INFINITY;
-        let mut root = 0u64;
-        for _ in 0..2 {
-            let sol = Solver::new(Algorithm::Wavefront)
-                .options(SolveOptions::default().exec(exec))
-                .solve(&p);
-            root = sol.value();
-            best = best.min(sol.wall.as_secs_f64());
-        }
-        (root, best)
-    };
-
-    let (seq_root, seq_t) = time_with(ExecBackend::Sequential);
-    let (par_root, par_t) = time_with(ExecBackend::Parallel);
-    assert_eq!(seq_root, par_root, "backends disagree on c(0,n)");
-
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
-    eprintln!(
-        "n={n}: sequential {seq_t:.3}s, parallel {par_t:.3}s on {cores} cores \
-         (speedup {:.2}x)",
-        seq_t / par_t
-    );
-    if cores >= 4 {
-        assert!(
-            par_t < seq_t,
-            "parallel backend ({par_t:.3}s) must beat sequential ({seq_t:.3}s) on {cores} cores"
+    // The large chain goes first: the other tests of this binary run on
+    // parallel threads and finish within its first run, so they do not
+    // load the host while the short n = 256 solves are timed.
+    for n in [2048usize, 256] {
+        let p = generators::random_chain(n, 100, 20260728);
+        let solve = |exec: ExecBackend| {
+            Solver::new(Algorithm::Wavefront)
+                .options(SolveOptions::default().exec(exec))
+                .solve(&p)
+        };
+        // Best of three runs each, to shave scheduler noise; the runs
+        // alternate so a slow host phase hits both backends alike. The
+        // façade's uniform Solution carries the wall time directly.
+        let (mut seq_t, mut par_t) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..3 {
+            let seq = solve(ExecBackend::Sequential);
+            let par = solve(ExecBackend::Parallel);
+            assert_eq!(
+                seq.value(),
+                par.value(),
+                "n={n}: backends disagree on c(0,n)"
+            );
+            seq_t = seq_t.min(seq.wall.as_secs_f64());
+            par_t = par_t.min(par.wall.as_secs_f64());
+        }
+
+        eprintln!(
+            "n={n}: sequential {seq_t:.4}s, parallel {par_t:.4}s on {cores} cores \
+             (speedup {:.2}x)",
+            seq_t / par_t
         );
-    } else if cores >= 2 {
-        // Small shared runners are noisy; demand "no slower than 1.1x"
-        // rather than a strict win.
-        assert!(
-            par_t < seq_t * 1.1,
-            "parallel backend ({par_t:.3}s) is far slower than sequential ({seq_t:.3}s) \
-             on {cores} cores"
-        );
+        if cores >= 4 {
+            assert!(
+                par_t < seq_t,
+                "n={n}: parallel backend ({par_t:.4}s) must beat sequential \
+                 ({seq_t:.4}s) on {cores} cores"
+            );
+        } else if cores >= 2 {
+            // Small shared runners are noisy; demand "no slower than 1.1x"
+            // rather than a strict win.
+            assert!(
+                par_t < seq_t * 1.1,
+                "n={n}: parallel backend ({par_t:.4}s) is far slower than sequential \
+                 ({seq_t:.4}s) on {cores} cores"
+            );
+        }
     }
 }
