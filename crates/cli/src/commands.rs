@@ -312,45 +312,20 @@ fn run_batch(
     let store = cache_dir.map(open_cache).transpose()?;
     let report = solver.solve_resolved(&resolved, store.as_ref().map(|s| s as &dyn SolutionCache));
 
-    // The Knuth-Yao speedup is only valid on quadrangle-inequality
-    // instances; guard batch users exactly like the `solve` path does.
-    // Knuth jobs are never cached or deduped, so every Knuth solution
-    // here came from a real solve on this instance.
-    for r in &report.results {
-        verify_knuth(&resolved[r.job].problem.build(), &r.solution)
-            .map_err(|e| CliError(format!("{path} job {}: {}", r.job, e.0)))?;
-    }
-
-    // Results and isolated failures interleave back into submission
-    // order: a panicked job answers with an `internal` error line in its
-    // slot instead of taking the whole run down.
-    let mut out = String::new();
-    let mut errs = report.errors.iter().peekable();
-    for r in &report.results {
-        while let Some(e) = errs.peek() {
-            if e.job > r.job {
-                break;
-            }
-            out.push_str(&error_record(
-                e.job,
-                ErrorKind::Internal,
-                &format!("the solve panicked: {}", e.message),
-            ));
-            out.push('\n');
-            errs.next();
-        }
+    // Records and failed jobs interleave back into submission order: a
+    // failed job (a panic, a failed Knuth guard) answers with its error
+    // line in its slot — the line `pardp serve` answers with — instead
+    // of taking the whole run down.
+    let mut lines: Vec<(usize, String)> = report.errors.iter().map(|e| (e.job, e.line())).collect();
+    lines.extend(report.results.iter().map(|r| {
         let record = JobRecord::new(resolved[r.job].problem.family(), r);
-        out.push_str(&serde_json::to_string(&record).map_err(|e| CliError(e.to_string()))?);
-        out.push('\n');
-    }
-    for e in errs {
-        out.push_str(&error_record(
-            e.job,
-            ErrorKind::Internal,
-            &format!("the solve panicked: {}", e.message),
-        ));
-        out.push('\n');
-    }
+        (
+            r.job,
+            serde_json::to_string(&record).expect("records serialize"),
+        )
+    }));
+    lines.sort_by_key(|(job, _)| *job);
+    let mut out: String = lines.into_iter().map(|(_, line)| line + "\n").collect();
     // Cache traffic gets its own line (only when a store is attached),
     // so the trailing summary stays wire-identical to a cache-less run.
     if store.is_some() {
@@ -368,6 +343,7 @@ fn run_batch(
     // land on disk before the process exits.
     if let Some(tel) = &telemetry {
         let c = report.cache;
+        let errors_of = |kind| report.errors.iter().filter(|e| e.kind == kind).count() as u64;
         tel.emit(EventKind::Summary {
             accepted: resolved.len() as u64,
             rejected: 0,
@@ -375,8 +351,8 @@ fn run_batch(
             completed: report.results.len() as u64,
             completed_small: report.results.iter().filter(|r| !r.large).count() as u64,
             completed_large: report.results.iter().filter(|r| r.large).count() as u64,
-            panics: report.errors.len() as u64,
-            timeouts: 0,
+            panics: errors_of(ErrorKind::Internal),
+            timeouts: errors_of(ErrorKind::Timeout),
             cache_hits: c.hits,
             cache_misses: c.misses,
             warm_starts: c.warm_starts,
@@ -555,13 +531,7 @@ fn solve_with<P: DpProblem<u64> + ?Sized>(
 
     // The Knuth-Yao speedup is only valid on quadrangle-inequality
     // instances; the CLI guards the user by cross-checking the full DP.
-    if algo == Algorithm::Knuth && !sol.w.table_eq(&solve_sequential(p)) {
-        return Err(CliError(
-            "knuth speedup disagrees with the full DP — instance lacks the \
-             quadrangle inequality; use --algo seq"
-                .into(),
-        ));
-    }
+    verify_knuth(p, &sol).map_err(|e| CliError(e.0))?;
 
     let mut s = format!(
         "algorithm: {} — {} [{}]\n",
@@ -673,6 +643,37 @@ mod tests {
             Ok(out) => assert!(out.contains("c(0,")),
             Err(e) => assert!(e.0.contains("quadrangle")),
         }
+    }
+
+    #[test]
+    fn solve_and_batch_reject_payloads_whose_costs_can_overflow() {
+        // 2^32 cubed wraps u64 to 0: rejected instead of solved wrong.
+        for algo in ["sublinear", "seq"] {
+            let err = run_line(&format!(
+                "solve --algo {algo} chain 4294967296,4294967296,4294967296"
+            ))
+            .unwrap_err();
+            assert!(err.0.contains("chain values too large"), "{err}");
+            assert!(err.0.contains("4611686018427387903"), "{err}");
+        }
+        // Batch: the largest accepted chain solves, the smallest rejected
+        // one fails the run naming its job, like every bad job spec.
+        let path = temp_jobs(
+            "overflow",
+            "{\"family\":\"chain\",\"values\":[1048575,1048575,1048575]}\n",
+        );
+        let out = run_line(&format!("batch {path}")).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(out.contains("\"value\":1152918206075109375"), "{out}");
+        let path = temp_jobs(
+            "overflow-bad",
+            "{\"family\":\"chain\",\"values\":[1048575,1048575,1048575]}\n\
+             {\"family\":\"chain\",\"values\":[1048575,1048575,1048576]}\n",
+        );
+        let err = run_line(&format!("batch {path}")).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.0.contains("job 1"), "{err}");
+        assert!(err.0.contains("4611686018427387903"), "{err}");
     }
 
     #[test]
@@ -931,20 +932,29 @@ mod tests {
     #[test]
     fn batch_guards_knuth_like_the_solve_path() {
         // This crafted chain provably lacks the quadrangle inequality
-        // (same instance as the solve-path guard test); batch must not
-        // silently emit Knuth's wrong value for it.
+        // (same instance as the solve-path guard test). Batch answers it
+        // with the per-job `invalid` line `pardp serve` answers with, in
+        // its slot, and the run carries on.
         let path = temp_jobs(
             "knuth",
-            "{\"family\":\"chain\",\"values\":[10,1,10,1,10,1,10],\"algo\":\"knuth\"}\n",
+            "{\"family\":\"chain\",\"values\":[10,1,10,1,10,1,10],\"algo\":\"knuth\"}\n\
+             {\"family\":\"chain\",\"values\":[2,3,4]}\n",
         );
-        let r = run_line(&format!("batch {path}"));
+        let out = run_line(&format!("batch {path}")).unwrap();
         std::fs::remove_file(&path).ok();
-        match r {
-            Ok(out) => assert!(out.contains("\"algo\":\"knuth\""), "{out}"),
-            Err(e) => {
-                assert!(e.0.contains("quadrangle"), "{e}");
-                assert!(e.0.contains("job 0"), "{e}");
-            }
-        }
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "2 jobs + summary: {out}");
+        assert_eq!(
+            lines[0],
+            error_record(
+                0,
+                ErrorKind::Invalid,
+                "knuth speedup disagrees with the full DP — instance lacks the \
+                 quadrangle inequality; use the sequential algorithm (algo seq)"
+            )
+        );
+        assert!(lines[1].contains("\"job\":1"), "{out}");
+        assert!(lines[1].contains("\"value\":24"), "{out}");
+        assert!(lines[2].contains("\"jobs\":1"), "{out}");
     }
 }

@@ -1,12 +1,20 @@
 //! Batch solving: many recurrence-(*) instances over one shared pool.
 //!
-//! PR 4 unified the whole algorithm spectrum behind the [`Solver`]
-//! façade; this module adds the throughput layer on top of it. A
-//! [`BatchSolver`] takes a set of jobs — heterogeneous problem sizes,
+//! A [`BatchSolver`] takes a set of jobs — heterogeneous problem sizes,
 //! one [`Algorithm`] + [`SolveOptions`] per job or a shared default —
 //! and solves them concurrently over the existing work-stealing pool,
 //! returning one [`BatchResult`] per job (in submission order) plus
-//! aggregate statistics and throughput in a [`BatchReport`].
+//! aggregate statistics and throughput in a [`BatchReport`]. Two entry
+//! points share one schedule:
+//!
+//! * [`solve_batch`](BatchSolver::solve_batch) /
+//!   [`solve_batch_isolated`](BatchSolver::solve_batch_isolated) solve
+//!   borrowed [`DpProblem`]s of any weight type, exactly as
+//!   [`Solver::solve`] would;
+//! * [`solve_resolved`](BatchSolver::solve_resolved) — the `pardp batch`
+//!   path — solves wire jobs ([`ResolvedJob`]s) through the per-job step
+//!   that `pardp serve` runs too: an optional solution cache, the Knuth
+//!   guard, and one error line per failed job.
 //!
 //! ## The two scheduling regimes
 //!
@@ -28,6 +36,10 @@
 //!   at the batch pool width), so the whole pool accelerates one big
 //!   table at a time.
 //!
+//! One private helper runs this two-phase schedule for both entry
+//! points, each job inside the job-level panic boundary: a panicking
+//! solve costs that job, never the batch or the shared pool.
+//!
 //! **Oversubscription rule:** the two regimes never overlap in time,
 //! and neither multiplies inner × outer parallelism — the large-job
 //! phase runs one full-pool solve at a time, the small-job phase runs
@@ -39,6 +51,17 @@
 //! `Sequential` cannot change its result: batch output is bit-identical
 //! to a sequential loop of [`Solver::solve`] with the same per-job
 //! options (property-tested in `crates/core/tests/proptest_batch.rs`).
+//!
+//! ## Dedup and the snapshot rule
+//!
+//! [`solve_resolved`](BatchSolver::solve_resolved) solves jobs with
+//! equal [`ProblemKey`]s once: the first is the representative, later
+//! ones reuse its answer. With a cache attached it reads the cache for
+//! every representative before either phase and writes after both, each
+//! in submission order on the calling thread. No job sees another job's
+//! insert, so neither `pardp batch --cache` output nor a
+//! [`MemoryCache`](crate::store::MemoryCache)'s LRU order depends on
+//! the pool schedule.
 //!
 //! ```
 //! use pardp_core::prelude::*;
@@ -64,15 +87,18 @@
 //! assert!(report.throughput > 0.0);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::exec::ExecBackend;
+use crate::job::{self, Read, Regime};
 use crate::ops::OpStats;
 use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
-use crate::telemetry::Telemetry;
+use crate::spec::{error_record, ErrorKind, ResolvedJob};
+use crate::store::{CacheCounters, ProblemKey, ResilientCache, SolutionCache};
+use crate::telemetry::{EventKind, Telemetry};
 use crate::weight::Weight;
 
 /// One problem in a batch: the instance plus the algorithm and options
@@ -155,25 +181,37 @@ impl<W> BatchResult<W> {
     }
 }
 
-/// One isolated job failure of
-/// [`BatchSolver::solve_batch_isolated`]: the job's index in the
-/// submitted batch and the panic message of its solve.
+/// One failed job of a batch (or of a `pardp serve` session): its
+/// index, its [`ErrorKind`], and what went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchError {
     /// Index of the failed job in the submitted batch.
     pub job: usize,
-    /// The panic message (best-effort: `&str` and `String` payloads are
-    /// rendered, anything else reads "the solve panicked").
+    /// `internal` for a panicking solve, `invalid` for a failed Knuth
+    /// guard, `timeout` for a solve stopped at its deadline.
+    pub kind: ErrorKind,
+    /// What went wrong: the panic message for `internal` (best-effort:
+    /// `&str` and `String` payloads are rendered, anything else reads
+    /// "the solve panicked"), the guard's text for `invalid`.
     pub message: String,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "the solve panicked".to_string()
+impl BatchError {
+    /// The job's JSONL error line — the bytes both `pardp batch` and
+    /// `pardp serve` answer with. `internal` and `timeout` lines carry a
+    /// fixed text, not the message.
+    pub fn line(&self) -> String {
+        let text = match self.kind {
+            ErrorKind::Internal => {
+                "internal: the solve panicked; the job was isolated and the daemon continues"
+            }
+            ErrorKind::Timeout => {
+                "timeout: the job's deadline passed before the solve completed; \
+                 the partial result was discarded"
+            }
+            _ => &self.message,
+        };
+        error_record(self.job, self.kind, text)
     }
 }
 
@@ -191,10 +229,86 @@ pub struct BatchReport<W> {
     /// Jobs solved per second of batch wall time (`0.0` for an empty
     /// batch).
     pub throughput: f64,
-    /// How many jobs ran whole-problem-per-worker.
+    /// How many jobs are classified small (cells ≤ threshold), failed
+    /// jobs included.
     pub small_jobs: usize,
-    /// How many jobs ran on the parallel per-problem path.
+    /// How many jobs are classified large, failed jobs included.
     pub large_jobs: usize,
+}
+
+impl<W: Weight> BatchReport<W> {
+    /// Fold the results of a batch that started at `t0`; `large`
+    /// classifies every submitted job.
+    fn new(results: Vec<BatchResult<W>>, large: &[bool], t0: Instant) -> Self {
+        let stats = results
+            .iter()
+            .fold(OpStats::default(), |acc, r| acc.merge(r.solution.stats));
+        let wall = t0.elapsed();
+        let throughput = if results.is_empty() {
+            0.0
+        } else {
+            results.len() as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)
+        };
+        let large_jobs = large.iter().filter(|&&l| l).count();
+        BatchReport {
+            results,
+            wall,
+            stats,
+            throughput,
+            small_jobs: large.len() - large_jobs,
+            large_jobs,
+        }
+    }
+}
+
+/// The outcome of [`BatchSolver::solve_resolved`]: the same per-job
+/// results and aggregates as a [`BatchReport`], plus the cache traffic
+/// and the failed jobs. No borrowed problems — results own their
+/// solutions.
+#[derive(Debug, Clone)]
+pub struct CachedBatchReport {
+    /// One result per answered job, in submission order. `large` is the
+    /// job's regime classification (by cell count); cache-served jobs
+    /// never actually entered a regime.
+    pub results: Vec<BatchResult<u64>>,
+    /// Wall-clock time of the whole batch.
+    pub wall: Duration,
+    /// Aggregate statistics over every answered job, cached solutions
+    /// included — so a fully-hit batch reports the same totals as the
+    /// cold batch that populated the cache (warm starts excepted: they
+    /// report the smaller work actually done).
+    pub stats: OpStats,
+    /// Answered jobs per second of batch wall time.
+    pub throughput: f64,
+    /// Jobs classified small (cells ≤ threshold), failed jobs included.
+    pub small_jobs: usize,
+    /// Jobs classified large, failed jobs included.
+    pub large_jobs: usize,
+    /// Cache traffic of this batch.
+    pub cache: CacheCounters,
+    /// Failed jobs — panics, failed Knuth guards, timeouts — sorted by
+    /// job index; these have no entry in
+    /// [`results`](CachedBatchReport::results).
+    pub errors: Vec<BatchError>,
+}
+
+impl CachedBatchReport {
+    /// The standard trailing summary line of this run — wire-identical
+    /// to a cache-less [`BatchSummary`](crate::spec::BatchSummary), so
+    /// attaching a cache never changes the summary schema. Cache
+    /// traffic rides separately in [`CachedBatchReport::cache`].
+    pub fn summary(&self, backend: ExecBackend) -> crate::spec::BatchSummary {
+        crate::spec::BatchSummary {
+            jobs: self.results.len(),
+            small_jobs: self.small_jobs,
+            large_jobs: self.large_jobs,
+            backend: backend.to_string(),
+            wall_seconds: self.wall.as_secs_f64(),
+            throughput: self.throughput,
+            candidates: self.stats.candidates,
+            writes: self.stats.writes,
+        }
+    }
 }
 
 /// Solve many problems concurrently over the shared work-stealing pool.
@@ -210,9 +324,10 @@ pub struct BatchReport<W> {
 ///   through the parallel per-problem path.
 /// * [`telemetry`](Self::telemetry) — an optional structured event
 ///   stream ([`crate::telemetry`]); [`solve_resolved`](Self::solve_resolved)
-///   emits one `admitted` → `regime` → `cache` → `completed`
-///   (or `panic`) chain per job in submission order. `None` (the
-///   default) emits nothing and changes no output byte.
+///   emits one `admitted` → `regime` → `cache` → `completed` chain per
+///   job in submission order (a failed job ends its chain like a serve
+///   job does). `None` (the default) emits nothing and changes no
+///   output byte.
 #[derive(Debug, Clone)]
 pub struct BatchSolver {
     exec: ExecBackend,
@@ -274,10 +389,42 @@ impl BatchSolver {
         self.large_job_cells
     }
 
-    /// The attached event stream, if any (used by the cached batch
-    /// entry point in `store.rs`).
-    pub(crate) fn telemetry_handle(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The two-phase schedule of both entry points: every large job
+    /// alone on the pool, then the small jobs across it. `solve(i,
+    /// regime)` runs job `i` inside the job-level panic boundary, so
+    /// each slot of the result (in submission order) is the job's
+    /// answer or its panic message.
+    fn phases<T: Send>(
+        &self,
+        large: &[bool],
+        solve: impl Fn(usize, Regime) -> T + Sync,
+    ) -> Vec<Result<T, String>> {
+        let workers = self.exec.effective_threads();
+        let run = |i: usize| {
+            job::isolate(|| {
+                solve(
+                    i,
+                    Regime {
+                        large: large[i],
+                        workers,
+                    },
+                )
+            })
+        };
+        // Phase 1 — parallel per-problem: each large job gets the whole
+        // pool, one at a time.
+        let mut slots: Vec<Option<Result<T, String>>> =
+            (0..large.len()).map(|i| large[i].then(|| run(i))).collect();
+        // Phase 2 — whole-problem-per-worker: fan the small jobs over
+        // the pool. The panic boundary sits inside the pool closure, so
+        // a failing job can never poison the shared pool or abort its
+        // siblings.
+        let small: Vec<usize> = (0..large.len()).filter(|&i| !large[i]).collect();
+        let solved = self.exec.map_collect(small.len(), |s| run(small[s]));
+        for (&i, r) in small.iter().zip(solved) {
+            slots[i] = Some(r);
+        }
+        slots.into_iter().flatten().collect()
     }
 
     /// Solve every job, returning per-job results in submission order
@@ -311,94 +458,132 @@ impl BatchSolver {
         jobs: &[BatchJob<'_, W>],
     ) -> (BatchReport<W>, Vec<BatchError>) {
         let t0 = Instant::now();
-        let workers = self.exec.effective_threads();
-        let large: Vec<usize> = (0..jobs.len())
-            .filter(|&i| jobs[i].cells() > self.large_job_cells)
+        let large: Vec<bool> = jobs
+            .iter()
+            .map(|j| j.cells() > self.large_job_cells)
             .collect();
-        let small: Vec<usize> = (0..jobs.len())
-            .filter(|&i| jobs[i].cells() <= self.large_job_cells)
-            .collect();
-
-        let mut slots: Vec<Option<BatchResult<W>>> = (0..jobs.len()).map(|_| None).collect();
-        let mut errors: Vec<BatchError> = Vec::new();
-
-        // Phase 1 — parallel per-problem: each large job gets the whole
-        // pool, one at a time, with its own backend capped at the
-        // batch's width.
-        for &i in &large {
+        let solved = self.phases(&large, |i, regime| {
             let job = &jobs[i];
-            let opts = job.options.exec(job.options.exec.capped(workers));
-            match catch_unwind(AssertUnwindSafe(|| {
-                Solver::new(job.algorithm).options(opts).solve(job.problem)
-            })) {
-                Ok(solution) => {
-                    slots[i] = Some(BatchResult {
-                        job: i,
-                        solution,
-                        large: true,
-                    });
-                }
-                Err(payload) => errors.push(BatchError {
+            Solver::new(job.algorithm)
+                .options(regime.options(job.options))
+                .solve(job.problem)
+        });
+        let mut results = Vec::new();
+        let mut errors = Vec::new();
+        for (i, r) in solved.into_iter().enumerate() {
+            match r {
+                Ok(solution) => results.push(BatchResult {
                     job: i,
-                    message: panic_message(payload),
+                    solution,
+                    large: large[i],
+                }),
+                Err(message) => errors.push(BatchError {
+                    job: i,
+                    kind: ErrorKind::Internal,
+                    message,
                 }),
             }
         }
+        (BatchReport::new(results, &large, t0), errors)
+    }
 
-        // Phase 2 — whole-problem-per-worker: fan the small jobs over
-        // the pool, each solved single-threaded so inner × outer
-        // parallelism never multiplies. Panics are caught *inside* the
-        // pool closure, so a failing job can never poison the shared
-        // pool or abort its siblings.
-        let small_results = self.exec.map_collect(small.len(), |s| {
-            let i = small[s];
-            let job = &jobs[i];
-            let opts = job.options.exec(ExecBackend::Sequential);
-            catch_unwind(AssertUnwindSafe(|| {
-                Solver::new(job.algorithm).options(opts).solve(job.problem)
-            }))
-            .map(|solution| BatchResult {
-                job: i,
-                solution,
-                large: false,
+    /// Solve resolved wire jobs through the per-job step `pardp serve`
+    /// runs too, with intra-batch dedup and an optional shared cache.
+    ///
+    /// Jobs with equal [`ProblemKey`]s are solved once — the first
+    /// occurrence is the representative, later ones reuse its answer
+    /// (`deduped` counts them). The cache is read for every
+    /// representative before the two phases and written after them (the
+    /// snapshot rule in the module docs); it sits behind a
+    /// [`ResilientCache`], so backend errors degrade jobs to cold solves
+    /// and are counted exactly as serve counts them. Cache-bypassing
+    /// jobs (trace recording, Knuth) are neither deduped nor cached.
+    ///
+    /// A job whose solve panics, fails the Knuth guard or passes its
+    /// deadline lands in [`CachedBatchReport::errors`]. Every solution
+    /// is bit-identical (value, table; trace and stats except after warm
+    /// starts) to a cold [`Solver::solve`] loop over the same jobs.
+    pub fn solve_resolved(
+        &self,
+        jobs: &[ResolvedJob],
+        cache: Option<&dyn SolutionCache>,
+    ) -> CachedBatchReport {
+        let t0 = Instant::now();
+        let resilient = cache.map(ResilientCache::new);
+        let cache = resilient.as_ref().map(|c| c as &dyn SolutionCache);
+        let large: Vec<bool> = jobs
+            .iter()
+            .map(|j| j.problem.cells() > self.large_job_cells)
+            .collect();
+        let mut first: HashMap<ProblemKey, usize> = HashMap::new();
+        let rep: Vec<usize> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| {
+                ProblemKey::derive(&j.problem, j.algorithm, &j.options)
+                    .map_or(i, |key| *first.entry(key).or_insert(i))
             })
-            .map_err(|payload| BatchError {
-                job: i,
-                message: panic_message(payload),
+            .collect();
+
+        // Read, then solve in the phases, then write.
+        let reads: Vec<Option<Read>> = (0..jobs.len())
+            .map(|i| {
+                let j = &jobs[i];
+                (rep[i] == i).then(|| job::read(cache, &j.problem, j.algorithm, &j.options))
             })
+            .collect();
+        let solved = self.phases(&large, |i, regime| match &reads[i] {
+            Some(Read::Miss(pending)) => {
+                let j = &jobs[i];
+                Some(pending.solve(&j.problem, j.algorithm, &j.options, Some(regime)))
+            }
+            _ => None,
         });
-        for r in small_results {
-            match r {
-                Ok(r) => {
-                    let job = r.job;
-                    slots[job] = Some(r);
-                }
+        // Respond in submission order, writing each representative's
+        // solution as it comes; a duplicate answers with its
+        // representative's outcome.
+        let telemetry = self.telemetry.as_deref();
+        let mut counters = CacheCounters::default();
+        let (mut results, mut errors) = (Vec::new(), Vec::new());
+        let mut outcomes: Vec<Option<Result<job::Solved, String>>> = Vec::new();
+        for (i, slot) in solved.into_iter().zip(reads).enumerate() {
+            let outcome = match slot {
+                (Ok(Some(solved)), _) => Ok(job::write(cache, &jobs[i].problem, solved)),
+                (Ok(None), Some(Read::Hit(solved))) => Ok(solved),
+                (Ok(None), _) => outcomes[rep[i]]
+                    .clone()
+                    .expect("representatives come first"),
+                (Err(message), _) => Err(message),
+            };
+            outcomes.push((rep[i] == i).then(|| outcome.clone()));
+            if let Some(tel) = telemetry {
+                tel.emit(EventKind::Admitted { job: i as u64 });
+                tel.emit(EventKind::Regime {
+                    job: i as u64,
+                    large: large[i],
+                });
+            }
+            match job::respond(i, outcome, rep[i] != i, &mut counters, telemetry) {
+                Ok(solution) => results.push(BatchResult {
+                    job: i,
+                    solution,
+                    large: large[i],
+                }),
                 Err(e) => errors.push(e),
             }
         }
-        errors.sort_by_key(|e| e.job);
-
-        let results: Vec<BatchResult<W>> = slots.into_iter().flatten().collect();
-        let stats = results
-            .iter()
-            .fold(OpStats::default(), |acc, r| acc.merge(r.solution.stats));
-        let wall = t0.elapsed();
-        let throughput = if results.is_empty() {
-            0.0
-        } else {
-            results.len() as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)
-        };
-        (
-            BatchReport {
-                results,
-                wall,
-                stats,
-                throughput,
-                small_jobs: small.len(),
-                large_jobs: large.len(),
-            },
+        counters.errors = resilient.map_or(0, |c| c.errors());
+        let report = BatchReport::new(results, &large, t0);
+        CachedBatchReport {
+            results: report.results,
+            wall: report.wall,
+            stats: report.stats,
+            throughput: report.throughput,
+            small_jobs: report.small_jobs,
+            large_jobs: report.large_jobs,
+            cache: counters,
             errors,
-        )
+        }
     }
 }
 
@@ -406,6 +591,7 @@ impl BatchSolver {
 mod tests {
     use super::*;
     use crate::problem::FnProblem;
+    use crate::spec::ProblemSpec;
 
     fn chain(dims: Vec<u64>) -> impl DpProblem<u64> {
         let n = dims.len() - 1;
@@ -591,5 +777,83 @@ mod tests {
             assert_eq!(r.solution.algorithm, job.algorithm);
             assert_eq!(r.solution.value(), 15125, "{}", job.algorithm);
         }
+    }
+
+    #[test]
+    fn batch_dedups_and_shares_the_cache() {
+        let jobs: Vec<ResolvedJob> = [
+            &[30u64, 35, 15, 5, 10, 20, 25][..],
+            &[30, 35, 15, 5, 10, 20, 25],
+            &[5, 10, 3, 12, 5],
+            &[30, 35, 15, 5, 10, 20, 25],
+        ]
+        .iter()
+        .map(|dims| ResolvedJob {
+            problem: ProblemSpec::chain(dims.to_vec()).unwrap(),
+            algorithm: Algorithm::Sublinear,
+            options: SolveOptions::default().exec(ExecBackend::Sequential),
+        })
+        .collect();
+        let cache = crate::store::MemoryCache::new(8);
+        let solver = BatchSolver::new().exec(ExecBackend::Sequential);
+        let report = solver.solve_resolved(&jobs, Some(&cache));
+        assert_eq!(report.cache.deduped, 2);
+        assert_eq!(report.cache.hits, 0);
+        assert_eq!(report.cache.misses, 2);
+        assert_eq!(report.results.len(), 4);
+        for (i, r) in report.results.iter().enumerate() {
+            assert_eq!(r.job, i);
+            let cold = Solver::new(Algorithm::Sublinear)
+                .options(SolveOptions::default().exec(ExecBackend::Sequential))
+                .solve(&jobs[i].problem.build());
+            assert_eq!(r.solution.value(), cold.value(), "job {i}");
+            assert!(r.solution.w.table_eq(&cold.w), "job {i}");
+            assert_eq!(r.solution.stats, cold.stats, "job {i}");
+        }
+        // Second run over the same jobs: all representatives hit.
+        let again = solver.solve_resolved(&jobs, Some(&cache));
+        assert_eq!(again.cache.hits, 2);
+        assert_eq!(again.cache.misses, 0);
+        assert_eq!(again.stats, report.stats);
+        // Without a cache, dedup still applies.
+        let nocache = solver.solve_resolved(&jobs, None);
+        assert_eq!(nocache.cache.deduped, 2);
+        assert_eq!(nocache.cache.hits + nocache.cache.misses, 0);
+        assert_eq!(nocache.stats, report.stats);
+    }
+
+    #[test]
+    fn a_panicking_warm_start_is_that_jobs_error() {
+        let opts = SolveOptions::default().exec(ExecBackend::Sequential);
+        let resolved = |problem| ResolvedJob {
+            problem,
+            algorithm: Algorithm::Sublinear,
+            options: opts,
+        };
+        let cache = crate::store::MemoryCache::new(8);
+        let solver = BatchSolver::new().exec(ExecBackend::Sequential);
+        let prefix = ProblemSpec::obst(vec![1, 2], vec![1, 1, 1]).unwrap();
+        let report = solver.solve_resolved(&[resolved(prefix.clone())], Some(&cache));
+        assert_eq!(report.cache.misses, 1);
+        // One more key but no more dummy frequencies, built around the
+        // constructor's shape check: its size-3 prefix is the cached
+        // instance, and the solve panics (index out of bounds) as soon
+        // as it reaches the new key.
+        let broken = ProblemSpec::Obst {
+            p: vec![1, 2, 3],
+            q: vec![1, 1, 1],
+        };
+        let seed = job::probe(&cache, &broken, Algorithm::Sublinear, &opts);
+        assert_eq!(seed.map(|(m, _)| m), Some(3), "the job warm-starts");
+
+        let report = solver.solve_resolved(&[resolved(broken), resolved(prefix)], Some(&cache));
+        assert_eq!(report.errors.len(), 1);
+        let e = &report.errors[0];
+        assert_eq!((e.job, e.kind), (0, ErrorKind::Internal));
+        assert!(e.message.contains("index out of bounds"), "{}", e.message);
+        // The sibling is unaffected: a hit on the prefix.
+        assert_eq!(report.results.len(), 1);
+        assert_eq!(report.results[0].job, 1);
+        assert_eq!((report.cache.hits, report.cache.misses), (1, 0));
     }
 }

@@ -96,6 +96,7 @@ pub mod check;
 mod engine;
 pub mod exec;
 pub mod fault;
+mod job;
 pub mod ops;
 pub mod pram_exec;
 pub mod problem;
@@ -117,7 +118,9 @@ pub mod weight;
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use crate::batch::{BatchError, BatchJob, BatchReport, BatchResult, BatchSolver};
+    pub use crate::batch::{
+        BatchError, BatchJob, BatchReport, BatchResult, BatchSolver, CachedBatchReport,
+    };
     pub use crate::exec::ExecBackend;
     pub use crate::fault::{unpoison, CancelToken, FaultPlan, FaultSite, FaultyCache};
     pub use crate::ops::{OpStats, SquareStrategy};
@@ -131,8 +134,8 @@ pub mod prelude {
         JobSpec, ProblemSpec, ResolvedJob, SpecError, SpecProblem,
     };
     pub use crate::store::{
-        cached_solve, CacheCounters, CacheOutcome, CachedBatchReport, CachedSolution, CachedSolver,
-        FileStore, MemoryCache, ProblemKey, ResilientCache, SolutionCache, StoreError, StoreStat,
+        cached_solve, CacheCounters, CacheOutcome, CachedSolution, CachedSolver, FileStore,
+        MemoryCache, ProblemKey, ResilientCache, SolutionCache, StoreError, StoreStat,
     };
     pub use crate::tables::WTable;
     pub use crate::telemetry::{

@@ -5,7 +5,8 @@
 //! long-running ingress loop for the ROADMAP's many-users north star.
 //! It is std-only (threads, channels, condvars; no async runtime): a
 //! thread-per-connection accept loop feeds a bounded MPMC job queue,
-//! which a fixed pool of workers drains through the [`Solver`] façade.
+//! which a fixed pool of workers drains through the
+//! [`Solver`](crate::solver::Solver) façade.
 //!
 //! ## Protocol (newline-delimited JSON, request order preserved)
 //!
@@ -46,6 +47,11 @@
 //! outer parallelism therefore never multiplies — the daemon never has
 //! more runnable solver threads than workers, the same oversubscription
 //! rule [`BatchSolver`](crate::batch::BatchSolver) enforces by phasing.
+//!
+//! Inside the gate a worker runs the per-job step `pardp batch` runs
+//! too — read the cache, solve in the job's regime with the Knuth
+//! guard, write the cache — back to back, then answers through the same
+//! respond step, so both front ends count, log and answer a job alike.
 //!
 //! ## Failure hardening
 //!
@@ -100,7 +106,6 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
@@ -111,11 +116,10 @@ use serde::{Deserialize, Serialize};
 use crate::batch::DEFAULT_LARGE_JOB_CELLS;
 use crate::exec::ExecBackend;
 use crate::fault::{unpoison, FaultPlan, FaultSite};
-use crate::solver::{Algorithm, SolveOptions, Solver};
-use crate::spec::{
-    error_record, verify_knuth, ErrorKind, JobRecord, JobSpec, ProblemSpec, SpecProblem,
-};
-use crate::store::{cached_solve, CacheOutcome, ResilientCache, SolutionCache};
+use crate::job::{self, Regime};
+use crate::solver::{Algorithm, SolveOptions};
+use crate::spec::{error_record, ErrorKind, JobRecord, JobSpec, ProblemSpec};
+use crate::store::{CacheCounters, ResilientCache, SolutionCache};
 use crate::telemetry::{EventKind, LatencyHistogram, Telemetry};
 use crate::trace::Termination;
 
@@ -346,11 +350,9 @@ struct Counters {
 /// One queued job: a resolved, admitted request plus its reply slot.
 struct Job {
     index: usize,
-    family: &'static str,
-    /// The validated spec — the cache identity (built instances carry
-    /// prefix sums, not the canonical payload).
+    /// The validated spec — the cache identity and the instance the
+    /// solve stage builds.
     spec: ProblemSpec,
-    problem: SpecProblem,
     algorithm: Algorithm,
     options: SolveOptions,
     large: bool,
@@ -409,6 +411,25 @@ impl Shared {
         if let Some(tel) = &self.config.telemetry {
             tel.emit(kind);
         }
+    }
+
+    /// Refuse request `job` before it reaches a worker: count it, emit
+    /// its `rejected` event, and queue its error line.
+    fn refuse(&self, job: usize, kind: ErrorKind, error: &str) -> Slot {
+        let c = &self.counters;
+        let counter = match kind {
+            ErrorKind::Invalid => &c.invalid,
+            _ => &c.rejected,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if kind == ErrorKind::Overloaded {
+            c.overloaded.fetch_add(1, Ordering::Relaxed);
+        }
+        self.emit(EventKind::Rejected {
+            job: job as u64,
+            kind: kind.name(),
+        });
+        Slot::Line(error_record(job, kind, error))
     }
 
     /// Emit the final `summary` event from the drained counters and
@@ -571,11 +592,11 @@ fn maybe_panic(shared: &Shared, job_index: usize) {
     }
 }
 
-/// Solve one job under its regime and write its response line into the
-/// reply slot. A panicking solve is isolated here — the worker survives,
-/// the client gets an `internal` error line — and a job that outlives
-/// [`ServeConfig::job_timeout`] is cancelled cooperatively and answered
-/// with a `timeout` error line.
+/// Run one job through the per-job step and write its response line
+/// into the reply slot. A panicking job is isolated here — the worker
+/// survives, the client gets an `internal` error line — and a job that
+/// outlives [`ServeConfig::job_timeout`] is cancelled cooperatively and
+/// answered with a `timeout` error line.
 fn run_job(shared: &Shared, job: Job) {
     // The deadline clock starts when a worker picks the job up, not at
     // admission: queue wait is backpressure, not solve time.
@@ -593,110 +614,59 @@ fn run_job(shared: &Shared, job: Job) {
             thread::sleep(plan.injected_delay());
         }
     }
-    // The two regimes mirror `BatchSolver::solve_batch` exactly — same
-    // backend overrides, so the solved tables are bit-identical. With a
-    // cache configured, the staged solve (key → lookup → warm-probe →
-    // solve → insert) runs *inside* the regime gate: a hit skips the
-    // kernels entirely but still respects response ordering. The gate
-    // guard lives inside the catch_unwind closure, so a panicking solve
-    // releases (and `unpoison` later recovers) the gate on unwind.
-    let solved = catch_unwind(AssertUnwindSafe(|| {
+    // Read → solve → write run back to back inside the regime gate: a
+    // hit skips the kernels entirely but still respects response
+    // ordering. The gate guard lives inside the panic boundary, so a
+    // panicking job releases (and `unpoison` later recovers) the gate
+    // on unwind.
+    let cache = shared.cache.as_deref().map(|c| c as &dyn SolutionCache);
+    let outcome = job::isolate(|| {
+        // Large jobs hold the gate exclusively, small jobs share it.
+        let (_exclusive, _shared);
         if job.large {
-            let _gate = unpoison(shared.regime.write());
-            maybe_panic(shared, job.index);
-            let opts = job
-                .options
-                .exec(job.options.exec.capped(shared.workers))
-                .deadline(deadline);
-            solve_maybe_cached(shared, &job, opts)
+            _exclusive = unpoison(shared.regime.write());
         } else {
-            let _gate = unpoison(shared.regime.read());
-            maybe_panic(shared, job.index);
-            let opts = job.options.exec(ExecBackend::Sequential).deadline(deadline);
-            solve_maybe_cached(shared, &job, opts)
+            _shared = unpoison(shared.regime.read());
         }
-    }));
-    let line = match solved {
-        Err(_) => {
-            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-            shared.emit(EventKind::Panic {
-                job: job.index as u64,
-            });
-            error_record(
-                job.index,
-                ErrorKind::Internal,
-                "internal: the solve panicked; the job was isolated and the daemon continues",
-            )
-        }
-        Ok((solution, outcome)) if solution.timed_out() => {
-            // The partial table is discarded (the cache layer never
-            // stores a timed-out solution) and cache counters are left
-            // alone — the outcome is Bypass by construction.
-            debug_assert_eq!(outcome, CacheOutcome::Bypass);
-            shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            shared.emit(EventKind::Timeout {
-                job: job.index as u64,
-            });
-            error_record(
-                job.index,
-                ErrorKind::Timeout,
-                "timeout: the job's deadline passed before the solve completed; \
-                 the partial result was discarded",
-            )
-        }
-        Ok((solution, outcome)) => {
-            match outcome {
-                CacheOutcome::Hit => {
-                    shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                CacheOutcome::Warm { .. } => {
-                    shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    shared.counters.warm_starts.fetch_add(1, Ordering::Relaxed);
-                }
-                CacheOutcome::Miss => {
-                    shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                CacheOutcome::Bypass => {}
-            }
-            shared.emit(EventKind::Cache {
-                job: job.index as u64,
-                outcome: outcome.name(),
-            });
+        maybe_panic(shared, job.index);
+        let regime = Regime {
+            large: job.large,
+            workers: shared.workers,
+        };
+        let options = job.options.deadline(deadline);
+        job::step(cache, &job.spec, job.algorithm, &options, Some(regime))
+    });
+    let telemetry = shared.config.telemetry.as_deref();
+    let mut traffic = CacheCounters::default();
+    let c = &shared.counters;
+    let line = match job::respond(job.index, outcome, false, &mut traffic, telemetry) {
+        Ok(solution) => {
             // Work/Span accounting: the trace always carries the total
             // (work); the per-op split is nonzero only for jobs run with
             // trace recording (see `SolveTrace::work_by_op`).
             let ws = solution.work_span();
             let (wa, wsq, wp) = solution.trace.work_by_op();
-            let c = &shared.counters;
             c.work.fetch_add(ws.work, Ordering::Relaxed);
             c.span.fetch_add(ws.span, Ordering::Relaxed);
             c.work_activate.fetch_add(wa, Ordering::Relaxed);
             c.work_square.fetch_add(wsq, Ordering::Relaxed);
             c.work_pebble.fetch_add(wp, Ordering::Relaxed);
-            // Knuth is never cached (`ProblemKey::derive` bypasses it),
-            // so a cache path cannot skip this verification.
-            match verify_knuth(&job.problem, &solution) {
-                Ok(()) => {
-                    shared.emit(EventKind::Completed {
-                        job: job.index as u64,
-                        wall_us: solution.wall.as_micros() as u64,
-                        value: solution.value(),
-                    });
-                    let record =
-                        JobRecord::of_solution(job.index, job.family, &solution, job.large);
-                    serde_json::to_string(&record).expect("record serializes")
-                }
-                Err(e) => {
-                    shared.emit(EventKind::Rejected {
-                        job: job.index as u64,
-                        kind: ErrorKind::Invalid.name(),
-                    });
-                    error_record(job.index, ErrorKind::Invalid, &e.0)
-                }
-            }
+            let record = JobRecord::of_solution(job.index, job.spec.family(), &solution, job.large);
+            serde_json::to_string(&record).expect("record serializes")
+        }
+        Err(e) => {
+            match e.kind {
+                ErrorKind::Internal => c.panics.fetch_add(1, Ordering::Relaxed),
+                ErrorKind::Timeout => c.timeouts.fetch_add(1, Ordering::Relaxed),
+                _ => 0,
+            };
+            e.line()
         }
     };
-    let c = &shared.counters;
+    c.cache_hits.fetch_add(traffic.hits, Ordering::Relaxed);
+    c.cache_misses.fetch_add(traffic.misses, Ordering::Relaxed);
+    c.warm_starts
+        .fetch_add(traffic.warm_starts, Ordering::Relaxed);
     c.latency.record(job.accepted.elapsed().as_micros() as u64);
     c.completed.fetch_add(1, Ordering::Relaxed);
     if job.large {
@@ -707,22 +677,6 @@ fn run_job(shared: &Shared, job: Job) {
     // The connection may already be gone; the job still counts as
     // completed (it was answered).
     job.reply.send(line).ok();
-}
-
-/// Solve one admitted job with `opts`, through the configured cache
-/// (behind its resilient wrapper) when there is one.
-fn solve_maybe_cached(
-    shared: &Shared,
-    job: &Job,
-    opts: SolveOptions,
-) -> (crate::solver::Solution<u64>, CacheOutcome) {
-    match &shared.cache {
-        Some(cache) => cached_solve(cache.as_ref(), &job.spec, job.algorithm, &opts),
-        None => (
-            Solver::new(job.algorithm).options(opts).solve(&job.problem),
-            CacheOutcome::Bypass,
-        ),
-    }
 }
 
 /// `{"error":"...","kind":"..."}` — command-level errors with no job
@@ -885,64 +839,30 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
             }
         });
 
+        let cfg = &shared.config;
         let mut job_index = 0usize;
         loop {
-            let line = match read_line_capped(&mut reader, shared.config.max_line_bytes) {
+            let request = match read_line_capped(&mut reader, cfg.max_line_bytes) {
                 // Read errors cover a dropped peer, a non-UTF-8 line,
                 // and the idle-timeout expiry on a socket — all close
                 // the connection (accepted jobs still drain).
                 Err(_) | Ok(LineRead::Eof) => break,
-                Ok(LineRead::Oversized) => {
-                    // An oversized line consumes a job index like any
-                    // other malformed request, but its bytes were never
-                    // buffered.
-                    shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    shared.emit(EventKind::Rejected {
-                        job: job_index as u64,
-                        kind: ErrorKind::Rejected.name(),
-                    });
-                    let msg = error_record(
-                        job_index,
-                        ErrorKind::Rejected,
-                        &format!(
-                            "request line exceeds the {}-byte cap and was discarded",
-                            shared.config.max_line_bytes
-                        ),
-                    );
-                    job_index += 1;
-                    if tx.send(Slot::Line(msg)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                Ok(LineRead::Line(l)) => l,
+                // An oversized line consumes a job index like any other
+                // malformed request, but its bytes were never buffered.
+                Ok(LineRead::Oversized) => Err((
+                    ErrorKind::Rejected,
+                    format!(
+                        "request line exceeds the {}-byte cap and was discarded",
+                        cfg.max_line_bytes
+                    ),
+                )),
+                Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
+                // A malformed line consumes a job index (the client meant
+                // *something* here) but never kills the loop.
+                Ok(LineRead::Line(line)) => serde_json::parse_value(&line)
+                    .map_err(|e| (ErrorKind::Invalid, format!("line is not a JSON job: {e}"))),
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = match serde_json::parse_value(&line) {
-                Ok(v) => v,
-                Err(e) => {
-                    // A malformed line consumes a job index (the client
-                    // meant *something* here) but never kills the loop.
-                    shared.counters.invalid.fetch_add(1, Ordering::Relaxed);
-                    shared.emit(EventKind::Rejected {
-                        job: job_index as u64,
-                        kind: ErrorKind::Invalid.name(),
-                    });
-                    let msg = error_record(
-                        job_index,
-                        ErrorKind::Invalid,
-                        &format!("line is not a JSON job: {e}"),
-                    );
-                    job_index += 1;
-                    if tx.send(Slot::Line(msg)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            if let Some(serde::Value::Str(cmd)) = value.get("cmd") {
+            if let Some(serde::Value::Str(cmd)) = request.as_ref().ok().and_then(|v| v.get("cmd")) {
                 let response = match cmd.as_str() {
                     "stats" => Slot::Stats,
                     "shutdown" => {
@@ -970,62 +890,29 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
 
             let index = job_index;
             job_index += 1;
-            let slot = match JobSpec::from_value(&value)
-                .map_err(|e| e.0)
-                .and_then(|spec| {
-                    spec.resolve(shared.config.default_algo, shared.config.options)
-                        .map_err(|e| e.0)
-                }) {
-                Err(e) => {
-                    shared.counters.invalid.fetch_add(1, Ordering::Relaxed);
-                    shared.emit(EventKind::Rejected {
-                        job: index as u64,
-                        kind: ErrorKind::Invalid.name(),
-                    });
-                    Slot::Line(error_record(index, ErrorKind::Invalid, &e))
-                }
-                Ok(resolved) => {
+            let slot = request
+                .and_then(|value| {
+                    let spec = JobSpec::from_value(&value).map_err(|e| e.0);
+                    spec.and_then(|s| s.resolve(cfg.default_algo, cfg.options).map_err(|e| e.0))
+                        .map_err(|e| (ErrorKind::Invalid, e))
+                })
+                .and_then(|resolved| {
                     let cells = resolved.problem.cells();
-                    match admit(shared, resolved.algorithm, cells) {
-                        Err(e) => {
-                            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                            shared.emit(EventKind::Rejected {
-                                job: index as u64,
-                                kind: ErrorKind::Rejected.name(),
-                            });
-                            Slot::Line(error_record(index, ErrorKind::Rejected, &e))
-                        }
-                        Ok(()) => {
-                            let (reply_tx, reply_rx) = mpsc::channel();
-                            let job = Job {
-                                index,
-                                family: resolved.problem.family(),
-                                problem: resolved.problem.build(),
-                                spec: resolved.problem,
-                                algorithm: resolved.algorithm,
-                                options: resolved.options,
-                                large: cells > shared.config.large_job_cells,
-                                accepted: Instant::now(),
-                                reply: reply_tx,
-                            };
-                            match shared.submit(job) {
-                                Ok(()) => Slot::Pending(reply_rx),
-                                Err((kind, e)) => {
-                                    shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                                    if kind == ErrorKind::Overloaded {
-                                        shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    shared.emit(EventKind::Rejected {
-                                        job: index as u64,
-                                        kind: kind.name(),
-                                    });
-                                    Slot::Line(error_record(index, kind, &e))
-                                }
-                            }
-                        }
-                    }
-                }
-            };
+                    admit(shared, resolved.algorithm, cells)
+                        .map_err(|e| (ErrorKind::Rejected, e))?;
+                    let (reply_tx, reply_rx) = mpsc::channel();
+                    shared.submit(Job {
+                        index,
+                        spec: resolved.problem,
+                        algorithm: resolved.algorithm,
+                        options: resolved.options,
+                        large: cells > cfg.large_job_cells,
+                        accepted: Instant::now(),
+                        reply: reply_tx,
+                    })?;
+                    Ok(Slot::Pending(reply_rx))
+                })
+                .unwrap_or_else(|(kind, e)| shared.refuse(index, kind, &e));
             if tx.send(slot).is_err() {
                 break;
             }
@@ -1329,6 +1216,37 @@ mod tests {
         assert!(lines[1].contains("\"value\":24"), "{}", lines[1]);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn payloads_whose_costs_can_overflow_answer_invalid() {
+        // Per family at n = 2: the largest accepted payload, then the
+        // smallest rejected one (2·n·max_f must stay below 2^62 − 1).
+        let input = "{\"family\":\"chain\",\"values\":[1048575,1048575,1048575]}\n\
+             {\"family\":\"chain\",\"values\":[1048575,1048575,1048576]}\n\
+             {\"family\":\"polygon\",\"values\":[1048575,1048575,1048575]}\n\
+             {\"family\":\"polygon\",\"values\":[1048575,1048575,1048576]}\n\
+             {\"family\":\"obst\",\"values\":[1152921504606846973],\"q\":[1,1]}\n\
+             {\"family\":\"obst\",\"values\":[1152921504606846974],\"q\":[1,1]}\n\
+             {\"family\":\"merge\",\"values\":[1152921504606846974,1]}\n\
+             {\"family\":\"merge\",\"values\":[1152921504606846975,1]}\n";
+        let (lines, stats) = pipe(input, &ServeConfig::default());
+        assert_eq!(lines.len(), 8, "{lines:?}");
+        let values = [
+            1152918206075109375u64, // (2^20 − 1)³
+            1152918206075109375,
+            1152921504606846977, // q_0 + q_1 + W(0,2)
+            1152921504606846975, // the run total
+        ];
+        for (k, value) in values.into_iter().enumerate() {
+            let (ok, bad) = (&lines[2 * k], &lines[2 * k + 1]);
+            assert!(ok.contains(&format!("\"value\":{value}")), "{ok}");
+            assert!(bad.contains("\"kind\":\"invalid\""), "{bad}");
+            assert!(bad.contains("too large"), "{bad}");
+            assert!(bad.contains("4611686018427387903"), "{bad}");
+        }
+        assert_eq!(stats.invalid, 4);
+        assert_eq!(stats.completed, 4);
     }
 
     #[test]

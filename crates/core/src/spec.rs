@@ -17,7 +17,8 @@
 //! ```
 //!
 //! * `family` — `chain | obst | polygon | merge` (the [`ProblemSpec`]
-//!   constructors validate each family's shape rules);
+//!   constructors validate each family's shape rules and reject payloads
+//!   whose costs could overflow `u64`);
 //! * `values` — dimensions / key frequencies / vertex weights / run
 //!   lengths;
 //! * `q` — obst dummy frequencies (`values.len() + 1` entries);
@@ -48,6 +49,7 @@ use crate::reduced::default_band;
 use crate::solver::{Algorithm, Solution, SolveKnob, SolveOptions};
 use crate::tables::WTable;
 use crate::trace::SolveTrace;
+use crate::weight::Weight;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -67,7 +69,11 @@ impl std::error::Error for SpecError {}
 ///
 /// The constructors hold every family's shape rules (formerly private to
 /// the CLI's parser), so `pardp solve`, `pardp batch`, and `pardp serve`
-/// accept and reject exactly the same instances.
+/// accept and reject exactly the same instances. They also bound the
+/// payload so no tree cost or prefix sum can reach the `u64` weight
+/// infinity (`u64::MAX / 4`): `2n · max_f` must stay below it, where
+/// `max_f` is the largest value cubed (chain, polygon) or the payload
+/// total (obst, merge).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProblemSpec {
     /// Matrix chain from a dimension list.
@@ -94,6 +100,33 @@ pub enum ProblemSpec {
     },
 }
 
+/// Reject a payload whose costs could reach the `u64` weight infinity
+/// ([`Weight::INFINITY`], `u64::MAX / 4`). Every tree cost and prefix
+/// sum of an `n`-instance is below `2n · max_f`, where `max_f` bounds
+/// `f` (`None`: computing it overflowed), so that bound must stay under
+/// the infinity; `what` names `max_f` in the error.
+fn check_costs(family: &str, n: usize, what: &str, max_f: Option<u64>) -> Result<(), SpecError> {
+    let limit = u64::INFINITY;
+    match max_f.and_then(|f| f.checked_mul(2 * n as u64)) {
+        Some(bound) if bound < limit => Ok(()),
+        _ => Err(SpecError(format!(
+            "{family} values too large: 2·n·{what} must stay below the u64 weight \
+             limit {limit} (n = {n})"
+        ))),
+    }
+}
+
+/// The largest value cubed — `f`'s bound for chain and polygon.
+fn max_cubed(xs: &[u64]) -> Option<u64> {
+    let m = *xs.iter().max()?;
+    m.checked_mul(m)?.checked_mul(m)
+}
+
+/// The payload total — `f`'s bound for obst and merge.
+fn total<'a>(xs: impl IntoIterator<Item = &'a u64>) -> Option<u64> {
+    xs.into_iter().try_fold(0u64, |acc, &x| acc.checked_add(x))
+}
+
 impl ProblemSpec {
     /// Validated chain instance.
     pub fn chain(dims: Vec<u64>) -> Result<Self, SpecError> {
@@ -107,6 +140,12 @@ impl ProblemSpec {
                     .into(),
             ));
         }
+        check_costs(
+            "chain",
+            dims.len() - 1,
+            "(largest value)³",
+            max_cubed(&dims),
+        )?;
         Ok(ProblemSpec::Chain { dims })
     }
 
@@ -121,6 +160,12 @@ impl ProblemSpec {
         if p.is_empty() {
             return Err(SpecError("obst needs at least one key frequency".into()));
         }
+        check_costs(
+            "obst",
+            p.len() + 1,
+            "(payload total)",
+            total(p.iter().chain(&q)),
+        )?;
         Ok(ProblemSpec::Obst { p, q })
     }
 
@@ -129,6 +174,8 @@ impl ProblemSpec {
         if weights.len() < 3 {
             return Err(SpecError("polygon needs at least three vertices".into()));
         }
+        let n = weights.len() - 1;
+        check_costs("polygon", n, "(largest value)³", max_cubed(&weights))?;
         Ok(ProblemSpec::Polygon { weights })
     }
 
@@ -137,6 +184,7 @@ impl ProblemSpec {
         if lengths.is_empty() {
             return Err(SpecError("merge needs at least one run length".into()));
         }
+        check_costs("merge", lengths.len(), "(payload total)", total(&lengths))?;
         Ok(ProblemSpec::Merge { lengths })
     }
 
@@ -585,8 +633,9 @@ pub fn table_hash(w: &WTable<u64>) -> String {
 }
 
 /// Cross-check a Knuth–Yao solution against the full DP. The speedup is
-/// only valid on quadrangle-inequality instances; front ends guard every
-/// Knuth job with this before emitting its record.
+/// only valid on quadrangle-inequality instances; `pardp solve` and the
+/// per-job step behind `pardp batch` and `pardp serve` guard every Knuth
+/// job with this before emitting its record.
 pub fn verify_knuth<P: DpProblem<u64> + ?Sized>(
     problem: &P,
     solution: &Solution<u64>,
@@ -607,6 +656,8 @@ pub fn verify_knuth<P: DpProblem<u64> + ?Sized>(
 /// the batch CLI: every JSONL error line carries a `kind` field naming
 /// one of these, next to the human-readable `error` text (which remains
 /// free to change). Front ends branch on `kind`, never on the prose.
+/// A failed job — a panic, a failed Knuth guard, a timeout — answers
+/// with the same per-job line in both front ends, in the job's slot.
 ///
 /// | kind | meaning | retry advice |
 /// |---|---|---|
@@ -806,6 +857,58 @@ mod tests {
         assert!(e.0.contains("unknown problem family"), "{e}");
         let e = ProblemSpec::from_family("obst", vec![1, 2], None).unwrap_err();
         assert!(e.0.contains("\"q\" field"), "{e}");
+    }
+
+    /// The largest accepted and the smallest rejected payload of each
+    /// family at n = 2, where `2·n·max_f < 2^62 − 1` allows `max_f` up
+    /// to `2^60 − 1`.
+    fn cost_bound_boundaries() -> [(ProblemSpec, u64, Result<ProblemSpec, SpecError>); 4] {
+        const V: u64 = (1 << 20) - 1; // V³ < 2^60 ≤ (V + 1)³
+        const T: u64 = (1 << 60) - 1; // the largest payload total
+        let ok = |r: Result<ProblemSpec, SpecError>| r.unwrap();
+        [
+            (
+                ok(ProblemSpec::chain(vec![V; 3])),
+                V * V * V,
+                ProblemSpec::chain(vec![V, V, V + 1]),
+            ),
+            (
+                ok(ProblemSpec::polygon(vec![V; 3])),
+                V * V * V,
+                ProblemSpec::polygon(vec![V, V, V + 1]),
+            ),
+            // c(0,2) = q_0 + q_1 + W(0,2) = 1 + 1 + (p_1 + q_0 + q_1).
+            (
+                ok(ProblemSpec::obst(vec![T - 2], vec![1, 1])),
+                T + 2,
+                ProblemSpec::obst(vec![T - 1], vec![1, 1]),
+            ),
+            (
+                ok(ProblemSpec::merge(vec![T - 1, 1])),
+                T,
+                ProblemSpec::merge(vec![T, 1]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn constructors_bound_costs_below_the_weight_infinity() {
+        for (accepted, value, rejected) in cost_bound_boundaries() {
+            let family = accepted.family();
+            // The largest accepted payload solves without a cost wrapping
+            // (this profile checks arithmetic overflow).
+            let sol = Solver::new(Algorithm::Sequential).solve(&accepted.build());
+            assert_eq!(sol.value(), value, "{family}");
+            let e = rejected.unwrap_err();
+            assert!(e.0.contains("too large"), "{family}: {e}");
+            assert!(e.0.contains("4611686018427387903"), "{family}: {e}");
+        }
+        // Products and totals that overflow u64 outright are rejected
+        // too: 2^32 cubed wraps to 0.
+        let e = ProblemSpec::chain(vec![1 << 32; 3]).unwrap_err();
+        assert!(e.0.contains("chain values too large"), "{e}");
+        assert!(ProblemSpec::merge(vec![u64::MAX, 1]).is_err());
+        assert!(ProblemSpec::obst(vec![1], vec![u64::MAX, 1]).is_err());
     }
 
     #[test]

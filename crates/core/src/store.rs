@@ -21,10 +21,13 @@
 //! 3. **Reuse** — [`Solver::with_cache`] splits
 //!    [`Solver::solve`](crate::solver::Solver::solve) into four stages
 //!    (key → lookup → solve-miss → insert, each a public method of
-//!    [`CachedSolver`]); [`BatchSolver::solve_resolved`] dedups
-//!    identical jobs within a batch and shares one cache across both
-//!    scheduling regimes; `serve` threads the same cache through its
-//!    worker pool and reports `hits` / `misses` / `warm_starts`.
+//!    [`CachedSolver`]). The stages themselves are the crate's one
+//!    per-job step (read → solve → write), which `pardp batch`
+//!    ([`BatchSolver::solve_resolved`](crate::batch::BatchSolver::solve_resolved):
+//!    intra-batch dedup, one cache shared by both scheduling regimes)
+//!    and `pardp serve` (one cache shared by every worker) run too; both
+//!    report `hits` / `misses` / `warm_starts` and count backend errors
+//!    through a [`ResilientCache`].
 //!
 //! ## Key derivation rules
 //!
@@ -96,18 +99,16 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{BatchError, BatchResult, BatchSolver};
-use crate::exec::ExecBackend;
 use crate::fault::{unpoison, FaultPlan, FaultSite};
+use crate::job;
 use crate::ops::OpStats;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
-use crate::spec::{CanonicalHasher, ProblemSpec, ResolvedJob};
+use crate::spec::{CanonicalHasher, ProblemSpec};
 use crate::tables::WTable;
-use crate::telemetry::EventKind;
 use crate::trace::{SolveTrace, Termination};
 
 /// Store error: a human-readable description, CLI-grade.
@@ -276,7 +277,7 @@ impl CachedSolution {
 
     /// Whether this record answers a `(spec, algorithm)` request — the
     /// hit-time collision guard.
-    fn answers(&self, spec: &ProblemSpec, algorithm: Algorithm) -> bool {
+    pub(crate) fn answers(&self, spec: &ProblemSpec, algorithm: Algorithm) -> bool {
         self.family == spec.family()
             && self.algorithm == algorithm.name()
             && self.n == spec.n()
@@ -770,15 +771,19 @@ pub const DEFAULT_CACHE_FAILURE_BUDGET: u64 = 8;
 /// a dying disk stops costing per-job latency, and the daemon keeps
 /// answering from compute alone. The serve daemon wraps its configured
 /// cache in one of these and reports [`errors`](ResilientCache::errors)
-/// as the `cache_errors` stats counter.
-pub struct ResilientCache {
-    inner: Arc<dyn SolutionCache>,
+/// as the `cache_errors` stats counter; a cache-aware batch wraps its
+/// borrowed cache the same way for [`CacheCounters::errors`].
+///
+/// `C` is any handle to the backend: an `Arc` (the default) or a plain
+/// reference.
+pub struct ResilientCache<C = Arc<dyn SolutionCache>> {
+    inner: C,
     budget: u64,
     failures: AtomicU64,
     disabled: AtomicBool,
 }
 
-impl std::fmt::Debug for ResilientCache {
+impl<C> std::fmt::Debug for ResilientCache<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientCache")
             .field("budget", &self.budget)
@@ -788,14 +793,14 @@ impl std::fmt::Debug for ResilientCache {
     }
 }
 
-impl ResilientCache {
+impl<C> ResilientCache<C> {
     /// Wrap `inner` with the default failure budget.
-    pub fn new(inner: Arc<dyn SolutionCache>) -> ResilientCache {
+    pub fn new(inner: C) -> ResilientCache<C> {
         Self::with_budget(inner, DEFAULT_CACHE_FAILURE_BUDGET)
     }
 
     /// Wrap `inner`, disabling it after `budget` errors (floored at 1).
-    pub fn with_budget(inner: Arc<dyn SolutionCache>, budget: u64) -> ResilientCache {
+    pub fn with_budget(inner: C, budget: u64) -> ResilientCache<C> {
         ResilientCache {
             inner,
             budget: budget.max(1),
@@ -823,7 +828,11 @@ impl ResilientCache {
     }
 }
 
-impl SolutionCache for ResilientCache {
+impl<C> SolutionCache for ResilientCache<C>
+where
+    C: std::ops::Deref + Send + Sync,
+    C::Target: SolutionCache,
+{
     fn get(&self, key: ProblemKey) -> Option<CachedSolution> {
         self.try_get(key).unwrap_or(None)
     }
@@ -935,105 +944,62 @@ impl<'c> CachedSolver<'c> {
 
     /// Stage 2 — fetch and validate a stored solution for `spec`.
     /// Returns `None` on a true miss *and* on a record that does not
-    /// answer this `(spec, algorithm)` request (the collision guard).
-    /// A failing backend reads as a miss here; use
-    /// [`try_lookup`](CachedSolver::try_lookup) to distinguish.
+    /// answer this `(spec, algorithm)` request (the collision guard). A
+    /// failing backend reads as a miss here; the composed
+    /// [`solve`](CachedSolver::solve) then skips the warm probe and the
+    /// insert too ([`CacheOutcome::Bypass`]).
     pub fn lookup(&self, spec: &ProblemSpec, key: ProblemKey) -> Option<Solution<u64>> {
-        self.try_lookup(spec, key).unwrap_or(None)
-    }
-
-    /// Fallible stage 2: `Err` is a failing cache backend — the
-    /// composed [`solve`](CachedSolver::solve) then skips the warm
-    /// probe and the insert too ([`CacheOutcome::Bypass`]), so one
-    /// failing disk costs one error, not three.
-    pub fn try_lookup(
-        &self,
-        spec: &ProblemSpec,
-        key: ProblemKey,
-    ) -> Result<Option<Solution<u64>>, StoreError> {
-        let Some(cached) = self.cache.try_get(key)? else {
-            return Ok(None);
-        };
-        if !cached.answers(spec, self.solver.algorithm()) {
-            return Ok(None);
-        }
-        Ok(cached.to_solution().ok())
+        job::lookup(self.cache, spec, self.solver.algorithm(), key).unwrap_or(None)
     }
 
     /// Stage 3 — solve on a miss: probe cached prefix tables for a
     /// warm start (largest first), fall back to a cold solve.
     pub fn solve_miss(&self, spec: &ProblemSpec) -> (Solution<u64>, CacheOutcome) {
-        if let Some((solution, seed_n)) = warm_start(
-            self.cache,
-            spec,
-            self.solver.algorithm(),
-            self.solver.solve_options(),
-        ) {
-            return (solution, CacheOutcome::Warm { seed_n });
+        let (algorithm, options) = (self.solver.algorithm(), self.solver.solve_options());
+        let seed = job::probe(self.cache, spec, algorithm, options);
+        let solution = job::solve(
+            &spec.build(),
+            algorithm,
+            options,
+            seed.as_ref().map(|(m, w)| (*m, w)),
+        );
+        match seed {
+            Some((seed_n, _)) => (solution, CacheOutcome::Warm { seed_n }),
+            None => (solution, CacheOutcome::Miss),
         }
-        (self.solver.solve(&spec.build()), CacheOutcome::Miss)
     }
 
-    /// Stage 4 — store `solution` under `key` for the next repeat.
+    /// Stage 4 — store `solution` under `key` for the next repeat. A
+    /// failing backend leaves the cache as it was.
     pub fn insert(&self, spec: &ProblemSpec, key: ProblemKey, solution: &Solution<u64>) {
-        let _ = self.try_insert(spec, key, solution);
+        let _ = job::insert(self.cache, spec, key, solution);
     }
 
-    /// Fallible stage 4: `Err` is a failing cache backend; the solution
-    /// itself is unaffected.
-    pub fn try_insert(
-        &self,
-        spec: &ProblemSpec,
-        key: ProblemKey,
-        solution: &Solution<u64>,
-    ) -> Result<(), StoreError> {
-        self.cache
-            .try_put(key, CachedSolution::of_solution(spec.family(), solution))
-    }
-
-    /// The composed staged solve. The returned solution is bit-identical
-    /// to [`Solver::solve`] on the built instance — value and table
-    /// always; trace and statistics too, except after a warm start,
-    /// where they honestly report the (smaller) work actually done.
+    /// The composed staged solve: the crate's per-job step (read →
+    /// solve → write) under this solver's own options. The returned
+    /// solution is bit-identical to [`Solver::solve`] on the built
+    /// instance — value and table always; trace and statistics too,
+    /// except after a warm start, where they honestly report the
+    /// (smaller) work actually done. Its wall time covers the stages.
     ///
     /// Degradation: a failing backend turns the outcome into
     /// [`CacheOutcome::Bypass`] (cold solve, warm probe and insert
     /// skipped); a timed-out solve is likewise never inserted — a
     /// partial table must not poison future lookups.
     pub fn solve(&self, spec: &ProblemSpec) -> (Solution<u64>, CacheOutcome) {
-        let t0 = Instant::now();
-        let Some(key) = self.key(spec) else {
-            let mut solution = self.solver.solve(&spec.build());
-            solution.wall = t0.elapsed();
-            return (solution, CacheOutcome::Bypass);
-        };
-        let looked_up = self.try_lookup(spec, key);
-        if let Ok(Some(mut solution)) = looked_up {
-            solution.wall = t0.elapsed();
-            return (solution, CacheOutcome::Hit);
-        }
-        let (mut solution, outcome) = if looked_up.is_err() {
-            (self.solver.solve(&spec.build()), CacheOutcome::Bypass)
-        } else {
-            self.solve_miss(spec)
-        };
-        // `||` short-circuits: a bypassed or timed-out solve is never
-        // inserted, and a failing insert downgrades the outcome.
-        let outcome = if outcome == CacheOutcome::Bypass
-            || solution.timed_out()
-            || self.try_insert(spec, key, &solution).is_err()
-        {
-            CacheOutcome::Bypass
-        } else {
-            outcome
-        };
-        solution.wall = t0.elapsed();
-        (solution, outcome)
+        let solved = job::step(
+            Some(self.cache),
+            spec,
+            self.solver.algorithm(),
+            self.solver.solve_options(),
+            None,
+        );
+        (solved.solution, solved.outcome)
     }
 }
 
 /// One-call form of the staged solve for callers that hold the pieces
-/// rather than a [`Solver`] (serve workers, the batch scheduler).
+/// rather than a [`Solver`].
 pub fn cached_solve(
     cache: &dyn SolutionCache,
     spec: &ProblemSpec,
@@ -1046,64 +1012,7 @@ pub fn cached_solve(
         .solve(spec)
 }
 
-/// Probe cached prefix tables (largest first) and run the matching
-/// seeded solve. Returns `None` when the algorithm has no seeded
-/// variant or no usable prefix is cached.
-fn warm_start(
-    cache: &dyn SolutionCache,
-    spec: &ProblemSpec,
-    algorithm: Algorithm,
-    options: &SolveOptions,
-) -> Option<(Solution<u64>, usize)> {
-    if !matches!(
-        algorithm,
-        Algorithm::Sequential | Algorithm::Wavefront | Algorithm::Sublinear | Algorithm::Reduced
-    ) {
-        return None;
-    }
-    let n = spec.n();
-    for m in (2..n).rev() {
-        let prefix = spec.prefix(m)?;
-        let key = ProblemKey::derive(&prefix, algorithm, options)?;
-        let Some(cached) = cache.get(key) else {
-            continue;
-        };
-        if !cached.answers(&prefix, algorithm) {
-            continue;
-        }
-        let Ok(seed) = cached.to_table() else {
-            continue;
-        };
-        let problem = spec.build();
-        let solution = match algorithm {
-            // The direct solvers finish the table with the tiled sweep,
-            // skipping the seeded pairs: table, trace, and (zero) stats
-            // are fully bit-identical to a cold solve. The sequential
-            // solver's warm start runs on one thread and, like its cold
-            // solve, without a deadline.
-            Algorithm::Sequential => crate::wavefront::solve(
-                &problem,
-                algorithm,
-                &SolveOptions::default().exec(ExecBackend::Sequential),
-                Some((m, &seed)),
-            ),
-            Algorithm::Wavefront => {
-                crate::wavefront::solve(&problem, algorithm, options, Some((m, &seed)))
-            }
-            // The iterative solvers run the engine with the seeded
-            // pairs marked final.
-            iterative => crate::engine::solve(&problem, iterative, options, Some((m, &seed))),
-        };
-        return Some((solution, m));
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// Cache-aware batch solving
-// ---------------------------------------------------------------------------
-
-/// Cache traffic counters of one batch run (or one serve session).
+/// Cache traffic counters of one batch run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Jobs served straight from the cache.
@@ -1115,272 +1024,11 @@ pub struct CacheCounters {
     /// Jobs that duplicated an earlier job in the same batch and reused
     /// its solution.
     pub deduped: u64,
-    /// Cache backend errors (failed lookups or inserts); each degraded
-    /// the job to a plain cold solve ([`CacheOutcome::Bypass`]).
+    /// Cache backend errors, counted by the batch's [`ResilientCache`]
+    /// exactly as serve counts `cache_errors`: failed lookups and inserts
+    /// (each degraded its job to a cold solve, [`CacheOutcome::Bypass`])
+    /// and failed warm-start probes.
     pub errors: u64,
-}
-
-/// The outcome of a cache-aware batch: the same per-job results and
-/// aggregates as [`BatchReport`](crate::batch::BatchReport), plus the
-/// cache traffic. No borrowed problems — results own their solutions.
-#[derive(Debug, Clone)]
-pub struct CachedBatchReport {
-    /// One result per job, in submission order. The `large` flag
-    /// reports the job's regime *classification* (by cell count);
-    /// cache-served jobs never actually entered a regime.
-    pub results: Vec<BatchResult<u64>>,
-    /// Wall-clock time of the whole batch.
-    pub wall: Duration,
-    /// Aggregate statistics over every job, cached solutions included —
-    /// so a fully-hit batch reports the same totals as the cold batch
-    /// that populated the cache (warm starts excepted: they report the
-    /// smaller work actually done).
-    pub stats: OpStats,
-    /// Jobs per second of batch wall time.
-    pub throughput: f64,
-    /// Jobs classified small (cells ≤ threshold).
-    pub small_jobs: usize,
-    /// Jobs classified large.
-    pub large_jobs: usize,
-    /// Cache traffic of this batch.
-    pub cache: CacheCounters,
-    /// Jobs whose solve panicked, isolated by
-    /// [`BatchSolver::solve_batch_isolated`] — these have no entry in
-    /// [`results`](CachedBatchReport::results); sorted by job index.
-    pub errors: Vec<BatchError>,
-}
-
-impl CachedBatchReport {
-    /// The standard trailing summary line of this run — wire-identical
-    /// to a cache-less [`BatchSummary`](crate::spec::BatchSummary), so
-    /// attaching a cache never changes the summary schema. Cache
-    /// traffic rides separately in [`CachedBatchReport::cache`].
-    pub fn summary(&self, backend: crate::exec::ExecBackend) -> crate::spec::BatchSummary {
-        crate::spec::BatchSummary {
-            jobs: self.results.len(),
-            small_jobs: self.small_jobs,
-            large_jobs: self.large_jobs,
-            backend: backend.to_string(),
-            wall_seconds: self.wall.as_secs_f64(),
-            throughput: self.throughput,
-            candidates: self.stats.candidates,
-            writes: self.stats.writes,
-        }
-    }
-}
-
-impl BatchSolver {
-    /// Solve resolved jobs with intra-batch dedup and an optional
-    /// shared cache.
-    ///
-    /// Jobs with equal [`ProblemKey`]s are solved once — the first
-    /// occurrence is the representative, later ones reuse its solution
-    /// (`deduped` counts them). With a cache attached, representatives
-    /// are looked up first (hits), then warm-start-probed, and only the
-    /// remainder goes through [`solve_batch`](BatchSolver::solve_batch)
-    /// under the usual two-regime scheduling; fresh solutions are
-    /// inserted back. Cache-bypassing jobs (trace recording, Knuth) are
-    /// neither deduped nor cached.
-    ///
-    /// Every solution is bit-identical (value, table; trace and stats
-    /// except after warm starts) to a cold [`Solver::solve`] loop over
-    /// the same jobs.
-    pub fn solve_resolved(
-        &self,
-        jobs: &[ResolvedJob],
-        cache: Option<&dyn SolutionCache>,
-    ) -> CachedBatchReport {
-        let t0 = Instant::now();
-        let n = jobs.len();
-        let mut counters = CacheCounters::default();
-
-        let keys: Vec<Option<ProblemKey>> = jobs
-            .iter()
-            .map(|j| ProblemKey::derive(&j.problem, j.algorithm, &j.options))
-            .collect();
-
-        // Dedup: first occurrence of each key is the representative.
-        // `outcomes` records per-job cache provenance for telemetry:
-        // replicated jobs are `dedup`, representatives get their staged
-        // outcome below, uncacheable jobs stay `bypass`.
-        let mut outcomes: Vec<&'static str> = vec!["bypass"; n];
-        let mut rep: HashMap<u64, usize> = HashMap::new();
-        let mut source: Vec<usize> = (0..n).collect();
-        for i in 0..n {
-            if let Some(k) = keys[i] {
-                match rep.entry(k.0) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        source[i] = *e.get();
-                        counters.deduped += 1;
-                        outcomes[i] = "dedup";
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(i);
-                    }
-                }
-            }
-        }
-
-        // Lookup + warm-probe representatives; collect the cold rest.
-        // A failing cache backend degrades the representative to a
-        // plain cold solve with no insert (counted in `errors`).
-        let mut solved: Vec<Option<Solution<u64>>> = vec![None; n];
-        let mut to_insert: Vec<usize> = Vec::new();
-        let mut cold: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if source[i] != i {
-                continue;
-            }
-            let (Some(key), Some(cache)) = (keys[i], cache) else {
-                cold.push(i);
-                continue;
-            };
-            let job = &jobs[i];
-            let staged = Solver::new(job.algorithm)
-                .options(job.options)
-                .with_cache(cache);
-            match staged.try_lookup(&job.problem, key) {
-                Ok(Some(solution)) => {
-                    counters.hits += 1;
-                    outcomes[i] = "hit";
-                    solved[i] = Some(solution);
-                    continue;
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    // Backend failure: degraded to an uncached cold
-                    // solve — the same `bypass` provenance serve reports.
-                    counters.errors += 1;
-                    counters.misses += 1;
-                    cold.push(i);
-                    continue;
-                }
-            }
-            counters.misses += 1;
-            if let Some((solution, _)) =
-                warm_start(cache, &job.problem, job.algorithm, &job.options)
-            {
-                counters.warm_starts += 1;
-                outcomes[i] = "warm";
-                solved[i] = Some(solution);
-                to_insert.push(i);
-                continue;
-            }
-            outcomes[i] = "miss";
-            cold.push(i);
-            to_insert.push(i);
-        }
-
-        // Cold jobs run under the normal two-regime batch scheduling.
-        let problems: Vec<crate::spec::SpecProblem> =
-            cold.iter().map(|&i| jobs[i].problem.build()).collect();
-        let batch_jobs: Vec<crate::batch::BatchJob<'_, u64>> = cold
-            .iter()
-            .zip(&problems)
-            .map(|(&i, p)| crate::batch::BatchJob {
-                problem: p,
-                algorithm: jobs[i].algorithm,
-                options: jobs[i].options,
-            })
-            .collect();
-        let (report, batch_errors) = self.solve_batch_isolated(&batch_jobs);
-        // A panicking cold job leaves its representative unsolved; the
-        // report indexes the *returned* results, so map positions back
-        // through `cold` by the per-batch job index.
-        let mut panic_msgs: HashMap<usize, String> = HashMap::new();
-        for e in batch_errors {
-            panic_msgs.insert(cold[e.job], e.message);
-        }
-        for r in report.results {
-            solved[cold[r.job]] = Some(r.solution);
-        }
-
-        if let Some(cache) = cache {
-            for &i in &to_insert {
-                let (Some(key), Some(solution)) = (keys[i], &solved[i]) else {
-                    continue;
-                };
-                if solution.timed_out() {
-                    continue; // never store a partial table
-                }
-                let record = CachedSolution::of_solution(jobs[i].problem.family(), solution);
-                if cache.try_put(key, record).is_err() {
-                    counters.errors += 1;
-                }
-            }
-        }
-
-        // Assemble in submission order, replicating representatives;
-        // jobs whose representative panicked become errors instead.
-        let threshold = self.threshold();
-        let mut results = Vec::with_capacity(n);
-        let mut errors: Vec<BatchError> = Vec::new();
-        let mut small_jobs = 0;
-        let mut large_jobs = 0;
-        for i in 0..n {
-            let large = jobs[i].problem.cells() > threshold;
-            // One consecutive event chain per job, in submission order —
-            // the batch twin of the serve daemon's per-job stream.
-            if let Some(tel) = self.telemetry_handle() {
-                tel.emit(EventKind::Admitted { job: i as u64 });
-                tel.emit(EventKind::Regime {
-                    job: i as u64,
-                    large,
-                });
-                tel.emit(EventKind::Cache {
-                    job: i as u64,
-                    outcome: outcomes[i],
-                });
-            }
-            let Some(solution) = solved[source[i]].clone() else {
-                if let Some(tel) = self.telemetry_handle() {
-                    tel.emit(EventKind::Panic { job: i as u64 });
-                }
-                let message = panic_msgs
-                    .get(&source[i])
-                    .cloned()
-                    .unwrap_or_else(|| "the solve panicked".into());
-                errors.push(BatchError { job: i, message });
-                continue;
-            };
-            if let Some(tel) = self.telemetry_handle() {
-                tel.emit(EventKind::Completed {
-                    job: i as u64,
-                    wall_us: solution.wall.as_micros() as u64,
-                    value: solution.value(),
-                });
-            }
-            if large {
-                large_jobs += 1;
-            } else {
-                small_jobs += 1;
-            }
-            results.push(BatchResult {
-                job: i,
-                solution,
-                large,
-            });
-        }
-        let stats = results
-            .iter()
-            .fold(OpStats::default(), |acc, r| acc.merge(r.solution.stats));
-        let wall = t0.elapsed();
-        let throughput = if results.is_empty() {
-            0.0
-        } else {
-            results.len() as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)
-        };
-        CachedBatchReport {
-            results,
-            wall,
-            stats,
-            throughput,
-            small_jobs,
-            large_jobs,
-            cache: counters,
-            errors,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1611,49 +1259,6 @@ mod tests {
     fn open_existing_rejects_missing_directory() {
         let err = FileStore::open_existing("/nonexistent/pardp-cache").unwrap_err();
         assert!(err.0.contains("does not exist"), "{err}");
-    }
-
-    #[test]
-    fn batch_dedups_and_shares_the_cache() {
-        let jobs: Vec<ResolvedJob> = [
-            &[30u64, 35, 15, 5, 10, 20, 25][..],
-            &[30, 35, 15, 5, 10, 20, 25],
-            &[5, 10, 3, 12, 5],
-            &[30, 35, 15, 5, 10, 20, 25],
-        ]
-        .iter()
-        .map(|dims| ResolvedJob {
-            problem: spec(dims),
-            algorithm: Algorithm::Sublinear,
-            options: seq_opts(),
-        })
-        .collect();
-        let cache = MemoryCache::new(8);
-        let solver = BatchSolver::new().exec(ExecBackend::Sequential);
-        let report = solver.solve_resolved(&jobs, Some(&cache));
-        assert_eq!(report.cache.deduped, 2);
-        assert_eq!(report.cache.hits, 0);
-        assert_eq!(report.cache.misses, 2);
-        assert_eq!(report.results.len(), 4);
-        for (i, r) in report.results.iter().enumerate() {
-            assert_eq!(r.job, i);
-            let cold = Solver::new(Algorithm::Sublinear)
-                .options(seq_opts())
-                .solve(&jobs[i].problem.build());
-            assert_eq!(r.solution.value(), cold.value(), "job {i}");
-            assert!(r.solution.w.table_eq(&cold.w), "job {i}");
-            assert_eq!(r.solution.stats, cold.stats, "job {i}");
-        }
-        // Second run over the same jobs: all representatives hit.
-        let again = solver.solve_resolved(&jobs, Some(&cache));
-        assert_eq!(again.cache.hits, 2);
-        assert_eq!(again.cache.misses, 0);
-        assert_eq!(again.stats, report.stats);
-        // Without a cache, dedup still applies.
-        let nocache = solver.solve_resolved(&jobs, None);
-        assert_eq!(nocache.cache.deduped, 2);
-        assert_eq!(nocache.cache.hits + nocache.cache.misses, 0);
-        assert_eq!(nocache.stats, report.stats);
     }
 
     #[test]

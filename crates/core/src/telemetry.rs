@@ -43,9 +43,15 @@
 //! | `completed`  | info  | `job`, `wall_us`, `value`                                 |
 //! | `summary`    | info  | drained counters (see [`EventKind::Summary`])             |
 //!
-//! A drained serve job always yields the chain `admitted` → `regime` →
-//! `cache` → (`completed` \| `panic` \| `timeout` \| `rejected`), in
-//! that order, with strictly increasing `seq`.
+//! Every job a serve worker or a batch answers yields one lifecycle,
+//! with strictly increasing `seq`: `admitted` → `regime` →
+//! zero or more `fault` events, then either `cache` → (`completed` \|
+//! `rejected`) when the solve returned — `rejected` with kind `invalid`
+//! is a failed Knuth guard — or a lone `panic` \| `timeout` when it did
+//! not. A request refused before it runs yields a lone `rejected`. The
+//! per-job step emits every `cache` and terminal event, so `pardp batch
+//! --log` and `pardp serve --log` streams pass the same checker
+//! (`scripts/check_events.py`).
 //!
 //! # Worked example
 //!

@@ -1,0 +1,204 @@
+//! `pardp batch` and `pardp serve` run one per-job step, so they must
+//! answer alike on the cases where their hand-written copies once
+//! drifted: cache hits, warm starts, cache bypasses, failed Knuth
+//! guards and store faults. Batch is driven through
+//! [`BatchSolver::solve_resolved`] (what `pardp batch` runs), serve
+//! through [`serve_pipe`] on one worker, so occurrence indices of a
+//! fault plan line up with submission order on both sides.
+
+use std::sync::Arc;
+
+use pardp_core::prelude::*;
+use pardp_core::serve::serve_pipe;
+
+/// An exact repeat, an extension of a prefix cached before the run, a
+/// traced (cache-bypassing) job, a failed Knuth guard, and a plain miss.
+const CORPUS: &str = r#"{"family":"chain","values":[30,35,15,5,10,20,25]}
+{"family":"chain","values":[30,35,15,5,10,20,25]}
+{"family":"chain","values":[5,10,3,12,5,7,9]}
+{"family":"chain","values":[3,5,7,2,8],"trace":true}
+{"family":"chain","values":[10,1,10,1,10,1,10],"algo":"knuth"}
+{"family":"merge","values":[10,20,30]}
+"#;
+
+/// The cached prefix of job 2, solved under the front ends' defaults.
+const PREFIX: [u64; 5] = [5, 10, 3, 12, 5];
+
+fn seeded_cache() -> Arc<MemoryCache> {
+    let cache = Arc::new(MemoryCache::new(64));
+    let config = ServeConfig::default();
+    let spec = ProblemSpec::chain(PREFIX.to_vec()).unwrap();
+    let (_, outcome) = Solver::new(config.default_algo)
+        .options(config.options)
+        .with_cache(cache.as_ref())
+        .solve(&spec);
+    assert_eq!(outcome, CacheOutcome::Miss);
+    cache
+}
+
+fn one_worker(cache: Arc<dyn SolutionCache>, telemetry: Arc<Telemetry>) -> ServeConfig {
+    ServeConfig {
+        exec: ExecBackend::Threads(1),
+        cache: Some(cache),
+        telemetry: Some(telemetry),
+        ..ServeConfig::default()
+    }
+}
+
+fn ring() -> (Arc<RingSink>, Arc<Telemetry>) {
+    let ring = Arc::new(RingSink::new(4096));
+    let telemetry = Arc::new(Telemetry::new(Arc::clone(&ring) as Arc<dyn EventSink>));
+    (ring, telemetry)
+}
+
+/// Each job's `cache` event outcome, by job index (`None`: no event).
+fn cache_events(events: &[Event], jobs: usize) -> Vec<Option<&'static str>> {
+    let mut out = vec![None; jobs];
+    for e in events {
+        if let EventKind::Cache { job, outcome } = e.kind {
+            out[job as usize] = Some(outcome);
+        }
+    }
+    out
+}
+
+/// Serve's answer lines with `wall_seconds` zeroed in records.
+fn serve_lines(input: &str, config: &ServeConfig) -> (Vec<String>, ServeStats) {
+    let mut out = Vec::new();
+    let stats = serve_pipe(input.as_bytes(), &mut out, config);
+    let lines = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(deterministic)
+        .collect();
+    (lines, stats)
+}
+
+fn deterministic(line: &str) -> String {
+    match serde_json::from_str::<JobRecord>(line) {
+        Ok(record) => serde_json::to_string(&record.deterministic()).unwrap(),
+        Err(_) => line.to_string(), // an error line
+    }
+}
+
+/// Batch's answer lines in submission order, as `pardp batch` prints
+/// them (records with `wall_seconds` zeroed).
+fn batch_lines(
+    input: &str,
+    cache: &dyn SolutionCache,
+    telemetry: Arc<Telemetry>,
+) -> (Vec<String>, CachedBatchReport) {
+    let config = ServeConfig::default();
+    let jobs: Vec<ResolvedJob> = parse_jobs(input)
+        .unwrap()
+        .iter()
+        .map(|s| s.resolve(config.default_algo, config.options).unwrap())
+        .collect();
+    let report = BatchSolver::new()
+        .telemetry(Some(telemetry))
+        .solve_resolved(&jobs, Some(cache));
+    let mut lines: Vec<(usize, String)> = report.errors.iter().map(|e| (e.job, e.line())).collect();
+    for r in &report.results {
+        let record = JobRecord::new(jobs[r.job].problem.family(), r).deterministic();
+        lines.push((r.job, serde_json::to_string(&record).unwrap()));
+    }
+    lines.sort_by_key(|(job, _)| *job);
+    (lines.into_iter().map(|(_, l)| l).collect(), report)
+}
+
+#[test]
+fn batch_and_serve_answer_a_cached_corpus_alike() {
+    let (serve_ring, serve_tel) = ring();
+    let (served, stats) = serve_lines(CORPUS, &one_worker(seeded_cache(), serve_tel));
+    let (batch_ring, batch_tel) = ring();
+    let (batched, report) = batch_lines(CORPUS, seeded_cache().as_ref(), batch_tel);
+
+    assert_eq!(served.len(), 6, "{served:?}");
+    assert_eq!(batched, served, "deterministic records and error lines");
+    assert!(served[4].contains("\"kind\":\"invalid\""), "{}", served[4]);
+    assert!(
+        served[4].contains("knuth speedup disagrees"),
+        "{}",
+        served[4]
+    );
+
+    // Counters agree, except that batch reports the in-batch repeat as
+    // `deduped` where serve (which has no batch to dedup) reports a hit.
+    let c = report.cache;
+    assert_eq!((c.hits, c.deduped), (0, 1));
+    assert_eq!(stats.cache_hits, c.hits + c.deduped);
+    assert_eq!(stats.cache_misses, c.misses);
+    assert_eq!(stats.warm_starts, c.warm_starts);
+    assert_eq!(stats.cache_errors, c.errors);
+    assert_eq!((c.misses, c.warm_starts, c.errors), (3, 1, 0));
+
+    // Per job the same cache outcome, the repeat aside.
+    let serve_events = cache_events(&serve_ring.events(), 6);
+    let batch_events = cache_events(&batch_ring.events(), 6);
+    assert_eq!(
+        serve_events,
+        [
+            Some("miss"),
+            Some("hit"),
+            Some("warm"),
+            Some("bypass"),
+            Some("bypass"),
+            Some("miss")
+        ]
+    );
+    assert_eq!(batch_events[1], Some("dedup"));
+    for job in [0, 2, 3, 4, 5] {
+        assert_eq!(batch_events[job], serve_events[job], "job {job}");
+    }
+}
+
+#[test]
+fn batch_counts_store_faults_like_serve() {
+    // The chaos suite's store schedule on two n = 2 chains: the first
+    // lookup fails (a bypass that stores nothing), then the first insert
+    // fails (a miss downgraded to a bypass). n = 2 has no warm-start
+    // prefix, so each job probes one read and at most one write.
+    let input = "{\"family\":\"chain\",\"values\":[2,3,4]}\n\
+                 {\"family\":\"chain\",\"values\":[3,4,5]}\n";
+    let faulty = || {
+        let plan = Arc::new(
+            FaultPlan::new()
+                .fail(FaultSite::StoreRead, &[0])
+                .fail(FaultSite::StoreWrite, &[0]),
+        );
+        let cache = FaultyCache::new(Arc::new(MemoryCache::new(8)), Arc::clone(&plan));
+        (Arc::new(cache), plan)
+    };
+
+    let (serve_cache, serve_plan) = faulty();
+    let (serve_ring, serve_tel) = ring();
+    let (served, stats) = serve_lines(input, &one_worker(serve_cache, serve_tel));
+    let (batch_cache, batch_plan) = faulty();
+    let (batch_ring, batch_tel) = ring();
+    let (batched, report) = batch_lines(input, batch_cache.as_ref(), batch_tel);
+
+    assert_eq!(batched, served, "store faults never change an answer");
+    let c = report.cache;
+    assert_eq!(
+        (c.hits, c.misses, c.warm_starts, c.errors),
+        (
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.warm_starts,
+            stats.cache_errors
+        ),
+    );
+    assert_eq!((c.misses, c.errors), (0, 2));
+    assert_eq!(
+        cache_events(&batch_ring.events(), 2),
+        cache_events(&serve_ring.events(), 2),
+    );
+    assert_eq!(
+        cache_events(&serve_ring.events(), 2),
+        [Some("bypass"), Some("bypass")]
+    );
+    for site in [FaultSite::StoreRead, FaultSite::StoreWrite] {
+        assert_eq!(batch_plan.occurrences(site), serve_plan.occurrences(site));
+        assert_eq!(batch_plan.injected(site), 1);
+    }
+}

@@ -254,7 +254,10 @@ fn finished_tcp_session_gets_eof_without_daemon_shutdown() {
 
 #[test]
 fn cached_session_hits_on_repeats_and_stays_bit_identical() {
+    // One worker: a repeat can only hit once its original's insert has
+    // landed, and two workers would race the two.
     let config = ServeConfig {
+        exec: ExecBackend::Threads(1),
         cache: Some(std::sync::Arc::new(MemoryCache::new(64))),
         ..ServeConfig::default()
     };
@@ -278,7 +281,10 @@ fn cached_session_hits_on_repeats_and_stays_bit_identical() {
 
 #[test]
 fn cached_session_warm_starts_a_chain_extension() {
+    // One worker, so the prefix is stored before the extension reads
+    // (see the repeat test above).
     let config = ServeConfig {
+        exec: ExecBackend::Threads(1),
         cache: Some(std::sync::Arc::new(MemoryCache::new(64))),
         ..ServeConfig::default()
     };

@@ -13,8 +13,10 @@ documented on `pardp_core::telemetry`:
     gap-free and in delivery order;
   * per job, worker events follow the documented lifecycle:
     `admitted` first, then `regime`, then optional `fault` lines, then
-    `cache`, then exactly one terminal (`completed`, `panic`,
-    `timeout`) — or a lone `rejected` for a request that never ran.
+    either `cache` and one terminal — `completed`, or `rejected` with
+    kind `invalid` (a failed Knuth guard) — when the solve returned, or
+    a lone `panic` / `timeout` when it did not; or a lone `rejected` for
+    a request that never ran.
 
 Non-event lines (the human-readable drain line on stderr, blank lines)
 are skipped, so the checker can be pointed at a raw `2>` capture of
@@ -92,9 +94,10 @@ def check_fields(lineno, event, obj):
 
 
 def check_lifecycle(lineno, event, obj, jobs):
-    """Advance the per-job state machine: admitted -> regime -> fault* ->
-    cache -> terminal. A `rejected` line is terminal wherever it lands
-    (before or instead of the worker's chain)."""
+    """Advance the per-job state machine: admitted -> regime -> fault*,
+    then cache -> (completed | rejected[invalid]) or panic | timeout. A
+    `rejected` line is terminal wherever it lands (before or instead of
+    the worker's chain)."""
     if "job" not in obj:
         return
     job = obj["job"]
@@ -106,10 +109,12 @@ def check_lifecycle(lineno, event, obj, jobs):
         "admitted": {"regime", "rejected"},
         "regime": {"fault", "cache", "panic", "timeout"},
         "fault": {"fault", "cache", "panic", "timeout"},
-        "cache": {"completed", "panic"},
+        "cache": {"completed", "rejected"},
     }[state]
     if event not in allowed:
         fail(lineno, f"job {job}: event {event!r} in state {state!r}")
+    if state == "cache" and event == "rejected" and obj["kind"] != "invalid":
+        fail(lineno, f"job {job}: rejected after cache has kind {obj['kind']!r}, expected 'invalid'")
     jobs[job] = event
 
 
