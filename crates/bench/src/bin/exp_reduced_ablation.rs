@@ -13,7 +13,7 @@ use pardp_apps::generators;
 use pardp_bench::{banner, cell, print_table};
 use pardp_core::prelude::*;
 use pardp_core::reduced::default_band;
-use pardp_core::tables::{BandedPw, DensePw, PairIndexer};
+use pardp_core::tables::{BandedPw, DensePw};
 use pardp_pebble::analysis::fit_power_law;
 
 fn main() {
@@ -37,11 +37,11 @@ fn main() {
             let (_, sq, pb) = sol.trace.work_by_op();
             let per_iter = sq / sol.trace.iterations;
             dense_pts.push((n as f64, per_iter as f64));
-            (cell(per_iter), cell(pb / sol.trace.iterations), {
-                let pcount = PairIndexer::new(n).len();
-                let _ = DensePw::<u64>::new(n); // allocable at these sizes
-                cell(pcount * pcount)
-            })
+            (
+                cell(per_iter),
+                cell(pb / sol.trace.iterations),
+                cell(DensePw::<u64>::new(n).stored_cells()),
+            )
         } else {
             (cell("-"), cell("-"), cell("-"))
         };

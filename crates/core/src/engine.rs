@@ -21,7 +21,10 @@
 //! * **square rows** — square row `(i,j)` reads exactly the `pw'` rows
 //!   nested in `(i,j)`. If neither the previous square nor this
 //!   iteration's activate changed any of them, the row would be
-//!   reproduced verbatim, so it is copied forward instead.
+//!   reproduced verbatim, so it is copied forward instead. When every
+//!   row is clean the whole pass is skipped: no kernel, no pool region,
+//!   no buffer swap, and zero square stats, exactly what the
+//!   copy-forward pass would report.
 //! * **pebble pairs** — pebble pair `(i,j)` reads its own `pw'` row and
 //!   the `w'` of its nested pairs. A *persistent* per-pair dirty bit
 //!   gathers changes to those inputs and is cleared only when the pair
@@ -243,10 +246,18 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
             }
             square_skip.as_slice()
         });
-        let (sq, sq_rows) = tables.square(sq_skip, opts);
-        if let Some(rows) = sq_rows {
-            square_changed = rows;
-        }
+        let sq = if sq_skip.is_some_and(|skip| skip.iter().all(|&clean| clean)) {
+            // Every row is clean: the pass would copy the table forward
+            // verbatim, so skip it (and the buffer swap) outright.
+            square_changed.fill(false);
+            OpStats::default()
+        } else {
+            let (sq, sq_rows) = tables.square(sq_skip, opts);
+            if let Some(rows) = sq_rows {
+                square_changed = rows;
+            }
+            sq
+        };
         // Size window for iterations 2l-1 and 2l: (l-1)^2 < j-i <= l^2.
         let window = windowed.then(|| {
             let l = iter.div_ceil(2) as usize;

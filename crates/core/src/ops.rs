@@ -1,7 +1,8 @@
 //! The three parallel operations of the algorithm (§2), in three storage
 //! regimes:
 //!
-//! * **dense** — the `O(n^5)`-work algorithm of §2/§4 over [`DensePw`];
+//! * **dense** — the `O(n^5)`-work algorithm of §2/§4 over [`DensePw`]'s
+//!   compact rows of nested gaps;
 //! * **rytter** — the full-composition square of Rytter \[8\] (`O(n^6)`
 //!   work) over the same dense storage, used as the baseline;
 //! * **banded** — the §5 reduced-processor variant over [`BandedPw`]
@@ -21,14 +22,17 @@
 //! tables.
 //!
 //! The dense squares ([`a_square_dense`], [`a_square_rytter`]) come in two
-//! interchangeable kernels selected by [`SquareStrategy`]: the naive
-//! row-major reference and a cache-blocked kernel that walks cells and
-//! intermediate ranges in tiles over the flattened `pw` matrix. The
-//! banded square ([`a_square_banded`]) mirrors this with a per-cell
-//! naive reference and a flat-slice streamed kernel over the
-//! eccentricity-block layout of [`BandedPw`]. Either way, both kernels
-//! enumerate exactly the same candidate set, so tables and [`OpStats`] are
-//! identical; only the memory access order differs.
+//! interchangeable kernels selected by [`SquareStrategy`]: a per-cell
+//! naive reference through the [`DensePw::get`] accessor and a streaming
+//! kernel that walks each intermediate's cells with incrementally kept
+//! positions over [`DensePw`]'s segment layout. The banded square
+//! ([`a_square_banded`]) mirrors this with a per-cell naive reference and
+//! a flat-slice streamed kernel over the eccentricity-block layout of
+//! [`BandedPw`]. Either way, both kernels enumerate exactly the same
+//! candidate set, so tables and [`OpStats`] are identical; only the
+//! memory access order differs. Every dense and banded op partitions its
+//! table by root row (the tables' `rows_mut`), so parallel writes stay
+//! disjoint.
 //!
 //! The `*_scheduled` variants ([`a_square_dense_scheduled`],
 //! [`a_square_banded_scheduled`], [`a_pebble_dense_scheduled`],
@@ -112,27 +116,31 @@ fn map_rows_flagged<W: Weight>(
 ///
 /// Every strategy examines exactly the same candidate set and produces
 /// bit-identical tables and identical [`OpStats`]; they differ only in
-/// memory access order, and therefore speed. The naive order gathers one
-/// cell's intermediates from `O(n)` different rows of the `P x P` matrix,
-/// so nearly every read misses cache once the matrix outgrows it; the
-/// blocked kernels keep a tile of intermediate rows hot and stream the
-/// contiguous cell segments that share a left endpoint.
+/// memory access order, and therefore speed. The naive order gathers each
+/// cell's intermediates one accessor call at a time; the streaming
+/// kernels walk each intermediate's compatible cells with positions kept
+/// incrementally. The tile edge blocks only the dense square's
+/// `s`-family (intermediates sharing the cell's left endpoint); its
+/// `r`-family, Rytter's square and the banded square stream without
+/// tiling, so for them every non-naive strategy is the same kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SquareStrategy {
-    /// The reference row-major triple loop over `(p, q)` cells.
+    /// The per-cell reference: each cell gathers its intermediates
+    /// through the tables' accessors.
     Naive,
-    /// Cache-blocked kernel with an explicit tile edge, in pairs.
+    /// Streaming kernel with an explicit `s`-family tile edge, in gaps.
     /// `Tiled(0)` behaves like [`SquareStrategy::Auto`].
     Tiled(usize),
-    /// Cache-blocked kernel with the tile edge picked from the row
-    /// length (the default).
+    /// Streaming kernel with the tile edge picked from the row length
+    /// (the default).
     #[default]
     Auto,
 }
 
 impl SquareStrategy {
-    /// The auto-picked tile edge: 64 pairs keeps a 64x64 `u64` tile of
-    /// intermediate rows (32 KiB) inside a typical L1 data cache.
+    /// The auto-picked tile edge: a block of 64 cells and the segments of
+    /// 64 intermediates streaming over it (at most 32 KiB of `u64`) stay
+    /// inside a typical L1 data cache.
     pub const AUTO_TILE: usize = 64;
 
     /// The tile edge to use for rows of `dim` pairs, or `None` for the
@@ -220,25 +228,26 @@ pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
     pw: &mut DensePw<W>,
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
-    let dim = pw.dim();
     let idx = pw.indexer().clone();
     let process_row = |a: usize, row: &mut [W]| -> (OpStats, bool) {
         let (i, j) = idx.pair(a);
+        let d = j - i;
         let mut stats = OpStats::default();
-        if j - i < 2 {
+        if d < 2 {
             return (stats, false);
         }
         for k in i + 1..j {
             let fikj = problem.f(i, k, j);
-            // Gap (i,k): remaining subtree is (k,j).
-            let b1 = idx.index(i, k);
+            // Gap (i,k): remaining subtree is (k,j). Segment 0.
+            let b1 = k - i - 1;
             let cand1 = fikj.add(w.get(k, j));
             if cand1 < row[b1] {
                 row[b1] = cand1;
                 stats.writes += 1;
             }
-            // Gap (k,j): remaining subtree is (i,k).
-            let b2 = idx.index(k, j);
+            // Gap (k,j): remaining subtree is (i,k). Last cell of
+            // segment k - i.
+            let b2 = DensePw::<W>::segment_offset(d, k - i) + (j - k - 1);
             let cand2 = fikj.add(w.get(i, k));
             if cand2 < row[b2] {
                 row[b2] = cand2;
@@ -249,12 +258,7 @@ pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
         stats.changed = stats.writes > 0;
         (stats, stats.changed)
     };
-    map_rows_flagged(
-        exec,
-        DisjointPartsMut::uniform(pw.as_mut_slice(), dim),
-        1,
-        process_row,
-    )
+    map_rows_flagged(exec, pw.rows_mut(), 1, process_row)
 }
 
 // ---------------------------------------------------------------------------
@@ -304,21 +308,15 @@ pub fn a_square_dense_scheduled<W: Weight>(
     skip: Option<&[bool]>,
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
-    let dim = prev.dim();
-    let ctx = SquareCtx {
-        idx: prev.indexer().clone(),
-        prev: prev.as_slice(),
-        dim,
-    };
-    let tile = strategy.tile_for(dim);
+    let tile = strategy.tile_for(prev.dim());
     let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
         if skip.is_some_and(|mask| mask[a]) {
-            next_row.copy_from_slice(ctx.prev_row(a));
+            next_row.copy_from_slice(prev.row(a));
             return (OpStats::default(), false);
         }
         let stats = match tile {
-            None => square_row_naive(&ctx, a, next_row),
-            Some(t) => square_row_tiled(&ctx, a, next_row, t),
+            None => square_row_naive(prev, a, next_row),
+            Some(t) => square_row_tiled(prev, a, next_row, t),
         };
         (stats, stats.changed)
     };
@@ -326,99 +324,82 @@ pub fn a_square_dense_scheduled<W: Weight>(
     // cheap to schedule — coarsen the block floor so claim overhead is
     // amortised across several rows.
     let grain = if skip.is_some() { 8 } else { 1 };
-    map_rows_flagged(
-        exec,
-        DisjointPartsMut::uniform(next.as_mut_slice(), dim),
-        grain,
-        process_row,
-    )
+    map_rows_flagged(exec, next.rows_mut(), grain, process_row)
 }
 
-/// Shared read-side context of one dense-square row computation.
-struct SquareCtx<'a, W> {
-    idx: PairIndexer,
-    /// The flattened previous `P x P` matrix.
-    prev: &'a [W],
-    /// Row length `P`.
-    dim: usize,
-}
-
-impl<W: Weight> SquareCtx<'_, W> {
-    #[inline]
-    fn prev_row(&self, a: usize) -> &[W] {
-        &self.prev[a * self.dim..(a + 1) * self.dim]
-    }
-}
-
-/// Reference kernel: for every cell, gather every intermediate.
-fn square_row_naive<W: Weight>(ctx: &SquareCtx<'_, W>, a: usize, next_row: &mut [W]) -> OpStats {
-    let (i, j) = ctx.idx.pair(a);
-    let prev_row = ctx.prev_row(a);
-    next_row.copy_from_slice(prev_row);
+/// Reference kernel: for every cell, gather every intermediate through
+/// the [`DensePw::get`] accessor, straight from eq. (2c).
+fn square_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) -> OpStats {
+    let (i, j) = prev.indexer().pair(a);
     let mut stats = OpStats::default();
+    let mut pos = 0;
     for p in i..j {
         for q in p + 1..=j {
-            let b = ctx.idx.index(p, q);
-            let old = prev_row[b];
+            let old = prev.get(i, j, p, q);
             let mut best = old;
             // Intermediate gaps (r, q), i <= r < p.
             for r in i..p {
-                let c = ctx.idx.index(r, q);
-                let cand = prev_row[c].add(ctx.prev[c * ctx.dim + b]);
-                best = best.min2(cand);
+                best = best.min2(prev.get(i, j, r, q).add(prev.get(r, q, p, q)));
             }
             // Intermediate gaps (p, s), q < s <= j.
             for s in q + 1..=j {
-                let c = ctx.idx.index(p, s);
-                let cand = prev_row[c].add(ctx.prev[c * ctx.dim + b]);
-                best = best.min2(cand);
+                best = best.min2(prev.get(i, j, p, s).add(prev.get(p, s, p, q)));
             }
             stats.candidates += (p - i) as u64 + (j - q) as u64;
             if best < old {
-                next_row[b] = best;
                 stats.writes += 1;
             }
+            // Storage order is (p, q) lexicographic.
+            next_row[pos] = best;
+            pos += 1;
         }
     }
     stats.changed = stats.writes > 0;
     stats
 }
 
-/// Cache-blocked kernel: identical candidate set, tile-ordered.
-///
-/// The two candidate families are walked separately, each blocked into
-/// `tile`-sized index ranges:
+/// Streaming kernel: identical candidate set and, per cell, the same
+/// min order (`s`-family, then `r`-family by ascending `r`), so tables
+/// are bit-identical to the naive kernel's for every weight type.
 ///
 /// * **`s`-family** (intermediates `(p, s)` sharing the cell's left
-///   endpoint): for a fixed `p`, both the cells `(p, q)` and the
-///   intermediates `(p, s)` live in one contiguous segment of pair space,
-///   so for each intermediate the updated cells form a contiguous slice —
-///   one streaming pass per `(s, q)` block instead of per-cell gathers.
+///   endpoint): the cells `(p, q)` are one contiguous segment of the root
+///   row, and their second factors `pw'(p,s,p,q)` the contiguous first
+///   segment of the intermediate's row, so each intermediate updates a
+///   contiguous slice. Blocked into `tile`-sized `(s, q)` ranges so a
+///   block of cells stays hot while several intermediates stream over it
+///   — the only thing the tile edge still controls.
 /// * **`r`-family** (intermediates `(r, q)` sharing the cell's right
-///   endpoint): blocked over `(p, r)` so that the `tile` intermediate
-///   rows claimed by an `r`-block stay cache-hot while the `p`-block
-///   sweeps them, accumulating each cell in a register.
+///   endpoint): walked intermediate-major. For each `(r, q)`, the cells
+///   `(p, q)` with `p` ascending; the root-row position advances by
+///   `d - (p - i) - 1` and the second factor (the last cell of segment
+///   `p - r` of row `(r, q)`) by `q - p - 1`, so no position is
+///   recomputed per candidate.
 ///
-/// Rows whose stored partial weight is still infinite contribute no
-/// finite candidate, so their compositions are counted in bulk and the
-/// matrix reads skipped — a large win in the early iterations when most
-/// of `pw` is unreached.
+/// Intermediates whose stored partial weight is still infinite
+/// contribute no finite candidate, so they are counted in bulk and their
+/// rows never read — a large win in the early iterations when most of
+/// `pw` is unreached.
 fn square_row_tiled<W: Weight>(
-    ctx: &SquareCtx<'_, W>,
+    prev: &DensePw<W>,
     a: usize,
     next_row: &mut [W],
     tile: usize,
 ) -> OpStats {
-    let (i, j) = ctx.idx.pair(a);
-    let n = ctx.idx.n();
-    let prev_row = ctx.prev_row(a);
+    let idx = prev.indexer();
+    let (i, j) = idx.pair(a);
+    let d = j - i;
+    let prev_row = prev.row(a);
     next_row.copy_from_slice(prev_row);
     let mut stats = OpStats::default();
     let t = tile.max(1);
 
     // s-family: cells (p, q) gather intermediates (p, s), q < s <= j.
+    // `seg` is the root-row offset of segment p - i; cell (p, q) sits at
+    // seg + (q - p - 1), intermediate (p, s) at seg + (s - p - 1).
+    let mut seg = 0;
     for p in i..j {
-        let base = ctx.idx.index(p, p + 1);
+        let c_base = idx.index(p, p + 1);
         let q_lo = p + 1;
         let mut s0 = q_lo + 1;
         while s0 <= j {
@@ -432,15 +413,14 @@ fn square_row_tiled<W: Weight>(
                         continue;
                     }
                     stats.candidates += (q_hi - q0 + 1) as u64;
-                    let c = base + (s - p - 1);
-                    let vs = prev_row[c];
+                    let vs = prev_row[seg + (s - p - 1)];
                     if !vs.is_finite_cost() {
                         continue;
                     }
-                    let b0 = base + (q0 - p - 1);
-                    let b1 = base + (q_hi - p - 1);
-                    let crow = &ctx.prev[c * ctx.dim..];
-                    for (cell, &step) in next_row[b0..=b1].iter_mut().zip(&crow[b0..=b1]) {
+                    // Segment 0 of row (p, s) holds pw'(p,s,p,q) at q - p - 1.
+                    let (b0, b1) = (q0 - p - 1, q_hi - p - 1);
+                    let crow = &prev.row(c_base + (s - p - 1))[b0..=b1];
+                    for (cell, &step) in next_row[seg + b0..=seg + b1].iter_mut().zip(crow) {
                         let cand = vs.add(step);
                         if cand < *cell {
                             *cell = cand;
@@ -451,63 +431,50 @@ fn square_row_tiled<W: Weight>(
             }
             s0 = s1 + 1;
         }
+        seg += d - (p - i);
     }
 
     // r-family: cells (p, q) gather intermediates (r, q), i <= r < p.
-    for q in i + 2..=j {
-        let mut r0 = i;
-        while r0 + 1 < q {
-            let r1 = (r0 + t - 1).min(q - 2);
-            let c_base = ctx.idx.index(r0, q);
-            let mut p0 = r0 + 1;
-            while p0 < q {
-                let p1 = (p0 + t - 1).min(q - 1);
-                let mut b = ctx.idx.index(p0, q);
-                for p in p0..=p1 {
-                    let r_hi = r1.min(p - 1);
-                    stats.candidates += (r_hi - r0 + 1) as u64;
-                    let mut acc = next_row[b];
-                    let mut c = c_base;
-                    for r in r0..=r_hi {
-                        let vr = prev_row[c];
-                        if vr.is_finite_cost() {
-                            acc = acc.min2(vr.add(ctx.prev[c * ctx.dim + b]));
-                        }
-                        // Pair index of (r + 1, q): one lexicographic
-                        // block of n - r - 1 pairs further on.
-                        c += n - r - 1;
-                    }
-                    next_row[b] = acc;
-                    // Likewise b advances to the pair index of (p + 1, q).
-                    b += n - p - 1;
-                }
-                p0 = p1 + 1;
+    // `seg_r` is the root-row offset of segment r - i, `seg_p` that of
+    // segment r + 1 - i (the cells with p = r + 1).
+    let mut seg_r = 0;
+    for r in i..j - 1 {
+        let seg_p = seg_r + (d - (r - i));
+        let c_base = idx.index(r, r + 1);
+        for q in r + 2..=j {
+            stats.candidates += (q - r - 1) as u64;
+            let vr = prev_row[seg_r + (q - r - 1)];
+            if !vr.is_finite_cost() {
+                continue;
             }
-            r0 = r1 + 1;
+            let crow = prev.row(c_base + (q - r - 1));
+            // Last cell of segment 1 of the width-(q - r) row (r, q).
+            let mut step_pos = 2 * (q - r) - 2;
+            let mut cell_pos = seg_p + (q - r - 2);
+            for p in r + 1..q {
+                let cand = vr.add(crow[step_pos]);
+                let cell = &mut next_row[cell_pos];
+                if cand < *cell {
+                    *cell = cand;
+                }
+                step_pos += q - p - 1;
+                cell_pos += d - (p - i) - 1;
+            }
         }
+        seg_r = seg_p;
     }
 
-    finish_row_stats(ctx, i, j, prev_row, next_row, &mut stats);
+    count_row_writes(prev_row, next_row, &mut stats);
     stats
 }
 
-/// Count the actual writes of a min-accumulated row: the nested cells
-/// whose value in `next_row` now differs from (i.e. improved on)
-/// `prev_row`, and set the row's changed bit accordingly.
-fn finish_row_stats<W: Weight>(
-    ctx: &SquareCtx<'_, W>,
-    i: usize,
-    j: usize,
-    prev_row: &[W],
-    next_row: &[W],
-    stats: &mut OpStats,
-) {
-    for p in i..j {
-        let seg = ctx.idx.segment(p, p + 1, j);
-        for (new, old) in next_row[seg.clone()].iter().zip(&prev_row[seg]) {
-            if new != old {
-                stats.writes += 1;
-            }
+/// Count the actual writes of a min-accumulated row: the cells whose
+/// value in `next_row` now differs from (i.e. improved on) `prev_row`,
+/// and set the row's changed bit accordingly.
+fn count_row_writes<W: Weight>(prev_row: &[W], next_row: &[W], stats: &mut OpStats) {
+    for (new, old) in next_row.iter().zip(prev_row) {
+        if new != old {
+            stats.writes += 1;
         }
     }
     stats.changed = stats.writes > 0;
@@ -547,24 +514,19 @@ pub fn a_square_rytter_with<W: Weight>(
     exec: &ExecBackend,
 ) -> OpStats {
     let dim = prev.dim();
-    let ctx = SquareCtx {
-        idx: prev.indexer().clone(),
-        prev: prev.as_slice(),
-        dim,
-    };
-    let tiled = strategy.tile_for(dim).is_some();
+    let streamed = strategy.tile_for(dim).is_some();
     let process_row = |a: usize, next_row: &mut [W], _: &mut [()]| -> OpStats {
-        if tiled {
-            rytter_row_streamed(&ctx, a, next_row)
+        if streamed {
+            rytter_row_streamed(prev, a, next_row)
         } else {
-            rytter_row_naive(&ctx, a, next_row)
+            rytter_row_naive(prev, a, next_row)
         }
     };
     // No per-row flags here: the side partition is zero-sized, so it
     // allocates nothing.
     let mut unit = vec![(); dim];
     exec.map_reduce(
-        DisjointPartsMut::uniform(next.as_mut_slice(), dim),
+        next.rows_mut(),
         DisjointPartsMut::uniform(&mut unit, 1),
         1,
         process_row,
@@ -573,70 +535,76 @@ pub fn a_square_rytter_with<W: Weight>(
     )
 }
 
-/// Reference kernel: per-cell gather over every intermediate gap.
-fn rytter_row_naive<W: Weight>(ctx: &SquareCtx<'_, W>, a: usize, next_row: &mut [W]) -> OpStats {
-    let (i, j) = ctx.idx.pair(a);
-    let prev_row = ctx.prev_row(a);
-    next_row.copy_from_slice(prev_row);
+/// Reference kernel: per-cell gather over every intermediate gap through
+/// the [`DensePw::get`] accessor.
+fn rytter_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) -> OpStats {
+    let (i, j) = prev.indexer().pair(a);
     let mut stats = OpStats::default();
+    let mut pos = 0;
     for p in i..j {
         for q in p + 1..=j {
-            let b = ctx.idx.index(p, q);
-            let old = prev_row[b];
+            let old = prev.get(i, j, p, q);
             let mut best = old;
             for r in i..=p {
                 for s in q.max(r + 1)..=j {
-                    let c = ctx.idx.index(r, s);
-                    let cand = prev_row[c].add(ctx.prev[c * ctx.dim + b]);
-                    best = best.min2(cand);
+                    best = best.min2(prev.get(i, j, r, s).add(prev.get(r, s, p, q)));
                     stats.candidates += 1;
                 }
             }
             if best < old {
-                next_row[b] = best;
                 stats.writes += 1;
             }
+            next_row[pos] = best;
+            pos += 1;
         }
     }
     stats.changed = stats.writes > 0;
     stats
 }
 
-/// Streaming kernel: intermediate-major enumeration. For an intermediate
-/// gap `(r, s)` the compatible cells are exactly the pairs nested in
-/// `(r, s)`, one contiguous segment per left endpoint — so each
-/// intermediate row is read once, forward, instead of being gathered
-/// from by `O(n^2)` distant cells. Intermediates whose partial weight is
-/// still infinite are counted in bulk and skipped.
-fn rytter_row_streamed<W: Weight>(ctx: &SquareCtx<'_, W>, a: usize, next_row: &mut [W]) -> OpStats {
-    let (i, j) = ctx.idx.pair(a);
-    let prev_row = ctx.prev_row(a);
+/// Streaming kernel: intermediate-major enumeration. The cells
+/// compatible with an intermediate gap `(r, s)` are exactly the pairs
+/// nested in `(r, s)`: for each `p`, the head `(p, p+1 ..= s)` of root
+/// segment `p - i`, paired with the whole segment `p - r` of row
+/// `(r, s)`. So each intermediate row is read once, front to back, and
+/// both segment starts advance by a segment length. Intermediates whose
+/// partial weight is still infinite are counted in bulk and skipped.
+fn rytter_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) -> OpStats {
+    let idx = prev.indexer();
+    let (i, j) = idx.pair(a);
+    let d = j - i;
+    let prev_row = prev.row(a);
     next_row.copy_from_slice(prev_row);
     let mut stats = OpStats::default();
+    // Root-row offset of segment r - i.
+    let mut seg_r = 0;
     for r in i..j {
-        let r_base = ctx.idx.index(r, r + 1);
+        let c_base = idx.index(r, r + 1);
         for s in r + 1..=j {
-            let c = r_base + (s - r - 1);
-            let vc = prev_row[c];
+            let vc = prev_row[seg_r + (s - r - 1)];
             let width = (s - r) as u64;
+            stats.candidates += width * (width + 1) / 2;
             if !vc.is_finite_cost() {
-                stats.candidates += width * (width + 1) / 2;
                 continue;
             }
-            let crow = &ctx.prev[c * ctx.dim..];
+            let crow = prev.row(c_base + (s - r - 1));
+            let (mut cell_seg, mut step_seg) = (seg_r, 0);
             for p in r..s {
-                let seg = ctx.idx.segment(p, p + 1, s);
-                stats.candidates += (s - p) as u64;
-                for (cell, &step) in next_row[seg.clone()].iter_mut().zip(&crow[seg]) {
+                let len = s - p;
+                let cells = &mut next_row[cell_seg..cell_seg + len];
+                for (cell, &step) in cells.iter_mut().zip(&crow[step_seg..step_seg + len]) {
                     let cand = vc.add(step);
                     if cand < *cell {
                         *cell = cand;
                     }
                 }
+                cell_seg += d - (p - i);
+                step_seg += len;
             }
         }
+        seg_r += d - (r - i);
     }
-    finish_row_stats(ctx, i, j, prev_row, next_row, &mut stats);
+    count_row_writes(prev_row, next_row, &mut stats);
     stats
 }
 
@@ -701,8 +669,7 @@ pub fn a_pebble_dense_scheduled<W: Weight>(
 ) -> (OpStats, Vec<bool>) {
     let n = w_prev.n();
     let idx = pw.indexer().clone();
-    let dim = pw.dim();
-    let pw_data = pw.as_slice();
+    let w_cells = w_prev.as_slice();
     let flag_spans = pebble_flag_spans(&idx);
     let mut flags = vec![false; idx.len()];
     let process_w_row = |i: usize, out_row: &mut [W], flags: &mut [bool]| -> OpStats {
@@ -717,19 +684,23 @@ pub fn a_pebble_dense_scheduled<W: Weight>(
                 *out_cell = old;
                 continue;
             }
-            let row = &pw_data[a * dim..(a + 1) * dim];
-            let mut best = old; // the (p,q) = (i,j) candidate: pw = 0
+            // Walk the row in storage order: segment p - i pairs the gaps
+            // (p, p+1 ..= j) with w'(p, p+1 ..= j), contiguous in both
+            // tables. The (i,j) gap itself (pw' = 0) is the free
+            // candidate `old` already holds; re-evaluating it cannot
+            // undercut `old`, so it is left in the walk but not counted.
+            let row = pw.row(a);
+            let mut best = old;
+            let mut pos = 0;
             for p in i..j {
-                for q in p + 1..=j {
-                    if p == i && q == j {
-                        continue;
-                    }
-                    let b = idx.index(p, q);
-                    let cand = row[b].add(w_prev.get(p, q));
-                    best = best.min2(cand);
-                    stats.candidates += 1;
+                let len = j - p;
+                let w_seg = &w_cells[p * (n + 1) + p + 1..][..len];
+                for (&pwv, &wv) in row[pos..pos + len].iter().zip(w_seg) {
+                    best = best.min2(pwv.add(wv));
                 }
+                pos += len;
             }
+            stats.candidates += (row.len() - 1) as u64;
             if best < old {
                 stats.changed = true;
                 stats.writes += 1;
@@ -777,11 +748,9 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 ) -> (OpStats, Vec<bool>) {
     let band = pw.band();
     let idx = pw.indexer().clone();
-    // Hoisted per-op tables: the inverse pair lookup (a binary search in
-    // `PairIndexer::pair`) and the ragged row spans, computed once here
-    // instead of once per row / per cell.
+    // Hoisted per-op table: the inverse pair lookup (a binary search in
+    // `PairIndexer::pair`), computed once here instead of once per row.
     let pairs: Vec<(usize, usize)> = idx.pairs().collect();
-    let spans: Vec<(usize, usize)> = (0..idx.len()).map(|a| pw.row_span(a)).collect();
     let process_row = |a: usize, row: &mut [W]| -> (OpStats, bool) {
         let (i, j) = pairs[a];
         let d = j - i;
@@ -822,12 +791,7 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
         }
         (stats, stats.changed)
     };
-    map_rows_flagged(
-        exec,
-        DisjointPartsMut::new(pw.as_mut_slice(), &spans),
-        1,
-        process_row,
-    )
+    map_rows_flagged(exec, pw.rows_mut(), 1, process_row)
 }
 
 /// `a-square` over banded storage with the §5 `O(sqrt n)` composition
@@ -871,9 +835,8 @@ pub fn a_square_banded_scheduled<W: Weight>(
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
     let idx = prev.indexer().clone();
-    // Hoisted per-op tables (see `a_activate_banded_tracked`).
+    // Hoisted per-op table (see `a_activate_banded_tracked`).
     let pairs: Vec<(usize, usize)> = idx.pairs().collect();
-    let spans: Vec<(usize, usize)> = (0..idx.len()).map(|a| next.row_span(a)).collect();
     let streamed = strategy.tile_for(idx.len()).is_some();
     let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
         if skip.is_some_and(|mask| mask[a]) {
@@ -891,12 +854,7 @@ pub fn a_square_banded_scheduled<W: Weight>(
     // With a skip mask many rows degrade to memcpys; coarsen the block
     // floor so claim overhead is amortised (as in the dense scheduler).
     let grain = if skip.is_some() { 8 } else { 1 };
-    map_rows_flagged(
-        exec,
-        DisjointPartsMut::new(next.as_mut_slice(), &spans),
-        grain,
-        process_row,
-    )
+    map_rows_flagged(exec, next.rows_mut(), grain, process_row)
 }
 
 /// Reference kernel: per-cell gathers through the bounds-checked
@@ -1071,12 +1029,7 @@ fn banded_square_row_streamed<W: Weight>(
     // Writes = cells that improved; min-accumulation is monotone, so
     // "differs from prev" and "improved" coincide (cf. the naive kernel's
     // best < old test).
-    for (new, old) in next_row.iter().zip(prev_row) {
-        if new != old {
-            stats.writes += 1;
-        }
-    }
-    stats.changed = stats.writes > 0;
+    count_row_writes(prev_row, next_row, &mut stats);
     stats
 }
 
@@ -1262,6 +1215,39 @@ mod tests {
             assert!(seq.table_eq(&par), "{backend}");
         }
         assert!(seq.table_eq(&solve_sequential(&p)));
+    }
+
+    #[test]
+    fn dense_row_parts_agree_across_backends() {
+        // Every dense op hands each task one ragged compact row; on a
+        // miri-sized instance the pool must reproduce the sequential
+        // tables, stats and flags of activate, both squares and pebble.
+        let p = chain(vec![4, 7, 2, 9, 3, 5]);
+        let n = p.n();
+        let run = |exec: &ExecBackend| {
+            let mut w = WTable::new(n);
+            for i in 0..n {
+                w.set(i, i + 1, p.init(i));
+            }
+            let mut pw = DensePw::new(n);
+            let mut steps = Vec::new();
+            for _ in 0..2 * pardp_pebble::ceil_sqrt(n as u64) {
+                let act = a_activate_dense_tracked(&p, &w, &mut pw, exec);
+                let mut next = DensePw::new(n);
+                let sq = a_square_dense_scheduled(&pw, &mut next, SquareStrategy::Auto, None, exec);
+                let mut full = DensePw::new(n);
+                let ry = a_square_rytter_with(&pw, &mut full, SquareStrategy::Auto, exec);
+                let mut w_next = w.clone();
+                let pb = a_pebble_dense_scheduled(&next, &w, &mut w_next, None, exec);
+                steps.push((act, sq, ry, pb, full.as_slice().to_vec()));
+                pw = next;
+                w = w_next;
+            }
+            (steps, pw.as_slice().to_vec(), w)
+        };
+        let seq = run(&SEQ);
+        assert_eq!(run(&ExecBackend::Threads(2)), seq);
+        assert_eq!(seq.2.root(), solve_sequential(&p).root());
     }
 
     #[test]

@@ -162,13 +162,11 @@ pub fn solve_pw_oracle<W: Weight, P: DpProblem<W> + ?Sized>(
     for d in 2..=n {
         for i in 0..=n - d {
             let j = i + d;
-            let a = pw.indexer().index(i, j);
             for p in i..j {
                 for q in p + 1..=j {
                     if p == i && q == j {
                         continue;
                     }
-                    let b = pw.indexer().index(p, q);
                     let mut best = W::INFINITY;
                     for k in i + 1..j {
                         if q <= k {
@@ -190,7 +188,7 @@ pub fn solve_pw_oracle<W: Weight, P: DpProblem<W> + ?Sized>(
                             best = best.min2(problem.f(i, k, j).add(w.get(i, k)).add(inner));
                         }
                     }
-                    pw.set_ab(a, b, best);
+                    pw.set(i, j, p, q, best);
                 }
             }
         }

@@ -133,9 +133,10 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 pub const DEFAULT_MAX_CELLS: usize = 512 * 513 / 2;
 
 /// Default admission cap for the dense-table algorithms (sublinear §2,
-/// Rytter), whose `pw` table is *quadratic* in the cell count (n = 96 ⇒
-/// ~4.7k cells ⇒ ~22M `pw` entries). Larger instances should use the
-/// banded §5 solver or a sequential baseline.
+/// Rytter), whose `pw` table grows as `n^4 / 24` (n = 96 ⇒ ~4.7k cells
+/// ⇒ 3.76M `pw` entries per buffer, 57 MiB for a solve's two `u64`
+/// buffers). Larger instances should use the banded §5 solver or a
+/// sequential baseline.
 pub const DEFAULT_MAX_DENSE_CELLS: usize = 96 * 97 / 2;
 
 /// Default cap on one request line in bytes (1 MiB). A line longer than

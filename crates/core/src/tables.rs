@@ -3,18 +3,19 @@
 //! * [`PairIndexer`] maps interval pairs `(i,j)`, `0 <= i < j <= n`, to a
 //!   dense index `0..P` with `P = n(n+1)/2` — the node names of the paper.
 //! * [`WTable`] holds `w'` as a flat `(n+1)^2` square (simple indexing).
-//! * [`DensePw`] holds `pw'` as a `P x P` matrix over pair indices: row
-//!   `(i,j)`, column `(p,q)`. Only *nested* cells (`i <= p < q <= j`) are
-//!   meaningful; all others stay `INFINITY` forever. This layout makes the
-//!   paper's `a-square` a (restricted) min-plus matrix product and
-//!   Rytter's square \[8\] a full min-plus matrix square over the same
-//!   storage.
+//! * [`DensePw`] holds `pw'` as one compact row per root pair `(i,j)`:
+//!   exactly the `d(d+1)/2` gaps `(p,q)` nested in it (`i <= p < q <= j`,
+//!   `d = j - i`), one segment per left endpoint — `C(n+3, 4)` cells in
+//!   all, where a `P x P` matrix over pair indices would need `P^2`
+//!   (5.5× more at n = 42, tending to 6×). Both the paper's restricted
+//!   `a-square` and Rytter's full square \[8\] run over it.
 //! * [`BandedPw`] holds only the §5 band `(j-i) - (q-p) <= B` with
 //!   `B = 2 ceil(sqrt(n))`: `O(n^3)` memory instead of `O(n^4)`, realizing
 //!   the processor reduction's observation that the optimal-tree pebbling
 //!   never needs a partial weight whose gap lags the root by more than
 //!   `2 sqrt(n)` leaves.
 
+use crate::exec::disjoint::DisjointPartsMut;
 use crate::weight::Weight;
 
 /// Dense indexing of interval pairs `(i, j)` with `0 <= i < j <= n`.
@@ -94,23 +95,6 @@ impl PairIndexer {
     /// Iterate all pairs in index order.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n).flat_map(move |i| (i + 1..=self.n).map(move |j| (i, j)))
-    }
-
-    /// The contiguous index range of the pairs `(p, q)` with
-    /// `q ∈ q_lo..=q_hi` — pairs sharing a left endpoint are adjacent in
-    /// index space, which the blocked `a-square` kernels exploit for
-    /// streaming (rather than gathered) access.
-    ///
-    /// Requires `p < q_lo <= q_hi <= n`.
-    #[inline]
-    pub fn segment(&self, p: usize, q_lo: usize, q_hi: usize) -> std::ops::Range<usize> {
-        debug_assert!(
-            p < q_lo && q_lo <= q_hi && q_hi <= self.n,
-            "invalid segment p={p} q={q_lo}..={q_hi} for n={}",
-            self.n
-        );
-        let start = self.index(p, q_lo);
-        start..start + (q_hi - q_lo) + 1
     }
 
     /// Close a per-pair mask under nesting: afterwards `mask[a]` is set
@@ -222,15 +206,73 @@ impl<W: Weight> WTable<W> {
     }
 }
 
-/// Dense `pw'` storage: a `P x P` matrix over pair indices.
+/// Where each root's row sits in a ragged `pw'` buffer: rows, one per
+/// root pair `(i,j)`, are concatenated in [`PairIndexer`] order and row
+/// `a` occupies `spans[a]`. [`DensePw`] and [`BandedPw`] share it and
+/// differ only in how many cells a row of width `d = j - i` holds.
+#[derive(Debug, Clone)]
+struct RowSpans(Vec<(usize, usize)>);
+
+impl RowSpans {
+    /// Spans of rows holding `row_len(d)` cells each.
+    fn new(idx: &PairIndexer, row_len: impl Fn(usize) -> usize) -> Self {
+        let mut end = 0;
+        RowSpans(
+            idx.pairs()
+                .map(|(i, j)| {
+                    let start = end;
+                    end += row_len(j - i);
+                    (start, end)
+                })
+                .collect(),
+        )
+    }
+
+    /// Total cells over all rows.
+    fn cells(&self) -> usize {
+        self.0.last().map_or(0, |&(_, end)| end)
+    }
+
+    #[inline]
+    fn start(&self, a: usize) -> usize {
+        self.0[a].0
+    }
+
+    #[inline]
+    fn range(&self, a: usize) -> std::ops::Range<usize> {
+        let (start, end) = self.0[a];
+        start..end
+    }
+}
+
+/// Dense `pw'` storage: every gap nested in each root, and nothing else.
 ///
-/// Row `a = (i,j)`, column `b = (p,q)`; the cell is meaningful iff `(p,q)`
-/// is **nested** in `(i,j)` (`i <= p < q <= j`). The diagonal is
-/// `pw'(i,j,i,j) = 0`; all non-nested cells stay `INFINITY` and act as
-/// neutral elements in min-plus compositions.
+/// # Layout
+///
+/// Row `(i,j)`, `d = j - i`, holds the `d(d+1)/2` gaps `(p,q)` with
+/// `i <= p < q <= j` as `d` *segments*, one per left endpoint: segment
+/// `k = p - i` holds `(p, p+1 ..= j)` and starts at
+/// [`segment_offset(d, k)`](Self::segment_offset)
+/// `= S(k) = k d - k(k-1)/2`, so gap `(p,q)` sits at
+/// `S(p - i) + (q - p - 1)`. Rows are concatenated in [`PairIndexer`]
+/// order ([`Self::row_span`] / [`Self::row`]), `C(n+3, 4)` cells in all.
+/// Two kernel consequences:
+///
+/// * gaps sharing a left endpoint are **adjacent cells**, both in the
+///   root's row and in segment 0 of an intermediate's row, so
+///   `a-square`'s `s`-family streams;
+/// * the `r`-family operand `pw'(r,q,p,q)` is the *last* cell of segment
+///   `p - r` of row `(r,q)`, so walking `p` upwards moves both that
+///   operand and the updated cell `(p,q)` by a stride that shrinks by one
+///   per step.
+///
+/// The diagonal `pw'(i,j,i,j) = 0` is the last cell of segment 0; every
+/// other cell starts at `INFINITY`, the neutral element of the min-plus
+/// compositions. Gaps that are not nested in the root have no cell.
 #[derive(Debug, Clone)]
 pub struct DensePw<W> {
     idx: PairIndexer,
+    rows: RowSpans,
     data: Vec<W>,
 }
 
@@ -238,12 +280,12 @@ impl<W: Weight> DensePw<W> {
     /// Fresh table: diagonal zero, everything else infinity.
     pub fn new(n: usize) -> Self {
         let idx = PairIndexer::new(n);
-        let p = idx.len();
-        let mut data = vec![W::INFINITY; p * p];
-        for a in 0..p {
-            data[a * p + a] = W::ZERO;
+        let rows = RowSpans::new(&idx, |d| d * (d + 1) / 2);
+        let mut data = vec![W::INFINITY; rows.cells()];
+        for (a, (i, j)) in idx.pairs().enumerate() {
+            data[rows.start(a) + (j - i - 1)] = W::ZERO;
         }
-        DensePw { idx, data }
+        DensePw { idx, rows, data }
     }
 
     /// The pair indexer.
@@ -252,49 +294,91 @@ impl<W: Weight> DensePw<W> {
         &self.idx
     }
 
-    /// Number of pairs `P` (the matrix dimension).
+    /// Number of pairs `P`: one row per pair.
     #[inline]
     pub fn dim(&self) -> usize {
         self.idx.len()
     }
 
-    /// Read `pw'(i,j,p,q)` by pair indices.
+    /// Total stored cells: `C(n+3, 4)`, the nested `(root, gap)` pairs.
     #[inline]
+    pub fn stored_cells(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Offset of segment `k` (the gaps `(i + k, ·)`) within a row of width
+    /// `d`: `S(k) = k d - k(k-1)/2`. Segment `k` holds `d - k` cells, so
+    /// `S(k + 1) = S(k) + d - k`.
+    #[inline]
+    pub const fn segment_offset(d: usize, k: usize) -> usize {
+        k * (2 * d + 1 - k) / 2
+    }
+
+    /// Flat position of gap `(p,q)` of root `(i,j)`.
+    #[inline]
+    fn cell(&self, i: usize, j: usize, p: usize, q: usize) -> usize {
+        debug_assert!(
+            i <= p && p < q && q <= j,
+            "gap ({p},{q}) not nested in ({i},{j})"
+        );
+        self.rows.start(self.idx.index(i, j)) + Self::segment_offset(j - i, p - i) + (q - p - 1)
+    }
+
+    /// Read `pw'(i,j,p,q)` by pair indices; a gap `b` that is not nested
+    /// in the root `a` reads `INFINITY`.
     pub fn get_ab(&self, a: usize, b: usize) -> W {
-        self.data[a * self.idx.len() + b]
+        let ((i, j), (p, q)) = (self.idx.pair(a), self.idx.pair(b));
+        if i <= p && q <= j {
+            self.get(i, j, p, q)
+        } else {
+            W::INFINITY
+        }
     }
 
     /// Write by pair indices.
-    #[inline]
+    ///
+    /// # Panics
+    /// If gap `b` is not nested in root `a`: there is no cell to write.
     pub fn set_ab(&mut self, a: usize, b: usize, v: W) {
-        let p = self.idx.len();
-        self.data[a * p + b] = v;
+        let ((i, j), (p, q)) = (self.idx.pair(a), self.idx.pair(b));
+        assert!(
+            i <= p && q <= j,
+            "gap ({p},{q}) is not nested in ({i},{j}), so it has no cell"
+        );
+        self.set(i, j, p, q, v);
     }
 
     /// Read `pw'(i,j,p,q)` by interval endpoints.
     #[inline]
     pub fn get(&self, i: usize, j: usize, p: usize, q: usize) -> W {
-        debug_assert!(
-            i <= p && p < q && q <= j,
-            "gap ({p},{q}) not nested in ({i},{j})"
-        );
-        self.get_ab(self.idx.index(i, j), self.idx.index(p, q))
+        self.data[self.cell(i, j, p, q)]
     }
 
     /// Write by interval endpoints.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, p: usize, q: usize, v: W) {
-        debug_assert!(i <= p && p < q && q <= j);
-        let a = self.idx.index(i, j);
-        let b = self.idx.index(p, q);
-        self.set_ab(a, b, v);
+        let c = self.cell(i, j, p, q);
+        self.data[c] = v;
     }
 
-    /// Immutable row `a` (length `P`).
+    /// Immutable row of pair index `a`: the compact row of its `d(d+1)/2`
+    /// nested gaps, segment-major (see the type-level layout notes), not
+    /// a `P`-long row over pair indices.
     #[inline]
     pub fn row(&self, a: usize) -> &[W] {
-        let p = self.idx.len();
-        &self.data[a * p..(a + 1) * p]
+        &self.data[self.rows.range(a)]
+    }
+
+    /// Row span (offset range in the backing slice) of pair index `a`.
+    #[inline]
+    pub fn row_span(&self, a: usize) -> (usize, usize) {
+        self.rows.0[a]
+    }
+
+    /// The rows as disjoint mutable parts, one per pair index, for the
+    /// row-parallel ops.
+    pub(crate) fn rows_mut(&mut self) -> DisjointPartsMut<'_, W> {
+        DisjointPartsMut::new(&mut self.data, &self.rows.0)
     }
 
     /// The full backing slice (rows concatenated).
@@ -322,8 +406,8 @@ impl<W: Weight> DensePw<W> {
 /// # Layout
 ///
 /// Rows (one per root pair `(i,j)`, in [`PairIndexer`] order) are
-/// concatenated in one flat buffer; [`Self::row_span`] / [`Self::row`]
-/// recover a row's slice. Within a row with `d = j - i`, the stored gaps
+/// concatenated in one flat buffer, as in [`DensePw`]; [`Self::row_span`]
+/// / [`Self::row`] recover a row's slice. Within a row with `d = j - i`, the stored gaps
 /// are grouped by *eccentricity* `e = d - (q - p)`
 /// (`0 <= e <= emax = min(d-1, band)`): block `e` starts at offset
 /// [`block_offset(e)`](Self::block_offset) `= e(e+1)/2` within the row
@@ -342,8 +426,7 @@ impl<W: Weight> DensePw<W> {
 pub struct BandedPw<W> {
     idx: PairIndexer,
     band: usize,
-    /// Start of each pair's row in `data`, plus one trailing end offset.
-    row_offsets: Vec<u64>,
+    rows: RowSpans,
     data: Vec<W>,
 }
 
@@ -353,25 +436,16 @@ impl<W: Weight> BandedPw<W> {
     /// infinity.
     pub fn new(n: usize, band: usize) -> Self {
         let idx = PairIndexer::new(n);
-        let p = idx.len();
-        let mut row_offsets = Vec::with_capacity(p + 1);
-        let mut acc = 0u64;
-        for (i, j) in idx.pairs() {
-            row_offsets.push(acc);
-            let d = j - i;
-            let emax = (d - 1).min(band);
-            acc += ((emax + 1) * (emax + 2) / 2) as u64;
-        }
-        row_offsets.push(acc);
-        let mut data = vec![W::INFINITY; acc as usize];
+        let rows = RowSpans::new(&idx, |d| Self::block_offset((d - 1).min(band) + 1));
+        let mut data = vec![W::INFINITY; rows.cells()];
         // Diagonal (e = 0, p = i) is the first cell of each row.
-        for a in 0..p {
-            data[row_offsets[a] as usize] = W::ZERO;
+        for a in 0..idx.len() {
+            data[rows.start(a)] = W::ZERO;
         }
         BandedPw {
             idx,
             band,
-            row_offsets,
+            rows,
             data,
         }
     }
@@ -422,15 +496,13 @@ impl<W: Weight> BandedPw<W> {
     /// eccentricity-block order (see the type-level layout notes).
     #[inline]
     pub fn row(&self, a: usize) -> &[W] {
-        debug_assert!(a < self.idx.len(), "pair index {a} out of range");
-        &self.data[self.row_offsets[a] as usize..self.row_offsets[a + 1] as usize]
+        &self.data[self.rows.range(a)]
     }
 
     /// Mutable row of pair index `a` (see [`Self::row`]).
     #[inline]
     pub fn row_mut(&mut self, a: usize) -> &mut [W] {
-        debug_assert!(a < self.idx.len(), "pair index {a} out of range");
-        &mut self.data[self.row_offsets[a] as usize..self.row_offsets[a + 1] as usize]
+        &mut self.data[self.rows.range(a)]
     }
 
     #[inline]
@@ -438,8 +510,8 @@ impl<W: Weight> BandedPw<W> {
         let a = self.idx.index(i, j);
         let e = (j - i) - (q - p);
         debug_assert!(e <= self.band);
-        let c = self.row_offsets[a] as usize + Self::block_offset(e) + (p - i);
-        debug_assert!(c < self.row_offsets[a + 1] as usize, "cell outside row");
+        let c = self.rows.start(a) + Self::block_offset(e) + (p - i);
+        debug_assert!(c < self.rows.range(a).end, "cell outside row");
         c
     }
 
@@ -467,10 +539,13 @@ impl<W: Weight> BandedPw<W> {
     /// row partitioning.
     #[inline]
     pub fn row_span(&self, a: usize) -> (usize, usize) {
-        (
-            self.row_offsets[a] as usize,
-            self.row_offsets[a + 1] as usize,
-        )
+        self.rows.0[a]
+    }
+
+    /// The rows as disjoint mutable parts, one per pair index, for the
+    /// row-parallel ops.
+    pub(crate) fn rows_mut(&mut self) -> DisjointPartsMut<'_, W> {
+        DisjointPartsMut::new(&mut self.data, &self.rows.0)
     }
 
     /// The full backing slice.
@@ -522,20 +597,6 @@ mod tests {
         assert_eq!(idx.index(1, 2), 4);
         assert_eq!(idx.index(3, 4), 9);
         assert_eq!(idx.pair(9), (3, 4));
-    }
-
-    #[test]
-    fn segment_matches_index() {
-        let idx = PairIndexer::new(9);
-        for p in 0..9 {
-            for q_lo in p + 1..=9 {
-                for q_hi in q_lo..=9 {
-                    let seg = idx.segment(p, q_lo, q_hi);
-                    let expect: Vec<usize> = (q_lo..=q_hi).map(|q| idx.index(p, q)).collect();
-                    assert_eq!(seg.collect::<Vec<_>>(), expect, "p={p} {q_lo}..={q_hi}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -607,7 +668,101 @@ mod tests {
         let a = pw.indexer().index(0, 5);
         let b = pw.indexer().index(1, 3);
         assert_eq!(pw.get_ab(a, b), 7);
-        assert_eq!(pw.row(a)[b], 7);
+        // Gap (1,3) of root (0,5): segment 1, second cell.
+        assert_eq!(pw.row(a)[DensePw::<u64>::segment_offset(5, 1) + 1], 7);
+    }
+
+    #[test]
+    fn dense_layout_roundtrip() {
+        // A distinct value in every nested cell reads back through get,
+        // get_ab and the in-row position S(p - i) + (q - p - 1).
+        for n in [1usize, 2, 5, 9, 13] {
+            let mut pw = DensePw::<u64>::new(n);
+            let idx = PairIndexer::new(n);
+            let nested = |i, j| (i..j).flat_map(move |p| (p + 1..=j).map(move |q| (p, q)));
+            let mut v = 1u64;
+            for (i, j) in idx.pairs() {
+                for (p, q) in nested(i, j) {
+                    pw.set(i, j, p, q, v);
+                    v += 1;
+                }
+            }
+            let mut v2 = 1u64;
+            for (i, j) in idx.pairs() {
+                let a = idx.index(i, j);
+                for (p, q) in nested(i, j) {
+                    let pos = DensePw::<u64>::segment_offset(j - i, p - i) + (q - p - 1);
+                    assert_eq!(pos, v2 as usize - 1 - pw.row_span(a).0, "storage order");
+                    assert_eq!(pw.get(i, j, p, q), v2, "({i},{j},{p},{q})");
+                    assert_eq!(pw.get_ab(a, idx.index(p, q)), v2);
+                    assert_eq!(pw.row(a)[pos], v2);
+                    v2 += 1;
+                }
+                let d = j - i;
+                assert_eq!(pw.row(a).len(), d * (d + 1) / 2, "row ({i},{j}) length");
+            }
+            assert_eq!(v2 as usize - 1, pw.stored_cells());
+        }
+    }
+
+    #[test]
+    fn dense_non_nested_gaps_read_infinity() {
+        let pw = DensePw::<u64>::new(6);
+        let idx = pw.indexer();
+        let inf = <u64 as Weight>::INFINITY;
+        // (3,5) overlaps (1,4); (0,2) lies left of (3,6); (0,6) contains
+        // (2,4) rather than nesting in it.
+        for ((i, j), (p, q)) in [((1, 4), (3, 5)), ((3, 6), (0, 2)), ((2, 4), (0, 6))] {
+            assert_eq!(pw.get_ab(idx.index(i, j), idx.index(p, q)), inf);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not nested")]
+    fn dense_non_nested_set_ab_panics() {
+        let mut pw = DensePw::<u64>::new(6);
+        let (a, b) = (pw.indexer().index(1, 4), pw.indexer().index(3, 5));
+        pw.set_ab(a, b, 1);
+    }
+
+    #[test]
+    fn dense_row_spans_partition_data() {
+        let pw = DensePw::<u64>::new(8);
+        let mut end_prev = 0usize;
+        for (a, (i, j)) in pw.indexer().pairs().enumerate() {
+            let (s, e) = pw.row_span(a);
+            assert_eq!(s, end_prev);
+            assert_eq!(e - s, (j - i) * (j - i + 1) / 2);
+            end_prev = e;
+        }
+        assert_eq!(end_prev, pw.stored_cells());
+        assert_eq!(end_prev, pw.as_slice().len());
+    }
+
+    #[test]
+    fn dense_stored_cells_are_c_n_plus_3_choose_4() {
+        for n in 1..=20usize {
+            let binom = (n + 3) * (n + 2) * (n + 1) * n / 24;
+            assert_eq!(DensePw::<u64>::new(n).stored_cells(), binom, "n={n}");
+        }
+        // The figures the layout notes quote.
+        for (n, cells) in [(42usize, 148_995usize), (44, 178_365)] {
+            assert_eq!(DensePw::<u64>::new(n).stored_cells(), cells);
+        }
+    }
+
+    #[test]
+    fn dense_fresh_table_has_only_zero_diagonals() {
+        let pw = DensePw::<u64>::new(7);
+        let zeros = pw.as_slice().iter().filter(|&&v| v == 0).count();
+        assert_eq!(zeros, pw.dim());
+        assert!(pw
+            .as_slice()
+            .iter()
+            .all(|&v| v == 0 || v == <u64 as Weight>::INFINITY));
+        for (i, j) in pw.indexer().pairs() {
+            assert_eq!(pw.get(i, j, i, j), 0);
+        }
     }
 
     #[test]
@@ -653,7 +808,7 @@ mod tests {
     #[test]
     fn banded_cell_count_is_cubic_not_quartic() {
         // With B = 2 ceil(sqrt(n)), cells should be O(n^3), far below the
-        // dense P^2 ~ n^4/4 figure.
+        // P^2 ~ n^4/4 cells of a full pair-indexed matrix.
         let n = 40usize;
         let b = 2 * ((n as f64).sqrt().ceil() as usize);
         let banded = BandedPw::<u64>::new(n, b);

@@ -6,7 +6,8 @@
 //! * on fresh tables, `candidates` matches the closed-form count derived
 //!   independently from the operation definitions;
 //! * the tiled and naive dense-square kernels produce bit-identical
-//!   tables and identical stats on every backend.
+//!   tables and identical stats on every backend, for `u64` and for
+//!   `f64` (compared by `to_bits`) alike.
 
 use pardp_core::ops::{
     a_activate_banded, a_activate_banded_tracked, a_activate_dense, a_pebble_banded,
@@ -18,6 +19,7 @@ use pardp_core::prelude::*;
 use pardp_core::problem::TabulatedProblem;
 use pardp_core::reduced::default_band;
 use pardp_core::tables::{BandedPw, DensePw, PairIndexer, WTable};
+use pardp_core::weight::Weight;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -31,8 +33,24 @@ fn instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<u64>> {
         .prop_map(move |(init, f)| TabulatedProblem::new(init, |i, k, j| f[(i * m + k) * m + j]))
 }
 
+/// Strategy: an `f64` instance whose costs are a quarter zeros and
+/// otherwise fractional, so warm tables hold zero-weight paths and ties.
+fn f64_instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<f64>> {
+    let m = n + 1;
+    let cost = |v: u64| if v < 4 { 0.0 } else { v as f64 * 0.37 };
+    (
+        proptest::collection::vec(0u64..16, n),
+        proptest::collection::vec(0u64..16, m * m * m),
+    )
+        .prop_map(move |(init, f)| {
+            TabulatedProblem::new(init.into_iter().map(cost).collect(), |i, k, j| {
+                cost(f[(i * m + k) * m + j])
+            })
+        })
+}
+
 /// Drive the dense ops for `iters` iterations from the initial state.
-fn warm_dense(p: &TabulatedProblem<u64>, iters: usize) -> (WTable<u64>, DensePw<u64>) {
+fn warm_dense<W: Weight>(p: &TabulatedProblem<W>, iters: usize) -> (WTable<W>, DensePw<W>) {
     let n = p.n();
     let mut w = WTable::new(n);
     for i in 0..n {
@@ -134,6 +152,57 @@ proptest! {
             let y_stats = a_square_rytter_with(&pw, &mut y_out, SquareStrategy::Auto, &backend);
             prop_assert_eq!(y_out.as_slice(), y_ref.as_slice(), "rytter tables diverge on {}", backend);
             prop_assert_eq!(y_stats, y_base, "rytter stats diverge on {}", backend);
+        }
+    }
+
+    #[test]
+    fn dense_squares_are_bitwise_identical_on_f64(
+        p in f64_instance_strategy(9),
+        iters in 0usize..4,
+        tile in 1usize..60,
+    ) {
+        // Every kernel keeps each cell's min order, so f64 tables match
+        // the naive sequential reference bit for bit, not just in value.
+        let (_, pw) = warm_dense(&p, iters);
+        let n = p.n();
+        let bits = |t: &DensePw<f64>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut reference = DensePw::new(n);
+        let (base, base_rows) = a_square_dense_scheduled(
+            &pw, &mut reference, SquareStrategy::Naive, None, &ExecBackend::Sequential,
+        );
+        let mut y_ref = DensePw::new(n);
+        let y_base = a_square_rytter_with(
+            &pw, &mut y_ref, SquareStrategy::Naive, &ExecBackend::Sequential,
+        );
+        for backend in [
+            ExecBackend::Sequential,
+            ExecBackend::Parallel,
+            ExecBackend::Threads(3),
+        ] {
+            for strategy in [
+                SquareStrategy::Naive,
+                SquareStrategy::Auto,
+                SquareStrategy::Tiled(tile),
+            ] {
+                let mut out = DensePw::new(n);
+                let (stats, rows) =
+                    a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
+                prop_assert_eq!(
+                    bits(&out), bits(&reference),
+                    "f64 tables diverge: {} on {}", strategy, backend
+                );
+                prop_assert_eq!(stats, base, "f64 stats diverge: {} on {}", strategy, backend);
+                prop_assert_eq!(&rows, &base_rows, "f64 row flags diverge: {} on {}", strategy, backend);
+            }
+            for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
+                let mut y_out = DensePw::new(n);
+                let y_stats = a_square_rytter_with(&pw, &mut y_out, strategy, &backend);
+                prop_assert_eq!(
+                    bits(&y_out), bits(&y_ref),
+                    "f64 rytter tables diverge: {} on {}", strategy, backend
+                );
+                prop_assert_eq!(y_stats, y_base, "f64 rytter stats diverge: {} on {}", strategy, backend);
+            }
         }
     }
 
