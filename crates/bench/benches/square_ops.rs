@@ -1,11 +1,14 @@
 //! Criterion benches at the operation level (E8 companion): one sweep of
-//! each square variant, and the activate/pebble passes, sequential vs
-//! rayon.
+//! each square variant (the dense square also with its naive reference
+//! and with every row skipped), and the activate/pebble passes,
+//! sequential vs rayon. Companion to the `exp_tiling` experiment binary,
+//! which measures the dense sweep at larger `n` with a JSON report.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pardp_apps::generators;
 use pardp_core::ops::{
-    a_activate_dense, a_pebble_dense, a_square_banded, a_square_dense, a_square_rytter,
+    a_activate_dense, a_pebble_dense, a_square_banded, a_square_dense, a_square_dense_scheduled,
+    a_square_rytter, SquareStrategy,
 };
 use pardp_core::prelude::ExecBackend;
 use pardp_core::problem::DpProblem;
@@ -46,6 +49,35 @@ fn bench_square_variants(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("restricted_rayon", n), &pw, |b, pw| {
             b.iter(|| black_box(a_square_dense(pw, &mut next, &ExecBackend::Parallel)))
         });
+        group.bench_with_input(BenchmarkId::new("restricted_naive_seq", n), &pw, |b, pw| {
+            b.iter(|| {
+                black_box(a_square_dense_scheduled(
+                    pw,
+                    &mut next,
+                    SquareStrategy::Naive,
+                    None,
+                    &ExecBackend::Sequential,
+                ))
+            })
+        });
+        // The dirty-row scheduler's post-convergence cost: every row is
+        // copied forward.
+        let skip_all = vec![true; pw.dim()];
+        group.bench_with_input(
+            BenchmarkId::new("restricted_skip_all_rows", n),
+            &pw,
+            |b, pw| {
+                b.iter(|| {
+                    black_box(a_square_dense_scheduled(
+                        pw,
+                        &mut next,
+                        SquareStrategy::Auto,
+                        Some(&skip_all),
+                        &ExecBackend::Sequential,
+                    ))
+                })
+            },
+        );
         group.bench_with_input(BenchmarkId::new("rytter_full_seq", n), &pw, |b, pw| {
             b.iter(|| black_box(a_square_rytter(pw, &mut next, &ExecBackend::Sequential)))
         });

@@ -118,9 +118,8 @@ fn main() {
             writes: base.writes,
             parity_ok: true,
         });
-        // Every non-naive strategy selects the same streamed kernel for
-        // the banded square (the row layout needs no tile subdivision),
-        // so one row covers them; Tiled(t)-vs-naive parity is proptested.
+        // The streamed kernel against the naive reference (their parity
+        // on every backend is also proptested).
         let mut out = BandedPw::new(n, band);
         let (stats, t) = time_best(reps, || {
             a_square_banded_scheduled(

@@ -1,6 +1,7 @@
-//! T1 — the tiled dense `a-square` (the `O(n^5)` hot path): wall-time
-//! and candidate counts per tile size, naive vs cache-blocked kernels,
-//! plus the solver-level payoff of convergence-aware row scheduling.
+//! T1 — the dense `a-square` (the `O(n^5)` hot path): wall-time and
+//! candidate counts of the naive reference and the streamed kernel
+//! (`auto`), plus the solver-level payoff of convergence-aware row
+//! scheduling.
 //!
 //! ```text
 //! exp_tiling [--quick] [--json PATH]
@@ -11,7 +12,7 @@
 //! machine-readable report (uploaded as a CI artifact so the perf
 //! trajectory accumulates run over run).
 //!
-//! Every kernel is parity-checked cell-for-cell against the naive
+//! The streamed kernel is parity-checked cell-for-cell against the naive
 //! reference before its timing is reported.
 
 use pardp_apps::generators;
@@ -85,51 +86,32 @@ fn main() {
 
     banner(
         "T1",
-        "tiled a-square: wall-time per tile size + dirty-row scheduling payoff",
+        "dense a-square: naive vs streamed wall-time + dirty-row scheduling payoff",
     );
 
     let sizes: &[usize] = if quick { &[64, 96] } else { &[64, 96, 128] };
     let reps = if quick { 1 } else { 2 };
-    let strategies: &[(&str, SquareStrategy)] = &[
-        ("naive", SquareStrategy::Naive),
-        ("tiled:16", SquareStrategy::Tiled(16)),
-        ("tiled:32", SquareStrategy::Tiled(32)),
-        ("tiled:64", SquareStrategy::Tiled(64)),
-        ("auto", SquareStrategy::Auto),
-    ];
 
     let mut kernels = Vec::new();
     for &n in sizes {
         let pw = warm_tables(n);
         let mut reference = DensePw::new(n);
-        let (base, t_base) = time_best(reps, || {
-            a_square_dense_scheduled(
-                &pw,
-                &mut reference,
-                SquareStrategy::Naive,
-                None,
-                &ExecBackend::Sequential,
-            )
-            .0
-        });
-        kernels.push(KernelRecord {
-            n,
-            kernel: "naive".to_string(),
-            seconds: t_base,
-            candidates: base.candidates,
-            writes: base.writes,
-            parity_ok: true,
-        });
         let mut out = DensePw::new(n);
-        for &(name, strategy) in &strategies[1..] {
-            let (stats, t) = time_best(reps, || {
-                a_square_dense_scheduled(&pw, &mut out, strategy, None, &ExecBackend::Sequential).0
-            });
-            let parity_ok = out.as_slice() == reference.as_slice() && stats == base;
+        let sweep = |strategy, next: &mut DensePw<u64>| {
+            time_best(reps, || {
+                a_square_dense_scheduled(&pw, next, strategy, None, &ExecBackend::Sequential).0
+            })
+        };
+        let (base, t_base) = sweep(SquareStrategy::Naive, &mut reference);
+        let (stats, t) = sweep(SquareStrategy::Auto, &mut out);
+        let parity_ok = out.as_slice() == reference.as_slice() && stats == base;
+        for (kernel, seconds, stats, parity_ok) in
+            [("naive", t_base, base, true), ("auto", t, stats, parity_ok)]
+        {
             kernels.push(KernelRecord {
                 n,
-                kernel: name.to_string(),
-                seconds: t,
+                kernel: kernel.to_string(),
+                seconds,
                 candidates: stats.candidates,
                 writes: stats.writes,
                 parity_ok,
@@ -212,7 +194,7 @@ fn main() {
             .chunks(2)
             .all(|pair| pair.len() == 2 && pair[0].value == pair[1].value);
     println!(
-        "\nall kernels parity-checked against naive: {}",
+        "\nstreamed kernel parity-checked against naive: {}",
         if all_ok { "ok" } else { "FAIL" }
     );
 

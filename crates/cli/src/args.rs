@@ -72,7 +72,7 @@ pub enum Parsed {
         /// accepted for algorithms with [`Algorithm::is_parallel`]).
         backend: Option<ExecBackend>,
         /// `a-square` kernel, if `--tile` was given explicitly (only
-        /// accepted for algorithms with [`Algorithm::supports_tile`]).
+        /// accepted for algorithms with [`Algorithm::is_iterative`]).
         tile: Option<SquareStrategy>,
         /// Print the witness structure.
         witness: bool,
@@ -170,21 +170,11 @@ pub enum Parsed {
     Help,
 }
 
-/// The names of all algorithms that accept `--backend`, comma-separated.
-fn parallel_algo_names() -> String {
+/// The names of all algorithms with capability `pred`, `" | "`-separated.
+fn algo_names(pred: fn(&Algorithm) -> bool) -> String {
     Algorithm::ALL
         .iter()
-        .filter(|a| a.is_parallel())
-        .map(|a| a.name())
-        .collect::<Vec<_>>()
-        .join(" | ")
-}
-
-/// The names of all algorithms that accept `--tile` / `--trace`.
-fn tile_algo_names() -> String {
-    Algorithm::ALL
-        .iter()
-        .filter(|a| a.supports_tile())
+        .filter(|a| pred(a))
         .map(|a| a.name())
         .collect::<Vec<_>>()
         .join(" | ")
@@ -262,18 +252,15 @@ CACHING (--cache DIR | --no-cache): persistent solution store.
   from it. --no-cache forces cold solves (the default). `pardp cache
   stat <dir>` prints record counts and sizes; `pardp cache clear <dir>`
   deletes the records. Knuth and --trace runs always solve cold.
-TILING (--tile): auto (default) | naive | <t>
+TILING (--tile): auto (default) | naive
   a-square kernel of the iterative solvers ({tile}):
-  flat-slice blocked/streamed with an auto-picked or explicit tile edge
-  (a positive integer, e.g. --tile 64), or the naive per-cell reference.
-  0 and other degenerate edges are rejected. The reduced and rytter
-  solvers need no tile subdivision, so any positive edge selects the
-  same streamed kernel as auto. All accepted choices produce identical
-  tables. Rejected for algorithms without an a-square kernel.
+  the streamed kernels (auto) or the naive per-cell reference. Both
+  produce identical tables. Any other value is rejected, and so is the
+  flag for algorithms without an a-square kernel.
 ",
         algos = Algorithm::listing(),
-        parallel = parallel_algo_names(),
-        tile = tile_algo_names(),
+        parallel = algo_names(Algorithm::is_parallel),
+        tile = algo_names(Algorithm::is_iterative),
         large_cells = pardp_core::batch::DEFAULT_LARGE_JOB_CELLS,
         queue = pardp_core::serve::DEFAULT_QUEUE_CAPACITY,
     )
@@ -698,7 +685,6 @@ mod tests {
         for (spec, expect) in [
             ("auto", SquareStrategy::Auto),
             ("naive", SquareStrategy::Naive),
-            ("32", SquareStrategy::Tiled(32)),
         ] {
             let p = parse(&argv(&format!("solve --tile {spec} chain 2,3,4"))).unwrap();
             match p {
@@ -706,13 +692,13 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        let err = parse(&argv("solve --tile blocky chain 2,3,4")).unwrap_err();
-        assert!(err.0.contains("unknown square strategy"), "{err}");
-        // Degenerate tile edges get a specific rejection, not a silent
-        // fallback to auto.
-        let err = parse(&argv("solve --tile 0 chain 2,3,4")).unwrap_err();
-        assert!(err.0.contains("degenerate"), "{err}");
-        assert!(err.0.contains("auto"), "{err}");
+        // Numeric edges, zero included, are rejected like any unknown
+        // name, with the accepted forms spelled out.
+        for bad in ["32", "0", "blocky"] {
+            let err = parse(&argv(&format!("solve --tile {bad} chain 2,3,4"))).unwrap_err();
+            assert!(err.0.contains("unknown square strategy"), "{err}");
+            assert!(err.0.contains("auto | naive"), "{err}");
+        }
     }
 
     #[test]
@@ -999,7 +985,7 @@ mod tests {
         let err = parse(&argv("solve --algo knuth --backend 4 chain 2,3,4")).unwrap_err();
         assert!(err.0.contains("--backend has no effect"), "{err}");
         // --tile on algorithms without an a-square kernel.
-        let err = parse(&argv("solve --algo sequential --tile 8 chain 2,3,4")).unwrap_err();
+        let err = parse(&argv("solve --algo sequential --tile auto chain 2,3,4")).unwrap_err();
         assert!(err.0.contains("--tile has no effect"), "{err}");
         assert!(err.0.contains("sublinear"), "{err}");
         let err = parse(&argv("solve --algo wavefront --tile naive chain 2,3,4")).unwrap_err();
@@ -1009,7 +995,7 @@ mod tests {
         assert!(err.0.contains("--trace has no effect"), "{err}");
         // The capable combinations still parse.
         assert!(parse(&argv(
-            "solve --algo reduced --tile 8 --backend seq chain 2,3,4"
+            "solve --algo reduced --tile naive --backend seq chain 2,3,4"
         ))
         .is_ok());
         assert!(parse(&argv("solve --algo wavefront --backend 4 chain 2,3,4")).is_ok());

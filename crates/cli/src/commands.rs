@@ -600,13 +600,18 @@ mod tests {
     #[test]
     fn tile_selection_yields_identical_values() {
         for algo in ["sublinear", "reduced", "rytter"] {
-            for tile in ["naive", "auto", "4"] {
-                let out = run_line(&format!(
-                    "solve --algo {algo} --tile {tile} chain 30,35,15,5,10,20,25"
+            let run = |tile: &str| {
+                run_line(&format!(
+                    "solve --algo {algo} --tile {tile} --trace chain 30,35,15,5,10,20,25"
                 ))
-                .unwrap_or_else(|e| panic!("{algo}/{tile}: {e}"));
-                assert!(out.contains("= 15125"), "{algo}/{tile}: {out}");
-            }
+                .unwrap_or_else(|e| panic!("{algo}/{tile}: {e}"))
+            };
+            let naive = run("naive");
+            assert!(naive.contains("= 15125"), "{algo}: {naive}");
+            // Same value, iterations and per-op counts, line for line.
+            assert_eq!(run("auto"), naive, "{algo}");
+            let err = run_line(&format!("solve --algo {algo} --tile 4 chain 2,3,4")).unwrap_err();
+            assert!(err.0.contains("auto | naive"), "{algo}: {err}");
         }
     }
 

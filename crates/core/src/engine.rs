@@ -303,9 +303,9 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
         if opts.record_trace {
             trace.per_iteration.push(IterationRecord {
                 iteration: iter,
-                activate: act.into(),
-                square: sq.into(),
-                pebble: pb.into(),
+                activate: act,
+                square: sq,
+                pebble: pb,
                 root_finite: w.root().is_finite_cost(),
             });
         }

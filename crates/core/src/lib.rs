@@ -55,9 +55,11 @@
 //! * [`verify::verify_coupled`] executes the paper's §4 correctness
 //!   argument: the pebbling game on the optimal tree synchronised with
 //!   the algebraic algorithm, invariants checked at every step.
-//! * [`pram_exec`] replays the algorithms on the `pardp-pram` CREW cost
-//!   model (exact work / depth / processor counts, Brent scheduling), and
-//!   runs a fully audited exclusive-write execution.
+//! * [`pram_exec`] models the algorithms' schedules on the `pardp-pram`
+//!   CREW cost model (exact work / depth / processor counts, Brent
+//!   scheduling; each phase's work is the candidate count the iteration
+//!   engine reports for that op), and runs a fully audited
+//!   exclusive-write execution.
 //!
 //! ## Quick start
 //!

@@ -44,6 +44,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use serde::{Deserialize, Serialize};
+
 use crate::exec::disjoint::DisjointPartsMut;
 use crate::exec::ExecBackend;
 use crate::problem::DpProblem;
@@ -54,8 +56,9 @@ use crate::weight::Weight;
 ///
 /// `candidates` is the *work* of the operation in the Work/Span sense;
 /// see the model discussion on [`crate::trace`] and the critical-path
-/// estimate [`crate::trace::SolveTrace::span_estimate`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// estimate [`crate::trace::SolveTrace::span_estimate`]. Serialized as
+/// the per-op fields of a trace's [`crate::trace::IterationRecord`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpStats {
     /// Composition candidates examined (pairs combined with `+` and fed to
     /// `min`). This is the unit-work measure of the paper's analysis.
@@ -112,86 +115,44 @@ fn map_rows_flagged<W: Weight>(
 // Square kernel selection
 // ---------------------------------------------------------------------------
 
-/// How the dense square kernels enumerate their composition candidates.
+/// Which kernel the square ops run.
 ///
-/// Every strategy examines exactly the same candidate set and produces
-/// bit-identical tables and identical [`OpStats`]; they differ only in
-/// memory access order, and therefore speed. The naive order gathers each
-/// cell's intermediates one accessor call at a time; the streaming
-/// kernels walk each intermediate's compatible cells with positions kept
-/// incrementally. The tile edge blocks only the dense square's
-/// `s`-family (intermediates sharing the cell's left endpoint); its
-/// `r`-family, Rytter's square and the banded square stream without
-/// tiling, so for them every non-naive strategy is the same kernel.
+/// Both kernels examine exactly the same candidate set, in the same
+/// per-cell min order, and produce bit-identical tables and identical
+/// [`OpStats`]; they differ only in memory access order, and therefore
+/// speed. The naive order gathers each cell's intermediates one accessor
+/// call at a time; the streaming kernels walk each intermediate's
+/// compatible cells with positions kept incrementally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SquareStrategy {
     /// The per-cell reference: each cell gathers its intermediates
     /// through the tables' accessors.
     Naive,
-    /// Streaming kernel with an explicit `s`-family tile edge, in gaps.
-    /// `Tiled(0)` behaves like [`SquareStrategy::Auto`].
-    Tiled(usize),
-    /// Streaming kernel with the tile edge picked from the row length
-    /// (the default).
+    /// The streaming kernels (the default).
     #[default]
     Auto,
 }
 
-impl SquareStrategy {
-    /// The auto-picked tile edge: a block of 64 cells and the segments of
-    /// 64 intermediates streaming over it (at most 32 KiB of `u64`) stay
-    /// inside a typical L1 data cache.
-    pub const AUTO_TILE: usize = 64;
-
-    /// The tile edge to use for rows of `dim` pairs, or `None` for the
-    /// naive kernel.
-    pub fn tile_for(self, dim: usize) -> Option<usize> {
-        match self {
-            SquareStrategy::Naive => None,
-            SquareStrategy::Auto | SquareStrategy::Tiled(0) => {
-                Some(Self::AUTO_TILE.min(dim.max(1)))
-            }
-            SquareStrategy::Tiled(t) => Some(t.min(dim.max(1))),
-        }
-    }
-}
-
 impl fmt::Display for SquareStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SquareStrategy::Naive => write!(f, "naive"),
-            SquareStrategy::Auto | SquareStrategy::Tiled(0) => write!(f, "auto"),
-            SquareStrategy::Tiled(t) => write!(f, "tiled:{t}"),
-        }
+        f.write_str(match self {
+            SquareStrategy::Naive => "naive",
+            SquareStrategy::Auto => "auto",
+        })
     }
 }
 
-/// Parse `naive`, `auto`, or an explicit tile edge (a positive integer).
-///
-/// A tile edge of `0` is rejected rather than silently degenerating: the
-/// internal `Tiled(0)` alias for [`SquareStrategy::Auto`] exists for
-/// programmatic construction, but a user writing `--tile 0` almost
-/// certainly meant something else, so the error spells out the accepted
-/// forms.
+/// Parse `auto` or `naive`.
 impl FromStr for SquareStrategy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
-            "naive" => Ok(SquareStrategy::Naive),
             "auto" => Ok(SquareStrategy::Auto),
-            other => match other.parse::<usize>() {
-                Ok(0) => Err(
-                    "tile edge 0 is degenerate; write 'auto' for the auto-picked edge, \
-                     'naive' for the reference kernel, or a positive edge like 64"
-                        .to_string(),
-                ),
-                Ok(t) => Ok(SquareStrategy::Tiled(t)),
-                Err(_) => Err(format!(
-                    "unknown square strategy '{other}' (expected naive | auto | <tile>, \
-                     where <tile> is a positive integer edge like 64)"
-                )),
-            },
+            "naive" => Ok(SquareStrategy::Naive),
+            other => Err(format!(
+                "unknown square strategy '{other}' (expected auto | naive)"
+            )),
         }
     }
 }
@@ -278,7 +239,7 @@ pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 /// endpoint with `(p,q)` — the source of the `O(n^5)` (vs Rytter's
 /// `O(n^6)`) work bound. Reads come from `prev`; writes go to `next`.
 ///
-/// Uses the default [`SquareStrategy`] (auto-tiled); see
+/// Uses the default [`SquareStrategy`] (streamed); see
 /// [`a_square_dense_scheduled`] for strategy selection and row skipping.
 pub fn a_square_dense<W: Weight>(
     prev: &DensePw<W>,
@@ -290,7 +251,7 @@ pub fn a_square_dense<W: Weight>(
 
 /// Dense `a-square` with full scheduling control.
 ///
-/// * `strategy` selects the candidate enumeration order — all strategies
+/// * `strategy` selects the candidate enumeration order — both kernels
 ///   produce bit-identical tables and identical [`OpStats`].
 /// * `skip`, if given, marks rows whose **inputs** did not change since
 ///   the previous square (row `(i,j)` reads only rows nested in `(i,j)`,
@@ -308,15 +269,14 @@ pub fn a_square_dense_scheduled<W: Weight>(
     skip: Option<&[bool]>,
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
-    let tile = strategy.tile_for(prev.dim());
     let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
         if skip.is_some_and(|mask| mask[a]) {
             next_row.copy_from_slice(prev.row(a));
             return (OpStats::default(), false);
         }
-        let stats = match tile {
-            None => square_row_naive(prev, a, next_row),
-            Some(t) => square_row_tiled(prev, a, next_row, t),
+        let stats = match strategy {
+            SquareStrategy::Naive => square_row_naive(prev, a, next_row),
+            SquareStrategy::Auto => square_row_streamed(prev, a, next_row),
         };
         (stats, stats.changed)
     };
@@ -363,12 +323,12 @@ fn square_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) 
 /// are bit-identical to the naive kernel's for every weight type.
 ///
 /// * **`s`-family** (intermediates `(p, s)` sharing the cell's left
-///   endpoint): the cells `(p, q)` are one contiguous segment of the root
-///   row, and their second factors `pw'(p,s,p,q)` the contiguous first
-///   segment of the intermediate's row, so each intermediate updates a
-///   contiguous slice. Blocked into `tile`-sized `(s, q)` ranges so a
-///   block of cells stays hot while several intermediates stream over it
-///   — the only thing the tile edge still controls.
+///   endpoint): the cells `(p, q)`, `q < s`, are the head of one
+///   contiguous segment of the root row, and their second factors
+///   `pw'(p,s,p,q)` the head of the first segment of the intermediate's
+///   row, so each intermediate updates one contiguous slice. A segment
+///   holds at most `n` cells, so it stays cache-resident while its
+///   intermediates stream over it.
 /// * **`r`-family** (intermediates `(r, q)` sharing the cell's right
 ///   endpoint): walked intermediate-major. For each `(r, q)`, the cells
 ///   `(p, q)` with `p` ascending; the root-row position advances by
@@ -380,19 +340,13 @@ fn square_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) 
 /// contribute no finite candidate, so they are counted in bulk and their
 /// rows never read — a large win in the early iterations when most of
 /// `pw` is unreached.
-fn square_row_tiled<W: Weight>(
-    prev: &DensePw<W>,
-    a: usize,
-    next_row: &mut [W],
-    tile: usize,
-) -> OpStats {
+fn square_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) -> OpStats {
     let idx = prev.indexer();
     let (i, j) = idx.pair(a);
     let d = j - i;
     let prev_row = prev.row(a);
     next_row.copy_from_slice(prev_row);
     let mut stats = OpStats::default();
-    let t = tile.max(1);
 
     // s-family: cells (p, q) gather intermediates (p, s), q < s <= j.
     // `seg` is the root-row offset of segment p - i; cell (p, q) sits at
@@ -400,36 +354,23 @@ fn square_row_tiled<W: Weight>(
     let mut seg = 0;
     for p in i..j {
         let c_base = idx.index(p, p + 1);
-        let q_lo = p + 1;
-        let mut s0 = q_lo + 1;
-        while s0 <= j {
-            let s1 = (s0 + t - 1).min(j);
-            let mut q0 = q_lo;
-            while q0 < s1 {
-                let q1 = (q0 + t - 1).min(s1 - 1);
-                for s in s0..=s1 {
-                    let q_hi = q1.min(s - 1);
-                    if q0 > q_hi {
-                        continue;
-                    }
-                    stats.candidates += (q_hi - q0 + 1) as u64;
-                    let vs = prev_row[seg + (s - p - 1)];
-                    if !vs.is_finite_cost() {
-                        continue;
-                    }
-                    // Segment 0 of row (p, s) holds pw'(p,s,p,q) at q - p - 1.
-                    let (b0, b1) = (q0 - p - 1, q_hi - p - 1);
-                    let crow = &prev.row(c_base + (s - p - 1))[b0..=b1];
-                    for (cell, &step) in next_row[seg + b0..=seg + b1].iter_mut().zip(crow) {
-                        let cand = vs.add(step);
-                        if cand < *cell {
-                            *cell = cand;
-                        }
-                    }
-                }
-                q0 = q1 + 1;
+        for s in p + 2..=j {
+            // The cells (p, p+1 ..= s-1): the first s - p - 1 of the
+            // segment.
+            let len = s - p - 1;
+            stats.candidates += len as u64;
+            let vs = prev_row[seg + len];
+            if !vs.is_finite_cost() {
+                continue;
             }
-            s0 = s1 + 1;
+            // Segment 0 of row (p, s) holds pw'(p,s,p,q) at q - p - 1.
+            let crow = &prev.row(c_base + len)[..len];
+            for (cell, &step) in next_row[seg..seg + len].iter_mut().zip(crow) {
+                let cand = vs.add(step);
+                if cand < *cell {
+                    *cell = cand;
+                }
+            }
         }
         seg += d - (p - i);
     }
@@ -501,30 +442,27 @@ pub fn a_square_rytter<W: Weight>(
     a_square_rytter_with(prev, next, SquareStrategy::default(), exec)
 }
 
-/// Rytter's square with an explicit kernel choice. All strategies produce
-/// bit-identical tables and identical [`OpStats`]; the non-naive
-/// strategies select the intermediate-major streaming kernel (for the
-/// full composition every cell nested in an intermediate is compatible
-/// with it, so the per-intermediate update footprint is already a run of
-/// contiguous segments and needs no extra tile subdivision).
+/// Rytter's square with an explicit kernel choice. Both kernels produce
+/// bit-identical tables and identical [`OpStats`]; [`SquareStrategy::Auto`]
+/// selects the intermediate-major streaming kernel (for the full
+/// composition every cell nested in an intermediate is compatible with
+/// it, so the per-intermediate update footprint is a run of contiguous
+/// segments).
 pub fn a_square_rytter_with<W: Weight>(
     prev: &DensePw<W>,
     next: &mut DensePw<W>,
     strategy: SquareStrategy,
     exec: &ExecBackend,
 ) -> OpStats {
-    let dim = prev.dim();
-    let streamed = strategy.tile_for(dim).is_some();
     let process_row = |a: usize, next_row: &mut [W], _: &mut [()]| -> OpStats {
-        if streamed {
-            rytter_row_streamed(prev, a, next_row)
-        } else {
-            rytter_row_naive(prev, a, next_row)
+        match strategy {
+            SquareStrategy::Naive => rytter_row_naive(prev, a, next_row),
+            SquareStrategy::Auto => rytter_row_streamed(prev, a, next_row),
         }
     };
     // No per-row flags here: the side partition is zero-sized, so it
     // allocates nothing.
-    let mut unit = vec![(); dim];
+    let mut unit = vec![(); prev.dim()];
     exec.map_reduce(
         next.rows_mut(),
         DisjointPartsMut::uniform(&mut unit, 1),
@@ -814,13 +752,12 @@ pub fn a_square_banded<W: Weight>(
 ///
 /// * `strategy` selects the kernel: [`SquareStrategy::Naive`] is the
 ///   definitional per-cell gather through the [`BandedPw::get`] accessor;
-///   every other strategy selects the flat-slice streamed kernel
-///   (`banded_square_row_streamed`). As with Rytter's square, the tile
-///   edge needs no further subdivision here: a banded row holds at most
+///   [`SquareStrategy::Auto`] selects the flat-slice streamed kernel
+///   (`banded_square_row_streamed`). A banded row holds at most
 ///   `(B+1)(B+2)/2` cells, so the streamed kernel's whole per-intermediate
 ///   footprint (the root row, the intermediate's row, and the output row)
-///   already fits in cache. All strategies enumerate exactly the same
-///   candidate set and produce bit-identical tables and [`OpStats`].
+///   fits in cache. Both kernels enumerate exactly the same candidate set
+///   and produce bit-identical tables and [`OpStats`].
 /// * `skip`, if given, marks rows whose **inputs** did not change since
 ///   the previous square (row `(i,j)` reads only rows nested in `(i,j)`);
 ///   such rows are copied from `prev` instead of recomputed and report
@@ -837,17 +774,15 @@ pub fn a_square_banded_scheduled<W: Weight>(
     let idx = prev.indexer().clone();
     // Hoisted per-op table (see `a_activate_banded_tracked`).
     let pairs: Vec<(usize, usize)> = idx.pairs().collect();
-    let streamed = strategy.tile_for(idx.len()).is_some();
     let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
         if skip.is_some_and(|mask| mask[a]) {
             next_row.copy_from_slice(prev.row(a));
             return (OpStats::default(), false);
         }
         let (i, j) = pairs[a];
-        let stats = if streamed {
-            banded_square_row_streamed(prev, a, i, j, next_row)
-        } else {
-            banded_square_row_naive(prev, a, i, j, next_row)
+        let stats = match strategy {
+            SquareStrategy::Naive => banded_square_row_naive(prev, a, i, j, next_row),
+            SquareStrategy::Auto => banded_square_row_streamed(prev, a, i, j, next_row),
         };
         (stats, stats.changed)
     };
@@ -1425,7 +1360,7 @@ mod tests {
     #[test]
     fn square_strategies_are_bit_identical() {
         // Warm tables a couple of iterations, then one square per
-        // strategy: tables, candidates and writes must match exactly.
+        // kernel: tables, candidates and writes must match exactly.
         let p = chain(vec![7, 3, 9, 4, 12, 5, 8, 6, 10, 2, 11, 13, 1]);
         let n = p.n();
         let mut w = WTable::new(n);
@@ -1445,20 +1380,13 @@ mod tests {
         let mut reference = DensePw::new(n);
         let (base, _) =
             a_square_dense_scheduled(&pw, &mut reference, SquareStrategy::Naive, None, &SEQ);
-        for strategy in [
-            SquareStrategy::Auto,
-            SquareStrategy::Tiled(1),
-            SquareStrategy::Tiled(3),
-            SquareStrategy::Tiled(7),
-            SquareStrategy::Tiled(1000),
-        ] {
-            let mut out = DensePw::new(n);
-            let (stats, rows) = a_square_dense_scheduled(&pw, &mut out, strategy, None, &SEQ);
-            assert_eq!(out.as_slice(), reference.as_slice(), "{strategy}");
-            assert_eq!(stats, base, "{strategy}");
-            assert_eq!(rows.len(), pw.dim());
-            assert_eq!(rows.iter().any(|&b| b), stats.changed, "{strategy}");
-        }
+        let mut out = DensePw::new(n);
+        let (stats, rows) =
+            a_square_dense_scheduled(&pw, &mut out, SquareStrategy::Auto, None, &SEQ);
+        assert_eq!(out.as_slice(), reference.as_slice());
+        assert_eq!(stats, base);
+        assert_eq!(rows.len(), pw.dim());
+        assert_eq!(rows.iter().any(|&b| b), stats.changed);
         // Rytter: streamed vs naive.
         let mut y_ref = DensePw::new(n);
         let y_base = a_square_rytter_with(&pw, &mut y_ref, SquareStrategy::Naive, &SEQ);
@@ -1565,31 +1493,19 @@ mod tests {
 
     #[test]
     fn square_strategy_parsing_and_display() {
-        assert_eq!("naive".parse::<SquareStrategy>(), Ok(SquareStrategy::Naive));
-        assert_eq!("auto".parse::<SquareStrategy>(), Ok(SquareStrategy::Auto));
-        assert_eq!(
-            "48".parse::<SquareStrategy>(),
-            Ok(SquareStrategy::Tiled(48))
-        );
-        // Degenerate edges are rejected with a pointed message, not
-        // silently mapped to auto.
-        let zero = "0".parse::<SquareStrategy>().unwrap_err();
-        assert!(zero.contains("degenerate"), "{zero}");
-        assert!(zero.contains("auto"), "{zero}");
-        let unknown = "blocky".parse::<SquareStrategy>().unwrap_err();
-        assert!(unknown.contains("unknown square strategy"), "{unknown}");
-        assert!(unknown.contains("positive integer"), "{unknown}");
+        for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
+            assert_eq!(strategy.to_string().parse(), Ok(strategy));
+        }
         assert_eq!(SquareStrategy::Naive.to_string(), "naive");
         assert_eq!(SquareStrategy::Auto.to_string(), "auto");
-        assert_eq!(SquareStrategy::Tiled(0).to_string(), "auto");
-        assert_eq!(SquareStrategy::Tiled(32).to_string(), "tiled:32");
-        assert_eq!(SquareStrategy::Naive.tile_for(100), None);
-        assert_eq!(SquareStrategy::Auto.tile_for(10), Some(10));
-        assert_eq!(
-            SquareStrategy::Auto.tile_for(10_000),
-            Some(SquareStrategy::AUTO_TILE)
-        );
-        assert_eq!(SquareStrategy::Tiled(16).tile_for(10_000), Some(16));
+        assert_eq!(SquareStrategy::default(), SquareStrategy::Auto);
+        // Numeric edges, zero included, are unknown names like any
+        // other, and the message names both accepted forms.
+        for bad in ["0", "48", "tiled:32", "blocky", ""] {
+            let err = bad.parse::<SquareStrategy>().unwrap_err();
+            assert!(err.contains("unknown square strategy"), "{err}");
+            assert!(err.contains("auto | naive"), "{err}");
+        }
     }
 
     #[test]

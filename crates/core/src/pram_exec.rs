@@ -1,14 +1,19 @@
-//! Replaying the algorithms on the CREW PRAM cost model (experiment E9).
+//! The algorithms on the CREW PRAM cost model (experiment E9).
 //!
 //! Two facilities:
 //!
-//! * [`account_sublinear`] / [`account_reduced`] / [`account_rytter`] /
-//!   [`account_wavefront`] — run the algorithm while recording every
-//!   parallel phase on a [`Pram`]: `a-activate` as a unit-depth map,
-//!   `a-square`/`a-pebble` as mixed-fan-in balanced-tree reductions with
-//!   the *exact* per-cell candidate counts. The resulting machine reports
-//!   work, depth, peak processor demand, Brent time on any `p`, and the
-//!   processor–time product of the paper's comparison table.
+//! * [`model_sublinear`] / [`model_reduced`] / [`model_rytter`] /
+//!   [`account_wavefront`] / [`account_sequential`] — record every
+//!   parallel phase of a schedule on a [`Pram`], without executing it:
+//!   `a-activate` as a unit-depth map, `a-square`/`a-pebble` as
+//!   mixed-fan-in balanced-tree reductions with the *exact* per-cell
+//!   candidate counts. The resulting machine reports work, depth, peak
+//!   processor demand, Brent time on any `p`, and the processor–time
+//!   product of the paper's comparison table. Each iteration's phase
+//!   work equals the candidates the iteration engine counts for that op
+//!   when it runs without row skipping (Rytter's square additionally
+//!   counts each cell's identity candidate); the value and the iteration
+//!   count of a run come from [`Solver::solve`](crate::solver::Solver::solve).
 //! * [`audited_sublinear_value`] — execute the §2 schedule through
 //!   [`SharedArray`]s with full CREW auditing: any two writes to one cell
 //!   in a step, or any read of a freshly written cell, aborts the run.
@@ -17,20 +22,11 @@
 
 use pardp_pram::{AuditMode, PhaseRecord, Pram, PramError, SharedArray};
 
-use crate::exec::ExecBackend;
-use crate::ops::{
-    a_activate_banded, a_activate_dense, a_pebble_banded, a_pebble_dense, a_square_banded,
-    a_square_dense, a_square_rytter,
-};
 use crate::problem::DpProblem;
 use crate::reduced::default_band;
 use crate::seq::sequential_work;
-use crate::tables::{BandedPw, DensePw, PairIndexer, WTable};
+use crate::tables::PairIndexer;
 use crate::weight::Weight;
-
-/// The accounting runs execute sequentially: phase costs are derived from
-/// exact candidate counts, which must not depend on worker scheduling.
-const SEQ: ExecBackend = ExecBackend::Sequential;
 
 // ---------------------------------------------------------------------------
 // Fan-in histograms (iteration-independent, computed once per run)
@@ -136,146 +132,8 @@ fn banded_pebble_hist(n: usize, band: usize, window: Option<(usize, usize)>) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Accounting runs
+// Pure cost models (no execution)
 // ---------------------------------------------------------------------------
-
-/// A value + machine pair returned by the accounting runs.
-#[derive(Debug)]
-pub struct AccountedRun<W> {
-    /// The computed `c(0, n)`.
-    pub value: W,
-    /// The recorded machine.
-    pub pram: Pram,
-    /// Iterations executed.
-    pub iterations: u64,
-}
-
-/// Run the §2 dense algorithm with exact PRAM phase accounting.
-pub fn account_sublinear<W: Weight, P: DpProblem<W> + ?Sized>(problem: &P) -> AccountedRun<W> {
-    let n = problem.n();
-    let mut pram = Pram::new(format!("sublinear(n={n})"));
-    let sq_hist = dense_square_hist(n);
-    let pb_hist = dense_pebble_hist(n);
-
-    let mut w = WTable::new(n);
-    for i in 0..n {
-        w.set(i, i + 1, problem.init(i));
-    }
-    pram.map_phase("init/w", n as u64);
-    pram.map_phase("init/pw", PairIndexer::new(n).len() as u64);
-    let mut pw = DensePw::new(n);
-    let mut pw_next = DensePw::new(n);
-    let mut w_next = w.clone();
-    let schedule = 2 * pardp_pebble::ceil_sqrt(n as u64);
-    for _ in 0..schedule {
-        let act = a_activate_dense(problem, &w, &mut pw, &SEQ);
-        pram.map_phase("a-activate/update", act.candidates);
-        a_square_dense(&pw, &mut pw_next, &SEQ);
-        pram.push(PhaseRecord::reduce_from_histogram(
-            "a-square/min",
-            sq_hist.iter().copied(),
-        ));
-        std::mem::swap(&mut pw, &mut pw_next);
-        a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
-        pram.push(PhaseRecord::reduce_from_histogram(
-            "a-pebble/min",
-            pb_hist.iter().copied(),
-        ));
-        std::mem::swap(&mut w, &mut w_next);
-    }
-    AccountedRun {
-        value: w.root(),
-        pram,
-        iterations: schedule,
-    }
-}
-
-/// Run the §5 reduced algorithm with exact PRAM phase accounting.
-pub fn account_reduced<W: Weight, P: DpProblem<W> + ?Sized>(problem: &P) -> AccountedRun<W> {
-    let n = problem.n();
-    let band = default_band(n);
-    let mut pram = Pram::new(format!("reduced(n={n},B={band})"));
-    let sq_hist = banded_square_hist(n, band);
-
-    let mut w = WTable::new(n);
-    for i in 0..n {
-        w.set(i, i + 1, problem.init(i));
-    }
-    pram.map_phase("init/w", n as u64);
-    pram.map_phase("init/pw", PairIndexer::new(n).len() as u64);
-    let mut pw = BandedPw::new(n, band);
-    let mut pw_next = BandedPw::new(n, band);
-    let mut w_next = w.clone();
-    let schedule = 2 * pardp_pebble::ceil_sqrt(n as u64);
-    for iter in 1..=schedule {
-        let act = a_activate_banded(problem, &w, &mut pw, &SEQ);
-        pram.map_phase("a-activate/update", act.candidates);
-        a_square_banded(&pw, &mut pw_next, &SEQ);
-        pram.push(PhaseRecord::reduce_from_histogram(
-            "a-square/min",
-            sq_hist.iter().copied(),
-        ));
-        std::mem::swap(&mut pw, &mut pw_next);
-        let l = iter.div_ceil(2) as usize;
-        let window = Some(((l - 1) * (l - 1), l * l));
-        a_pebble_banded(problem, &pw, &w, &mut w_next, window, &SEQ);
-        pram.push(PhaseRecord::reduce_from_histogram(
-            "a-pebble/min",
-            banded_pebble_hist(n, band, window),
-        ));
-        std::mem::swap(&mut w, &mut w_next);
-    }
-    AccountedRun {
-        value: w.root(),
-        pram,
-        iterations: schedule,
-    }
-}
-
-/// Run Rytter's algorithm \[8\] with exact PRAM phase accounting.
-pub fn account_rytter<W: Weight, P: DpProblem<W> + ?Sized>(problem: &P) -> AccountedRun<W> {
-    let n = problem.n();
-    let mut pram = Pram::new(format!("rytter(n={n})"));
-    let sq_hist = rytter_square_hist(n);
-    let pb_hist = dense_pebble_hist(n);
-
-    let mut w = WTable::new(n);
-    for i in 0..n {
-        w.set(i, i + 1, problem.init(i));
-    }
-    pram.map_phase("init/w", n as u64);
-    pram.map_phase("init/pw", PairIndexer::new(n).len() as u64);
-    let mut pw = DensePw::new(n);
-    let mut pw_next = DensePw::new(n);
-    let mut w_next = w.clone();
-    let schedule = crate::rytter::rytter_schedule(n);
-    let mut iterations = 0;
-    for _ in 0..schedule {
-        iterations += 1;
-        let act = a_activate_dense(problem, &w, &mut pw, &SEQ);
-        pram.map_phase("a-activate/update", act.candidates);
-        let sq = a_square_rytter(&pw, &mut pw_next, &SEQ);
-        pram.push(PhaseRecord::reduce_from_histogram(
-            "a-square/min",
-            sq_hist.iter().copied(),
-        ));
-        std::mem::swap(&mut pw, &mut pw_next);
-        let pb = a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
-        pram.push(PhaseRecord::reduce_from_histogram(
-            "a-pebble/min",
-            pb_hist.iter().copied(),
-        ));
-        std::mem::swap(&mut w, &mut w_next);
-        if !act.changed && !sq.changed && !pb.changed {
-            break;
-        }
-    }
-    AccountedRun {
-        value: w.root(),
-        pram,
-        iterations,
-    }
-}
 
 /// Account the wavefront algorithm \[10\]: one reduce phase per
 /// anti-diagonal (`n - 1` phases, `O(n^3)` work — the work-optimal row of
@@ -296,10 +154,6 @@ pub fn account_wavefront(n: usize) -> Pram {
     pram
 }
 
-// ---------------------------------------------------------------------------
-// Pure cost models (no execution) — for large-n scaling studies
-// ---------------------------------------------------------------------------
-
 /// Analytic `a-activate` task count for dense storage:
 /// `2` candidates per triple `i < k < j` with `j - i >= 2`.
 fn dense_activate_tasks(n: usize) -> u64 {
@@ -316,8 +170,8 @@ fn banded_activate_tasks(n: usize, band: usize) -> u64 {
 
 /// The PRAM cost model of the §2 dense algorithm at size `n`, without
 /// executing it: the full `2*ceil(sqrt(n))` schedule with exact per-cell
-/// fan-ins. Used by the E9 scaling tables at sizes where the `O(n^4)`
-/// tables would not fit in memory.
+/// fan-ins. It allocates no `O(n^4)` tables, so the E9 scaling tables
+/// reach sizes a solve could not hold in memory.
 pub fn model_sublinear(n: usize) -> Pram {
     let mut pram = Pram::new(format!("sublinear-model(n={n})"));
     let sq_hist = dense_square_hist(n);
@@ -515,20 +369,36 @@ pub fn audited_sublinear_value<W: Weight, P: DpProblem<W> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecBackend;
     use crate::problem::FnProblem;
     use crate::seq::solve_sequential;
+    use crate::solver::{Algorithm, SolveOptions, Solver};
+
+    /// Candidate counts must not depend on worker scheduling.
+    const SEQ: ExecBackend = ExecBackend::Sequential;
 
     fn chain(dims: Vec<u64>) -> impl DpProblem<u64> {
         let n = dims.len() - 1;
         FnProblem::new(n, |_| 0u64, move |i, k, j| dims[i] * dims[k] * dims[j])
     }
 
+    /// Iterations a model records: two init phases, then activate,
+    /// square and pebble per iteration.
+    fn model_iterations(pram: &Pram) -> u64 {
+        (pram.phases().len() as u64 - 2) / 3
+    }
+
     #[test]
     fn accounted_runs_compute_correct_values() {
+        // The value of an accounted run comes from the solver; the
+        // machine from `model_*` (checked phase by phase below).
         let p = chain(vec![30, 35, 15, 5, 10, 20, 25]);
-        assert_eq!(account_sublinear(&p).value, 15125);
-        assert_eq!(account_reduced(&p).value, 15125);
-        assert_eq!(account_rytter(&p).value, 15125);
+        for algo in [Algorithm::Sublinear, Algorithm::Reduced, Algorithm::Rytter] {
+            let sol = Solver::new(algo)
+                .options(SolveOptions::default().exec(SEQ))
+                .solve(&p);
+            assert_eq!(sol.value(), 15125, "{algo}");
+        }
     }
 
     #[test]
@@ -551,19 +421,41 @@ mod tests {
     }
 
     #[test]
-    fn accounted_execution_matches_pure_model() {
-        // The executed accounting and the analytic model must agree
-        // exactly (same phases, same counts).
+    fn engine_work_matches_pure_model() {
+        // Without row skipping, every iteration of the engine examines
+        // exactly the candidates the model charges to each phase. Rytter's
+        // square also counts each cell's identity candidate, which the
+        // model folds into the old value: C(n+3, 4) more per iteration.
         let p = chain(vec![3, 7, 2, 9, 4, 8, 5, 6, 10, 1, 12, 11]);
         let n = p.n();
-        let run = account_sublinear(&p);
-        let model = model_sublinear(n);
-        assert_eq!(run.pram.metrics().work, model.metrics().work);
-        assert_eq!(run.pram.metrics().depth, model.metrics().depth);
-        let run_r = account_reduced(&p);
-        let model_r = model_reduced(n);
-        assert_eq!(run_r.pram.metrics().work, model_r.metrics().work);
-        assert_eq!(run_r.pram.metrics().depth, model_r.metrics().depth);
+        let cells = ((n + 3) * (n + 2) * (n + 1) * n / 24) as u64;
+        for algo in [Algorithm::Sublinear, Algorithm::Reduced, Algorithm::Rytter] {
+            let opts = SolveOptions::default()
+                .exec(SEQ)
+                .skip_clean_rows(false)
+                .record_trace(true);
+            let trace = Solver::new(algo).options(opts).solve(&p).trace;
+            let (model, identity) = match algo {
+                Algorithm::Sublinear => (model_sublinear(n), 0),
+                Algorithm::Reduced => (model_reduced(n), 0),
+                _ => (model_rytter(n, trace.iterations), cells),
+            };
+            assert_eq!(model_iterations(&model), trace.iterations, "{algo}");
+            for (it, phase) in trace
+                .per_iteration
+                .iter()
+                .zip(model.phases()[2..].chunks(3))
+            {
+                let k = it.iteration;
+                assert_eq!(it.activate.candidates, phase[0].work, "{algo} activate {k}");
+                assert_eq!(
+                    it.square.candidates,
+                    phase[1].work + identity,
+                    "{algo} square {k}"
+                );
+                assert_eq!(it.pebble.candidates, phase[2].work, "{algo} pebble {k}");
+            }
+        }
     }
 
     #[test]
@@ -604,12 +496,10 @@ mod tests {
 
     #[test]
     fn brent_time_at_peak_equals_depth_bound() {
-        let p = chain(vec![2, 5, 3, 7, 4, 6]);
-        let run = account_sublinear(&p);
-        let m = run.pram.metrics().clone();
-        let t_inf = run.pram.brent_time(u64::MAX);
-        assert_eq!(t_inf, m.depth);
-        assert_eq!(run.pram.brent_time(1), m.work);
+        let pram = model_sublinear(5);
+        let m = pram.metrics().clone();
+        assert_eq!(pram.brent_time(u64::MAX), m.depth);
+        assert_eq!(pram.brent_time(1), m.work);
     }
 
     #[test]

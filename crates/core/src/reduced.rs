@@ -204,14 +204,9 @@ mod tests {
         let dims: Vec<u64> = (0..=28).map(|_| rng.gen_range(1..60)).collect();
         let p = chain(dims);
         let naive = solve(&p, &cfg().square(SquareStrategy::Naive));
-        for square in [SquareStrategy::Auto, SquareStrategy::Tiled(16)] {
-            let other = solve(&p, &cfg().square(square));
-            assert!(other.w.table_eq(&naive.w), "{square}");
-            assert_eq!(
-                other.trace.total_candidates, naive.trace.total_candidates,
-                "{square}"
-            );
-        }
+        let auto = solve(&p, &cfg().square(SquareStrategy::Auto));
+        assert!(auto.w.table_eq(&naive.w));
+        assert_eq!(auto.trace.total_candidates, naive.trace.total_candidates);
     }
 
     #[test]

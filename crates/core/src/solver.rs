@@ -32,7 +32,7 @@
 //! [`Algorithm`] doubles as the registry: [`Algorithm::ALL`] enumerates
 //! the spectrum, [`Algorithm::from_str`](str::parse) parses user input
 //! (with an error that lists every valid name), and the capability flags
-//! ([`Algorithm::is_parallel`], [`Algorithm::supports_tile`], …) let
+//! ([`Algorithm::is_parallel`], [`Algorithm::is_iterative`], …) let
 //! front ends validate knobs without hard-coding per-algorithm tables.
 //!
 //! ## Migration from the per-module entry points
@@ -159,14 +159,9 @@ impl Algorithm {
         !matches!(self, Algorithm::Sequential | Algorithm::Knuth)
     }
 
-    /// Whether the `a-square` kernel selection ([`SolveOptions::square`])
-    /// applies — the algorithms that iterate (activate, square, pebble).
-    pub fn supports_tile(&self) -> bool {
-        self.is_iterative()
-    }
-
     /// Whether the algorithm iterates the (activate, square, pebble)
-    /// operations and therefore produces a non-empty per-iteration
+    /// operations, and therefore reads the `a-square` kernel selection
+    /// ([`SolveOptions::square`]) and produces a non-empty per-iteration
     /// [`SolveTrace`] under [`SolveOptions::record_trace`].
     pub fn is_iterative(&self) -> bool {
         matches!(
@@ -332,8 +327,8 @@ pub struct SolveOptions {
     /// Execution backend for the data-parallel passes (parallel
     /// algorithms only).
     pub exec: ExecBackend,
-    /// `a-square` kernel of the iterative algorithms; every strategy
-    /// produces bit-identical tables.
+    /// `a-square` kernel of the iterative algorithms; both kernels
+    /// produce bit-identical tables.
     pub square: SquareStrategy,
     /// Stopping rule for the §2 solver (it honours all three rules).
     /// The other iterative algorithms keep their own exact defaults:
@@ -454,8 +449,7 @@ impl SolveOptions {
     /// even restating the default on an incapable algorithm deserves a
     /// pointed rejection rather than silence.
     ///
-    /// Value validity is checked too where it exists (the degenerate
-    /// zero-edge [`SquareStrategy::Tiled`] tile).
+    /// Value validity is checked too where it exists (a zero band).
     pub fn validate_knob(&self, algorithm: Algorithm, knob: SolveKnob) -> Result<(), OptionsError> {
         let err = |message: String| Err(OptionsError { knob, message });
         let no_effect = |why: &str, pick: String| {
@@ -474,15 +468,10 @@ impl SolveOptions {
                 }
             }
             SolveKnob::Square => {
-                if self.square == SquareStrategy::Tiled(0) {
-                    return err("requests the degenerate tile edge 0; write auto for the \
-                         built-in choice, or any positive edge"
-                        .into());
-                }
-                if !algorithm.supports_tile() {
+                if !algorithm.is_iterative() {
                     return no_effect(
                         "it has no a-square kernel",
-                        names_where(|a| a.supports_tile()),
+                        names_where(|a| a.is_iterative()),
                     );
                 }
             }
@@ -547,7 +536,7 @@ impl SolveOptions {
     /// Validate the whole option set against `algorithm`: every knob
     /// that deviates from [`SolveOptions::default`] must be one the
     /// algorithm actually reads (per the [`Algorithm`] capability
-    /// flags), and value validity (zero tile edge, zero band) is checked
+    /// flags), and value validity (a zero band) is checked
     /// unconditionally.
     ///
     /// [`ExecBackend::Sequential`] is always accepted: it is the
@@ -564,9 +553,6 @@ impl SolveOptions {
     pub fn validate(&self, algorithm: Algorithm) -> Result<(), OptionsError> {
         let d = SolveOptions::default();
         // Value validity first, independent of defaults.
-        if self.square == SquareStrategy::Tiled(0) {
-            self.validate_knob(algorithm, SolveKnob::Square)?;
-        }
         if self.band == Some(0) {
             self.validate_knob(algorithm, SolveKnob::Band)?;
         }
@@ -787,10 +773,10 @@ mod tests {
     #[test]
     fn capability_flags_are_consistent() {
         for a in Algorithm::ALL {
-            // Tiling and scheduling only make sense for the iterating
-            // (activate, square, pebble) algorithms, which are parallel.
-            assert_eq!(a.supports_tile(), a.is_iterative(), "{a}");
-            assert!(!a.supports_tile() || a.is_parallel(), "{a}");
+            // Kernel choice and scheduling only make sense for the
+            // iterating (activate, square, pebble) algorithms, which are
+            // parallel.
+            assert!(!a.is_iterative() || a.is_parallel(), "{a}");
             assert!(!a.supports_skip() || a.is_iterative(), "{a}");
             assert!(!a.supports_band() || a.is_iterative(), "{a}");
             assert!(!a.supports_termination() || a.is_iterative(), "{a}");
@@ -933,13 +919,6 @@ mod tests {
     fn validate_rejects_degenerate_values_everywhere() {
         for a in Algorithm::ALL {
             let err = SolveOptions::default()
-                .square(SquareStrategy::Tiled(0))
-                .validate(a)
-                .unwrap_err();
-            assert_eq!(err.knob, SolveKnob::Square, "{a}");
-            assert!(err.message.contains("degenerate"), "{a}: {err}");
-            assert!(err.message.contains("auto"), "{a}: {err}");
-            let err = SolveOptions::default()
                 .band(Some(0))
                 .validate(a)
                 .unwrap_err();
@@ -966,9 +945,8 @@ mod tests {
                 let ok = opts.validate_knob(a, knob).is_ok();
                 let expect = match knob {
                     SolveKnob::Exec => a.is_parallel(),
-                    SolveKnob::Square => a.supports_tile(),
+                    SolveKnob::Square | SolveKnob::RecordTrace => a.is_iterative(),
                     SolveKnob::Termination => a.supports_termination(),
-                    SolveKnob::RecordTrace => a.is_iterative(),
                     SolveKnob::SkipCleanRows => a.supports_skip(),
                     SolveKnob::Band | SolveKnob::WindowedPebble => a.supports_band(),
                     SolveKnob::WavefrontGrain => a.supports_grain(),

@@ -26,7 +26,7 @@
 //! * `band` — optional §5 band-width override (reduced solver only;
 //!   widths narrower than the paper's `2⌈√n⌉` are rejected — only wider
 //!   bands are proven exact);
-//! * `tile` — optional `a-square` kernel (`auto | naive | <edge>`);
+//! * `tile` — optional `a-square` kernel (`auto | naive`);
 //! * `trace` — optional per-iteration trace recording (iterative
 //!   algorithms only; the record's `trace` field carries the result).
 //!
@@ -409,7 +409,7 @@ pub struct JobSpec {
     /// Per-job §5 band-width override (reduced solver only; must be at
     /// least the paper's `2⌈√n⌉` — only wider bands are proven exact).
     pub band: Option<usize>,
-    /// Per-job `a-square` kernel: `auto | naive | <edge>`.
+    /// Per-job `a-square` kernel: `auto | naive`.
     pub tile: Option<String>,
     /// Record the per-iteration trace into the job's record.
     pub trace: Option<bool>,
@@ -963,12 +963,12 @@ mod tests {
         );
         let j: JobSpec = serde_json::from_str(
             "{\"family\":\"merge\",\"values\":[1,2],\"algo\":\"reduced\",\
-             \"band\":12,\"tile\":\"8\",\"trace\":true}",
+             \"band\":12,\"tile\":\"naive\",\"trace\":true}",
         )
         .unwrap();
         assert_eq!(j.algo.as_deref(), Some("reduced"));
         assert_eq!(j.band, Some(12));
-        assert_eq!(j.tile.as_deref(), Some("8"));
+        assert_eq!(j.tile.as_deref(), Some("naive"));
         assert_eq!(j.trace, Some(true));
     }
 
@@ -1009,14 +1009,17 @@ mod tests {
         // Tile on a direct algorithm.
         job.band = None;
         job.algo = Some("seq".into());
-        job.tile = Some("8".into());
+        job.tile = Some("naive".into());
         let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
         assert!(e.0.contains("\"tile\" has no effect"), "{e}");
-        // Unparseable tile.
+        // Anything but auto | naive, numeric edges included.
         job.algo = None;
-        job.tile = Some("blocky".into());
-        let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
-        assert!(e.0.contains("unknown square strategy"), "{e}");
+        for bad in ["8", "0", "blocky"] {
+            job.tile = Some(bad.into());
+            let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
+            assert!(e.0.contains("unknown square strategy"), "{e}");
+            assert!(e.0.contains("auto | naive"), "{e}");
+        }
         // Trace on a non-iterative algorithm; trace:false is harmless.
         job.tile = None;
         job.algo = Some("wavefront".into());
@@ -1146,6 +1149,24 @@ mod tests {
         assert!(serde_json::to_string(&rec)
             .unwrap()
             .contains("\"trace\":null"));
+        // The "tile" kernel choice leaves the whole record, trace
+        // included, unchanged.
+        for algo in ["sublinear", "reduced", "rytter"] {
+            let record = |tile: &str| {
+                let mut job = JobSpec::from(&spec);
+                job.algo = Some(algo.into());
+                job.tile = Some(tile.into());
+                job.trace = Some(true);
+                let r = job
+                    .resolve(Algorithm::Sublinear, SolveOptions::default())
+                    .unwrap();
+                let sol = crate::solver::Solver::new(r.algorithm)
+                    .options(r.options)
+                    .solve(&p);
+                JobRecord::of_solution(0, spec.family(), &sol, false).deterministic()
+            };
+            assert_eq!(record("naive"), record("auto"), "{algo}");
+        }
     }
 
     #[test]

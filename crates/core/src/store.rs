@@ -43,7 +43,8 @@
 //!   only for algorithms whose capability flags read them.
 //! * **Not identity-relevant** — `exec` (every backend produces
 //!   bit-identical tables *and* identical [`OpStats`], property-tested
-//!   in `tests/backend_parity.rs`), `square` (same guarantee, see
+//!   in `tests/backend_parity.rs`), `square` (the naive and streamed
+//!   kernels give the same guarantee, see
 //!   [`SquareStrategy`](crate::ops::SquareStrategy)), and
 //!   `wavefront_grain` (splitting only; the wavefront table is exact
 //!   for every grain). Jobs differing only in these knobs share a cache

@@ -110,7 +110,6 @@ mod tests {
                 for (square, exec) in [
                     (SquareStrategy::Auto, ExecBackend::Sequential),
                     (SquareStrategy::Naive, ExecBackend::Sequential),
-                    (SquareStrategy::Tiled(5), ExecBackend::Sequential),
                     (SquareStrategy::Auto, ExecBackend::Threads(4)),
                 ] {
                     let skipping = solve(

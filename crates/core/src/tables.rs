@@ -164,19 +164,6 @@ impl<W: Weight> WTable<W> {
         self.get(0, self.n)
     }
 
-    /// Number of finite entries (diagnostic).
-    pub fn finite_count(&self) -> usize {
-        let mut count = 0;
-        for i in 0..self.n {
-            for j in i + 1..=self.n {
-                if self.get(i, j).is_finite_cost() {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// The flat backing slice (`(n+1)^2` cells, row-major: cell `(i, j)`
     /// at `i * (n + 1) + j`). Used by the row-parallel execution backends.
     #[inline]
@@ -324,30 +311,6 @@ impl<W: Weight> DensePw<W> {
         self.rows.start(self.idx.index(i, j)) + Self::segment_offset(j - i, p - i) + (q - p - 1)
     }
 
-    /// Read `pw'(i,j,p,q)` by pair indices; a gap `b` that is not nested
-    /// in the root `a` reads `INFINITY`.
-    pub fn get_ab(&self, a: usize, b: usize) -> W {
-        let ((i, j), (p, q)) = (self.idx.pair(a), self.idx.pair(b));
-        if i <= p && q <= j {
-            self.get(i, j, p, q)
-        } else {
-            W::INFINITY
-        }
-    }
-
-    /// Write by pair indices.
-    ///
-    /// # Panics
-    /// If gap `b` is not nested in root `a`: there is no cell to write.
-    pub fn set_ab(&mut self, a: usize, b: usize, v: W) {
-        let ((i, j), (p, q)) = (self.idx.pair(a), self.idx.pair(b));
-        assert!(
-            i <= p && q <= j,
-            "gap ({p},{q}) is not nested in ({i},{j}), so it has no cell"
-        );
-        self.set(i, j, p, q, v);
-    }
-
     /// Read `pw'(i,j,p,q)` by interval endpoints.
     #[inline]
     pub fn get(&self, i: usize, j: usize, p: usize, q: usize) -> W {
@@ -385,18 +348,6 @@ impl<W: Weight> DensePw<W> {
     #[inline]
     pub fn as_slice(&self) -> &[W] {
         &self.data
-    }
-
-    /// The full backing slice, mutable.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [W] {
-        &mut self.data
-    }
-
-    /// Copy all cells from `other` (same dimensions).
-    pub fn copy_from(&mut self, other: &DensePw<W>) {
-        assert_eq!(self.idx.n(), other.idx.n());
-        self.data.copy_from_slice(&other.data);
     }
 }
 
@@ -468,13 +419,6 @@ impl<W: Weight> BandedPw<W> {
         self.data.len()
     }
 
-    /// Whether gap `(p,q)` of root `(i,j)` lies in the band.
-    #[inline]
-    pub fn in_band(&self, i: usize, j: usize, p: usize, q: usize) -> bool {
-        debug_assert!(i <= p && p < q && q <= j);
-        (j - i) - (q - p) <= self.band
-    }
-
     /// Offset of eccentricity block `e` within any row: `e(e+1)/2`. Block
     /// `e` holds the `e + 1` gaps `(i + t, i + t + d - e)` for
     /// `t = 0 ..= e`, so the cell of gap `(p, q)` sits at
@@ -497,12 +441,6 @@ impl<W: Weight> BandedPw<W> {
     #[inline]
     pub fn row(&self, a: usize) -> &[W] {
         &self.data[self.rows.range(a)]
-    }
-
-    /// Mutable row of pair index `a` (see [`Self::row`]).
-    #[inline]
-    pub fn row_mut(&mut self, a: usize) -> &mut [W] {
-        &mut self.data[self.rows.range(a)]
     }
 
     #[inline]
@@ -552,12 +490,6 @@ impl<W: Weight> BandedPw<W> {
     #[inline]
     pub fn as_slice(&self) -> &[W] {
         &self.data
-    }
-
-    /// The full backing slice, mutable.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [W] {
-        &mut self.data
     }
 
     /// Enumerate the in-band gaps `(p, q)` of root `(i, j)` in storage
@@ -629,7 +561,6 @@ mod tests {
         assert_eq!(w.get(0, 5), <u64 as Weight>::INFINITY);
         w.set(0, 5, 42);
         assert_eq!(w.root(), 42);
-        assert_eq!(w.finite_count(), 1);
     }
 
     #[test]
@@ -666,16 +597,14 @@ mod tests {
         pw.set(0, 5, 1, 3, 7);
         assert_eq!(pw.get(0, 5, 1, 3), 7);
         let a = pw.indexer().index(0, 5);
-        let b = pw.indexer().index(1, 3);
-        assert_eq!(pw.get_ab(a, b), 7);
         // Gap (1,3) of root (0,5): segment 1, second cell.
         assert_eq!(pw.row(a)[DensePw::<u64>::segment_offset(5, 1) + 1], 7);
     }
 
     #[test]
     fn dense_layout_roundtrip() {
-        // A distinct value in every nested cell reads back through get,
-        // get_ab and the in-row position S(p - i) + (q - p - 1).
+        // A distinct value in every nested cell reads back through get
+        // and the in-row position S(p - i) + (q - p - 1).
         for n in [1usize, 2, 5, 9, 13] {
             let mut pw = DensePw::<u64>::new(n);
             let idx = PairIndexer::new(n);
@@ -694,7 +623,6 @@ mod tests {
                     let pos = DensePw::<u64>::segment_offset(j - i, p - i) + (q - p - 1);
                     assert_eq!(pos, v2 as usize - 1 - pw.row_span(a).0, "storage order");
                     assert_eq!(pw.get(i, j, p, q), v2, "({i},{j},{p},{q})");
-                    assert_eq!(pw.get_ab(a, idx.index(p, q)), v2);
                     assert_eq!(pw.row(a)[pos], v2);
                     v2 += 1;
                 }
@@ -703,26 +631,6 @@ mod tests {
             }
             assert_eq!(v2 as usize - 1, pw.stored_cells());
         }
-    }
-
-    #[test]
-    fn dense_non_nested_gaps_read_infinity() {
-        let pw = DensePw::<u64>::new(6);
-        let idx = pw.indexer();
-        let inf = <u64 as Weight>::INFINITY;
-        // (3,5) overlaps (1,4); (0,2) lies left of (3,6); (0,6) contains
-        // (2,4) rather than nesting in it.
-        for ((i, j), (p, q)) in [((1, 4), (3, 5)), ((3, 6), (0, 2)), ((2, 4), (0, 6))] {
-            assert_eq!(pw.get_ab(idx.index(i, j), idx.index(p, q)), inf);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not nested")]
-    fn dense_non_nested_set_ab_panics() {
-        let mut pw = DensePw::<u64>::new(6);
-        let (a, b) = (pw.indexer().index(1, 4), pw.indexer().index(3, 5));
-        pw.set_ab(a, b, 1);
     }
 
     #[test]
@@ -777,7 +685,6 @@ mod tests {
                 for (i, j) in idx.pairs() {
                     let gaps: Vec<_> = pw.gaps_of(i, j).collect();
                     for &(p, q) in &gaps {
-                        assert!(pw.in_band(i, j, p, q));
                         pw.set(i, j, p, q, v);
                         v += 1;
                     }
@@ -837,8 +744,8 @@ mod tests {
 
     #[test]
     fn row_slices_follow_the_block_layout() {
-        // row(a)[block_offset(e) + (p - i)] must equal get(i, j, p, q)
-        // for every stored gap, and row_mut must write the same cell.
+        // A value written through set(i, j, p, q) must sit at
+        // row(a)[block_offset(e) + (p - i)] for every stored gap.
         for (n, band) in [(9usize, 3usize), (12, 5), (6, 100)] {
             let mut pw = BandedPw::<u64>::new(n, band);
             let idx = PairIndexer::new(n);
@@ -849,9 +756,8 @@ mod tests {
                 for &(p, q) in &gaps {
                     let e = (j - i) - (q - p);
                     let pos = BandedPw::<u64>::block_offset(e) + (p - i);
-                    pw.row_mut(a)[pos] = v;
-                    assert_eq!(pw.get(i, j, p, q), v, "({i},{j},{p},{q})");
-                    assert_eq!(pw.row(a)[pos], v);
+                    pw.set(i, j, p, q, v);
+                    assert_eq!(pw.row(a)[pos], v, "({i},{j},{p},{q})");
                     v += 1;
                 }
                 let d = j - i;

@@ -53,36 +53,13 @@ pub struct IterationRecord {
     /// 1-based iteration number.
     pub iteration: u64,
     /// `a-activate` statistics.
-    pub activate: OpRecord,
+    pub activate: OpStats,
     /// `a-square` statistics.
-    pub square: OpRecord,
+    pub square: OpStats,
     /// `a-pebble` statistics.
-    pub pebble: OpRecord,
+    pub pebble: OpStats,
     /// Whether `w'(0,n)` was finite after this iteration.
     pub root_finite: bool,
-}
-
-/// Serializable mirror of [`OpStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct OpRecord {
-    /// Composition candidates examined.
-    pub candidates: u64,
-    /// Cells whose stored value strictly improved — actual stores, under
-    /// one rule for every op (copies and unimproved re-minimisations are
-    /// not writes); `changed == (writes > 0)`. See [`OpStats::writes`].
-    pub writes: u64,
-    /// Whether any cell strictly improved.
-    pub changed: bool,
-}
-
-impl From<OpStats> for OpRecord {
-    fn from(s: OpStats) -> Self {
-        OpRecord {
-            candidates: s.candidates,
-            writes: s.writes,
-            changed: s.changed,
-        }
-    }
 }
 
 /// Why the solver stopped.
@@ -198,37 +175,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn op_record_from_stats() {
-        let s = OpStats {
-            candidates: 5,
-            writes: 3,
-            changed: true,
-        };
-        let r = OpRecord::from(s);
-        assert_eq!(r.candidates, 5);
-        assert_eq!(r.writes, 3);
-        assert!(r.changed);
-    }
-
-    #[test]
     fn work_by_op_sums() {
+        let op = |candidates| OpStats {
+            candidates,
+            ..OpStats::default()
+        };
         let rec = |c| IterationRecord {
             iteration: 1,
-            activate: OpRecord {
-                candidates: c,
-                writes: 0,
-                changed: false,
-            },
-            square: OpRecord {
-                candidates: 2 * c,
-                writes: 0,
-                changed: false,
-            },
-            pebble: OpRecord {
-                candidates: 3 * c,
-                writes: 0,
-                changed: false,
-            },
+            activate: op(c),
+            square: op(2 * c),
+            pebble: op(3 * c),
             root_finite: false,
         };
         let trace = SolveTrace {
@@ -251,23 +207,15 @@ mod tests {
         assert_eq!(direct.span_estimate(), 120);
 
         // Per-iteration records: sum of per-op reduction depths.
+        let op = |candidates| OpStats {
+            candidates,
+            ..OpStats::default()
+        };
         let rec = |a, s, p| IterationRecord {
             iteration: 1,
-            activate: OpRecord {
-                candidates: a,
-                writes: 0,
-                changed: false,
-            },
-            square: OpRecord {
-                candidates: s,
-                writes: 0,
-                changed: false,
-            },
-            pebble: OpRecord {
-                candidates: p,
-                writes: 0,
-                changed: false,
-            },
+            activate: op(a),
+            square: op(s),
+            pebble: op(p),
             root_finite: false,
         };
         let trace = SolveTrace {

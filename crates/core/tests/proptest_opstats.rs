@@ -1,11 +1,11 @@
 //! Property tests of the [`OpStats`] accounting contract and the
-//! tiled-vs-naive square parity:
+//! streamed-vs-naive square parity:
 //!
 //! * every op reports `changed == (writes > 0)` and never more writes
 //!   than the cells it is allowed to store into;
 //! * on fresh tables, `candidates` matches the closed-form count derived
 //!   independently from the operation definitions;
-//! * the tiled and naive dense-square kernels produce bit-identical
+//! * the streamed and naive square kernels produce bit-identical
 //!   tables and identical stats on every backend, for `u64` and for
 //!   `f64` (compared by `to_bits`) alike.
 
@@ -113,7 +113,6 @@ proptest! {
     fn tiled_square_matches_naive_on_every_backend(
         p in instance_strategy(10),
         iters in 0usize..4,
-        tile in 1usize..90,
     ) {
         let (_, pw) = warm_dense(&p, iters);
         let n = p.n();
@@ -126,11 +125,7 @@ proptest! {
             ExecBackend::Parallel,
             ExecBackend::Threads(3),
         ] {
-            for strategy in [
-                SquareStrategy::Naive,
-                SquareStrategy::Auto,
-                SquareStrategy::Tiled(tile),
-            ] {
+            for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
                 let mut out = DensePw::new(n);
                 let (stats, rows) =
                     a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
@@ -159,7 +154,6 @@ proptest! {
     fn dense_squares_are_bitwise_identical_on_f64(
         p in f64_instance_strategy(9),
         iters in 0usize..4,
-        tile in 1usize..60,
     ) {
         // Every kernel keeps each cell's min order, so f64 tables match
         // the naive sequential reference bit for bit, not just in value.
@@ -179,11 +173,7 @@ proptest! {
             ExecBackend::Parallel,
             ExecBackend::Threads(3),
         ] {
-            for strategy in [
-                SquareStrategy::Naive,
-                SquareStrategy::Auto,
-                SquareStrategy::Tiled(tile),
-            ] {
+            for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
                 let mut out = DensePw::new(n);
                 let (stats, rows) =
                     a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
@@ -278,7 +268,7 @@ proptest! {
 
         let fresh = DensePw::new(n);
         let mut next = DensePw::new(n);
-        for strategy in [SquareStrategy::Naive, SquareStrategy::Auto, SquareStrategy::Tiled(2)] {
+        for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
             let (sq, _) = a_square_dense_scheduled(
                 &fresh, &mut next, strategy, None, &ExecBackend::Sequential,
             );
@@ -339,7 +329,6 @@ proptest! {
         p in instance_strategy(12),
         iters in 0usize..4,
         extra_band in 0usize..5,
-        tile in 1usize..90,
     ) {
         // Warm realistic banded tables, then one square per kernel and
         // backend: tables, stats and per-row flags must match the naive
@@ -356,11 +345,7 @@ proptest! {
             ExecBackend::Parallel,
             ExecBackend::Threads(3),
         ] {
-            for strategy in [
-                SquareStrategy::Naive,
-                SquareStrategy::Auto,
-                SquareStrategy::Tiled(tile),
-            ] {
+            for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
                 let mut out = BandedPw::new(n, band);
                 let (stats, rows) =
                     a_square_banded_scheduled(&pw, &mut out, strategy, None, &backend);

@@ -1,7 +1,7 @@
-//! PRAM cost accounting (E9 companion): replay the three parallel
-//! algorithms on the CREW cost model, print their work/depth/processor
-//! figures, Brent times and a Gantt timeline, and run a fully audited
-//! exclusive-write execution.
+//! PRAM cost accounting (E9 companion): solve with the three parallel
+//! algorithms, put each run's iteration count on its CREW cost model,
+//! print their work/depth/processor figures, Brent times and a Gantt
+//! timeline, and run a fully audited exclusive-write execution.
 //!
 //! ```text
 //! cargo run --release --example pram_accounting [n]
@@ -9,7 +9,7 @@
 
 use sublinear_dp::apps::generators;
 use sublinear_dp::core::pram_exec::{
-    account_reduced, account_rytter, account_sublinear, audited_sublinear_value,
+    audited_sublinear_value, model_reduced, model_rytter, model_sublinear,
 };
 use sublinear_dp::core::prelude::*;
 use sublinear_dp::pram::Timeline;
@@ -23,16 +23,24 @@ fn main() {
     let oracle = solve_sequential(&p).root();
     println!("instance: random matrix chain, n = {n}, c(0,n) = {oracle}\n");
 
-    let runs = [
-        ("sublinear (§2)", account_sublinear(&p)),
-        ("reduced   (§5)", account_reduced(&p)),
-        ("rytter    [8]", account_rytter(&p)),
-    ];
-    for (name, run) in &runs {
-        assert_eq!(run.value, oracle);
-        let m = run.pram.metrics().clone();
-        let procs = run.pram.processors_for_depth(1.0);
-        println!("--- {name}: {} iterations ---", run.iterations);
+    for (name, algo) in [
+        ("sublinear (§2)", Algorithm::Sublinear),
+        ("reduced   (§5)", Algorithm::Reduced),
+        ("rytter    [8]", Algorithm::Rytter),
+    ] {
+        let sol = Solver::new(algo).solve(&p);
+        assert_eq!(sol.value(), oracle);
+        let iterations = sol.trace.iterations;
+        // §2 and §5 run their fixed 2*ceil(sqrt n) schedule, which their
+        // models record; Rytter stops at its fixpoint.
+        let pram = match algo {
+            Algorithm::Sublinear => model_sublinear(n),
+            Algorithm::Reduced => model_reduced(n),
+            _ => model_rytter(n, iterations),
+        };
+        let m = pram.metrics().clone();
+        let procs = pram.processors_for_depth(1.0);
+        println!("--- {name}: {iterations} iterations ---");
         println!(
             "  work {:>12}   depth {:>6}   processors-for-depth {:>9}   PT {}",
             m.work,
@@ -40,15 +48,15 @@ fn main() {
             procs,
             procs as u128 * m.depth as u128
         );
-        println!("  work by operation: {:?}", run.pram.work_by_operation());
+        println!("  work by operation: {:?}", pram.work_by_operation());
         for p_count in [1u64, 64, 4096, procs] {
             println!(
                 "  Brent time on p = {:>9}: {}",
                 p_count,
-                run.pram.brent_time(p_count)
+                pram.brent_time(p_count)
             );
         }
-        let tl = Timeline::schedule(&run.pram, procs.max(1) / 4 + 1);
+        let tl = Timeline::schedule(&pram, procs.max(1) / 4 + 1);
         println!("  timeline at a quarter of the processors-for-depth:");
         for line in tl.render_gantt(56).lines() {
             println!("    {line}");

@@ -3,7 +3,7 @@
 //! trip intact.
 
 use sublinear_dp::apps::generators;
-use sublinear_dp::core::pram_exec::account_sublinear;
+use sublinear_dp::core::pram_exec::model_sublinear;
 use sublinear_dp::pram::Timeline;
 use sublinear_dp::prelude::*;
 
@@ -33,24 +33,21 @@ fn solve_trace_roundtrips_through_json() {
 
 #[test]
 fn pram_machine_roundtrips_through_json() {
-    let p = generators::random_chain(8, 40, 4);
-    let run = account_sublinear(&p);
-    let json = serde_json::to_string(&run.pram).expect("serialize");
+    let pram = model_sublinear(8);
+    let json = serde_json::to_string(&pram).expect("serialize");
     let back: sublinear_dp::pram::Pram = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.metrics().work, run.pram.metrics().work);
-    assert_eq!(back.metrics().depth, run.pram.metrics().depth);
-    assert_eq!(back.phases().len(), run.pram.phases().len());
+    assert_eq!(back.metrics().work, pram.metrics().work);
+    assert_eq!(back.metrics().depth, pram.metrics().depth);
+    assert_eq!(back.phases().len(), pram.phases().len());
     // Brent times computed from the deserialized layers agree.
     for procs in [1u64, 7, 512] {
-        assert_eq!(back.brent_time(procs), run.pram.brent_time(procs));
+        assert_eq!(back.brent_time(procs), pram.brent_time(procs));
     }
 }
 
 #[test]
 fn timeline_roundtrips_through_json() {
-    let p = generators::random_chain(8, 40, 5);
-    let run = account_sublinear(&p);
-    let tl = Timeline::schedule(&run.pram, 64);
+    let tl = Timeline::schedule(&model_sublinear(8), 64);
     let json = serde_json::to_string(&tl).expect("serialize");
     let back: Timeline = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back.makespan, tl.makespan);
