@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pardp_apps::generators;
 use pardp_core::ops::{
-    a_activate_dense, a_pebble_dense, a_square_banded, a_square_dense, a_square_dense_scheduled,
-    a_square_rytter, SquareStrategy,
+    a_activate_dense_tracked, a_pebble_dense_scheduled, a_square_banded_scheduled,
+    a_square_dense_scheduled, a_square_rytter_with, SquareStrategy,
 };
 use pardp_core::prelude::ExecBackend;
 use pardp_core::problem::DpProblem;
@@ -28,10 +28,16 @@ fn warm_tables(n: usize) -> (WTable<u64>, DensePw<u64>) {
     let mut pw_next = DensePw::new(n);
     let mut w_next = w.clone();
     for _ in 0..3 {
-        a_activate_dense(&p, &w, &mut pw, &ExecBackend::Sequential);
-        a_square_dense(&pw, &mut pw_next, &ExecBackend::Sequential);
+        a_activate_dense_tracked(&p, &w, &mut pw, &ExecBackend::Sequential);
+        a_square_dense_scheduled(
+            &pw,
+            &mut pw_next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut pw, &mut pw_next);
-        a_pebble_dense(&pw, &w, &mut w_next, &ExecBackend::Sequential);
+        a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &ExecBackend::Sequential);
         std::mem::swap(&mut w, &mut w_next);
     }
     (w, pw)
@@ -44,10 +50,26 @@ fn bench_square_variants(c: &mut Criterion) {
         let (_, pw) = warm_tables(n);
         let mut next = DensePw::new(n);
         group.bench_with_input(BenchmarkId::new("restricted_seq", n), &pw, |b, pw| {
-            b.iter(|| black_box(a_square_dense(pw, &mut next, &ExecBackend::Sequential)))
+            b.iter(|| {
+                black_box(a_square_dense_scheduled(
+                    pw,
+                    &mut next,
+                    SquareStrategy::Auto,
+                    None,
+                    &ExecBackend::Sequential,
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("restricted_rayon", n), &pw, |b, pw| {
-            b.iter(|| black_box(a_square_dense(pw, &mut next, &ExecBackend::Parallel)))
+            b.iter(|| {
+                black_box(a_square_dense_scheduled(
+                    pw,
+                    &mut next,
+                    SquareStrategy::Auto,
+                    None,
+                    &ExecBackend::Parallel,
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("restricted_naive_seq", n), &pw, |b, pw| {
             b.iter(|| {
@@ -79,13 +101,28 @@ fn bench_square_variants(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("rytter_full_seq", n), &pw, |b, pw| {
-            b.iter(|| black_box(a_square_rytter(pw, &mut next, &ExecBackend::Sequential)))
+            b.iter(|| {
+                black_box(a_square_rytter_with(
+                    pw,
+                    &mut next,
+                    SquareStrategy::Auto,
+                    &ExecBackend::Sequential,
+                ))
+            })
         });
         let band = default_band(n);
         let banded = BandedPw::<u64>::new(n, band);
         let mut bnext = BandedPw::new(n, band);
         group.bench_with_input(BenchmarkId::new("banded_seq", n), &banded, |b, pw| {
-            b.iter(|| black_box(a_square_banded(pw, &mut bnext, &ExecBackend::Sequential)))
+            b.iter(|| {
+                black_box(a_square_banded_scheduled(
+                    pw,
+                    &mut bnext,
+                    SquareStrategy::Auto,
+                    None,
+                    &ExecBackend::Sequential,
+                ))
+            })
         });
     }
     group.finish();
@@ -100,7 +137,7 @@ fn bench_activate_pebble(c: &mut Criterion) {
         let mut pw_work = pw.clone();
         group.bench_with_input(BenchmarkId::new("activate_seq", n), &w, |b, w| {
             b.iter(|| {
-                black_box(a_activate_dense(
+                black_box(a_activate_dense_tracked(
                     &p,
                     w,
                     &mut pw_work,
@@ -111,16 +148,25 @@ fn bench_activate_pebble(c: &mut Criterion) {
         let mut w_next = w.clone();
         group.bench_with_input(BenchmarkId::new("pebble_seq", n), &pw, |b, pw| {
             b.iter(|| {
-                black_box(a_pebble_dense(
+                black_box(a_pebble_dense_scheduled(
                     pw,
                     &w,
                     &mut w_next,
+                    None,
                     &ExecBackend::Sequential,
                 ))
             })
         });
         group.bench_with_input(BenchmarkId::new("pebble_rayon", n), &pw, |b, pw| {
-            b.iter(|| black_box(a_pebble_dense(pw, &w, &mut w_next, &ExecBackend::Parallel)))
+            b.iter(|| {
+                black_box(a_pebble_dense_scheduled(
+                    pw,
+                    &w,
+                    &mut w_next,
+                    None,
+                    &ExecBackend::Parallel,
+                ))
+            })
         });
     }
     group.finish();

@@ -19,7 +19,7 @@
 use pardp_apps::generators;
 use pardp_bench::{banner, cell, fmt_f, print_table, time_best};
 use pardp_core::ops::{
-    a_activate_banded, a_pebble_banded, a_square_banded, a_square_banded_scheduled, SquareStrategy,
+    a_activate_banded_tracked, a_pebble_banded_scheduled, a_square_banded_scheduled, SquareStrategy,
 };
 use pardp_core::prelude::*;
 use pardp_core::reduced::default_band;
@@ -69,10 +69,24 @@ fn warm_tables(n: usize, band: usize) -> BandedPw<u64> {
     let mut pw_next = BandedPw::new(n, band);
     let mut w_next = w.clone();
     for _ in 0..3 {
-        a_activate_banded(&p, &w, &mut pw, &ExecBackend::Sequential);
-        a_square_banded(&pw, &mut pw_next, &ExecBackend::Sequential);
+        a_activate_banded_tracked(&p, &w, &mut pw, &ExecBackend::Sequential);
+        a_square_banded_scheduled(
+            &pw,
+            &mut pw_next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut pw, &mut pw_next);
-        a_pebble_banded(&p, &pw, &w, &mut w_next, None, &ExecBackend::Sequential);
+        a_pebble_banded_scheduled(
+            &p,
+            &pw,
+            &w,
+            &mut w_next,
+            None,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut w, &mut w_next);
     }
     pw

@@ -18,7 +18,7 @@
 use pardp_apps::generators;
 use pardp_bench::{banner, cell, fmt_f, print_table, time_best};
 use pardp_core::ops::{
-    a_activate_dense, a_pebble_dense, a_square_dense, a_square_dense_scheduled, SquareStrategy,
+    a_activate_dense_tracked, a_pebble_dense_scheduled, a_square_dense_scheduled, SquareStrategy,
 };
 use pardp_core::prelude::*;
 use pardp_core::tables::{DensePw, WTable};
@@ -67,10 +67,16 @@ fn warm_tables(n: usize) -> DensePw<u64> {
     let mut pw_next = DensePw::new(n);
     let mut w_next = w.clone();
     for _ in 0..2 {
-        a_activate_dense(&p, &w, &mut pw, &ExecBackend::Sequential);
-        a_square_dense(&pw, &mut pw_next, &ExecBackend::Sequential);
+        a_activate_dense_tracked(&p, &w, &mut pw, &ExecBackend::Sequential);
+        a_square_dense_scheduled(
+            &pw,
+            &mut pw_next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut pw, &mut pw_next);
-        a_pebble_dense(&pw, &w, &mut w_next, &ExecBackend::Sequential);
+        a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &ExecBackend::Sequential);
         std::mem::swap(&mut w, &mut w_next);
     }
     pw

@@ -170,19 +170,9 @@ pub enum Parsed {
     Help,
 }
 
-/// The names of all algorithms with capability `pred`, `" | "`-separated.
-fn algo_names(pred: fn(&Algorithm) -> bool) -> String {
-    Algorithm::ALL
-        .iter()
-        .filter(|a| pred(a))
-        .map(|a| a.name())
-        .collect::<Vec<_>>()
-        .join(" | ")
-}
-
-/// Usage text. The algorithm list is generated from the
-/// [`Algorithm`] registry, so it can never drift from the solvers the
-/// core actually exposes.
+/// Usage text. The algorithm list and each flag's algorithms are
+/// generated from the [`Algorithm`] registry, so they can never drift
+/// from the solvers the core actually exposes.
 pub fn usage() -> String {
     format!(
         "\
@@ -259,8 +249,8 @@ TILING (--tile): auto (default) | naive
   flag for algorithms without an a-square kernel.
 ",
         algos = Algorithm::listing(),
-        parallel = algo_names(Algorithm::is_parallel),
-        tile = algo_names(Algorithm::is_iterative),
+        parallel = Algorithm::names_reading(SolveKnob::Exec),
+        tile = Algorithm::names_reading(SolveKnob::Square),
         large_cells = pardp_core::batch::DEFAULT_LARGE_JOB_CELLS,
         queue = pardp_core::serve::DEFAULT_QUEUE_CAPACITY,
     )

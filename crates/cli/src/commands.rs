@@ -211,26 +211,21 @@ fn run_solve(
     cache_dir: Option<&str>,
 ) -> Result<String, CliError> {
     let cache = cache_dir.map(open_cache).transpose()?;
-    let cache = cache.as_ref();
+    let (out, tree) = solve_with(problem, algo, backend, tile, trace, witness, cache.as_ref())?;
+    // The `pardp_apps` types only render: headers and the witness.
     match problem {
         Problem::Chain { dims } => {
             let mc = MatrixChain::new(dims.clone());
-            let (out, w) = solve_with(&mc, problem, algo, backend, tile, trace, cache)?;
             let mut s = format!("matrix chain, n = {}\n{out}", mc.n_matrices());
-            if witness {
-                let tree = reconstruct_root(&mc, &w)
-                    .map_err(|e| CliError(format!("reconstruction failed: {e}")))?;
+            if let Some(tree) = tree {
                 s.push_str(&format!("optimal order: {}\n", mc.render(&tree)));
             }
             Ok(s)
         }
         Problem::Obst { p, q } => {
             let bst = OptimalBst::new(p.clone(), q.clone());
-            let (out, w) = solve_with(&bst, problem, algo, backend, tile, trace, cache)?;
             let mut s = format!("optimal BST, {} keys\n{out}", bst.n_keys());
-            if witness {
-                let tree = reconstruct_root(&bst, &w)
-                    .map_err(|e| CliError(format!("reconstruction failed: {e}")))?;
+            if let Some(tree) = tree {
                 let b = OptimalBst::to_bst(&tree);
                 s.push_str(&format!(
                     "in-order keys: {:?}\n",
@@ -244,14 +239,11 @@ fn run_solve(
         }
         Problem::Polygon { weights } => {
             let poly = WeightedPolygon::new(weights.clone());
-            let (out, w) = solve_with(&poly, problem, algo, backend, tile, trace, cache)?;
             let mut s = format!(
                 "polygon triangulation, {} vertices\n{out}",
                 poly.n_vertices()
             );
-            if witness {
-                let tree = reconstruct_root(&poly, &w)
-                    .map_err(|e| CliError(format!("reconstruction failed: {e}")))?;
+            if let Some(tree) = tree {
                 let diags = pardp_apps::triangulation::diagonals_of(&tree, poly.n_vertices() - 1);
                 s.push_str(&format!("diagonals: {diags:?}\n"));
             }
@@ -259,11 +251,8 @@ fn run_solve(
         }
         Problem::Merge { lengths } => {
             let m = MergeOrder::new(lengths.clone());
-            let (out, w) = solve_with(&m, problem, algo, backend, tile, trace, cache)?;
             let mut s = format!("merge order, {} runs\n{out}", m.lengths().len());
-            if witness {
-                let tree = reconstruct_root(&m, &w)
-                    .map_err(|e| CliError(format!("reconstruction failed: {e}")))?;
+            if let Some(tree) = tree {
                 s.push_str(&format!("schedule: {:?}\n", m.schedule(&tree)));
             }
             Ok(s)
@@ -491,22 +480,25 @@ fn push_iteration_trace(s: &mut String, trace: &pardp_core::trace::SolveTrace) {
     }
 }
 
-/// Run the chosen solver through the [`Solver`] façade; return the
-/// formatted summary and the table (for witness extraction).
+/// Solve `spec`'s instance through the [`Solver`] façade; return the
+/// formatted summary and, with `witness`, the optimal tree.
 ///
 /// There is deliberately no per-algorithm dispatch here: the options
-/// builder carries every knob, the registry's capability flags decide
-/// what to print, and the façade returns the same [`Solution`] shape for
-/// the whole spectrum.
-fn solve_with<P: DpProblem<u64> + ?Sized>(
-    p: &P,
+/// builder carries every knob, the registry's `is_*` flags decide what
+/// to print, and the façade returns the same [`Solution`] shape for the
+/// whole spectrum. One instance, `spec.build()`, serves the solve (cold
+/// or cached), the Knuth guard and the reconstruction, as in `pardp
+/// batch` and `pardp serve`.
+fn solve_with(
     spec: &ProblemSpec,
     algo: Algorithm,
     backend: Option<ExecBackend>,
     tile: Option<SquareStrategy>,
     trace: bool,
+    witness: bool,
     cache: Option<&FileStore>,
-) -> Result<(String, WTable<u64>), CliError> {
+) -> Result<(String, Option<ParenTree>), CliError> {
+    let p = spec.build();
     let n = p.n();
     let mut opts = SolveOptions::default()
         .termination(Termination::Fixpoint)
@@ -518,20 +510,19 @@ fn solve_with<P: DpProblem<u64> + ?Sized>(
         opts = opts.square(t);
     }
     // With a cache attached the solve runs key → lookup → solve-miss →
-    // insert on the canonical spec instance; cached tables are
-    // bit-identical to this cold path, so the witness and the Knuth
-    // guard below see the same `w` either way.
+    // insert; cached tables are bit-identical to the cold path, so the
+    // witness and the Knuth guard below see the same `w` either way.
     let (sol, outcome) = match cache {
         Some(c) => cached_solve(c, spec, algo, &opts),
         None => (
-            Solver::new(algo).options(opts).solve(p),
+            Solver::new(algo).options(opts).solve(&p),
             CacheOutcome::Bypass,
         ),
     };
 
     // The Knuth-Yao speedup is only valid on quadrangle-inequality
     // instances; the CLI guards the user by cross-checking the full DP.
-    verify_knuth(p, &sol).map_err(|e| CliError(e.0))?;
+    verify_knuth(&p, &sol).map_err(|e| CliError(e.0))?;
 
     let mut s = format!(
         "algorithm: {} — {} [{}]\n",
@@ -562,7 +553,11 @@ fn solve_with<P: DpProblem<u64> + ?Sized>(
     if trace {
         push_iteration_trace(&mut s, &sol.trace);
     }
-    Ok((s, sol.w))
+    let tree = witness
+        .then(|| reconstruct_root(&p, &sol.w))
+        .transpose()
+        .map_err(|e| CliError(format!("reconstruction failed: {e}")))?;
+    Ok((s, tree))
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ use crate::ops::{
 use crate::problem::DpProblem;
 use crate::reduced::default_band;
 use crate::rytter::rytter_schedule;
-use crate::solver::{Algorithm, Solution, SolveOptions};
+use crate::solver::{Algorithm, Solution, SolveKnob, SolveOptions};
 use crate::tables::{BandedPw, DensePw, PairIndexer, WTable};
 use crate::trace::{IterationRecord, SolveTrace, StopReason, Termination};
 use crate::weight::Weight;
@@ -164,8 +164,8 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
     let t0 = Instant::now();
     let n = problem.n();
     let cancel = opts.cancel_token();
-    let skip_clean = opts.skip_clean_rows && algorithm.supports_skip();
-    let windowed = algorithm == Algorithm::Reduced && opts.windowed_pebble;
+    let skip_clean = opts.skip_clean_rows && algorithm.reads(SolveKnob::SkipCleanRows);
+    let windowed = opts.windowed_pebble && algorithm.reads(SolveKnob::WindowedPebble);
 
     let mut w = WTable::new(n);
     for i in 0..n {

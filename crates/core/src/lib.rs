@@ -25,7 +25,7 @@
 //! `Solver::new(algorithm).options(..).solve(&problem)` — and return the
 //! same uniform [`solver::Solution`] (value, table, trace, statistics,
 //! wall time, lazy tree reconstruction). [`solver::Algorithm`] is the
-//! registry: names, descriptions, capability flags.
+//! registry: names, descriptions, and which knobs each algorithm reads.
 //!
 //! | [`solver::Algorithm`] | module | algorithm | time × processors (paper) |
 //! |---|---|---|---|

@@ -13,6 +13,15 @@
 //! write another (the caller swaps); `a-activate` only writes cells no
 //! other task reads in the same step, so it updates in place.
 //!
+//! Each op has one entry point per storage regime, the form the
+//! iteration engine runs:
+//!
+//! | op | dense | rytter | banded |
+//! |---|---|---|---|
+//! | `a-activate` (eq. 1a/1b) | [`a_activate_dense_tracked`] | (dense) | [`a_activate_banded_tracked`] |
+//! | `a-square` (eq. 2c) | [`a_square_dense_scheduled`] | [`a_square_rytter_with`] | [`a_square_banded_scheduled`] |
+//! | `a-pebble` (eq. 3) | [`a_pebble_dense_scheduled`] | (dense) | [`a_pebble_banded_scheduled`] |
+//!
 //! Each function returns [`OpStats`]: the number of composition candidates
 //! examined (the unit-work measure used by the E8/E9 accounting) and
 //! whether any table cell strictly improved (the §7 convergence signal).
@@ -21,25 +30,26 @@
 //! exclusive-write discipline), so every backend computes identical
 //! tables.
 //!
-//! The dense squares ([`a_square_dense`], [`a_square_rytter`]) come in two
-//! interchangeable kernels selected by [`SquareStrategy`]: a per-cell
-//! naive reference through the [`DensePw::get`] accessor and a streaming
-//! kernel that walks each intermediate's cells with incrementally kept
-//! positions over [`DensePw`]'s segment layout. The banded square
-//! ([`a_square_banded`]) mirrors this with a per-cell naive reference and
-//! a flat-slice streamed kernel over the eccentricity-block layout of
-//! [`BandedPw`]. Either way, both kernels enumerate exactly the same
-//! candidate set, so tables and [`OpStats`] are identical; only the
+//! The dense squares ([`a_square_dense_scheduled`],
+//! [`a_square_rytter_with`]) come in two interchangeable kernels selected
+//! by [`SquareStrategy`]: a per-cell naive reference through the
+//! [`DensePw::get`] accessor and a streaming kernel that walks each
+//! intermediate's cells with incrementally kept positions over
+//! [`DensePw`]'s segment layout. The banded square
+//! ([`a_square_banded_scheduled`]) mirrors this with a per-cell naive
+//! reference and a flat-slice streamed kernel over the eccentricity-block
+//! layout of [`BandedPw`]. Either way, both kernels enumerate exactly the
+//! same candidate set, so tables and [`OpStats`] are identical; only the
 //! memory access order differs. Every dense and banded op partitions its
 //! table by root row (the tables' `rows_mut`), so parallel writes stay
 //! disjoint.
 //!
-//! The `*_scheduled` variants ([`a_square_dense_scheduled`],
-//! [`a_square_banded_scheduled`], [`a_pebble_dense_scheduled`],
-//! [`a_pebble_banded_scheduled`]) additionally support convergence-aware
-//! scheduling: rows/pairs whose inputs did not change since the previous
-//! pass are copied forward instead of recomputed, and per-row/per-pair
-//! changed bits are returned for the caller's next scheduling decision.
+//! Convergence-aware scheduling: the activates return per-row changed
+//! bits, and the dense and banded squares and pebbles take an optional
+//! `skip` mask. Rows and pairs whose inputs did not change since the
+//! previous pass are copied forward instead of recomputed, and
+//! per-row/per-pair changed bits are returned for the caller's next
+//! scheduling decision. A caller without a schedule passes `None`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -170,19 +180,9 @@ impl FromStr for SquareStrategy {
 /// ```
 ///
 /// Each `pw'` cell is written by exactly one triple, so the update is
-/// CREW-safe in place.
-pub fn a_activate_dense<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-    w: &WTable<W>,
-    pw: &mut DensePw<W>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_activate_dense_tracked(problem, w, pw, exec).0
-}
-
-/// [`a_activate_dense`], additionally returning the per-row changed bits
-/// (indexed by the pair index of the row) that feed the dirty-row
-/// scheduler of [`a_square_dense_scheduled`].
+/// CREW-safe in place. Also returns the per-row changed bits (indexed by
+/// the pair index of the row) that feed the dirty-row scheduler of
+/// [`a_square_dense_scheduled`].
 pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
     problem: &P,
     w: &WTable<W>,
@@ -238,18 +238,6 @@ pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 /// The composition is *restricted* to intermediate gaps sharing an
 /// endpoint with `(p,q)` — the source of the `O(n^5)` (vs Rytter's
 /// `O(n^6)`) work bound. Reads come from `prev`; writes go to `next`.
-///
-/// Uses the default [`SquareStrategy`] (streamed); see
-/// [`a_square_dense_scheduled`] for strategy selection and row skipping.
-pub fn a_square_dense<W: Weight>(
-    prev: &DensePw<W>,
-    next: &mut DensePw<W>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_square_dense_scheduled(prev, next, SquareStrategy::default(), None, exec).0
-}
-
-/// Dense `a-square` with full scheduling control.
 ///
 /// * `strategy` selects the candidate enumeration order — both kernels
 ///   produce bit-identical tables and identical [`OpStats`].
@@ -433,21 +421,11 @@ fn count_row_writes<W: Weight>(prev_row: &[W], next_row: &[W], stats: &mut OpSta
 /// i.e. a masked min-plus matrix square — `Theta(n^6)` candidates, the
 /// work figure the paper improves on.
 ///
-/// Uses the default [`SquareStrategy`]; see [`a_square_rytter_with`].
-pub fn a_square_rytter<W: Weight>(
-    prev: &DensePw<W>,
-    next: &mut DensePw<W>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_square_rytter_with(prev, next, SquareStrategy::default(), exec)
-}
-
-/// Rytter's square with an explicit kernel choice. Both kernels produce
-/// bit-identical tables and identical [`OpStats`]; [`SquareStrategy::Auto`]
-/// selects the intermediate-major streaming kernel (for the full
-/// composition every cell nested in an intermediate is compatible with
-/// it, so the per-intermediate update footprint is a run of contiguous
-/// segments).
+/// `strategy` selects the kernel. Both produce bit-identical tables and
+/// identical [`OpStats`]; [`SquareStrategy::Auto`] selects the
+/// intermediate-major streaming kernel (for the full composition every
+/// cell nested in an intermediate is compatible with it, so the
+/// per-intermediate update footprint is a run of contiguous segments).
 pub fn a_square_rytter_with<W: Weight>(
     prev: &DensePw<W>,
     next: &mut DensePw<W>,
@@ -550,27 +528,6 @@ fn rytter_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W
 // a-pebble (eq. 3)
 // ---------------------------------------------------------------------------
 
-/// `a-pebble` over dense storage:
-/// for all `0 <= i < j <= n` in parallel,
-///
-/// ```text
-/// w'(i,j) := min_{i <= p < q <= j} { pw'(i,j,p,q) + w'(p,q) }
-/// ```
-///
-/// The `(p,q) = (i,j)` candidate contributes `0 + w'(i,j)`, so the update
-/// is monotone non-increasing. Reads `w_prev`, writes `w_next`
-/// (partitioned by `w_next` row, one parallel task per left endpoint `i`).
-///
-/// See [`a_pebble_dense_scheduled`] for convergence-aware pair skipping.
-pub fn a_pebble_dense<W: Weight>(
-    pw: &DensePw<W>,
-    w_prev: &WTable<W>,
-    w_next: &mut WTable<W>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_pebble_dense_scheduled(pw, w_prev, w_next, None, exec).0
-}
-
 /// The per-left-endpoint spans used to hand each `a-pebble` task its
 /// private range of the per-pair flag vector: pairs sharing a left
 /// endpoint are contiguous in pair-index space, so `w'` row `i` owns the
@@ -589,7 +546,16 @@ fn pebble_flag_spans(idx: &PairIndexer) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Dense `a-pebble` with convergence-aware pair scheduling.
+/// `a-pebble` over dense storage:
+/// for all `0 <= i < j <= n` in parallel,
+///
+/// ```text
+/// w'(i,j) := min_{i <= p < q <= j} { pw'(i,j,p,q) + w'(p,q) }
+/// ```
+///
+/// The `(p,q) = (i,j)` candidate contributes `0 + w'(i,j)`, so the update
+/// is monotone non-increasing. Reads `w_prev`, writes `w_next`
+/// (partitioned by `w_next` row, one parallel task per left endpoint `i`).
 ///
 /// `skip`, if given, marks pairs whose **inputs** (their `pw'` row and the
 /// `w'` values of their nested pairs) did not change since the pair was
@@ -660,24 +626,15 @@ pub fn a_pebble_dense_scheduled<W: Weight>(
 }
 
 // ---------------------------------------------------------------------------
-// Banded (§5) variants
+// Banded (§5) ops
 // ---------------------------------------------------------------------------
 
 /// `a-activate` over banded storage: identical to the dense rule but only
 /// in-band cells are kept — gap `(i,k)` needs `j - k <= B`, gap `(k,j)`
-/// needs `k - i <= B`, so each row does `O(B)` work.
-pub fn a_activate_banded<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-    w: &WTable<W>,
-    pw: &mut BandedPw<W>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_activate_banded_tracked(problem, w, pw, exec).0
-}
-
-/// [`a_activate_banded`], additionally returning the per-row (= per-pair)
-/// changed bits that feed the banded dirty-row schedulers of
-/// [`a_square_banded_scheduled`] and [`a_pebble_banded_scheduled`].
+/// needs `k - i <= B`, so each row does `O(B)` work. Also returns the
+/// per-row (= per-pair) changed bits that feed the banded dirty-row
+/// schedulers of [`a_square_banded_scheduled`] and
+/// [`a_pebble_banded_scheduled`].
 pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
     problem: &P,
     w: &WTable<W>,
@@ -735,20 +692,8 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 /// `a-square` over banded storage with the §5 `O(sqrt n)` composition
 /// windows: intermediate gaps `(r,q)` need `r >= p - B` **and**
 /// `r <= q - d + B` to keep both factors in band (symmetrically for
-/// `(p,s)`), so every cell examines `O(B)` candidates.
-///
-/// Uses the default [`SquareStrategy`] (streamed); see
-/// [`a_square_banded_scheduled`] for strategy selection and row skipping.
-pub fn a_square_banded<W: Weight>(
-    prev: &BandedPw<W>,
-    next: &mut BandedPw<W>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_square_banded_scheduled(prev, next, SquareStrategy::default(), None, exec).0
-}
-
-/// Banded `a-square` with full scheduling control — the §5 mirror of
-/// [`a_square_dense_scheduled`].
+/// `(p,s)`), so every cell examines `O(B)` candidates. The §5 mirror of
+/// [`a_square_dense_scheduled`]:
 ///
 /// * `strategy` selects the kernel: [`SquareStrategy::Naive`] is the
 ///   definitional per-cell gather through the [`BandedPw::get`] accessor;
@@ -990,21 +935,6 @@ fn banded_square_row_streamed<W: Weight>(
 /// pair counts as a write only when it strictly improves, exactly like
 /// every other op (see [`OpStats::writes`]).
 ///
-/// See [`a_pebble_banded_scheduled`] for convergence-aware pair skipping.
-pub fn a_pebble_banded<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-    pw: &BandedPw<W>,
-    w_prev: &WTable<W>,
-    w_next: &mut WTable<W>,
-    window: Option<(usize, usize)>,
-    exec: &ExecBackend,
-) -> OpStats {
-    a_pebble_banded_scheduled(problem, pw, w_prev, w_next, window, None, exec).0
-}
-
-/// Banded `a-pebble` with convergence-aware pair scheduling, the §5
-/// counterpart of [`a_pebble_dense_scheduled`].
-///
 /// The in-band candidate family walks the pair's flat `pw'` row slice in
 /// storage order (eccentricity-block-major) instead of gathering each gap
 /// through the [`BandedPw::get`] offset arithmetic; gaps whose partial
@@ -1124,10 +1054,10 @@ mod tests {
         let mut w_next = w.clone();
         let iters = 2 * pardp_pebble::ceil_sqrt(n as u64);
         for _ in 0..iters {
-            a_activate_dense(p, &w, &mut pw, exec);
-            a_square_dense(&pw, &mut pw_next, exec);
+            a_activate_dense_tracked(p, &w, &mut pw, exec);
+            a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, exec);
             std::mem::swap(&mut pw, &mut pw_next);
-            a_pebble_dense(&pw, &w, &mut w_next, exec);
+            a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, exec);
             std::mem::swap(&mut w, &mut w_next);
         }
         w
@@ -1196,7 +1126,7 @@ mod tests {
             w.set(i, i + 1, p.init(i));
         }
         let mut pw = DensePw::new(n);
-        let stats = a_activate_dense(&p, &w, &mut pw, &SEQ);
+        let stats = a_activate_dense_tracked(&p, &w, &mut pw, &SEQ).0;
         assert!(stats.changed);
         // (0,3) with k=1: gap (0,1) gets f(0,1,3) + w(1,3) = inf (w(1,3) unknown).
         assert!(!pw.get(0, 3, 0, 1).is_finite_cost());
@@ -1217,20 +1147,20 @@ mod tests {
         let mut w_next = w.clone();
         // Iterate to fixpoint.
         for _ in 0..20 {
-            a_activate_dense(&p, &w, &mut pw, &SEQ);
-            let s = a_square_dense(&pw, &mut pw_next, &SEQ);
+            a_activate_dense_tracked(&p, &w, &mut pw, &SEQ);
+            let s = a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, &SEQ).0;
             std::mem::swap(&mut pw, &mut pw_next);
-            a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+            a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ);
             std::mem::swap(&mut w, &mut w_next);
             if !s.changed {
                 break;
             }
         }
         // One more round must change nothing.
-        let a = a_activate_dense(&p, &w, &mut pw, &SEQ);
-        let s = a_square_dense(&pw, &mut pw_next, &SEQ);
+        let a = a_activate_dense_tracked(&p, &w, &mut pw, &SEQ).0;
+        let s = a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, &SEQ).0;
         std::mem::swap(&mut pw, &mut pw_next);
-        let pb = a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+        let pb = a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ).0;
         assert!(!a.changed && !s.changed && !pb.changed);
     }
 
@@ -1246,10 +1176,10 @@ mod tests {
         let mut pw_next = DensePw::new(n);
         let mut w_next = w.clone();
         for _ in 0..(2 * (n as f64).log2().ceil() as usize + 4) {
-            a_activate_dense(&p, &w, &mut pw, &SEQ);
-            a_square_rytter(&pw, &mut pw_next, &SEQ);
+            a_activate_dense_tracked(&p, &w, &mut pw, &SEQ);
+            a_square_rytter_with(&pw, &mut pw_next, SquareStrategy::Auto, &SEQ);
             std::mem::swap(&mut pw, &mut pw_next);
-            a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+            a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ);
             std::mem::swap(&mut w, &mut w_next);
         }
         assert!(w.table_eq(&solve_sequential(&p)));
@@ -1263,8 +1193,9 @@ mod tests {
             let pw = DensePw::<u64>::new(n);
             let mut next1 = DensePw::new(n);
             let mut next2 = DensePw::new(n);
-            let restricted = a_square_dense(&pw, &mut next1, &SEQ);
-            let full = a_square_rytter(&pw, &mut next2, &SEQ);
+            let restricted =
+                a_square_dense_scheduled(&pw, &mut next1, SquareStrategy::Auto, None, &SEQ).0;
+            let full = a_square_rytter_with(&pw, &mut next2, SquareStrategy::Auto, &SEQ);
             assert!(full.candidates > restricted.candidates, "n={n}");
             full.candidates as f64 / restricted.candidates as f64
         };
@@ -1293,14 +1224,14 @@ mod tests {
         let mut wd_next = w_d.clone();
         let mut wb_next = w_b.clone();
         for _ in 0..6 {
-            a_activate_dense(&p, &w_d, &mut pwd, &SEQ);
-            a_activate_banded(&p, &w_b, &mut pwb, &SEQ);
-            a_square_dense(&pwd, &mut pwd_next, &SEQ);
-            a_square_banded(&pwb, &mut pwb_next, &SEQ);
+            a_activate_dense_tracked(&p, &w_d, &mut pwd, &SEQ);
+            a_activate_banded_tracked(&p, &w_b, &mut pwb, &SEQ);
+            a_square_dense_scheduled(&pwd, &mut pwd_next, SquareStrategy::Auto, None, &SEQ);
+            a_square_banded_scheduled(&pwb, &mut pwb_next, SquareStrategy::Auto, None, &SEQ);
             std::mem::swap(&mut pwd, &mut pwd_next);
             std::mem::swap(&mut pwb, &mut pwb_next);
-            a_pebble_dense(&pwd, &w_d, &mut wd_next, &SEQ);
-            a_pebble_banded(&p, &pwb, &w_b, &mut wb_next, None, &SEQ);
+            a_pebble_dense_scheduled(&pwd, &w_d, &mut wd_next, None, &SEQ);
+            a_pebble_banded_scheduled(&p, &pwb, &w_b, &mut wb_next, None, None, &SEQ);
             std::mem::swap(&mut w_d, &mut wd_next);
             std::mem::swap(&mut w_b, &mut wb_next);
             // Tables agree cell-for-cell at every step.
@@ -1330,8 +1261,11 @@ mod tests {
         let mut dense_next = DensePw::new(n);
         let banded = BandedPw::<u64>::new(n, band);
         let mut banded_next = BandedPw::new(n, band);
-        let sd = a_square_dense(&dense, &mut dense_next, &SEQ);
-        let sb = a_square_banded(&banded, &mut banded_next, &SEQ);
+        let sd =
+            a_square_dense_scheduled(&dense, &mut dense_next, SquareStrategy::Auto, None, &SEQ).0;
+        let sb =
+            a_square_banded_scheduled(&banded, &mut banded_next, SquareStrategy::Auto, None, &SEQ)
+                .0;
         assert!(
             sb.candidates * 2 < sd.candidates,
             "banded {} vs dense {}",
@@ -1352,7 +1286,7 @@ mod tests {
         let mut w_next = w.clone();
         // Window (0,1]: only leaf-sized pairs — nothing to improve, and
         // longer pairs must not be touched (they stay infinity).
-        let stats = a_pebble_banded(&p, &pw, &w, &mut w_next, Some((0, 1)), &SEQ);
+        let stats = a_pebble_banded_scheduled(&p, &pw, &w, &mut w_next, Some((0, 1)), None, &SEQ).0;
         assert!(!stats.changed);
         assert!(!w_next.get(0, n).is_finite_cost());
     }
@@ -1371,10 +1305,10 @@ mod tests {
         let mut pw_next = DensePw::new(n);
         let mut w_next = w.clone();
         for _ in 0..2 {
-            a_activate_dense(&p, &w, &mut pw, &SEQ);
-            a_square_dense(&pw, &mut pw_next, &SEQ);
+            a_activate_dense_tracked(&p, &w, &mut pw, &SEQ);
+            a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, &SEQ);
             std::mem::swap(&mut pw, &mut pw_next);
-            a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+            a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ);
             std::mem::swap(&mut w, &mut w_next);
         }
         let mut reference = DensePw::new(n);
@@ -1405,7 +1339,7 @@ mod tests {
             w.set(i, i + 1, p.init(i));
         }
         let mut pw = DensePw::new(n);
-        a_activate_dense(&p, &w, &mut pw, &SEQ);
+        a_activate_dense_tracked(&p, &w, &mut pw, &SEQ);
         let mut full = DensePw::new(n);
         let (full_stats, _) =
             a_square_dense_scheduled(&pw, &mut full, SquareStrategy::Auto, None, &SEQ);
@@ -1451,20 +1385,21 @@ mod tests {
         let mut pw_next = DensePw::new(n);
         let mut w_next = w.clone();
         for _ in 0..2 * pardp_pebble::ceil_sqrt(n as u64) {
-            let act = a_activate_dense(&p, &w, &mut pw, &SEQ);
-            let sq = a_square_dense(&pw, &mut pw_next, &SEQ);
+            let act = a_activate_dense_tracked(&p, &w, &mut pw, &SEQ).0;
+            let sq =
+                a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, &SEQ).0;
             std::mem::swap(&mut pw, &mut pw_next);
-            let pb = a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+            let pb = a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ).0;
             std::mem::swap(&mut w, &mut w_next);
             for (name, s) in [("activate", act), ("square", sq), ("pebble", pb)] {
                 assert_eq!(s.changed, s.writes > 0, "{name}: {s:?}");
             }
         }
         // At the fixpoint: one more sweep of every op stores nothing.
-        let act = a_activate_dense(&p, &w, &mut pw, &SEQ);
-        let sq = a_square_dense(&pw, &mut pw_next, &SEQ);
+        let act = a_activate_dense_tracked(&p, &w, &mut pw, &SEQ).0;
+        let sq = a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, &SEQ).0;
         std::mem::swap(&mut pw, &mut pw_next);
-        let pb = a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+        let pb = a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ).0;
         for s in [act, sq, pb] {
             assert_eq!(s.writes, 0, "{s:?}");
             assert!(!s.changed);
@@ -1480,13 +1415,13 @@ mod tests {
         let w = solve_sequential(&p);
         let pw = BandedPw::new(n, n);
         let mut w_next = WTable::new(n);
-        let stats = a_pebble_banded(&p, &pw, &w, &mut w_next, Some((0, 0)), &SEQ);
+        let stats = a_pebble_banded_scheduled(&p, &pw, &w, &mut w_next, Some((0, 0)), None, &SEQ).0;
         assert_eq!(stats.writes, 0);
         assert!(!stats.changed);
         assert!(w_next.table_eq(&w));
         // And a full (unwindowed) pass over final values also stores
         // nothing new.
-        let stats = a_pebble_banded(&p, &pw, &w, &mut w_next, None, &SEQ);
+        let stats = a_pebble_banded_scheduled(&p, &pw, &w, &mut w_next, None, None, &SEQ).0;
         assert_eq!(stats.writes, 0);
         assert!(!stats.changed);
     }
@@ -1522,10 +1457,10 @@ mod tests {
             let mut pw_next = BandedPw::new(n, band);
             let mut w_next = w.clone();
             for _ in 0..2 * pardp_pebble::ceil_sqrt(n as u64) {
-                a_activate_banded(&p, &w, &mut pw, exec);
-                a_square_banded(&pw, &mut pw_next, exec);
+                a_activate_banded_tracked(&p, &w, &mut pw, exec);
+                a_square_banded_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, exec);
                 std::mem::swap(&mut pw, &mut pw_next);
-                a_pebble_banded(&p, &pw, &w, &mut w_next, None, exec);
+                a_pebble_banded_scheduled(&p, &pw, &w, &mut w_next, None, None, exec);
                 std::mem::swap(&mut w, &mut w_next);
             }
             w

@@ -122,7 +122,7 @@ fn banded_pebble_hist(n: usize, band: usize, window: Option<(usize, usize)>) -> 
         }
         let emax = (d - 1).min(band);
         // In-band gaps (incl. identity) plus the d-1 direct decompositions
-        // (see `a_pebble_banded`).
+        // (see `a_pebble_banded_scheduled`).
         let fan = ((emax + 1) * (emax + 2) / 2 + (d - 1)) as u64;
         if fan > 1 {
             *hist.entry(fan).or_insert(0) += (n + 1 - d) as u64;
@@ -521,14 +521,14 @@ mod tests {
         // The analytic fan-in histograms must total exactly the candidates
         // the executable ops report (+1 per cell for the old value in the
         // square/pebble, which ops count as implicit).
-        use crate::ops::{a_square_dense, OpStats};
+        use crate::ops::{a_square_dense_scheduled, OpStats, SquareStrategy};
         use crate::tables::DensePw;
         let n = 9usize;
         let pw = DensePw::<u64>::new(n);
         let mut next = DensePw::new(n);
         let OpStats {
             candidates, writes, ..
-        } = a_square_dense(&pw, &mut next, &SEQ);
+        } = a_square_dense_scheduled(&pw, &mut next, SquareStrategy::Auto, None, &SEQ).0;
         let hist_total: u64 = dense_square_hist(n)
             .iter()
             .map(|&(fan, count)| (fan - 1) * count)

@@ -31,9 +31,11 @@
 //!
 //! [`Algorithm`] doubles as the registry: [`Algorithm::ALL`] enumerates
 //! the spectrum, [`Algorithm::from_str`](str::parse) parses user input
-//! (with an error that lists every valid name), and the capability flags
-//! ([`Algorithm::is_parallel`], [`Algorithm::is_iterative`], …) let
-//! front ends validate knobs without hard-coding per-algorithm tables.
+//! (with an error that lists every valid name), and
+//! [`Algorithm::reads`] is the one algorithm × [`SolveKnob`] table.
+//! Knob validation, the solution store's cache key, the iteration engine
+//! and the CLI usage text all ask it, so no front end hard-codes a
+//! per-algorithm table.
 //!
 //! ## Migration from the per-module entry points
 //!
@@ -45,7 +47,7 @@
 //!
 //! | removed entry point (config fields) | façade call |
 //! |---|---|
-//! | `wavefront` (`exec`, `parallel_threshold`) | `Solver::new(Algorithm::Wavefront).options(SolveOptions::default().exec(e).wavefront_grain(g))` |
+//! | `wavefront` (`exec`, `parallel_threshold`) | `Solver::new(Algorithm::Wavefront).options(SolveOptions::default().exec(e))` — the fork-join floor is a constant |
 //! | `sublinear` (`exec`, `termination`, `record_trace`, `square`, `skip_clean_rows`) | `Solver::new(Algorithm::Sublinear).options(SolveOptions::default().exec(e).termination(t))` |
 //! | `reduced` (`exec`, `record_trace`, `windowed_pebble`, `band`, `square`, `skip_clean_rows`) | `Solver::new(Algorithm::Reduced).options(SolveOptions::default().band(b).windowed_pebble(w))` |
 //! | `rytter` (`exec`, `record_trace`, `fixpoint_stop`, `square`) | `Solver::new(Algorithm::Rytter)` — the fixpoint stop is always on |
@@ -72,7 +74,7 @@ use crate::weight::Weight;
 /// Every solver on the paper's spectrum (§1), slowest-sequential to
 /// most-parallel. The enum is the registry: parse names with
 /// [`str::parse`], enumerate with [`Algorithm::ALL`], and query
-/// capabilities with the `supports_*` / `is_*` flags.
+/// capabilities with [`Algorithm::reads`] and the `is_*` flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// The classic `O(n³)` sequential dynamic program \[1\].
@@ -170,30 +172,34 @@ impl Algorithm {
         )
     }
 
-    /// Whether the stopping rule ([`SolveOptions::termination`]) affects
-    /// the run. The §5 solver is excluded: its window argument relies on
-    /// the fixed `2⌈√n⌉` schedule.
-    pub fn supports_termination(&self) -> bool {
-        matches!(self, Algorithm::Sublinear | Algorithm::Rytter)
+    /// Whether the algorithm reads `knob`: the one algorithm × knob
+    /// table of the paper's spectrum (§1). The backend goes to the
+    /// parallel algorithms and the kernel and trace to the iterative ones.
+    /// The §7 stopping rule goes to the §2 solver and to Rytter, which
+    /// accepts every rule and still stops at its exact fixpoint. The §5
+    /// solver does not read it, because its window argument relies on the
+    /// fixed `2⌈√n⌉` schedule. Convergence-aware scheduling applies to
+    /// §2 and §5, and the band and size window to §5 alone.
+    pub fn reads(&self, knob: SolveKnob) -> bool {
+        match knob {
+            SolveKnob::Exec => self.is_parallel(),
+            SolveKnob::Square | SolveKnob::RecordTrace => self.is_iterative(),
+            SolveKnob::Termination => matches!(self, Algorithm::Sublinear | Algorithm::Rytter),
+            SolveKnob::SkipCleanRows => matches!(self, Algorithm::Sublinear | Algorithm::Reduced),
+            SolveKnob::Band | SolveKnob::WindowedPebble => *self == Algorithm::Reduced,
+        }
     }
 
-    /// Whether the §5 band-width override ([`SolveOptions::band`]) and
-    /// the windowed-pebble toggle ([`SolveOptions::windowed_pebble`])
-    /// apply.
-    pub fn supports_band(&self) -> bool {
-        matches!(self, Algorithm::Reduced)
-    }
-
-    /// Whether the wavefront fork-join grain
-    /// ([`SolveOptions::wavefront_grain`]) applies.
-    pub fn supports_grain(&self) -> bool {
-        matches!(self, Algorithm::Wavefront)
-    }
-
-    /// Whether convergence-aware scheduling
-    /// ([`SolveOptions::skip_clean_rows`]) applies.
-    pub fn supports_skip(&self) -> bool {
-        matches!(self, Algorithm::Sublinear | Algorithm::Reduced)
+    /// The names of every algorithm that [reads](Algorithm::reads)
+    /// `knob`, `" | "`-separated: the "pick one of" tail of capability
+    /// errors and the per-flag lists of the CLI usage text.
+    pub fn names_reading(knob: SolveKnob) -> String {
+        Algorithm::ALL
+            .iter()
+            .filter(|a| a.reads(knob))
+            .map(|a| a.name())
+            .collect::<Vec<_>>()
+            .join(" | ")
     }
 
     /// `"name — description"` lines for every algorithm, the body of the
@@ -211,18 +217,6 @@ impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// The names of all algorithms satisfying `pred`, `" | "`-separated —
-/// the "pick one of" tail of capability errors.
-fn names_where(pred: impl Fn(Algorithm) -> bool) -> String {
-    Algorithm::ALL
-        .iter()
-        .copied()
-        .filter(|&a| pred(a))
-        .map(|a| a.name())
-        .collect::<Vec<_>>()
-        .join(" | ")
 }
 
 /// A named [`SolveOptions`] knob — the unit of targeted validation.
@@ -248,13 +242,11 @@ pub enum SolveKnob {
     Band,
     /// [`SolveOptions::windowed_pebble`] — the §5 windowed pebble.
     WindowedPebble,
-    /// [`SolveOptions::wavefront_grain`] — the wavefront fork-join grain.
-    WavefrontGrain,
 }
 
 impl SolveKnob {
     /// Every knob, in [`SolveOptions`] field order.
-    pub const ALL: [SolveKnob; 8] = [
+    pub const ALL: [SolveKnob; 7] = [
         SolveKnob::Exec,
         SolveKnob::Square,
         SolveKnob::Termination,
@@ -262,7 +254,6 @@ impl SolveKnob {
         SolveKnob::SkipCleanRows,
         SolveKnob::Band,
         SolveKnob::WindowedPebble,
-        SolveKnob::WavefrontGrain,
     ];
 
     /// The [`SolveOptions`] field name this knob denotes.
@@ -275,7 +266,25 @@ impl SolveKnob {
             SolveKnob::SkipCleanRows => "skip_clean_rows",
             SolveKnob::Band => "band",
             SolveKnob::WindowedPebble => "windowed_pebble",
-            SolveKnob::WavefrontGrain => "wavefront_grain",
+        }
+    }
+
+    /// Why an algorithm that does not [read](Algorithm::reads) this
+    /// knob ignores it: the middle of its capability error.
+    pub(crate) fn reason(&self) -> &'static str {
+        match self {
+            SolveKnob::Exec => "it runs no data-parallel passes",
+            SolveKnob::Square => "it has no a-square kernel",
+            SolveKnob::Termination => {
+                "it does not read a stopping rule (the §5 solver needs its \
+                 fixed schedule; the direct algorithms do not iterate)"
+            }
+            SolveKnob::RecordTrace => "it does not iterate (activate, square, pebble)",
+            SolveKnob::SkipCleanRows => {
+                "convergence-aware scheduling applies to the §2/§5 solvers only"
+            }
+            SolveKnob::Band => "only the banded §5 solver reads a band width",
+            SolveKnob::WindowedPebble => "only the §5 solver has a windowed pebble",
         }
     }
 }
@@ -319,9 +328,9 @@ impl std::str::FromStr for Algorithm {
 }
 
 /// Every shared solver knob, in one builder. Each algorithm reads the
-/// subset it understands (see the [`Algorithm`] capability flags) and
-/// ignores the rest, so one `SolveOptions` can drive a sweep across the
-/// whole spectrum.
+/// subset it understands (see [`Algorithm::reads`]) and ignores the
+/// rest, so one `SolveOptions` can drive a sweep across the whole
+/// spectrum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveOptions {
     /// Execution backend for the data-parallel passes (parallel
@@ -349,11 +358,6 @@ pub struct SolveOptions {
     /// Apply the §5 size window to the pebble step (the E8 ablation
     /// point; reduced solver only).
     pub windowed_pebble: bool,
-    /// Wavefront fork-join grain, applied per tile-diagonal step: a step
-    /// with fewer candidate evaluations than this runs on the calling
-    /// thread (default 4096, which avoids fork-join overhead on tiny
-    /// steps). See [`crate::wavefront`] for the schedule.
-    pub wavefront_grain: usize,
     /// Cooperative deadline: the iterative solvers check it once per
     /// iteration and the wavefront once per tile-diagonal step, stopping
     /// with [`StopReason::DeadlineExceeded`] (a **partial** table — see
@@ -361,9 +365,8 @@ pub struct SolveOptions {
     /// solvers do not check (they do not iterate; bound them by problem
     /// size instead). `None` (the default) costs nothing. Unlike the
     /// other knobs, a deadline is execution policy, not part of the
-    /// problem: it is accepted by every algorithm, excluded from
-    /// [`validate`](SolveOptions::validate), and ignored by the solution
-    /// store's cache key.
+    /// problem: it is accepted by every algorithm, has no
+    /// [`SolveKnob`], and is ignored by the solution store's cache key.
     pub deadline: Option<Instant>,
 }
 
@@ -377,7 +380,6 @@ impl Default for SolveOptions {
             skip_clean_rows: true,
             band: None,
             windowed_pebble: true,
-            wavefront_grain: 4096,
             deadline: None,
         }
     }
@@ -426,12 +428,6 @@ impl SolveOptions {
         self
     }
 
-    /// Set the wavefront fork-join grain.
-    pub fn wavefront_grain(mut self, grain: usize) -> Self {
-        self.wavefront_grain = grain;
-        self
-    }
-
     /// Set the cooperative deadline (`None` never cancels).
     pub fn deadline(mut self, deadline: Option<Instant>) -> Self {
         self.deadline = deadline;
@@ -443,144 +439,29 @@ impl SolveOptions {
         CancelToken::new(self.deadline)
     }
 
-    /// Check one named knob against `algorithm`'s capability flags,
-    /// regardless of the knob's current value — the gate for knobs a
-    /// user set *explicitly* (a CLI flag, a JSONL job-spec field), where
-    /// even restating the default on an incapable algorithm deserves a
+    /// Check one named knob against [`Algorithm::reads`], regardless of
+    /// the knob's current value — the gate for knobs a user set
+    /// *explicitly* (a CLI flag, a JSONL job-spec field), where even
+    /// restating the default on an algorithm that ignores it deserves a
     /// pointed rejection rather than silence.
     ///
     /// Value validity is checked too where it exists (a zero band).
     pub fn validate_knob(&self, algorithm: Algorithm, knob: SolveKnob) -> Result<(), OptionsError> {
-        let err = |message: String| Err(OptionsError { knob, message });
-        let no_effect = |why: &str, pick: String| {
-            err(format!(
-                "has no effect on '{algorithm}' ({}): {why}; drop it or pick one of: {pick}",
-                algorithm.description()
-            ))
+        let message = if knob == SolveKnob::Band && self.band == Some(0) {
+            "requests a zero band width; drop it for the paper's \
+             2*ceil(sqrt(n)) or give a positive width"
+                .to_string()
+        } else if !algorithm.reads(knob) {
+            format!(
+                "has no effect on '{algorithm}' ({}): {}; drop it or pick one of: {}",
+                algorithm.description(),
+                knob.reason(),
+                Algorithm::names_reading(knob)
+            )
+        } else {
+            return Ok(());
         };
-        match knob {
-            SolveKnob::Exec => {
-                if !algorithm.is_parallel() {
-                    return no_effect(
-                        "it runs no data-parallel passes",
-                        names_where(|a| a.is_parallel()),
-                    );
-                }
-            }
-            SolveKnob::Square => {
-                if !algorithm.is_iterative() {
-                    return no_effect(
-                        "it has no a-square kernel",
-                        names_where(|a| a.is_iterative()),
-                    );
-                }
-            }
-            SolveKnob::Termination => {
-                if !algorithm.supports_termination() {
-                    return no_effect(
-                        "it does not read a stopping rule (the §5 solver needs its \
-                         fixed schedule; the direct algorithms do not iterate)",
-                        names_where(|a| a.supports_termination()),
-                    );
-                }
-            }
-            SolveKnob::RecordTrace => {
-                if !algorithm.is_iterative() {
-                    return no_effect(
-                        "it does not iterate (activate, square, pebble)",
-                        names_where(|a| a.is_iterative()),
-                    );
-                }
-            }
-            SolveKnob::SkipCleanRows => {
-                if !algorithm.supports_skip() {
-                    return no_effect(
-                        "convergence-aware scheduling applies to the §2/§5 solvers only",
-                        names_where(|a| a.supports_skip()),
-                    );
-                }
-            }
-            SolveKnob::Band => {
-                if let Some(0) = self.band {
-                    return err("requests a zero band width; drop it for the paper's \
-                         2*ceil(sqrt(n)) or give a positive width"
-                        .into());
-                }
-                if !algorithm.supports_band() {
-                    return no_effect(
-                        "only the banded §5 solver reads a band width",
-                        names_where(|a| a.supports_band()),
-                    );
-                }
-            }
-            SolveKnob::WindowedPebble => {
-                if !algorithm.supports_band() {
-                    return no_effect(
-                        "only the §5 solver has a windowed pebble",
-                        names_where(|a| a.supports_band()),
-                    );
-                }
-            }
-            SolveKnob::WavefrontGrain => {
-                if !algorithm.supports_grain() {
-                    return no_effect(
-                        "only the wavefront solver reads a fork-join grain",
-                        names_where(|a| a.supports_grain()),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Validate the whole option set against `algorithm`: every knob
-    /// that deviates from [`SolveOptions::default`] must be one the
-    /// algorithm actually reads (per the [`Algorithm`] capability
-    /// flags), and value validity (a zero band) is checked
-    /// unconditionally.
-    ///
-    /// [`ExecBackend::Sequential`] is always accepted: it is the
-    /// meaning-free baseline every algorithm can honour (and the batch
-    /// scheduler's own forced choice for small jobs). To reject *any*
-    /// explicit backend on a sequential algorithm — the CLI's behaviour
-    /// for `--backend` — use [`SolveOptions::validate_knob`] with
-    /// [`SolveKnob::Exec`] instead.
-    ///
-    /// This is deliberately strict: options an algorithm would silently
-    /// ignore are *errors* here, so admission gates (the serve daemon,
-    /// programmatic front ends) reject misconfigured jobs instead of
-    /// running them under different knobs than the caller believes.
-    pub fn validate(&self, algorithm: Algorithm) -> Result<(), OptionsError> {
-        let d = SolveOptions::default();
-        // Value validity first, independent of defaults.
-        if self.band == Some(0) {
-            self.validate_knob(algorithm, SolveKnob::Band)?;
-        }
-        if self.exec != d.exec && self.exec != ExecBackend::Sequential {
-            self.validate_knob(algorithm, SolveKnob::Exec)?;
-        }
-        if self.square != d.square {
-            self.validate_knob(algorithm, SolveKnob::Square)?;
-        }
-        if self.termination != d.termination {
-            self.validate_knob(algorithm, SolveKnob::Termination)?;
-        }
-        if self.record_trace != d.record_trace {
-            self.validate_knob(algorithm, SolveKnob::RecordTrace)?;
-        }
-        if self.skip_clean_rows != d.skip_clean_rows {
-            self.validate_knob(algorithm, SolveKnob::SkipCleanRows)?;
-        }
-        if self.band.is_some() {
-            self.validate_knob(algorithm, SolveKnob::Band)?;
-        }
-        if self.windowed_pebble != d.windowed_pebble {
-            self.validate_knob(algorithm, SolveKnob::WindowedPebble)?;
-        }
-        if self.wavefront_grain != d.wavefront_grain {
-            self.validate_knob(algorithm, SolveKnob::WavefrontGrain)?;
-        }
-        Ok(())
+        Err(OptionsError { knob, message })
     }
 }
 
@@ -772,18 +653,26 @@ mod tests {
 
     #[test]
     fn capability_flags_are_consistent() {
-        for a in Algorithm::ALL {
-            // Kernel choice and scheduling only make sense for the
-            // iterating (activate, square, pebble) algorithms, which are
-            // parallel.
-            assert!(!a.is_iterative() || a.is_parallel(), "{a}");
-            assert!(!a.supports_skip() || a.is_iterative(), "{a}");
-            assert!(!a.supports_band() || a.is_iterative(), "{a}");
-            assert!(!a.supports_termination() || a.is_iterative(), "{a}");
-            // The grain is the wavefront's alone.
-            assert_eq!(a.supports_grain(), a == Algorithm::Wavefront, "{a}");
+        // The spectrum's algorithm × knob table (§1): rows in
+        // `Algorithm::ALL` order; columns in `SolveKnob::ALL` order —
+        // exec, square, termination, record_trace, skip_clean_rows, band,
+        // windowed_pebble.
+        const T: bool = true;
+        const F: bool = false;
+        let table: [(Algorithm, [bool; 7]); 6] = [
+            (Algorithm::Sequential, [F, F, F, F, F, F, F]),
+            (Algorithm::Knuth, [F, F, F, F, F, F, F]),
+            (Algorithm::Wavefront, [T, F, F, F, F, F, F]),
+            (Algorithm::Sublinear, [T, T, T, T, T, F, F]),
+            (Algorithm::Reduced, [T, T, F, T, T, T, T]),
+            (Algorithm::Rytter, [T, T, T, T, F, F, F]),
+        ];
+        assert_eq!(table.map(|(a, _)| a), Algorithm::ALL);
+        for (a, row) in table {
+            for (knob, expect) in SolveKnob::ALL.into_iter().zip(row) {
+                assert_eq!(a.reads(knob), expect, "{a} {knob:?}");
+            }
         }
-        assert_eq!(Algorithm::ALL.len(), 6);
     }
 
     #[test]
@@ -841,87 +730,39 @@ mod tests {
     }
 
     #[test]
-    fn default_options_validate_for_every_algorithm() {
-        for a in Algorithm::ALL {
-            assert_eq!(SolveOptions::default().validate(a), Ok(()), "{a}");
-            // The sequential baseline backend is always acceptable.
-            assert_eq!(
-                SolveOptions::default()
-                    .exec(ExecBackend::Sequential)
-                    .validate(a),
-                Ok(()),
-                "{a}"
-            );
-        }
-    }
-
-    #[test]
     fn validate_rejects_each_incapable_knob_deviation() {
-        let cases: [(SolveOptions, SolveKnob, Algorithm); 7] = [
-            (
-                SolveOptions::default().exec(ExecBackend::Threads(2)),
-                SolveKnob::Exec,
-                Algorithm::Knuth,
-            ),
-            (
-                SolveOptions::default().square(SquareStrategy::Naive),
-                SolveKnob::Square,
-                Algorithm::Wavefront,
-            ),
-            (
-                SolveOptions::default().termination(Termination::Fixpoint),
-                SolveKnob::Termination,
-                Algorithm::Reduced,
-            ),
-            (
-                SolveOptions::default().record_trace(true),
-                SolveKnob::RecordTrace,
-                Algorithm::Sequential,
-            ),
-            (
-                SolveOptions::default().skip_clean_rows(false),
-                SolveKnob::SkipCleanRows,
-                Algorithm::Rytter,
-            ),
-            (
-                SolveOptions::default().band(Some(8)),
-                SolveKnob::Band,
-                Algorithm::Sublinear,
-            ),
-            (
-                SolveOptions::default().wavefront_grain(1),
-                SolveKnob::WavefrontGrain,
-                Algorithm::Reduced,
-            ),
-        ];
-        for (opts, knob, algo) in cases {
-            let err = opts.validate(algo).unwrap_err();
-            assert_eq!(err.knob, knob, "{algo}");
-            assert!(err.message.contains("has no effect"), "{knob:?}: {err}");
-            assert!(err.message.contains(algo.name()), "{knob:?}: {err}");
-            assert!(err.to_string().contains(knob.field()), "{knob:?}: {err}");
-            // The same deviation on a capable algorithm passes.
-            let capable = Algorithm::ALL
-                .iter()
-                .copied()
-                .find(|&a| opts.validate(a).is_ok());
-            assert!(capable.is_some(), "{knob:?} rejected everywhere");
+        // Every pair of a knob and an algorithm that does not read it.
+        let opts = SolveOptions::default();
+        for knob in SolveKnob::ALL {
+            let pick = Algorithm::names_reading(knob);
+            for a in Algorithm::ALL.into_iter().filter(|a| !a.reads(knob)) {
+                let err = opts.validate_knob(a, knob).unwrap_err();
+                assert_eq!(err.knob, knob, "{a}");
+                let expect = format!(
+                    "`{}` has no effect on '{a}' ({}): {}; drop it or pick one of: {pick}",
+                    knob.field(),
+                    a.description(),
+                    knob.reason()
+                );
+                assert_eq!(err.to_string(), expect, "{a} {knob:?}");
+            }
         }
-        // windowed_pebble deviates by turning *off* the default.
-        let err = SolveOptions::default()
-            .windowed_pebble(false)
-            .validate(Algorithm::Sublinear)
+        let err = opts
+            .validate_knob(Algorithm::Knuth, SolveKnob::Exec)
             .unwrap_err();
-        assert_eq!(err.knob, SolveKnob::WindowedPebble, "{err}");
+        assert_eq!(
+            err.message,
+            "has no effect on 'knuth' (Knuth-Yao O(n^2) DP (quadrangle-inequality instances \
+             only)): it runs no data-parallel passes; drop it or pick one of: wavefront | \
+             sublinear | reduced | rytter"
+        );
     }
 
     #[test]
     fn validate_rejects_degenerate_values_everywhere() {
+        let zero = SolveOptions::default().band(Some(0));
         for a in Algorithm::ALL {
-            let err = SolveOptions::default()
-                .band(Some(0))
-                .validate(a)
-                .unwrap_err();
+            let err = zero.validate_knob(a, SolveKnob::Band).unwrap_err();
             assert_eq!(err.knob, SolveKnob::Band, "{a}");
             assert!(err.message.contains("zero band"), "{a}: {err}");
         }
@@ -936,22 +777,11 @@ mod tests {
             .validate_knob(Algorithm::Sequential, SolveKnob::Exec)
             .unwrap_err();
         assert!(err.message.contains("no data-parallel passes"), "{err}");
-        for a in Algorithm::ALL.iter().copied().filter(|a| a.is_parallel()) {
-            assert_eq!(opts.validate_knob(a, SolveKnob::Exec), Ok(()), "{a}");
-        }
-        // Each knob agrees with the registry capability flags.
+        // Every knob at its default passes exactly where it is read.
         for a in Algorithm::ALL {
             for knob in SolveKnob::ALL {
                 let ok = opts.validate_knob(a, knob).is_ok();
-                let expect = match knob {
-                    SolveKnob::Exec => a.is_parallel(),
-                    SolveKnob::Square | SolveKnob::RecordTrace => a.is_iterative(),
-                    SolveKnob::Termination => a.supports_termination(),
-                    SolveKnob::SkipCleanRows => a.supports_skip(),
-                    SolveKnob::Band | SolveKnob::WindowedPebble => a.supports_band(),
-                    SolveKnob::WavefrontGrain => a.supports_grain(),
-                };
-                assert_eq!(ok, expect, "{a} {knob:?}");
+                assert_eq!(ok, a.reads(knob), "{a} {knob:?}");
             }
         }
     }

@@ -34,21 +34,19 @@
 //! The key covers the family name, the family payload (length-prefixed
 //! `u64` slices, so `chain [1,2]` and `merge [1,2]` never collide), the
 //! algorithm name, and **only the knobs that can change the solution
-//! bytes** (value, table, trace, statistics), filtered by the
-//! algorithm's capability flags:
+//! bytes** (value, table, trace, statistics), filtered by
+//! [`Algorithm::reads`]:
 //!
 //! * **Identity-relevant** — `termination` (changes iteration counts),
 //!   `skip_clean_rows` (changes candidate counts), `band`, and
 //!   `windowed_pebble` (both change the §5 work pattern) — each hashed
-//!   only for algorithms whose capability flags read them.
+//!   only for algorithms that read it.
 //! * **Not identity-relevant** — `exec` (every backend produces
 //!   bit-identical tables *and* identical [`OpStats`], property-tested
-//!   in `tests/backend_parity.rs`), `square` (the naive and streamed
+//!   in `tests/backend_parity.rs`) and `square` (the naive and streamed
 //!   kernels give the same guarantee, see
-//!   [`SquareStrategy`](crate::ops::SquareStrategy)), and
-//!   `wavefront_grain` (splitting only; the wavefront table is exact
-//!   for every grain). Jobs differing only in these knobs share a cache
-//!   entry.
+//!   [`SquareStrategy`](crate::ops::SquareStrategy)). Jobs differing
+//!   only in these knobs share a cache entry.
 //! * **Bypass** — `record_trace: true` jobs carry per-iteration records
 //!   sized by the run that produced them, and [`Algorithm::Knuth`]
 //!   requires a quadrangle-inequality check that a cache hit would
@@ -107,7 +105,7 @@ use serde::{Deserialize, Serialize};
 use crate::fault::{unpoison, FaultPlan, FaultSite};
 use crate::job;
 use crate::ops::OpStats;
-use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
+use crate::solver::{Algorithm, Solution, SolveKnob, SolveOptions, Solver};
 use crate::spec::{CanonicalHasher, ProblemSpec};
 use crate::tables::WTable;
 use crate::trace::{SolveTrace, Termination};
@@ -166,17 +164,17 @@ impl ProblemKey {
             ProblemSpec::Merge { lengths } => h.write_slice(lengths),
         }
         h.write_str(algorithm.name());
-        if algorithm.supports_termination() {
+        if algorithm.reads(SolveKnob::Termination) {
             h.write_str(match options.termination {
                 Termination::FixedSqrtN => "fixed-sqrt-n",
                 Termination::Fixpoint => "fixpoint",
                 Termination::WStableTwice => "w-stable-twice",
             });
         }
-        if algorithm.supports_skip() {
+        if algorithm.reads(SolveKnob::SkipCleanRows) {
             h.write_u64(options.skip_clean_rows as u64);
         }
-        if algorithm.supports_band() {
+        if algorithm.reads(SolveKnob::Band) {
             match options.band {
                 None => h.write_u64(0),
                 Some(b) => {
@@ -185,7 +183,7 @@ impl ProblemKey {
                 }
             }
         }
-        if algorithm == Algorithm::Reduced {
+        if algorithm.reads(SolveKnob::WindowedPebble) {
             h.write_u64(options.windowed_pebble as u64);
         }
         Some(ProblemKey(h.finish()))
@@ -1089,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_backend_square_and_grain() {
+    fn key_ignores_backend_and_square() {
         let s = spec(&[30, 35, 15, 5, 10]);
         for algo in [Algorithm::Sublinear, Algorithm::Wavefront] {
             let base = ProblemKey::derive(&s, algo, &seq_opts()).unwrap();
@@ -1108,11 +1106,53 @@ mod tests {
                 .unwrap(),
                 "{algo}: square must not be identity-relevant"
             );
-            assert_eq!(
-                base,
-                ProblemKey::derive(&s, algo, &seq_opts().wavefront_grain(1)).unwrap(),
-                "{algo}: grain must not be identity-relevant"
-            );
+        }
+    }
+
+    #[test]
+    fn key_hex_values_are_pinned() {
+        // `FileStore` records written by earlier builds must keep
+        // hitting: the field order and encodings of `derive` are a
+        // storage format. Per algorithm, the keys under the default
+        // options, then termination(Fixpoint), skip_clean_rows(false),
+        // band(Some(5)) and windowed_pebble(false).
+        let s = spec(&[30, 35, 15, 5, 10, 20, 25]);
+        let d = SolveOptions::default();
+        let options = [
+            d,
+            d.termination(Termination::Fixpoint),
+            d.skip_clean_rows(false),
+            d.band(Some(5)),
+            d.windowed_pebble(false),
+        ];
+        let (sub, red, ryt) = ("2fc9fcfb441a90ee", "fe24b658cd34319c", "63389328ee523511");
+        let pinned = [
+            (Algorithm::Sequential, ["3796742311e75268"; 5]),
+            (Algorithm::Wavefront, ["b84abe33801dcde0"; 5]),
+            (
+                Algorithm::Sublinear,
+                [sub, "f9f3662f53658245", "4ec4c4044f09db0f", sub, sub],
+            ),
+            (
+                Algorithm::Reduced,
+                [
+                    red,
+                    red,
+                    "15729b2f25a8db7d",
+                    "b47c311504321818",
+                    "1d1f7d61d8237bbd",
+                ],
+            ),
+            (Algorithm::Rytter, [ryt, "4794a5172937a572", ryt, ryt, ryt]),
+        ];
+        for (algo, keys) in pinned {
+            for (opts, key) in options.iter().zip(keys) {
+                let got = ProblemKey::derive(&s, algo, opts).map(|k| k.hex());
+                assert_eq!(got.as_deref(), Some(key), "{algo} {opts:?}");
+            }
+        }
+        for opts in &options {
+            assert_eq!(ProblemKey::derive(&s, Algorithm::Knuth, opts), None);
         }
     }
 

@@ -31,7 +31,9 @@
 use pardp_pebble::{PebbleGame, SquareRule};
 
 use crate::exec::ExecBackend;
-use crate::ops::{a_activate_dense, a_pebble_dense, a_square_dense};
+use crate::ops::{
+    a_activate_dense_tracked, a_pebble_dense_scheduled, a_square_dense_scheduled, SquareStrategy,
+};
 use crate::problem::DpProblem;
 use crate::reconstruct::{reconstruct_root, to_pebble_tree};
 use crate::seq::solve_sequential;
@@ -130,18 +132,18 @@ pub fn verify_coupled<W: Weight, P: DpProblem<W> + ?Sized>(
     for iter in 1..=schedule {
         // activate; a-activate
         game.activate();
-        a_activate_dense(problem, &w, &mut pw, &SEQ);
+        a_activate_dense_tracked(problem, &w, &mut pw, &SEQ);
         checks += cond_invariant(&game, &pw, "activate", iter)?;
 
         // square; a-square
         game.square();
-        a_square_dense(&pw, &mut pw_next, &SEQ);
+        a_square_dense_scheduled(&pw, &mut pw_next, SquareStrategy::Auto, None, &SEQ);
         std::mem::swap(&mut pw, &mut pw_next);
         checks += cond_invariant(&game, &pw, "square", iter)?;
 
         // pebble; a-pebble
         game.pebble();
-        a_pebble_dense(&pw, &w, &mut w_next, &SEQ);
+        a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ);
         std::mem::swap(&mut w, &mut w_next);
         checks += soundness(&w, "pebble", iter)?;
 

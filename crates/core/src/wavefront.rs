@@ -63,10 +63,12 @@
 //!
 //! # Grain, deadline and exactness
 //!
-//! A step with fewer candidate evaluations than
-//! [`SolveOptions::wavefront_grain`] runs on the calling thread. The
-//! deadline is checked once per step; a cancelled sweep returns the
-//! table with every later step still infinity. Each cell reduces
+//! A step with fewer than `STEP_GRAIN` = 4096 candidate evaluations runs
+//! on the calling thread, which avoids fork-join overhead on tiny steps.
+//! Tests call `sweep` with a grain of 0 or `usize::MAX` to force every
+//! step onto the pool or onto the calling thread. The deadline is
+//! checked once per step; a cancelled sweep returns the table with
+//! every later step still infinity. Each cell reduces
 //! exactly as [`solve_sequential`](crate::seq::solve_sequential) does:
 //! `k` ascending, `w(i,k).add(w(k,j)).add(f(i,k,j))`, folded with
 //! [`Weight::min2`] from infinity. Integer and float tables are
@@ -86,6 +88,8 @@ const MAX_EDGE: usize = 16;
 const MIN_EDGE: usize = 4;
 /// Tiles per worker on the main tile-diagonal.
 const TILES_PER_WORKER: usize = 4;
+/// Fewest candidate evaluations a step needs to run on the pool.
+const STEP_GRAIN: usize = 4096;
 
 /// The tile edge the sweep uses for `n` objects on `workers` workers:
 /// `(n + 1) / (4 * workers)`, clamped to `4..=16` (see the module docs
@@ -106,7 +110,7 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
     opts: &SolveOptions,
     seed: Option<(usize, &WTable<W>)>,
 ) -> Solution<W> {
-    let (w, completed) = sweep(problem, opts, seed);
+    let (w, completed) = sweep(problem, opts, seed, STEP_GRAIN);
     let mut solution = Solution::direct(algorithm, w);
     if !completed {
         solution.trace.stop = StopReason::DeadlineExceeded;
@@ -114,14 +118,16 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
     solution
 }
 
-/// The tile-diagonal sweep. Returns the table plus whether it ran to
-/// completion — `false` means the deadline passed and the table is
-/// partial (tile-diagonals past the cancellation point are still
-/// infinity).
+/// The tile-diagonal sweep. A step with fewer than `grain` candidate
+/// evaluations runs on the calling thread. Returns the table plus
+/// whether it ran to completion — `false` means the deadline passed and
+/// the table is partial (tile-diagonals past the cancellation point are
+/// still infinity).
 fn sweep<W: Weight, P: DpProblem<W> + ?Sized>(
     problem: &P,
     opts: &SolveOptions,
     seed: Option<(usize, &WTable<W>)>,
+    grain: usize,
 ) -> (WTable<W>, bool) {
     let cancel = opts.cancel_token();
     let n = problem.n();
@@ -168,13 +174,12 @@ fn sweep<W: Weight, P: DpProblem<W> + ?Sized>(
         row_spans.extend((0..tiles - d).map(span));
         col_spans.clear();
         col_spans.extend((d..tiles).map(span));
-        let exec = if opts.exec.is_parallel()
-            && step_candidates(&row_spans, &col_spans, done) >= opts.wavefront_grain
-        {
-            opts.exec
-        } else {
-            ExecBackend::Sequential
-        };
+        let exec =
+            if opts.exec.is_parallel() && step_candidates(&row_spans, &col_spans, done) >= grain {
+                opts.exec
+            } else {
+                ExecBackend::Sequential
+            };
         exec.map_reduce(
             DisjointPartsMut::new(&mut upper, &row_spans),
             DisjointPartsMut::new(&mut lower, &col_spans),
@@ -239,6 +244,7 @@ fn solve_tile<W: Weight, P: DpProblem<W> + ?Sized>(
 mod tests {
     use std::time::Instant;
 
+    use super::sweep;
     use crate::exec::ExecBackend;
     use crate::problem::{DpProblem, FnProblem};
     use crate::seq::solve_sequential;
@@ -253,6 +259,11 @@ mod tests {
 
     fn wavefront(p: &impl DpProblem<u64>, opts: SolveOptions) -> WTable<u64> {
         Solver::new(Algorithm::Wavefront).options(opts).solve(p).w
+    }
+
+    /// The sweep with every step forced onto the pool (grain 0).
+    fn forced_parallel(p: &impl DpProblem<u64>, exec: ExecBackend) -> WTable<u64> {
+        sweep(p, &SolveOptions::default().exec(exec), None, 0).0
     }
 
     #[test]
@@ -273,20 +284,53 @@ mod tests {
             let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..64)).collect();
             let p = chain(dims);
             let seq = solve_sequential(&p);
-            // Force the parallel path with a zero grain.
-            let opts = SolveOptions::default()
-                .exec(ExecBackend::Threads(4))
-                .wavefront_grain(0);
-            assert!(seq == wavefront(&p, opts), "n={n}");
+            assert!(seq == forced_parallel(&p, ExecBackend::Threads(4)), "n={n}");
         }
     }
 
     #[test]
     fn threshold_zero_and_huge_agree() {
-        let p = chain(vec![7, 3, 9, 4, 12, 5, 8, 6, 10]);
-        let a = wavefront(&p, SolveOptions::default().wavefront_grain(0));
-        let b = wavefront(&p, SolveOptions::default().wavefront_grain(usize::MAX));
-        assert!(a.table_eq(&b));
+        // Every step forced onto the pool (grain 0) and onto the calling
+        // thread (`usize::MAX`), on every backend, over every n up to
+        // three full tiles plus two and a few larger ones. Both must be
+        // `==` to the oracle over the whole flat table; float tables are
+        // compared bit for bit.
+        let cost = |i: usize, k: usize, j: usize| {
+            let mut h = (i as u64) << 42 | (k as u64) << 21 | j as u64;
+            h = (h ^ (h >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h ^ (h >> 29)) % 1000
+        };
+        let float_bits =
+            |w: &WTable<f64>| w.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in (1..=3 * super::MAX_EDGE + 2).chain([63, 64, 100, 129]) {
+            let ints = FnProblem::new(n, move |i| cost(i, i, i), cost);
+            let floats = FnProblem::new(
+                n,
+                move |i| cost(i, i, i) as f64 / 7.0,
+                move |i, k, j| cost(i, k, j) as f64 / 7.0,
+            );
+            let int_oracle = solve_sequential(&ints);
+            let float_oracle = float_bits(&solve_sequential(&floats));
+            for exec in [
+                ExecBackend::Sequential,
+                ExecBackend::Parallel,
+                ExecBackend::Threads(3),
+            ] {
+                let opts = SolveOptions::default().exec(exec);
+                for grain in [0, usize::MAX] {
+                    let (w, completed) = sweep(&ints, &opts, None, grain);
+                    assert!(
+                        completed && w == int_oracle,
+                        "u64 n={n} {exec} grain={grain}"
+                    );
+                    let (w, _) = sweep(&floats, &opts, None, grain);
+                    assert!(
+                        float_bits(&w) == float_oracle,
+                        "f64 n={n} {exec} grain={grain}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -295,10 +339,7 @@ mod tests {
         // steps hand 3 and 2 tiles to one region each.
         let p = chain(vec![7, 3, 9, 4, 12, 5, 8, 6, 10, 2]);
         assert_eq!(super::tile_edge(9, 2), 4);
-        let opts = SolveOptions::default()
-            .exec(ExecBackend::Threads(2))
-            .wavefront_grain(0);
-        assert!(solve_sequential(&p) == wavefront(&p, opts));
+        assert!(solve_sequential(&p) == forced_parallel(&p, ExecBackend::Threads(2)));
     }
 
     #[test]

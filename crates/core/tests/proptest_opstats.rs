@@ -10,10 +10,9 @@
 //!   `f64` (compared by `to_bits`) alike.
 
 use pardp_core::ops::{
-    a_activate_banded, a_activate_banded_tracked, a_activate_dense, a_pebble_banded,
-    a_pebble_banded_scheduled, a_pebble_dense, a_pebble_dense_scheduled, a_square_banded,
-    a_square_banded_scheduled, a_square_dense, a_square_dense_scheduled, a_square_rytter_with,
-    OpStats, SquareStrategy,
+    a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_banded_scheduled,
+    a_pebble_dense_scheduled, a_square_banded_scheduled, a_square_dense_scheduled,
+    a_square_rytter_with, OpStats, SquareStrategy,
 };
 use pardp_core::prelude::*;
 use pardp_core::problem::TabulatedProblem;
@@ -60,10 +59,16 @@ fn warm_dense<W: Weight>(p: &TabulatedProblem<W>, iters: usize) -> (WTable<W>, D
     let mut pw_next = DensePw::new(n);
     let mut w_next = w.clone();
     for _ in 0..iters {
-        a_activate_dense(p, &w, &mut pw, &ExecBackend::Sequential);
-        a_square_dense(&pw, &mut pw_next, &ExecBackend::Sequential);
+        a_activate_dense_tracked(p, &w, &mut pw, &ExecBackend::Sequential);
+        a_square_dense_scheduled(
+            &pw,
+            &mut pw_next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut pw, &mut pw_next);
-        a_pebble_dense(&pw, &w, &mut w_next, &ExecBackend::Sequential);
+        a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &ExecBackend::Sequential);
         std::mem::swap(&mut w, &mut w_next);
     }
     (w, pw)
@@ -84,10 +89,24 @@ fn warm_banded(
     let mut pw_next = BandedPw::new(n, band);
     let mut w_next = w.clone();
     for _ in 0..iters {
-        a_activate_banded(p, &w, &mut pw, &ExecBackend::Sequential);
-        a_square_banded(&pw, &mut pw_next, &ExecBackend::Sequential);
+        a_activate_banded_tracked(p, &w, &mut pw, &ExecBackend::Sequential);
+        a_square_banded_scheduled(
+            &pw,
+            &mut pw_next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut pw, &mut pw_next);
-        a_pebble_banded(p, &pw, &w, &mut w_next, None, &ExecBackend::Sequential);
+        a_pebble_banded_scheduled(
+            p,
+            &pw,
+            &w,
+            &mut w_next,
+            None,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut w, &mut w_next);
     }
     (w, pw)
@@ -215,11 +234,17 @@ proptest! {
         let pair_count = idx.len() as u64;
 
         let mut pw_act = pw.clone();
-        let act = a_activate_dense(&p, &w, &mut pw_act, &ExecBackend::Sequential);
+        let act = a_activate_dense_tracked(&p, &w, &mut pw_act, &ExecBackend::Sequential).0;
         check_accounting(&act, act.candidates, "activate")?;
 
         let mut next = DensePw::new(n);
-        let sq = a_square_dense(&pw_act, &mut next, &ExecBackend::Sequential);
+        let sq = a_square_dense_scheduled(
+            &pw_act,
+            &mut next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        ).0;
         check_accounting(&sq, nested_cells, "square")?;
 
         let mut y_next = DensePw::new(n);
@@ -229,7 +254,7 @@ proptest! {
         check_accounting(&ry, nested_cells, "rytter")?;
 
         let mut w_next = w.clone();
-        let pb = a_pebble_dense(&next, &w, &mut w_next, &ExecBackend::Sequential);
+        let pb = a_pebble_dense_scheduled(&next, &w, &mut w_next, None, &ExecBackend::Sequential).0;
         check_accounting(&pb, pair_count, "pebble")?;
     }
 
@@ -263,7 +288,7 @@ proptest! {
         }
 
         let mut pw = DensePw::new(n);
-        let act = a_activate_dense(&p, &w, &mut pw, &ExecBackend::Sequential);
+        let act = a_activate_dense_tracked(&p, &w, &mut pw, &ExecBackend::Sequential).0;
         prop_assert_eq!(act.candidates, act_model);
 
         let fresh = DensePw::new(n);
@@ -278,7 +303,13 @@ proptest! {
         }
 
         let mut w_next = w.clone();
-        let pb = a_pebble_dense(&fresh, &w, &mut w_next, &ExecBackend::Sequential);
+        let pb = a_pebble_dense_scheduled(
+            &fresh,
+            &w,
+            &mut w_next,
+            None,
+            &ExecBackend::Sequential,
+        ).0;
         prop_assert_eq!(pb.candidates, pb_model);
     }
 
@@ -304,12 +335,26 @@ proptest! {
         let stored = pw.stored_cells() as u64;
         let pair_count = PairIndexer::new(n).len() as u64;
         for round in 0..3 {
-            let act = a_activate_banded(&p, &w, &mut pw, &ExecBackend::Sequential);
+            let act = a_activate_banded_tracked(&p, &w, &mut pw, &ExecBackend::Sequential).0;
             check_accounting(&act, stored, &format!("activate round {round}"))?;
-            let sq = a_square_banded(&pw, &mut pw_next, &ExecBackend::Sequential);
+            let sq = a_square_banded_scheduled(
+                &pw,
+                &mut pw_next,
+                SquareStrategy::Auto,
+                None,
+                &ExecBackend::Sequential,
+            ).0;
             check_accounting(&sq, stored, &format!("square round {round}"))?;
             std::mem::swap(&mut pw, &mut pw_next);
-            let pb = a_pebble_banded(&p, &pw, &w, &mut w_next, window, &ExecBackend::Sequential);
+            let pb = a_pebble_banded_scheduled(
+                &p,
+                &pw,
+                &w,
+                &mut w_next,
+                window,
+                None,
+                &ExecBackend::Sequential,
+            ).0;
             // Windowed-out pairs are copies, not writes: the cap is the
             // number of re-minimised pairs.
             let cap = match window {
@@ -496,12 +541,18 @@ proptest! {
             w.set(i, i + 1, p.init(i));
         }
         let mut pw = BandedPw::new(n, band);
-        let act = a_activate_banded(&p, &w, &mut pw, &ExecBackend::Sequential);
+        let act = a_activate_banded_tracked(&p, &w, &mut pw, &ExecBackend::Sequential).0;
         prop_assert_eq!(act.candidates, act_model);
 
         let fresh = BandedPw::<u64>::new(n, band);
         let mut next = BandedPw::new(n, band);
-        let sq = a_square_banded(&fresh, &mut next, &ExecBackend::Sequential);
+        let sq = a_square_banded_scheduled(
+            &fresh,
+            &mut next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        ).0;
         prop_assert_eq!(sq.candidates, sq_model);
     }
 }

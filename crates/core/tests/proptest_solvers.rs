@@ -2,7 +2,9 @@
 //! structures: exactness against the DP-free brute-force oracle,
 //! cross-solver agreement, monotone convergence and witness validity.
 
-use pardp_core::ops::{a_activate_dense, a_pebble_dense, a_square_dense};
+use pardp_core::ops::{
+    a_activate_dense_tracked, a_pebble_dense_scheduled, a_square_dense_scheduled, SquareStrategy,
+};
 use pardp_core::prelude::*;
 use pardp_core::problem::TabulatedProblem;
 use pardp_core::reconstruct::{reconstruct_root, tree_cost};
@@ -57,10 +59,16 @@ proptest! {
         let mut w_next = w.clone();
         for _ in 0..2 * pardp_pebble::ceil_sqrt(n as u64) {
             let before = w.clone();
-            a_activate_dense(&p, &w, &mut pw, &ExecBackend::Sequential);
-            a_square_dense(&pw, &mut pw_next, &ExecBackend::Sequential);
+            a_activate_dense_tracked(&p, &w, &mut pw, &ExecBackend::Sequential);
+            a_square_dense_scheduled(
+                &pw,
+                &mut pw_next,
+                SquareStrategy::Auto,
+                None,
+                &ExecBackend::Sequential,
+            );
             std::mem::swap(&mut pw, &mut pw_next);
-            a_pebble_dense(&pw, &w, &mut w_next, &ExecBackend::Sequential);
+            a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &ExecBackend::Sequential);
             std::mem::swap(&mut w, &mut w_next);
             for i in 0..n {
                 for j in i + 1..=n {
@@ -129,13 +137,12 @@ proptest! {
     // The tiled wavefront is `==` to the sequential oracle over the
     // whole flat table, so a mirror cell left in the lower triangle
     // fails. Every n up to three full tiles plus two, and a few larger
-    // ones, cover partial last tiles and every tile edge the rule picks;
-    // each backend runs with its steps forced parallel, at the default
-    // grain, and forced inline. Float tables are compared bit for bit.
+    // ones, cover partial last tiles and every tile edge the rule picks,
+    // on each backend. Float tables are compared bit for bit. Steps
+    // forced onto the pool or inline are `wavefront::tests`' to check.
     #[test]
     fn wavefront_tables_equal_the_oracle_across_tile_edges(seed in 0u64..u64::MAX) {
         let edge = pardp_core::wavefront::tile_edge(1 << 20, 1);
-        let grains = [0, SolveOptions::default().wavefront_grain, usize::MAX];
         for n in (1..=3 * edge + 2).chain([63, 64, 100, 129]) {
             let (ints, floats) = wavefront_instances(n, seed);
             let int_oracle = solve_sequential(&ints);
@@ -143,18 +150,13 @@ proptest! {
             let float_bits =
                 |w: &WTable<f64>| w.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             for exec in [ExecBackend::Sequential, ExecBackend::Parallel, ExecBackend::Threads(3)] {
-                for grain in grains {
-                    let wavefront = Solver::new(Algorithm::Wavefront)
-                        .options(SolveOptions::default().exec(exec).wavefront_grain(grain));
-                    prop_assert!(
-                        wavefront.solve(&ints).w == int_oracle,
-                        "u64 n={} {} grain={}", n, exec, grain
-                    );
-                    prop_assert!(
-                        float_bits(&wavefront.solve(&floats).w) == float_bits(&float_oracle),
-                        "f64 n={} {} grain={}", n, exec, grain
-                    );
-                }
+                let wavefront = Solver::new(Algorithm::Wavefront)
+                    .options(SolveOptions::default().exec(exec));
+                prop_assert!(wavefront.solve(&ints).w == int_oracle, "u64 n={} {}", n, exec);
+                prop_assert!(
+                    float_bits(&wavefront.solve(&floats).w) == float_bits(&float_oracle),
+                    "f64 n={} {}", n, exec
+                );
             }
         }
     }

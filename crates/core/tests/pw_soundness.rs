@@ -7,7 +7,9 @@
 //!   complete, because the immediate parent of any gap shares an endpoint
 //!   with it (the observation justifying eq. (2c)).
 
-use pardp_core::ops::{a_activate_dense, a_pebble_dense, a_square_dense};
+use pardp_core::ops::{
+    a_activate_dense_tracked, a_pebble_dense_scheduled, a_square_dense_scheduled, SquareStrategy,
+};
 use pardp_core::prelude::*;
 use pardp_core::problem::TabulatedProblem;
 use pardp_core::seq::solve_pw_oracle;
@@ -111,12 +113,20 @@ fn algebraic_pw_is_sound_every_iteration_and_exact_at_fixpoint() {
         // net far above any possible convergence horizon).
         let mut iterations = 0;
         loop {
-            let a = a_activate_dense(&p, &w, &mut pw, &ExecBackend::Sequential);
+            let a = a_activate_dense_tracked(&p, &w, &mut pw, &ExecBackend::Sequential).0;
             check_soundness(n, &pw, &pw_star, "after a-activate");
-            let s = a_square_dense(&pw, &mut pw_next, &ExecBackend::Sequential);
+            let s = a_square_dense_scheduled(
+                &pw,
+                &mut pw_next,
+                SquareStrategy::Auto,
+                None,
+                &ExecBackend::Sequential,
+            )
+            .0;
             std::mem::swap(&mut pw, &mut pw_next);
             check_soundness(n, &pw, &pw_star, "after a-square");
-            let pb = a_pebble_dense(&pw, &w, &mut w_next, &ExecBackend::Sequential);
+            let pb =
+                a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &ExecBackend::Sequential).0;
             std::mem::swap(&mut w, &mut w_next);
             iterations += 1;
             if !a.changed && !s.changed && !pb.changed {
@@ -145,7 +155,7 @@ fn algebraic_pw_is_sound_every_iteration_and_exact_at_fixpoint() {
 
 #[test]
 fn banded_pw_in_band_cells_are_sound() {
-    use pardp_core::ops::{a_activate_banded, a_square_banded};
+    use pardp_core::ops::{a_activate_banded_tracked, a_square_banded_scheduled, SquareStrategy};
     use pardp_core::tables::BandedPw;
     let n = 9usize;
     let p = random_instance(n, 7);
@@ -161,10 +171,24 @@ fn banded_pw_in_band_cells_are_sound() {
     let mut pw_next = BandedPw::new(n, band);
     let mut w_next = w.clone();
     for _ in 0..2 * pardp_pebble::ceil_sqrt(n as u64) {
-        a_activate_banded(&p, &w, &mut pw, &ExecBackend::Sequential);
-        a_square_banded(&pw, &mut pw_next, &ExecBackend::Sequential);
+        a_activate_banded_tracked(&p, &w, &mut pw, &ExecBackend::Sequential);
+        a_square_banded_scheduled(
+            &pw,
+            &mut pw_next,
+            SquareStrategy::Auto,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut pw, &mut pw_next);
-        pardp_core::ops::a_pebble_banded(&p, &pw, &w, &mut w_next, None, &ExecBackend::Sequential);
+        pardp_core::ops::a_pebble_banded_scheduled(
+            &p,
+            &pw,
+            &w,
+            &mut w_next,
+            None,
+            None,
+            &ExecBackend::Sequential,
+        );
         std::mem::swap(&mut w, &mut w_next);
         for i in 0..n {
             for j in i + 1..=n {

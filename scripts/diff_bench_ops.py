@@ -6,9 +6,11 @@ exp_batch, exp_serve, exp_cache) emit reports mixing two kinds of
 metrics: deterministic, seed-fixed *ops* counts (candidates, writes,
 values, table hashes, traffic counters, parity flags) and
 host-dependent *timing* figures (seconds, throughput, speedup ratios,
-thread counts). Only the ops fields are reproducible on a loaded 1-CPU
-CI box, so the committed `BENCH_*.json` baselines are diffed after
-recursively stripping the timing keys.
+thread counts, and pass/fail flags derived from those ratios, such as
+exp_batch's `batch_beats_or_matches_loop_on_parallel`). Only the ops
+fields are reproducible on a loaded 1-CPU CI box, so the committed
+`BENCH_*.json` baselines are diffed after recursively stripping the
+timing keys.
 
 Usage:
     diff_bench_ops.py BASELINE.json FRESH.json
@@ -32,6 +34,7 @@ TIME_AND_HOST_KEYS = {
     "throughput_vs_loop",
     "serve_vs_batch",
     "host_threads",
+    "batch_beats_or_matches_loop_on_parallel",
 }
 
 

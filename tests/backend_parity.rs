@@ -23,9 +23,10 @@ fn assert_parity<P: DpProblem<u64> + ?Sized>(
     p: &P,
     label: &str,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    // Grain 0 forces the wavefront's parallel path even on tiny
-    // diagonals; the other algorithms ignore it.
-    let opts = |exec| SolveOptions::default().exec(exec).wavefront_grain(0);
+    // At these sizes every wavefront step is below the fork-join grain
+    // and runs on the calling thread; `wavefront::tests` forces the
+    // steps onto the pool.
+    let opts = |exec| SolveOptions::default().exec(exec);
     for algo in Algorithm::ALL {
         if !algo.is_parallel() {
             continue;
