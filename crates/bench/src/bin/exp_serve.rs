@@ -60,7 +60,6 @@ fn corpus(batch_size: usize, sizes: &[usize]) -> String {
             q: None,
             algo: None,
             band: None,
-            tile: None,
             trace: None,
         };
         text.push_str(&serde_json::to_string(&spec).expect("job serializes"));

@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use pardp_core::prelude::{
     Algorithm, ExecBackend, LogLevel, ProblemSpec, SolveKnob, SolveOptions, SpecError,
-    SquareStrategy,
 };
 
 /// A parsing or execution error with a user-facing message.
@@ -71,9 +70,6 @@ pub enum Parsed {
         /// Execution backend, if `--backend` was given explicitly (only
         /// accepted for algorithms with [`Algorithm::is_parallel`]).
         backend: Option<ExecBackend>,
-        /// `a-square` kernel, if `--tile` was given explicitly (only
-        /// accepted for algorithms with [`Algorithm::is_iterative`]).
-        tile: Option<SquareStrategy>,
         /// Print the witness structure.
         witness: bool,
         /// Print the per-iteration trace (iterative algorithms only).
@@ -179,10 +175,10 @@ pub fn usage() -> String {
 pardp — sublinear parallel dynamic programming (Huang–Liu–Viswanathan 1990/1992)
 
 USAGE:
-  pardp solve chain <d0,d1,...>        [--algo A] [--backend B] [--tile T] [--witness] [--trace] [--cache DIR]
-  pardp solve obst --p <p1,..> --q <q0,..> [--algo A] [--backend B] [--tile T] [--witness]
-  pardp solve polygon <w0,w1,...>      [--algo A] [--backend B] [--tile T] [--witness]
-  pardp solve merge <l0,l1,...>        [--algo A] [--backend B] [--tile T] [--witness]
+  pardp solve chain <d0,d1,...>        [--algo A] [--backend B] [--witness] [--trace] [--cache DIR]
+  pardp solve obst --p <p1,..> --q <q0,..> [--algo A] [--backend B] [--witness]
+  pardp solve polygon <w0,w1,...>      [--algo A] [--backend B] [--witness]
+  pardp solve merge <l0,l1,...>        [--algo A] [--backend B] [--witness]
   pardp batch <jobs.jsonl>             [--algo A] [--backend B] [--large-cells C] [--cache DIR] [--log PATH|-] [--log-level L]
   pardp serve (--addr <host:port> | --pipe) [--algo A] [--backend B] [--large-cells C] [--queue N] [--cache DIR] [--job-timeout S] [--idle-timeout S] [--log PATH|-] [--log-level L]
   pardp cache (stat | clear) <dir>
@@ -242,15 +238,9 @@ CACHING (--cache DIR | --no-cache): persistent solution store.
   from it. --no-cache forces cold solves (the default). `pardp cache
   stat <dir>` prints record counts and sizes; `pardp cache clear <dir>`
   deletes the records. Knuth and --trace runs always solve cold.
-TILING (--tile): auto (default) | naive
-  a-square kernel of the iterative solvers ({tile}):
-  the streamed kernels (auto) or the naive per-cell reference. Both
-  produce identical tables. Any other value is rejected, and so is the
-  flag for algorithms without an a-square kernel.
 ",
         algos = Algorithm::listing(),
         parallel = Algorithm::names_reading(SolveKnob::Exec),
-        tile = Algorithm::names_reading(SolveKnob::Square),
         large_cells = pardp_core::batch::DEFAULT_LARGE_JOB_CELLS,
         queue = pardp_core::serve::DEFAULT_QUEUE_CAPACITY,
     )
@@ -359,6 +349,25 @@ fn take_cache(rest: &mut Vec<String>) -> Result<Option<String>, CliError> {
     Ok(dir)
 }
 
+/// Check what a subcommand left in `rest` after taking its flags: a
+/// leftover `--flag` is unknown wherever it stands, and a positional
+/// beyond the first `max` is unexpected.
+fn check_leftovers(rest: &[String], max: usize) -> Result<(), CliError> {
+    if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError(format!("unknown flag '{flag}'")));
+    }
+    match rest.get(max) {
+        Some(extra) => Err(CliError(format!("unexpected argument '{extra}'"))),
+        None => Ok(()),
+    }
+}
+
+/// The one positional list of a `solve` family; `missing` if absent.
+fn payload(rest: &[String], missing: &str) -> Result<Vec<u64>, CliError> {
+    check_leftovers(rest, 1)?;
+    parse_list(rest.first().ok_or_else(|| CliError(missing.into()))?)
+}
+
 /// Parse `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
     let mut rest: Vec<String> = argv.to_vec();
@@ -375,10 +384,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             };
             let backend = match take_value(&mut rest, "--backend")? {
                 Some(s) => Some(s.parse::<ExecBackend>().map_err(CliError)?),
-                None => None,
-            };
-            let tile = match take_value(&mut rest, "--tile")? {
-                Some(s) => Some(s.parse::<SquareStrategy>().map_err(CliError)?),
                 None => None,
             };
             let witness = take_flag(&mut rest, "--witness");
@@ -399,45 +404,32 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             let d = SolveOptions::default();
             flag_check(backend.is_some(), d, SolveKnob::Exec, "--backend")?;
             flag_check(
-                tile.is_some(),
-                tile.map_or(d, |t| d.square(t)),
-                SolveKnob::Square,
-                "--tile",
-            )?;
-            flag_check(
                 trace,
                 d.record_trace(trace),
                 SolveKnob::RecordTrace,
                 "--trace",
             )?;
-            if rest.is_empty() {
-                return Err(CliError("solve needs a problem family".into()));
-            }
-            let family = rest.remove(0);
+            // The family is the first argument left; obst reads its
+            // payload from flags, the others from one positional.
+            let family = match rest.first() {
+                Some(f) if !f.starts_with("--") => rest.remove(0),
+                _ => {
+                    check_leftovers(&rest, 0)?;
+                    return Err(CliError("solve needs a problem family".into()));
+                }
+            };
             let problem = match family.as_str() {
-                "chain" => ProblemSpec::chain(parse_list(
-                    rest.first()
-                        .ok_or_else(|| CliError("chain needs dimensions".into()))?,
-                )?)?,
+                "chain" => ProblemSpec::chain(payload(&rest, "chain needs dimensions")?)?,
                 "obst" => {
-                    let p = parse_list(
-                        &take_value(&mut rest, "--p")?
-                            .ok_or_else(|| CliError("obst needs --p".into()))?,
-                    )?;
-                    let q = parse_list(
-                        &take_value(&mut rest, "--q")?
-                            .ok_or_else(|| CliError("obst needs --q".into()))?,
-                    )?;
+                    let p = take_value(&mut rest, "--p")?;
+                    let q = take_value(&mut rest, "--q")?;
+                    check_leftovers(&rest, 0)?;
+                    let p = parse_list(&p.ok_or_else(|| CliError("obst needs --p".into()))?)?;
+                    let q = parse_list(&q.ok_or_else(|| CliError("obst needs --q".into()))?)?;
                     ProblemSpec::obst(p, q)?
                 }
-                "polygon" => ProblemSpec::polygon(parse_list(
-                    rest.first()
-                        .ok_or_else(|| CliError("polygon needs weights".into()))?,
-                )?)?,
-                "merge" => ProblemSpec::merge(parse_list(
-                    rest.first()
-                        .ok_or_else(|| CliError("merge needs run lengths".into()))?,
-                )?)?,
+                "polygon" => ProblemSpec::polygon(payload(&rest, "polygon needs weights")?)?,
+                "merge" => ProblemSpec::merge(payload(&rest, "merge needs run lengths")?)?,
                 other => {
                     return Err(CliError(format!(
                         "unknown problem family '{other}' (expected chain | obst | \
@@ -449,7 +441,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
                 problem,
                 algo,
                 backend,
-                tile,
                 witness,
                 trace,
                 cache,
@@ -472,6 +463,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             };
             let cache = take_cache(&mut rest)?;
             let (log, log_level) = take_log(&mut rest)?;
+            check_leftovers(&rest, 1)?;
             if rest.is_empty() {
                 return Err(CliError(
                     "batch needs a JSONL job file (one problem per line)".into(),
@@ -524,6 +516,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             let idle_timeout = take_seconds(&mut rest, "--idle-timeout")?;
             let addr = take_value(&mut rest, "--addr")?;
             let pipe = take_flag(&mut rest, "--pipe");
+            check_leftovers(&rest, 0)?;
             if addr.is_some() == pipe {
                 return Err(CliError(
                     "serve needs exactly one of --addr <host:port> (TCP daemon) or \
@@ -553,6 +546,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             })
         }
         "cache" => {
+            check_leftovers(&rest, 2)?;
             if rest.is_empty() {
                 return Err(CliError(
                     "cache needs an action: cache stat <dir> | cache clear <dir>".into(),
@@ -591,6 +585,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
                 Some(s) => s.parse().map_err(|_| CliError("bad --seed".into()))?,
                 None => 1,
             };
+            check_leftovers(&rest, 2)?;
             if rest.len() < 2 {
                 return Err(CliError("game needs <shape> <n>".into()));
             }
@@ -619,6 +614,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
                 Some(s) => s.parse().map_err(|_| CliError("bad --processors".into()))?,
                 None => 0,
             };
+            check_leftovers(&rest, 1)?;
             let n: usize = rest
                 .first()
                 .ok_or_else(|| CliError("model needs <n>".into()))?
@@ -630,6 +626,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             Ok(Parsed::Model { n, processors })
         }
         "bound" => {
+            check_leftovers(&rest, 1)?;
             let n: usize = rest
                 .first()
                 .ok_or_else(|| CliError("bound needs <n>".into()))?
@@ -662,7 +659,6 @@ mod tests {
                 },
                 algo: Algorithm::Sublinear,
                 backend: None,
-                tile: None,
                 witness: false,
                 trace: false,
                 cache: None,
@@ -671,23 +667,40 @@ mod tests {
     }
 
     #[test]
-    fn parse_tile_selection() {
-        for (spec, expect) in [
-            ("auto", SquareStrategy::Auto),
-            ("naive", SquareStrategy::Naive),
+    fn arguments_a_subcommand_does_not_consume_are_rejected() {
+        // A leftover flag is unknown wherever it stands; `--tile` is no
+        // longer a flag of any subcommand.
+        for (line, flag) in [
+            ("solve --tile naive chain 2,3,4", "--tile"),
+            ("solve chain --tile naive 2,3,4", "--tile"),
+            ("solve chain 2,3,4 --tile naive", "--tile"),
+            ("solve --algo reduced --tile auto merge 4,5,6", "--tile"),
+            ("solve chain 2,3,4 --witnes", "--witnes"),
+            ("solve obst --p 1,2 --q 1,2,3 --tile naive", "--tile"),
+            ("solve chain 2,3,4 --p 1,2", "--p"),
+            ("batch jobs.jsonl --bogus", "--bogus"),
+            ("serve --pipe --bogus", "--bogus"),
+            ("cache stat /tmp/store --force", "--force"),
+            ("game zigzag 8 --fast", "--fast"),
+            ("model 8 --procs 4", "--procs"),
+            ("bound 5 --tight", "--tight"),
         ] {
-            let p = parse(&argv(&format!("solve --tile {spec} chain 2,3,4"))).unwrap();
-            match p {
-                Parsed::Solve { tile, .. } => assert_eq!(tile, Some(expect), "{spec}"),
-                other => panic!("{other:?}"),
-            }
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag '{flag}'"), "{line}");
         }
-        // Numeric edges, zero included, are rejected like any unknown
-        // name, with the accepted forms spelled out.
-        for bad in ["32", "0", "blocky"] {
-            let err = parse(&argv(&format!("solve --tile {bad} chain 2,3,4"))).unwrap_err();
-            assert!(err.0.contains("unknown square strategy"), "{err}");
-            assert!(err.0.contains("auto | naive"), "{err}");
+        // A positional beyond the ones a subcommand reads is unexpected.
+        for (line, extra) in [
+            ("solve chain 2,3,4 5,6", "5,6"),
+            ("solve obst 1,2 --p 1,2 --q 1,2,3", "1,2"),
+            ("batch jobs.jsonl more.jsonl", "more.jsonl"),
+            ("serve --pipe now", "now"),
+            ("cache clear /tmp/store /tmp/other", "/tmp/other"),
+            ("game zigzag 8 9", "9"),
+            ("model 8 9", "9"),
+            ("bound 5 junk", "junk"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.0, format!("unexpected argument '{extra}'"), "{line}");
         }
     }
 
@@ -974,18 +987,13 @@ mod tests {
         assert!(err.0.contains("wavefront"), "{err}");
         let err = parse(&argv("solve --algo knuth --backend 4 chain 2,3,4")).unwrap_err();
         assert!(err.0.contains("--backend has no effect"), "{err}");
-        // --tile on algorithms without an a-square kernel.
-        let err = parse(&argv("solve --algo sequential --tile auto chain 2,3,4")).unwrap_err();
-        assert!(err.0.contains("--tile has no effect"), "{err}");
-        assert!(err.0.contains("sublinear"), "{err}");
-        let err = parse(&argv("solve --algo wavefront --tile naive chain 2,3,4")).unwrap_err();
-        assert!(err.0.contains("--tile has no effect"), "{err}");
         // --trace on non-iterative algorithms.
         let err = parse(&argv("solve --algo wavefront --trace chain 2,3,4")).unwrap_err();
         assert!(err.0.contains("--trace has no effect"), "{err}");
+        assert!(err.0.contains("sublinear"), "{err}");
         // The capable combinations still parse.
         assert!(parse(&argv(
-            "solve --algo reduced --tile naive --backend seq chain 2,3,4"
+            "solve --algo reduced --trace --backend seq chain 2,3,4"
         ))
         .is_ok());
         assert!(parse(&argv("solve --algo wavefront --backend 4 chain 2,3,4")).is_ok());

@@ -108,19 +108,10 @@ pub fn execute(parsed: &Parsed) -> Result<String, CliError> {
             problem,
             algo,
             backend,
-            tile,
             witness,
             trace,
             cache,
-        } => run_solve(
-            problem,
-            *algo,
-            *backend,
-            *tile,
-            *witness,
-            *trace,
-            cache.as_deref(),
-        ),
+        } => run_solve(problem, *algo, *backend, *witness, *trace, cache.as_deref()),
     }
 }
 
@@ -205,13 +196,12 @@ fn run_solve(
     problem: &Problem,
     algo: Algorithm,
     backend: Option<ExecBackend>,
-    tile: Option<SquareStrategy>,
     witness: bool,
     trace: bool,
     cache_dir: Option<&str>,
 ) -> Result<String, CliError> {
     let cache = cache_dir.map(open_cache).transpose()?;
-    let (out, tree) = solve_with(problem, algo, backend, tile, trace, witness, cache.as_ref())?;
+    let (out, tree) = solve_with(problem, algo, backend, trace, witness, cache.as_ref())?;
     // The `pardp_apps` types only render: headers and the witness.
     match problem {
         Problem::Chain { dims } => {
@@ -493,7 +483,6 @@ fn solve_with(
     spec: &ProblemSpec,
     algo: Algorithm,
     backend: Option<ExecBackend>,
-    tile: Option<SquareStrategy>,
     trace: bool,
     witness: bool,
     cache: Option<&FileStore>,
@@ -505,9 +494,6 @@ fn solve_with(
         .record_trace(trace);
     if let Some(b) = backend {
         opts = opts.exec(b);
-    }
-    if let Some(t) = tile {
-        opts = opts.square(t);
     }
     // With a cache attached the solve runs key → lookup → solve-miss →
     // insert; cached tables are bit-identical to the cold path, so the
@@ -589,24 +575,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{algo}/{backend}: {e}"));
                 assert!(out.contains("= 15125"), "{algo}/{backend}: {out}");
             }
-        }
-    }
-
-    #[test]
-    fn tile_selection_yields_identical_values() {
-        for algo in ["sublinear", "reduced", "rytter"] {
-            let run = |tile: &str| {
-                run_line(&format!(
-                    "solve --algo {algo} --tile {tile} --trace chain 30,35,15,5,10,20,25"
-                ))
-                .unwrap_or_else(|e| panic!("{algo}/{tile}: {e}"))
-            };
-            let naive = run("naive");
-            assert!(naive.contains("= 15125"), "{algo}: {naive}");
-            // Same value, iterations and per-op counts, line for line.
-            assert_eq!(run("auto"), naive, "{algo}");
-            let err = run_line(&format!("solve --algo {algo} --tile 4 chain 2,3,4")).unwrap_err();
-            assert!(err.0.contains("auto | naive"), "{algo}: {err}");
         }
     }
 

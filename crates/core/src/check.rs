@@ -62,23 +62,10 @@ use std::collections::HashSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 
+use crate::spec::CanonicalHasher;
+
 /// Golden-ratio increment of the splitmix64 generator.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// FNV-1a 64-bit offset basis (same constants as the canonical hasher
-/// in [`crate::spec`]).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// splitmix64 — the schedule-choice generator. Tiny, seedable, and
 /// identical on every platform, which is all the checker needs.
@@ -160,7 +147,7 @@ struct SchedState {
     active: Option<Tid>,
     res: Vec<Res>,
     rng: SplitMix,
-    trace: u64,
+    trace: CanonicalHasher,
     steps: usize,
     max_steps: usize,
     unfinished: usize,
@@ -195,7 +182,7 @@ impl Scheduler {
                 active: None,
                 res: Vec::new(),
                 rng: SplitMix::new(seed),
-                trace: FNV_OFFSET,
+                trace: CanonicalHasher::new(),
                 steps: 0,
                 max_steps,
                 unfinished: 0,
@@ -269,7 +256,7 @@ impl Scheduler {
         }
         let choice = runnable[st.rng.below(runnable.len())];
         st.active = Some(choice);
-        st.trace = fnv1a(st.trace, choice as u64);
+        st.trace.write_u64(choice as u64);
         st.steps += 1;
         if st.steps > st.max_steps {
             st.failures.push(format!(
@@ -467,7 +454,7 @@ impl Scheduler {
             waiters
         } else {
             let i = st.rng.below(waiters.len());
-            st.trace = fnv1a(st.trace, 0x6e6f_7469_6679 ^ waiters[i] as u64);
+            st.trace.write_u64(0x6e6f_7469_6679 ^ waiters[i] as u64);
             vec![waiters[i]]
         };
         for t in woken {
@@ -564,7 +551,8 @@ pub struct Report {
     /// How many schedules were executed.
     pub schedules: usize,
     /// How many *distinct* interleavings were observed (schedules are
-    /// fingerprinted by the FNV-1a hash of their thread-choice trace).
+    /// fingerprinted by the [`CanonicalHasher`] FNV-1a hash of their
+    /// thread-choice trace).
     pub distinct: usize,
     /// Order-sensitive digest of every schedule trace — two runs with
     /// the same seed produce the same digest (seed determinism).
@@ -629,13 +617,13 @@ impl Checker {
     {
         let model = Arc::new(model);
         let mut seen = HashSet::new();
-        let mut digest = FNV_OFFSET;
+        let mut digest = CanonicalHasher::new();
         let mut failures = Vec::new();
         for i in 0..self.schedules {
             let seed = schedule_seed(self.seed, i);
             let (trace, msgs) = run_one(seed, self.max_steps, Arc::clone(&model));
             seen.insert(trace);
-            digest = fnv1a(digest, trace);
+            digest.write_u64(trace);
             if !msgs.is_empty() && failures.len() < 16 {
                 failures.push(Failure {
                     schedule: i,
@@ -647,7 +635,7 @@ impl Checker {
         Report {
             schedules: self.schedules,
             distinct: seen.len(),
-            digest,
+            digest: digest.finish(),
             failures,
         }
     }
@@ -658,10 +646,12 @@ impl Checker {
         F: Fn() + Send + Sync + 'static,
     {
         let (trace, msgs) = run_one(seed, self.max_steps, Arc::new(model));
+        let mut digest = CanonicalHasher::new();
+        digest.write_u64(trace);
         Report {
             schedules: 1,
             distinct: 1,
-            digest: fnv1a(FNV_OFFSET, trace),
+            digest: digest.finish(),
             failures: if msgs.is_empty() {
                 Vec::new()
             } else {
@@ -686,7 +676,7 @@ where
         st.threads.push(Run::Runnable);
         st.unfinished = 1;
         st.active = Some(0);
-        st.trace = fnv1a(st.trace, 0);
+        st.trace.write_u64(0);
     }
     launch(&sched, 0, move || model());
     // Join every OS thread the schedule spawned (the vector grows while
@@ -704,7 +694,7 @@ where
         }
     }
     let st = sched.lock_state();
-    (st.trace, st.failures.clone())
+    (st.trace.finish(), st.failures.clone())
 }
 
 /// A lock was poisoned: some thread panicked while holding it. Mirrors

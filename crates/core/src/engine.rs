@@ -49,7 +49,7 @@ use std::time::Instant;
 use crate::ops::{
     a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_banded_scheduled,
     a_pebble_dense_scheduled, a_square_banded_scheduled, a_square_dense_scheduled,
-    a_square_rytter_with, OpStats,
+    a_square_rytter_with, OpStats, SquareStrategy,
 };
 use crate::problem::DpProblem;
 use crate::reduced::default_band;
@@ -103,18 +103,18 @@ impl<W: Weight> Layout<W> {
         match self {
             Layout::Dense(pw, next) => {
                 let (stats, rows) =
-                    a_square_dense_scheduled(pw, next, opts.square, skip, &opts.exec);
+                    a_square_dense_scheduled(pw, next, SquareStrategy::Auto, skip, &opts.exec);
                 std::mem::swap(pw, next);
                 (stats, Some(rows))
             }
             Layout::Banded(pw, next) => {
                 let (stats, rows) =
-                    a_square_banded_scheduled(pw, next, opts.square, skip, &opts.exec);
+                    a_square_banded_scheduled(pw, next, SquareStrategy::Auto, skip, &opts.exec);
                 std::mem::swap(pw, next);
                 (stats, Some(rows))
             }
             Layout::Rytter(pw, next) => {
-                let stats = a_square_rytter_with(pw, next, opts.square, &opts.exec);
+                let stats = a_square_rytter_with(pw, next, SquareStrategy::Auto, &opts.exec);
                 std::mem::swap(pw, next);
                 (stats, None)
             }

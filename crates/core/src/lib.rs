@@ -125,7 +125,7 @@ pub mod prelude {
     };
     pub use crate::exec::ExecBackend;
     pub use crate::fault::{unpoison, CancelToken, FaultPlan, FaultSite, FaultyCache};
-    pub use crate::ops::{OpStats, SquareStrategy};
+    pub use crate::ops::OpStats;
     pub use crate::problem::{DpProblem, FnProblem, TabulatedProblem};
     pub use crate::reconstruct::{reconstruct_root, tree_cost, ParenTree};
     pub use crate::seq::{solve_knuth, solve_sequential};

@@ -30,19 +30,19 @@
 //! exclusive-write discipline), so every backend computes identical
 //! tables.
 //!
+//! Each square has two kernels, selected by [`SquareStrategy`]: the
+//! streaming kernel the iteration engine always runs, and a per-cell
+//! naive reference that the parity tests and benches compare it with.
 //! The dense squares ([`a_square_dense_scheduled`],
-//! [`a_square_rytter_with`]) come in two interchangeable kernels selected
-//! by [`SquareStrategy`]: a per-cell naive reference through the
-//! [`DensePw::get`] accessor and a streaming kernel that walks each
-//! intermediate's cells with incrementally kept positions over
-//! [`DensePw`]'s segment layout. The banded square
-//! ([`a_square_banded_scheduled`]) mirrors this with a per-cell naive
-//! reference and a flat-slice streamed kernel over the eccentricity-block
-//! layout of [`BandedPw`]. Either way, both kernels enumerate exactly the
-//! same candidate set, so tables and [`OpStats`] are identical; only the
-//! memory access order differs. Every dense and banded op partitions its
-//! table by root row (the tables' `rows_mut`), so parallel writes stay
-//! disjoint.
+//! [`a_square_rytter_with`]) stream each intermediate's cells with
+//! incrementally kept positions over [`DensePw`]'s segment layout, and
+//! their reference reads through the [`DensePw::get`] accessor. The
+//! banded square ([`a_square_banded_scheduled`]) streams flat slices of
+//! [`BandedPw`]'s eccentricity-block layout. Both kernels enumerate
+//! exactly the same candidate set, so tables and [`OpStats`] are
+//! identical; only the memory access order differs. Every dense and
+//! banded op partitions its table by root row (the tables' `rows_mut`),
+//! so parallel writes stay disjoint.
 //!
 //! Convergence-aware scheduling: the activates return per-row changed
 //! bits, and the dense and banded squares and pebbles take an optional
@@ -50,9 +50,6 @@
 //! previous pass are copied forward instead of recomputed, and
 //! per-row/per-pair changed bits are returned for the caller's next
 //! scheduling decision. A caller without a schedule passes `None`.
-
-use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -125,46 +122,25 @@ fn map_rows_flagged<W: Weight>(
 // Square kernel selection
 // ---------------------------------------------------------------------------
 
-/// Which kernel the square ops run.
+/// Which kernel a square op runs.
 ///
 /// Both kernels examine exactly the same candidate set, in the same
 /// per-cell min order, and produce bit-identical tables and identical
 /// [`OpStats`]; they differ only in memory access order, and therefore
 /// speed. The naive order gathers each cell's intermediates one accessor
 /// call at a time; the streaming kernels walk each intermediate's
-/// compatible cells with positions kept incrementally.
+/// compatible cells with positions kept incrementally. The iteration
+/// engine always runs [`Auto`](SquareStrategy::Auto); only direct callers
+/// of the square ops pick [`Naive`](SquareStrategy::Naive), as the
+/// reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SquareStrategy {
     /// The per-cell reference: each cell gathers its intermediates
     /// through the tables' accessors.
     Naive,
-    /// The streaming kernels (the default).
+    /// The streaming kernels, which the iteration engine runs.
     #[default]
     Auto,
-}
-
-impl fmt::Display for SquareStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SquareStrategy::Naive => "naive",
-            SquareStrategy::Auto => "auto",
-        })
-    }
-}
-
-/// Parse `auto` or `naive`.
-impl FromStr for SquareStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(SquareStrategy::Auto),
-            "naive" => Ok(SquareStrategy::Naive),
-            other => Err(format!(
-                "unknown square strategy '{other}' (expected auto | naive)"
-            )),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1424,23 +1400,6 @@ mod tests {
         let stats = a_pebble_banded_scheduled(&p, &pw, &w, &mut w_next, None, None, &SEQ).0;
         assert_eq!(stats.writes, 0);
         assert!(!stats.changed);
-    }
-
-    #[test]
-    fn square_strategy_parsing_and_display() {
-        for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
-            assert_eq!(strategy.to_string().parse(), Ok(strategy));
-        }
-        assert_eq!(SquareStrategy::Naive.to_string(), "naive");
-        assert_eq!(SquareStrategy::Auto.to_string(), "auto");
-        assert_eq!(SquareStrategy::default(), SquareStrategy::Auto);
-        // Numeric edges, zero included, are unknown names like any
-        // other, and the message names both accepted forms.
-        for bad in ["0", "48", "tiled:32", "blocky", ""] {
-            let err = bad.parse::<SquareStrategy>().unwrap_err();
-            assert!(err.contains("unknown square strategy"), "{err}");
-            assert!(err.contains("auto | naive"), "{err}");
-        }
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub fn default_band(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use crate::exec::ExecBackend;
-    use crate::ops::SquareStrategy;
     use crate::problem::{DpProblem, FnProblem, TabulatedProblem};
     use crate::seq::solve_sequential;
     use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
@@ -144,7 +143,7 @@ mod tests {
     #[test]
     fn skip_clean_rows_is_exact_on_random_instances() {
         // Clean-row/pair skipping must not change a single table cell,
-        // for every kernel, backend and window setting.
+        // for every backend and window setting.
         let mut rng = SmallRng::seed_from_u64(20260728);
         for n in [2usize, 5, 9, 16, 25] {
             let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..40)).collect();
@@ -153,27 +152,22 @@ mod tests {
             for windowed in [true, false] {
                 let base = solve(&p, &cfg().windowed_pebble(windowed));
                 assert!(base.w.table_eq(&oracle), "n={n} windowed={windowed}");
-                for (square, exec) in [
-                    (SquareStrategy::Auto, ExecBackend::Sequential),
-                    (SquareStrategy::Naive, ExecBackend::Sequential),
-                    (SquareStrategy::Auto, ExecBackend::Threads(4)),
-                ] {
+                for exec in [ExecBackend::Sequential, ExecBackend::Threads(4)] {
                     let skipping = solve(
                         &p,
                         &cfg()
                             .exec(exec)
                             .windowed_pebble(windowed)
-                            .square(square)
                             .skip_clean_rows(true),
                     );
                     assert!(
                         skipping.w.table_eq(&base.w),
-                        "n={n} windowed={windowed} {square} {exec}"
+                        "n={n} windowed={windowed} {exec}"
                     );
                     // Skipping can only remove candidate work.
                     assert!(
                         skipping.trace.total_candidates <= base.trace.total_candidates,
-                        "n={n} windowed={windowed} {square} {exec}"
+                        "n={n} windowed={windowed} {exec}"
                     );
                 }
             }
@@ -196,17 +190,6 @@ mod tests {
             skipping.trace.total_candidates,
             full.trace.total_candidates
         );
-    }
-
-    #[test]
-    fn square_strategies_agree_in_the_solver() {
-        let mut rng = SmallRng::seed_from_u64(404);
-        let dims: Vec<u64> = (0..=28).map(|_| rng.gen_range(1..60)).collect();
-        let p = chain(dims);
-        let naive = solve(&p, &cfg().square(SquareStrategy::Naive));
-        let auto = solve(&p, &cfg().square(SquareStrategy::Auto));
-        assert!(auto.w.table_eq(&naive.w));
-        assert_eq!(auto.trace.total_candidates, naive.trace.total_candidates);
     }
 
     #[test]

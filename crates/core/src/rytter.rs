@@ -27,7 +27,6 @@ pub fn rytter_schedule(n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use crate::exec::ExecBackend;
-    use crate::ops::SquareStrategy;
     use crate::problem::{DpProblem, FnProblem};
     use crate::seq::solve_sequential;
     use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
@@ -47,21 +46,6 @@ mod tests {
 
     fn solve<P: DpProblem<u64>>(p: &P, opts: &SolveOptions) -> Solution<u64> {
         Solver::new(Algorithm::Rytter).options(*opts).solve(p)
-    }
-
-    #[test]
-    fn naive_square_strategy_matches_streamed() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        let dims: Vec<u64> = (0..=13).map(|_| rng.gen_range(1..40)).collect();
-        let p = chain(dims);
-        let streamed = solve(&p, &cfg());
-        let naive = solve(&p, &cfg().square(SquareStrategy::Naive));
-        assert!(streamed.w.table_eq(&naive.w));
-        assert_eq!(streamed.trace.iterations, naive.trace.iterations);
-        assert_eq!(
-            streamed.trace.total_candidates,
-            naive.trace.total_candidates
-        );
     }
 
     #[test]

@@ -707,6 +707,8 @@ enum LineRead {
     /// The line exceeded the cap; it was drained and discarded without
     /// being buffered.
     Oversized,
+    /// A complete line that is not UTF-8; it was consumed.
+    NotUtf8,
     /// Clean end of input.
     Eof,
 }
@@ -715,8 +717,10 @@ enum LineRead {
 /// longer than `cap` is consumed to its terminator but never held in
 /// memory — the defence [`ServeConfig::max_line_bytes`] promises. An
 /// unterminated trailing line still counts (matching
-/// [`BufRead::lines`]); a non-UTF-8 line or any read error (including
-/// an idle-timeout expiry on a socket) is an `Err`.
+/// [`BufRead::lines`]). A line that is not UTF-8 is consumed like any
+/// other and reported as [`LineRead::NotUtf8`], so the next read starts
+/// at the next line; only a read error (including an idle-timeout
+/// expiry on a socket) is an `Err`.
 fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> std::io::Result<LineRead> {
     let mut line: Vec<u8> = Vec::new();
     let mut overflowed = false;
@@ -765,9 +769,7 @@ fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> std::io::Result<L
     if line.last() == Some(&b'\r') {
         line.pop();
     }
-    String::from_utf8(line).map(LineRead::Line).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "request line is not UTF-8")
-    })
+    Ok(String::from_utf8(line).map_or(LineRead::NotUtf8, LineRead::Line))
 }
 
 /// A response slot, queued in request order: a line that is ready now,
@@ -844,9 +846,9 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
         let mut job_index = 0usize;
         loop {
             let request = match read_line_capped(&mut reader, cfg.max_line_bytes) {
-                // Read errors cover a dropped peer, a non-UTF-8 line,
-                // and the idle-timeout expiry on a socket — all close
-                // the connection (accepted jobs still drain).
+                // Read errors cover a dropped peer and the idle-timeout
+                // expiry on a socket — both close the connection
+                // (accepted jobs still drain).
                 Err(_) | Ok(LineRead::Eof) => break,
                 // An oversized line consumes a job index like any other
                 // malformed request, but its bytes were never buffered.
@@ -857,6 +859,9 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
                         cfg.max_line_bytes
                     ),
                 )),
+                Ok(LineRead::NotUtf8) => {
+                    Err((ErrorKind::Invalid, "request line is not UTF-8".to_string()))
+                }
                 Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
                 // A malformed line consumes a job index (the client meant
                 // *something* here) but never kills the loop.
@@ -1078,9 +1083,9 @@ impl Server {
 mod tests {
     use super::*;
 
-    fn pipe(input: &str, config: &ServeConfig) -> (Vec<String>, ServeStats) {
+    fn pipe(input: impl AsRef<[u8]>, config: &ServeConfig) -> (Vec<String>, ServeStats) {
         let mut out = Vec::new();
-        let stats = serve_pipe(input.as_bytes(), &mut out, config);
+        let stats = serve_pipe(input.as_ref(), &mut out, config);
         let text = String::from_utf8(out).unwrap();
         (text.lines().map(|l| l.to_string()).collect(), stats)
     }
@@ -1112,14 +1117,15 @@ mod tests {
 
     #[test]
     fn malformed_and_invalid_lines_answer_without_killing_the_loop() {
-        let input = "this is not json\n\
+        let input = b"this is not json\n\
                      {\"family\":\"knapsack\",\"values\":[1]}\n\
                      {\"family\":\"obst\",\"values\":[1,2]}\n\
                      {\"family\":\"chain\",\"values\":[2,3,4],\"band\":64}\n\
                      {\"cmd\":\"frobnicate\"}\n\
+                     \xff{\"family\":\"chain\"}\n\
                      {\"family\":\"chain\",\"values\":[2,3,4]}\n";
         let (lines, stats) = pipe(input, &ServeConfig::default());
-        assert_eq!(lines.len(), 6, "{lines:?}");
+        assert_eq!(lines.len(), 7, "{lines:?}");
         assert!(lines[0].contains("\"job\":0") && lines[0].contains("not a JSON job"));
         assert!(lines[1].contains("unknown problem family"), "{}", lines[1]);
         assert!(lines[2].contains(r#"\"q\" field"#), "{}", lines[2]);
@@ -1129,8 +1135,14 @@ mod tests {
             lines[3]
         );
         assert!(lines[4].contains("unknown cmd"), "{}", lines[4]);
-        assert!(lines[5].contains("\"value\":24"), "{}", lines[5]);
-        assert_eq!(stats.invalid, 4);
+        // A line that is not UTF-8 is one invalid job, not the end of input.
+        assert_eq!(
+            lines[5],
+            r#"{"job":4,"error":"request line is not UTF-8","kind":"invalid"}"#
+        );
+        assert!(lines[6].contains("\"value\":24"), "{}", lines[6]);
+        assert_eq!(stats.invalid, 5);
+        assert_eq!(stats.errors_invalid, 5);
         assert_eq!(stats.completed, 1);
     }
 

@@ -42,8 +42,10 @@
 //! [`Solver`] is the one entry point of the wavefront and iterative
 //! solvers: their per-module solve functions and config structs were
 //! removed, and every old config field is a [`SolveOptions`] field of the
-//! same name unless noted. The sequential oracle
-//! ([`solve_sequential`]) and [`solve_knuth`] stay public.
+//! same name unless noted; `square` is gone, because the engine always
+//! runs the streamed kernels and the naive reference is reachable only
+//! through [`crate::ops`]. The sequential oracle ([`solve_sequential`])
+//! and [`solve_knuth`] stay public.
 //!
 //! | removed entry point (config fields) | façade call |
 //! |---|---|
@@ -63,7 +65,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec::ExecBackend;
 use crate::fault::CancelToken;
-use crate::ops::{OpStats, SquareStrategy};
+use crate::ops::OpStats;
 use crate::problem::DpProblem;
 use crate::reconstruct::{reconstruct_root, ParenTree};
 use crate::seq::{solve_knuth, solve_sequential};
@@ -162,8 +164,7 @@ impl Algorithm {
     }
 
     /// Whether the algorithm iterates the (activate, square, pebble)
-    /// operations, and therefore reads the `a-square` kernel selection
-    /// ([`SolveOptions::square`]) and produces a non-empty per-iteration
+    /// operations, and therefore produces a non-empty per-iteration
     /// [`SolveTrace`] under [`SolveOptions::record_trace`].
     pub fn is_iterative(&self) -> bool {
         matches!(
@@ -174,7 +175,7 @@ impl Algorithm {
 
     /// Whether the algorithm reads `knob`: the one algorithm × knob
     /// table of the paper's spectrum (§1). The backend goes to the
-    /// parallel algorithms and the kernel and trace to the iterative ones.
+    /// parallel algorithms and the trace to the iterative ones.
     /// The §7 stopping rule goes to the §2 solver and to Rytter, which
     /// accepts every rule and still stops at its exact fixpoint. The §5
     /// solver does not read it, because its window argument relies on the
@@ -183,7 +184,7 @@ impl Algorithm {
     pub fn reads(&self, knob: SolveKnob) -> bool {
         match knob {
             SolveKnob::Exec => self.is_parallel(),
-            SolveKnob::Square | SolveKnob::RecordTrace => self.is_iterative(),
+            SolveKnob::RecordTrace => self.is_iterative(),
             SolveKnob::Termination => matches!(self, Algorithm::Sublinear | Algorithm::Rytter),
             SolveKnob::SkipCleanRows => matches!(self, Algorithm::Sublinear | Algorithm::Reduced),
             SolveKnob::Band | SolveKnob::WindowedPebble => *self == Algorithm::Reduced,
@@ -230,8 +231,6 @@ impl fmt::Display for Algorithm {
 pub enum SolveKnob {
     /// [`SolveOptions::exec`] — the execution backend.
     Exec,
-    /// [`SolveOptions::square`] — the `a-square` kernel.
-    Square,
     /// [`SolveOptions::termination`] — the stopping rule.
     Termination,
     /// [`SolveOptions::record_trace`] — per-iteration trace records.
@@ -246,9 +245,8 @@ pub enum SolveKnob {
 
 impl SolveKnob {
     /// Every knob, in [`SolveOptions`] field order.
-    pub const ALL: [SolveKnob; 7] = [
+    pub const ALL: [SolveKnob; 6] = [
         SolveKnob::Exec,
-        SolveKnob::Square,
         SolveKnob::Termination,
         SolveKnob::RecordTrace,
         SolveKnob::SkipCleanRows,
@@ -260,7 +258,6 @@ impl SolveKnob {
     pub fn field(&self) -> &'static str {
         match self {
             SolveKnob::Exec => "exec",
-            SolveKnob::Square => "square",
             SolveKnob::Termination => "termination",
             SolveKnob::RecordTrace => "record_trace",
             SolveKnob::SkipCleanRows => "skip_clean_rows",
@@ -274,7 +271,6 @@ impl SolveKnob {
     pub(crate) fn reason(&self) -> &'static str {
         match self {
             SolveKnob::Exec => "it runs no data-parallel passes",
-            SolveKnob::Square => "it has no a-square kernel",
             SolveKnob::Termination => {
                 "it does not read a stopping rule (the §5 solver needs its \
                  fixed schedule; the direct algorithms do not iterate)"
@@ -336,9 +332,6 @@ pub struct SolveOptions {
     /// Execution backend for the data-parallel passes (parallel
     /// algorithms only).
     pub exec: ExecBackend,
-    /// `a-square` kernel of the iterative algorithms; both kernels
-    /// produce bit-identical tables.
-    pub square: SquareStrategy,
     /// Stopping rule for the §2 solver (it honours all three rules).
     /// The other iterative algorithms keep their own exact defaults:
     /// Rytter always stops at its fixpoint (running past it is a no-op,
@@ -374,7 +367,6 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             exec: ExecBackend::Parallel,
-            square: SquareStrategy::Auto,
             termination: Termination::FixedSqrtN,
             record_trace: false,
             skip_clean_rows: true,
@@ -389,12 +381,6 @@ impl SolveOptions {
     /// Set the execution backend.
     pub fn exec(mut self, exec: ExecBackend) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Set the `a-square` kernel.
-    pub fn square(mut self, square: SquareStrategy) -> Self {
-        self.square = square;
         self
     }
 
@@ -655,17 +641,17 @@ mod tests {
     fn capability_flags_are_consistent() {
         // The spectrum's algorithm × knob table (§1): rows in
         // `Algorithm::ALL` order; columns in `SolveKnob::ALL` order —
-        // exec, square, termination, record_trace, skip_clean_rows, band,
+        // exec, termination, record_trace, skip_clean_rows, band,
         // windowed_pebble.
         const T: bool = true;
         const F: bool = false;
-        let table: [(Algorithm, [bool; 7]); 6] = [
-            (Algorithm::Sequential, [F, F, F, F, F, F, F]),
-            (Algorithm::Knuth, [F, F, F, F, F, F, F]),
-            (Algorithm::Wavefront, [T, F, F, F, F, F, F]),
-            (Algorithm::Sublinear, [T, T, T, T, T, F, F]),
-            (Algorithm::Reduced, [T, T, F, T, T, T, T]),
-            (Algorithm::Rytter, [T, T, T, T, F, F, F]),
+        let table: [(Algorithm, [bool; 6]); 6] = [
+            (Algorithm::Sequential, [F, F, F, F, F, F]),
+            (Algorithm::Knuth, [F, F, F, F, F, F]),
+            (Algorithm::Wavefront, [T, F, F, F, F, F]),
+            (Algorithm::Sublinear, [T, T, T, T, F, F]),
+            (Algorithm::Reduced, [T, F, T, T, T, T]),
+            (Algorithm::Rytter, [T, T, T, F, F, F]),
         ];
         assert_eq!(table.map(|(a, _)| a), Algorithm::ALL);
         for (a, row) in table {

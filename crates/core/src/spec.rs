@@ -26,9 +26,12 @@
 //! * `band` — optional §5 band-width override (reduced solver only;
 //!   widths narrower than the paper's `2⌈√n⌉` are rejected — only wider
 //!   bands are proven exact);
-//! * `tile` — optional `a-square` kernel (`auto | naive`);
 //! * `trace` — optional per-iteration trace recording (iterative
 //!   algorithms only; the record's `trace` field carries the result).
+//!
+//! Other keys are ignored, the retired `a-square` kernel choice `tile`
+//! among them: a line that carries it is answered like the same line
+//! without it.
 //!
 //! Every per-job knob is routed through
 //! [`SolveOptions::validate_knob`], so capability errors are identical
@@ -409,8 +412,6 @@ pub struct JobSpec {
     /// Per-job §5 band-width override (reduced solver only; must be at
     /// least the paper's `2⌈√n⌉` — only wider bands are proven exact).
     pub band: Option<usize>,
-    /// Per-job `a-square` kernel: `auto | naive`.
-    pub tile: Option<String>,
     /// Record the per-iteration trace into the job's record.
     pub trace: Option<bool>,
 }
@@ -434,7 +435,6 @@ impl Deserialize for JobSpec {
             q: opt(v, "q")?,
             algo: opt(v, "algo")?,
             band: opt(v, "band")?,
-            tile: opt(v, "tile")?,
             trace: opt(v, "trace")?,
         })
     }
@@ -454,7 +454,6 @@ impl From<&ProblemSpec> for JobSpec {
             q,
             algo: None,
             band: None,
-            tile: None,
             trace: None,
         }
     }
@@ -511,13 +510,6 @@ impl JobSpec {
                     problem.n()
                 )));
             }
-        }
-        if let Some(t) = &self.tile {
-            let square = t.parse().map_err(SpecError)?;
-            options = options.square(square);
-            options
-                .validate_knob(algorithm, SolveKnob::Square)
-                .map_err(|e| SpecError(format!("\"tile\" {}", e.message)))?;
         }
         if let Some(tr) = self.trace {
             options = options.record_trace(tr);
@@ -957,19 +949,32 @@ mod tests {
         let j: JobSpec = serde_json::from_str("{\"family\":\"chain\",\"values\":[2,3,4]}").unwrap();
         assert_eq!(j.family, "chain");
         assert_eq!(j.values, vec![2, 3, 4]);
-        assert_eq!(
-            (j.q, j.algo, j.band, j.tile, j.trace),
-            (None, None, None, None, None)
-        );
+        assert_eq!((j.q, j.algo, j.band, j.trace), (None, None, None, None));
         let j: JobSpec = serde_json::from_str(
             "{\"family\":\"merge\",\"values\":[1,2],\"algo\":\"reduced\",\
-             \"band\":12,\"tile\":\"naive\",\"trace\":true}",
+             \"band\":12,\"trace\":true}",
         )
         .unwrap();
         assert_eq!(j.algo.as_deref(), Some("reduced"));
         assert_eq!(j.band, Some(12));
-        assert_eq!(j.tile.as_deref(), Some("naive"));
         assert_eq!(j.trace, Some(true));
+        // Unknown keys, the retired "tile" among them, are ignored.
+        for extra in [
+            "\"tile\":\"naive\"",
+            "\"tile\":\"blocky\"",
+            "\"tile\":8",
+            "\"x\":[]",
+        ] {
+            let line = format!(
+                "{{\"family\":\"merge\",\"values\":[1,2],\"algo\":\"reduced\",\
+                 \"band\":12,{extra},\"trace\":true}}"
+            );
+            assert_eq!(
+                serde_json::from_str::<JobSpec>(&line).unwrap(),
+                j,
+                "{extra}"
+            );
+        }
     }
 
     #[test]
@@ -1006,22 +1011,8 @@ mod tests {
         job.band = Some(64);
         let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
         assert!(e.0.contains("\"band\" has no effect"), "{e}");
-        // Tile on a direct algorithm.
-        job.band = None;
-        job.algo = Some("seq".into());
-        job.tile = Some("naive".into());
-        let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
-        assert!(e.0.contains("\"tile\" has no effect"), "{e}");
-        // Anything but auto | naive, numeric edges included.
-        job.algo = None;
-        for bad in ["8", "0", "blocky"] {
-            job.tile = Some(bad.into());
-            let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
-            assert!(e.0.contains("unknown square strategy"), "{e}");
-            assert!(e.0.contains("auto | naive"), "{e}");
-        }
         // Trace on a non-iterative algorithm; trace:false is harmless.
-        job.tile = None;
+        job.band = None;
         job.algo = Some("wavefront".into());
         job.trace = Some(true);
         let e = job.resolve(Algorithm::Sublinear, base).unwrap_err();
@@ -1149,14 +1140,15 @@ mod tests {
         assert!(serde_json::to_string(&rec)
             .unwrap()
             .contains("\"trace\":null"));
-        // The "tile" kernel choice leaves the whole record, trace
-        // included, unchanged.
+        // A line that carries the retired "tile" key gets the record,
+        // trace included, of the same line without it.
         for algo in ["sublinear", "reduced", "rytter"] {
-            let record = |tile: &str| {
-                let mut job = JobSpec::from(&spec);
-                job.algo = Some(algo.into());
-                job.tile = Some(tile.into());
-                job.trace = Some(true);
+            let record = |extra: &str| {
+                let line = format!(
+                    "{{\"family\":\"chain\",\"values\":[30,35,15,5,10,20,25],\
+                     \"algo\":\"{algo}\",{extra}\"trace\":true}}"
+                );
+                let job: JobSpec = serde_json::from_str(&line).unwrap();
                 let r = job
                     .resolve(Algorithm::Sublinear, SolveOptions::default())
                     .unwrap();
@@ -1165,7 +1157,9 @@ mod tests {
                     .solve(&p);
                 JobRecord::of_solution(0, spec.family(), &sol, false).deterministic()
             };
-            assert_eq!(record("naive"), record("auto"), "{algo}");
+            let plain = record("");
+            assert_eq!(record("\"tile\":\"naive\","), plain, "{algo}");
+            assert_eq!(record("\"tile\":\"auto\","), plain, "{algo}");
         }
     }
 

@@ -41,12 +41,10 @@
 //!   `skip_clean_rows` (changes candidate counts), `band`, and
 //!   `windowed_pebble` (both change the §5 work pattern) — each hashed
 //!   only for algorithms that read it.
-//! * **Not identity-relevant** — `exec` (every backend produces
+//! * **Not identity-relevant** — `exec`: every backend produces
 //!   bit-identical tables *and* identical [`OpStats`], property-tested
-//!   in `tests/backend_parity.rs`) and `square` (the naive and streamed
-//!   kernels give the same guarantee, see
-//!   [`SquareStrategy`](crate::ops::SquareStrategy)). Jobs differing
-//!   only in these knobs share a cache entry.
+//!   in `tests/backend_parity.rs`. Jobs differing only in the backend
+//!   share a cache entry.
 //! * **Bypass** — `record_trace: true` jobs carry per-iteration records
 //!   sized by the run that produced them, and [`Algorithm::Knuth`]
 //!   requires a quadrangle-inequality check that a cache hit would
@@ -1087,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_backend_and_square() {
+    fn key_ignores_backend() {
         let s = spec(&[30, 35, 15, 5, 10]);
         for algo in [Algorithm::Sublinear, Algorithm::Wavefront] {
             let base = ProblemKey::derive(&s, algo, &seq_opts()).unwrap();
@@ -1095,16 +1093,6 @@ mod tests {
                 base,
                 ProblemKey::derive(&s, algo, &SolveOptions::default()).unwrap(),
                 "{algo}: exec must not be identity-relevant"
-            );
-            assert_eq!(
-                base,
-                ProblemKey::derive(
-                    &s,
-                    algo,
-                    &seq_opts().square(crate::ops::SquareStrategy::Naive)
-                )
-                .unwrap(),
-                "{algo}: square must not be identity-relevant"
             );
         }
     }

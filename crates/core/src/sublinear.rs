@@ -28,7 +28,6 @@
 #[cfg(test)]
 mod tests {
     use crate::exec::ExecBackend;
-    use crate::ops::SquareStrategy;
     use crate::problem::{DpProblem, FnProblem};
     use crate::seq::solve_sequential;
     use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
@@ -107,19 +106,12 @@ mod tests {
                 let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..40)).collect();
                 let p = chain(dims);
                 let base = solve(&p, &cfg(term));
-                for (square, exec) in [
-                    (SquareStrategy::Auto, ExecBackend::Sequential),
-                    (SquareStrategy::Naive, ExecBackend::Sequential),
-                    (SquareStrategy::Auto, ExecBackend::Threads(4)),
-                ] {
-                    let skipping = solve(
-                        &p,
-                        &cfg(term).exec(exec).square(square).skip_clean_rows(true),
-                    );
-                    assert!(skipping.w.table_eq(&base.w), "n={n} {term:?} {square}");
+                for exec in [ExecBackend::Sequential, ExecBackend::Threads(4)] {
+                    let skipping = solve(&p, &cfg(term).exec(exec).skip_clean_rows(true));
+                    assert!(skipping.w.table_eq(&base.w), "n={n} {term:?} {exec}");
                     assert_eq!(
                         skipping.trace.iterations, base.trace.iterations,
-                        "n={n} {term:?} {square}"
+                        "n={n} {term:?} {exec}"
                     );
                 }
             }

@@ -7,7 +7,7 @@
 //!   independently from the operation definitions;
 //! * the streamed and naive square kernels produce bit-identical
 //!   tables and identical stats on every backend, for `u64` and for
-//!   `f64` (compared by `to_bits`) alike.
+//!   `f64` (compared by `to_bits`) alike, with and without a skip mask.
 
 use pardp_core::ops::{
     a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_banded_scheduled,
@@ -21,6 +21,8 @@ use pardp_core::tables::{BandedPw, DensePw, PairIndexer, WTable};
 use pardp_core::weight::Weight;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a complete instance (init values + f values) for size n.
 fn instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<u64>> {
@@ -46,6 +48,13 @@ fn f64_instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<f64
                 cost(f[(i * m + k) * m + j])
             })
         })
+}
+
+/// A square skip mask over `len` rows drawn from `seed`: about a third
+/// of the rows are marked, to be copied forward instead of squared.
+fn skip_mask(seed: u64, len: usize) -> Vec<bool> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen_range(0..3) == 0).collect()
 }
 
 /// Drive the dense ops for `iters` iterations from the initial state.
@@ -132,28 +141,35 @@ proptest! {
     fn tiled_square_matches_naive_on_every_backend(
         p in instance_strategy(10),
         iters in 0usize..4,
+        mask_seed in 0u64..u64::MAX,
     ) {
         let (_, pw) = warm_dense(&p, iters);
         let n = p.n();
-        let mut reference = DensePw::new(n);
-        let (base, base_rows) = a_square_dense_scheduled(
-            &pw, &mut reference, SquareStrategy::Naive, None, &ExecBackend::Sequential,
-        );
-        for backend in [
-            ExecBackend::Sequential,
-            ExecBackend::Parallel,
-            ExecBackend::Threads(3),
-        ] {
-            for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
-                let mut out = DensePw::new(n);
-                let (stats, rows) =
-                    a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
-                prop_assert_eq!(
-                    out.as_slice(), reference.as_slice(),
-                    "tables diverge: {} on {}", strategy, backend
-                );
-                prop_assert_eq!(stats, base, "stats diverge: {} on {}", strategy, backend);
-                prop_assert_eq!(&rows, &base_rows, "row flags diverge: {} on {}", strategy, backend);
+        let mask = skip_mask(mask_seed, pw.indexer().len());
+        for skip in [None, Some(&mask[..])] {
+            let mut reference = DensePw::new(n);
+            let (base, base_rows) = a_square_dense_scheduled(
+                &pw, &mut reference, SquareStrategy::Naive, skip, &ExecBackend::Sequential,
+            );
+            // Marked rows are copied verbatim and never flagged.
+            for a in (0..mask.len()).filter(|&a| skip.is_some() && mask[a]) {
+                prop_assert_eq!(reference.row(a), pw.row(a), "skipped row {}", a);
+                prop_assert!(!base_rows[a], "skipped row {} flagged", a);
+            }
+            for backend in [
+                ExecBackend::Sequential,
+                ExecBackend::Parallel,
+                ExecBackend::Threads(3),
+            ] {
+                for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
+                    let mut out = DensePw::new(n);
+                    let (stats, rows) =
+                        a_square_dense_scheduled(&pw, &mut out, strategy, skip, &backend);
+                    let case = format!("{strategy:?} on {backend}, masked: {}", skip.is_some());
+                    prop_assert_eq!(out.as_slice(), reference.as_slice(), "tables diverge: {}", case);
+                    prop_assert_eq!(stats, base, "stats diverge: {}", case);
+                    prop_assert_eq!(&rows, &base_rows, "row flags diverge: {}", case);
+                }
             }
         }
         // Rytter's streamed kernel against its naive reference.
@@ -198,19 +214,19 @@ proptest! {
                     a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
                 prop_assert_eq!(
                     bits(&out), bits(&reference),
-                    "f64 tables diverge: {} on {}", strategy, backend
+                    "f64 tables diverge: {:?} on {}", strategy, backend
                 );
-                prop_assert_eq!(stats, base, "f64 stats diverge: {} on {}", strategy, backend);
-                prop_assert_eq!(&rows, &base_rows, "f64 row flags diverge: {} on {}", strategy, backend);
+                prop_assert_eq!(stats, base, "f64 stats diverge: {:?} on {}", strategy, backend);
+                prop_assert_eq!(&rows, &base_rows, "f64 row flags diverge: {:?} on {}", strategy, backend);
             }
             for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
                 let mut y_out = DensePw::new(n);
                 let y_stats = a_square_rytter_with(&pw, &mut y_out, strategy, &backend);
                 prop_assert_eq!(
                     bits(&y_out), bits(&y_ref),
-                    "f64 rytter tables diverge: {} on {}", strategy, backend
+                    "f64 rytter tables diverge: {:?} on {}", strategy, backend
                 );
-                prop_assert_eq!(y_stats, y_base, "f64 rytter stats diverge: {} on {}", strategy, backend);
+                prop_assert_eq!(y_stats, y_base, "f64 rytter stats diverge: {:?} on {}", strategy, backend);
             }
         }
     }
@@ -297,9 +313,9 @@ proptest! {
             let (sq, _) = a_square_dense_scheduled(
                 &fresh, &mut next, strategy, None, &ExecBackend::Sequential,
             );
-            prop_assert_eq!(sq.candidates, sq_model, "square {}", strategy);
+            prop_assert_eq!(sq.candidates, sq_model, "square {:?}", strategy);
             let ry = a_square_rytter_with(&fresh, &mut next, strategy, &ExecBackend::Sequential);
-            prop_assert_eq!(ry.candidates, ry_model, "rytter {}", strategy);
+            prop_assert_eq!(ry.candidates, ry_model, "rytter {:?}", strategy);
         }
 
         let mut w_next = w.clone();
@@ -374,35 +390,41 @@ proptest! {
         p in instance_strategy(12),
         iters in 0usize..4,
         extra_band in 0usize..5,
+        mask_seed in 0u64..u64::MAX,
     ) {
-        // Warm realistic banded tables, then one square per kernel and
-        // backend: tables, stats and per-row flags must match the naive
-        // sequential reference bit for bit.
+        // Warm realistic banded tables, then one square per kernel,
+        // backend and skip mask: tables, stats and per-row flags must
+        // match the naive sequential reference bit for bit.
         let n = p.n();
         let band = default_band(n) + extra_band;
         let (w, pw) = warm_banded(&p, band, iters);
-        let mut reference = BandedPw::new(n, band);
-        let (base, base_rows) = a_square_banded_scheduled(
-            &pw, &mut reference, SquareStrategy::Naive, None, &ExecBackend::Sequential,
-        );
-        for backend in [
-            ExecBackend::Sequential,
-            ExecBackend::Parallel,
-            ExecBackend::Threads(3),
-        ] {
-            for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
-                let mut out = BandedPw::new(n, band);
-                let (stats, rows) =
-                    a_square_banded_scheduled(&pw, &mut out, strategy, None, &backend);
-                prop_assert_eq!(
-                    out.as_slice(), reference.as_slice(),
-                    "banded tables diverge: {} on {}", strategy, backend
-                );
-                prop_assert_eq!(stats, base, "banded stats diverge: {} on {}", strategy, backend);
-                prop_assert_eq!(
-                    &rows, &base_rows,
-                    "banded row flags diverge: {} on {}", strategy, backend
-                );
+        let mask = skip_mask(mask_seed, pw.indexer().len());
+        for skip in [None, Some(&mask[..])] {
+            let mut reference = BandedPw::new(n, band);
+            let (base, base_rows) = a_square_banded_scheduled(
+                &pw, &mut reference, SquareStrategy::Naive, skip, &ExecBackend::Sequential,
+            );
+            for a in (0..mask.len()).filter(|&a| skip.is_some() && mask[a]) {
+                prop_assert_eq!(reference.row(a), pw.row(a), "skipped row {}", a);
+                prop_assert!(!base_rows[a], "skipped row {} flagged", a);
+            }
+            for backend in [
+                ExecBackend::Sequential,
+                ExecBackend::Parallel,
+                ExecBackend::Threads(3),
+            ] {
+                for strategy in [SquareStrategy::Naive, SquareStrategy::Auto] {
+                    let mut out = BandedPw::new(n, band);
+                    let (stats, rows) =
+                        a_square_banded_scheduled(&pw, &mut out, strategy, skip, &backend);
+                    let case = format!("{strategy:?} on {backend}, masked: {}", skip.is_some());
+                    prop_assert_eq!(
+                        out.as_slice(), reference.as_slice(),
+                        "banded tables diverge: {}", case
+                    );
+                    prop_assert_eq!(stats, base, "banded stats diverge: {}", case);
+                    prop_assert_eq!(&rows, &base_rows, "banded row flags diverge: {}", case);
+                }
             }
         }
         // Skip-everything degrades to a verbatim copy with no stats.

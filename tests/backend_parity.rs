@@ -92,9 +92,9 @@ proptest! {
         windowed_sel in 0usize..2,
     ) {
         // The §5 solver's convergence-aware scheduling (banded square row
-        // skipping + persistent pebble dirty bits) and its square kernels
-        // must not move a single w' cell, on any backend — all driven
-        // through the façade's option builder.
+        // skipping + persistent pebble dirty bits) must not move a single
+        // w' cell, on any backend — all driven through the façade's
+        // option builder.
         let windowed = windowed_sel == 1;
         let mc = MatrixChain::new(dims);
         let reduced_opts = SolveOptions::default().windowed_pebble(windowed);
@@ -102,21 +102,18 @@ proptest! {
             .options(
                 reduced_opts
                     .exec(ExecBackend::Sequential)
-                    .square(SquareStrategy::Naive)
                     .skip_clean_rows(false),
             )
             .solve(&mc);
         for exec in [ExecBackend::Sequential, POOL] {
-            for square in [SquareStrategy::Naive, SquareStrategy::Auto] {
-                for skip in [false, true] {
-                    let sol = Solver::new(Algorithm::Reduced)
-                        .options(reduced_opts.exec(exec).square(square).skip_clean_rows(skip))
-                        .solve(&mc);
-                    prop_assert!(
-                        sol.w.table_eq(&base.w),
-                        "reduced diverges: {exec} {square} skip={skip} windowed={windowed}"
-                    );
-                }
+            for skip in [false, true] {
+                let sol = Solver::new(Algorithm::Reduced)
+                    .options(reduced_opts.exec(exec).skip_clean_rows(skip))
+                    .solve(&mc);
+                prop_assert!(
+                    sol.w.table_eq(&base.w),
+                    "reduced diverges: {exec} skip={skip} windowed={windowed}"
+                );
             }
         }
     }
