@@ -29,6 +29,32 @@ fn assert_same_problem(apps: &dyn DpProblem<u64>, spec: &ProblemSpec) {
         "solved tables diverge for {}",
         apps.name()
     );
+    // The wire's `split_min` override against the apps type's default
+    // fold over `f`, on the solved operands (where it must give the
+    // cell itself) and on a copy with every third cell infinite.
+    let mut holes = wa.clone();
+    for (x, v) in holes.as_mut_slice().iter_mut().enumerate() {
+        if x % 3 == 0 {
+            *v = u64::INFINITY;
+        }
+    }
+    for (w, solved) in [(&wa, true), (&holes, false)] {
+        for i in 0..n {
+            for j in (i + 2)..=n {
+                let left: Vec<u64> = (i + 1..j).map(|k| w.get(i, k)).collect();
+                let right: Vec<u64> = (i + 1..j).map(|k| w.get(k, j)).collect();
+                let cell = wire.split_min(i, j, &left, &right);
+                assert_eq!(
+                    cell,
+                    apps.split_min(i, j, &left, &right),
+                    "split_min({i},{j})"
+                );
+                if solved {
+                    assert_eq!(cell, wa.get(i, j), "split_min({i},{j}) on the solved table");
+                }
+            }
+        }
+    }
 }
 
 #[test]

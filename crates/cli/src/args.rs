@@ -202,7 +202,9 @@ BATCH (pardp batch): solve many instances concurrently over one pool.
   family: chain | obst | polygon | merge; values: dims / key freqs /
   vertex weights / run lengths; q: obst dummy frequencies; algo:
   optional per-job override of --algo. Output is JSONL: one result line
-  per job (in input order) and a final summary line. Jobs with more
+  per job (in input order) and a final summary line; a line that is
+  not a valid job is answered with serve's invalid error line in its
+  slot. Jobs with more
   than --large-cells w-table cells (default {large_cells}) run one at a
   time on the whole pool; the rest run whole-problem-per-worker.
 SERVE (pardp serve): a persistent solving daemon over the same JSONL

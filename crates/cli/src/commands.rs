@@ -6,6 +6,7 @@ use pardp_core::pram_exec::{model_reduced, model_rytter, model_sublinear};
 use pardp_core::prelude::*;
 use pardp_core::reconstruct::reconstruct_root;
 use pardp_core::rytter::rytter_schedule;
+use pardp_core::spec::resolve_lines;
 use pardp_pebble::game::{moves_to_pebble, SquareRule};
 use pardp_pebble::{gen, lemma_move_bound};
 use pardp_pram::Timeline;
@@ -267,16 +268,8 @@ fn run_batch(
 ) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read job file '{path}': {e}")))?;
-    let specs = parse_jobs(&text).map_err(|e| CliError(format!("{path} {}", e.0)))?;
-
     let base = SolveOptions::default().termination(Termination::Fixpoint);
-    let mut resolved: Vec<ResolvedJob> = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        resolved.push(
-            spec.resolve(default_algo, base)
-                .map_err(|e| CliError(format!("{path} job {i}: {}", e.0)))?,
-        );
-    }
+    let jobs = resolve_lines(&text, default_algo, base);
 
     let telemetry = open_telemetry(log, log_level)?;
     let mut solver = BatchSolver::new().telemetry(telemetry.clone());
@@ -289,15 +282,20 @@ fn run_batch(
     // The cache-aware path is the only path: without --cache it still
     // dedups identical jobs within the batch (`cache: None` below).
     let store = cache_dir.map(open_cache).transpose()?;
-    let report = solver.solve_resolved(&resolved, store.as_ref().map(|s| s as &dyn SolutionCache));
+    let report = solver.solve_lines(&jobs, store.as_ref().map(|s| s as &dyn SolutionCache));
 
     // Records and failed jobs interleave back into submission order: a
-    // failed job (a panic, a failed Knuth guard) answers with its error
-    // line in its slot — the line `pardp serve` answers with — instead
-    // of taking the whole run down.
+    // failed job (a line that did not resolve, a panic, a failed Knuth
+    // guard) answers with its error line in its slot — the line `pardp
+    // serve` answers with — instead of taking the whole run down.
     let mut lines: Vec<(usize, String)> = report.errors.iter().map(|e| (e.job, e.line())).collect();
     lines.extend(report.results.iter().map(|r| {
-        let record = JobRecord::new(resolved[r.job].problem.family(), r);
+        let family = jobs[r.job]
+            .as_ref()
+            .expect("a solved job resolved")
+            .problem
+            .family();
+        let record = JobRecord::new(family, r);
         (
             r.job,
             serde_json::to_string(&record).expect("records serialize"),
@@ -323,10 +321,11 @@ fn run_batch(
     if let Some(tel) = &telemetry {
         let c = report.cache;
         let errors_of = |kind| report.errors.iter().filter(|e| e.kind == kind).count() as u64;
+        let invalid = jobs.iter().filter(|j| j.is_err()).count() as u64;
         tel.emit(EventKind::Summary {
-            accepted: resolved.len() as u64,
+            accepted: jobs.len() as u64 - invalid,
             rejected: 0,
-            invalid: 0,
+            invalid,
             completed: report.results.len() as u64,
             completed_small: report.results.iter().filter(|r| !r.large).count() as u64,
             completed_large: report.results.iter().filter(|r| r.large).count() as u64,
@@ -625,23 +624,19 @@ mod tests {
             assert!(err.0.contains("4611686018427387903"), "{err}");
         }
         // Batch: the largest accepted chain solves, the smallest rejected
-        // one fails the run naming its job, like every bad job spec.
+        // one is answered `invalid` in its slot, like every bad job spec.
         let path = temp_jobs(
             "overflow",
-            "{\"family\":\"chain\",\"values\":[1048575,1048575,1048575]}\n",
-        );
-        let out = run_line(&format!("batch {path}")).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(out.contains("\"value\":1152918206075109375"), "{out}");
-        let path = temp_jobs(
-            "overflow-bad",
             "{\"family\":\"chain\",\"values\":[1048575,1048575,1048575]}\n\
              {\"family\":\"chain\",\"values\":[1048575,1048575,1048576]}\n",
         );
-        let err = run_line(&format!("batch {path}")).unwrap_err();
+        let out = run_line(&format!("batch {path}")).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(err.0.contains("job 1"), "{err}");
-        assert!(err.0.contains("4611686018427387903"), "{err}");
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].contains("\"value\":1152918206075109375"), "{out}");
+        assert!(lines[1].starts_with("{\"job\":1,\"error\":"), "{out}");
+        assert!(lines[1].contains("4611686018427387903"), "{out}");
+        assert!(lines[1].ends_with("\"kind\":\"invalid\"}"), "{out}");
     }
 
     #[test]
@@ -733,43 +728,100 @@ mod tests {
 
     #[test]
     fn batch_errors_name_the_offending_line() {
-        let path = temp_jobs("bad-json", "{\"family\":\"chain\"\n");
-        let err = run_line(&format!("batch {path}")).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.0.contains("line 1"), "{err}");
-
-        let path = temp_jobs("bad-family", "{\"family\":\"knapsack\",\"values\":[1,2]}\n");
-        let err = run_line(&format!("batch {path}")).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.0.contains("unknown problem family"), "{err}");
-
-        let path = temp_jobs("bad-obst", "{\"family\":\"obst\",\"values\":[1,2]}\n");
-        let err = run_line(&format!("batch {path}")).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.0.contains("\"q\" field"), "{err}");
-
-        let path = temp_jobs(
-            "bad-obst-arity",
-            "{\"family\":\"obst\",\"values\":[1,2],\"q\":[1,2]}\n",
-        );
-        let err = run_line(&format!("batch {path}")).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.0.contains("q needs exactly 3"), "{err}");
+        // Each bad line is answered `invalid` in its slot, with the job
+        // index of its line; the good lines around it still solve.
+        for (name, bad, text) in [
+            (
+                "bad-json",
+                "{\"family\":\"chain\"",
+                "line is not a JSON job",
+            ),
+            (
+                "bad-family",
+                "{\"family\":\"knapsack\",\"values\":[1,2]}",
+                "unknown problem family",
+            ),
+            (
+                "bad-obst",
+                "{\"family\":\"obst\",\"values\":[1,2]}",
+                "\\\"q\\\" field",
+            ),
+            (
+                "bad-obst-arity",
+                "{\"family\":\"obst\",\"values\":[1,2],\"q\":[1,2]}",
+                "q needs exactly 3",
+            ),
+            (
+                "bad-algo",
+                "{\"family\":\"chain\",\"values\":[2,3,4],\"algo\":\"reducedd\"}",
+                "unknown algorithm",
+            ),
+        ] {
+            let good = "{\"family\":\"chain\",\"values\":[2,3,4]}";
+            let path = temp_jobs(name, &format!("{good}\n{bad}\n{good}\n"));
+            let out = run_line(&format!("batch {path}")).unwrap();
+            std::fs::remove_file(&path).ok();
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), 4, "3 answers + summary: {out}");
+            assert!(lines[0].starts_with("{\"job\":0,") && lines[0].contains("\"value\":24"));
+            assert!(
+                lines[1].starts_with("{\"job\":1,\"error\":"),
+                "{name}: {out}"
+            );
+            assert!(lines[1].ends_with("\"kind\":\"invalid\"}"), "{name}: {out}");
+            assert!(lines[1].contains(text), "{name}: {out}");
+            assert!(lines[2].starts_with("{\"job\":2,") && lines[2].contains("\"value\":24"));
+        }
 
         let err = run_line("batch /nonexistent/jobs.jsonl").unwrap_err();
         assert!(err.0.contains("cannot read job file"), "{err}");
+    }
 
-        // A bad per-job algo override names the file and job, like every
-        // other per-job error.
-        let path = temp_jobs(
-            "bad-algo",
-            "{\"family\":\"chain\",\"values\":[2,3,4]}\n\
-             {\"family\":\"chain\",\"values\":[2,3,4],\"algo\":\"reducedd\"}\n",
-        );
-        let err = run_line(&format!("batch {path}")).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.0.contains("job 1"), "{err}");
-        assert!(err.0.contains("unknown algorithm"), "{err}");
+    #[test]
+    fn batch_answers_bad_lines_as_serve_does() {
+        // A line `resolve` refuses and a line that is not JSON: batch
+        // answers each with serve's exact error line and solves the
+        // next line, numbering jobs over non-blank lines as serve does.
+        for (name, bad) in [
+            (
+                "band",
+                "{\"family\":\"chain\",\"values\":[2,3,4],\"band\":64}",
+            ),
+            ("not-json", "not json"),
+        ] {
+            let text = format!("{bad}\n\n{{\"family\":\"chain\",\"values\":[2,3,4]}}\n");
+            let mut served = Vec::new();
+            pardp_core::serve::serve_pipe(text.as_bytes(), &mut served, &ServeConfig::default());
+            let served = String::from_utf8(served).unwrap();
+            let path = temp_jobs(name, &text);
+            let events = std::env::temp_dir().join(format!(
+                "pardp-cli-test-{name}-events-{}.jsonl",
+                std::process::id()
+            ));
+            let out = run_line(&format!("batch {path} --log {}", events.display())).unwrap();
+            std::fs::remove_file(&path).ok();
+            let log = std::fs::read_to_string(&events).unwrap();
+            std::fs::remove_file(&events).ok();
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), 3, "2 answers + summary: {out}");
+            assert_eq!(lines[0], served.lines().next().unwrap(), "{name}");
+            assert!(lines[0].starts_with("{\"job\":0,\"error\":"), "{out}");
+            assert!(lines[0].ends_with(",\"kind\":\"invalid\"}"), "{out}");
+            assert!(lines[1].starts_with("{\"job\":1,") && lines[1].contains("\"value\":24"));
+            assert!(lines[2].contains("\"jobs\":1,"), "{out}");
+            // The bad line is a lone `rejected` event, counted `invalid`;
+            // the good one keeps its line index in its chain.
+            let has = |event: &str, fields: &str| {
+                log.lines()
+                    .any(|l| l.contains(&format!("\"event\":\"{event}\"")) && l.contains(fields))
+            };
+            assert!(has("rejected", "\"job\":0,\"kind\":\"invalid\""), "{log}");
+            assert!(has("completed", "\"job\":1,"), "{log}");
+            assert!(
+                has("summary", "\"accepted\":1,\"rejected\":0,\"invalid\":1,"),
+                "{log}"
+            );
+        }
     }
 
     /// A fresh temp store directory path (removed before use).

@@ -11,10 +11,12 @@
 //!   [`solve_batch_isolated`](BatchSolver::solve_batch_isolated) solve
 //!   borrowed [`DpProblem`]s of any weight type, exactly as
 //!   [`Solver::solve`] would;
-//! * [`solve_resolved`](BatchSolver::solve_resolved) — the `pardp batch`
-//!   path — solves wire jobs ([`ResolvedJob`]s) through the per-job step
-//!   that `pardp serve` runs too: an optional solution cache, the Knuth
-//!   guard, and one error line per failed job.
+//! * [`solve_resolved`](BatchSolver::solve_resolved) solves wire jobs
+//!   ([`ResolvedJob`]s) through the per-job step that `pardp serve` runs
+//!   too: an optional solution cache, the Knuth guard, and one error line
+//!   per failed job. [`solve_lines`](BatchSolver::solve_lines), the
+//!   `pardp batch` path, does the same over a job file's lines and
+//!   answers a line that did not resolve in its slot, as serve does.
 //!
 //! ## The two scheduling regimes
 //!
@@ -96,7 +98,7 @@ use crate::job::{self, Read, Regime};
 use crate::ops::OpStats;
 use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
-use crate::spec::{error_record, ErrorKind, ResolvedJob};
+use crate::spec::{error_record, ErrorKind, ResolvedJob, SpecError};
 use crate::store::{CacheCounters, ProblemKey, ResilientCache, SolutionCache};
 use crate::telemetry::{EventKind, Telemetry};
 use crate::weight::Weight;
@@ -188,11 +190,13 @@ pub struct BatchError {
     /// Index of the failed job in the submitted batch.
     pub job: usize,
     /// `internal` for a panicking solve, `invalid` for a failed Knuth
-    /// guard, `timeout` for a solve stopped at its deadline.
+    /// guard or a job line that did not resolve, `timeout` for a solve
+    /// stopped at its deadline.
     pub kind: ErrorKind,
     /// What went wrong: the panic message for `internal` (best-effort:
     /// `&str` and `String` payloads are rendered, anything else reads
-    /// "the solve panicked"), the guard's text for `invalid`.
+    /// "the solve panicked"), the guard's or the resolve error's text
+    /// for `invalid`.
     pub message: String,
 }
 
@@ -286,8 +290,8 @@ pub struct CachedBatchReport {
     pub large_jobs: usize,
     /// Cache traffic of this batch.
     pub cache: CacheCounters,
-    /// Failed jobs — panics, failed Knuth guards, timeouts — sorted by
-    /// job index; these have no entry in
+    /// Failed jobs — panics, failed Knuth guards, timeouts, lines that
+    /// did not resolve — sorted by job index; these have no entry in
     /// [`results`](CachedBatchReport::results).
     pub errors: Vec<BatchError>,
 }
@@ -508,33 +512,59 @@ impl BatchSolver {
         jobs: &[ResolvedJob],
         cache: Option<&dyn SolutionCache>,
     ) -> CachedBatchReport {
+        let slots: Vec<_> = jobs.iter().map(Ok).collect();
+        self.solve_slots(&slots, cache)
+    }
+
+    /// [`solve_resolved`](Self::solve_resolved) over the slots of a job
+    /// file ([`resolve_lines`](crate::spec::resolve_lines)): job `t` is
+    /// slot `t`. A slot that holds an error is answered the way `pardp
+    /// serve` answers its line: a `rejected` event of kind `invalid` and
+    /// an `invalid` [`BatchError`] with the error's text. Such a slot is
+    /// never solved and counts in neither `small_jobs` nor `large_jobs`.
+    pub fn solve_lines(
+        &self,
+        lines: &[Result<ResolvedJob, SpecError>],
+        cache: Option<&dyn SolutionCache>,
+    ) -> CachedBatchReport {
+        let slots: Vec<_> = lines.iter().map(Result::as_ref).collect();
+        self.solve_slots(&slots, cache)
+    }
+
+    fn solve_slots(
+        &self,
+        jobs: &[Result<&ResolvedJob, &SpecError>],
+        cache: Option<&dyn SolutionCache>,
+    ) -> CachedBatchReport {
         let t0 = Instant::now();
         let resilient = cache.map(ResilientCache::new);
         let cache = resilient.as_ref().map(|c| c as &dyn SolutionCache);
         let large: Vec<bool> = jobs
             .iter()
-            .map(|j| j.problem.cells() > self.large_job_cells)
+            .map(|j| j.is_ok_and(|j| j.problem.cells() > self.large_job_cells))
             .collect();
         let mut first: HashMap<ProblemKey, usize> = HashMap::new();
         let rep: Vec<usize> = jobs
             .iter()
             .enumerate()
-            .map(|(i, j)| {
-                ProblemKey::derive(&j.problem, j.algorithm, &j.options)
-                    .map_or(i, |key| *first.entry(key).or_insert(i))
+            .map(|(i, j)| match j {
+                Ok(j) => ProblemKey::derive(&j.problem, j.algorithm, &j.options)
+                    .map_or(i, |key| *first.entry(key).or_insert(i)),
+                Err(_) => i,
             })
             .collect();
 
         // Read, then solve in the phases, then write.
-        let reads: Vec<Option<Read>> = (0..jobs.len())
-            .map(|i| {
-                let j = &jobs[i];
-                (rep[i] == i).then(|| job::read(cache, &j.problem, j.algorithm, &j.options))
+        let reads: Vec<Option<Read>> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| match j {
+                Ok(j) if rep[i] == i => Some(job::read(cache, &j.problem, j.algorithm, &j.options)),
+                _ => None,
             })
             .collect();
-        let solved = self.phases(&large, |i, regime| match &reads[i] {
-            Some(Read::Miss(pending)) => {
-                let j = &jobs[i];
+        let solved = self.phases(&large, |i, regime| match (&reads[i], jobs[i]) {
+            (Some(Read::Miss(pending)), Ok(j)) => {
                 Some(pending.solve(&j.problem, j.algorithm, &j.options, Some(regime)))
             }
             _ => None,
@@ -547,8 +577,26 @@ impl BatchSolver {
         let (mut results, mut errors) = (Vec::new(), Vec::new());
         let mut outcomes: Vec<Option<Result<job::Solved, String>>> = Vec::new();
         for (i, slot) in solved.into_iter().zip(reads).enumerate() {
+            let resolved = match jobs[i] {
+                Ok(resolved) => resolved,
+                Err(e) => {
+                    if let Some(tel) = telemetry {
+                        tel.emit(EventKind::Rejected {
+                            job: i as u64,
+                            kind: ErrorKind::Invalid.name(),
+                        });
+                    }
+                    errors.push(BatchError {
+                        job: i,
+                        kind: ErrorKind::Invalid,
+                        message: e.0.clone(),
+                    });
+                    outcomes.push(None);
+                    continue;
+                }
+            };
             let outcome = match slot {
-                (Ok(Some(solved)), _) => Ok(job::write(cache, &jobs[i].problem, solved)),
+                (Ok(Some(solved)), _) => Ok(job::write(cache, &resolved.problem, solved)),
                 (Ok(None), Some(Read::Hit(solved))) => Ok(solved),
                 (Ok(None), _) => outcomes[rep[i]]
                     .clone()
@@ -574,12 +622,13 @@ impl BatchSolver {
         }
         counters.errors = resilient.map_or(0, |c| c.errors());
         let report = BatchReport::new(results, &large, t0);
+        let refused = jobs.iter().filter(|j| j.is_err()).count();
         CachedBatchReport {
             results: report.results,
             wall: report.wall,
             stats: report.stats,
             throughput: report.throughput,
-            small_jobs: report.small_jobs,
+            small_jobs: report.small_jobs - refused,
             large_jobs: report.large_jobs,
             cache: counters,
             errors,

@@ -31,6 +31,27 @@ pub trait DpProblem<W: Weight>: Sync {
     /// Must be non-negative.
     fn f(&self, i: usize, k: usize, j: usize) -> W;
 
+    /// One cell of recurrence (*) from its two operand slices:
+    /// `left[t] = c(i, i+1+t)` and `right[t] = c(i+1+t, j)` for
+    /// `t < j - i - 1`. The result is [`Weight::min2`] folded from
+    /// [`Weight::INFINITY`] over `t` ascending of
+    /// `left[t].add(right[t]).add(self.f(i, i+1+t, j))`, the reduction
+    /// [`solve_sequential`](crate::seq::solve_sequential) runs per cell.
+    ///
+    /// An override must return the same bits. It exists only to hoist
+    /// per-instance work out of the `k` loop: a family match, index
+    /// checks, or an `f` that does not depend on `k`
+    /// ([`SpecProblem`](crate::spec::SpecProblem) does all three).
+    /// Slices shorter than `j - i - 1` are a caller bug.
+    fn split_min(&self, i: usize, j: usize, left: &[W], right: &[W]) -> W {
+        debug_assert!(left.len() >= j - i - 1 && right.len() >= j - i - 1);
+        let mut best = W::INFINITY;
+        for (k, (&ik, &kj)) in (i + 1..j).zip(left.iter().zip(right)) {
+            best = best.min2(ik.add(kj).add(self.f(i, k, j)));
+        }
+        best
+    }
+
     /// A short display name for reports.
     fn name(&self) -> &str {
         "problem"

@@ -118,7 +118,7 @@ use crate::exec::ExecBackend;
 use crate::fault::{unpoison, FaultPlan, FaultSite};
 use crate::job::{self, Regime};
 use crate::solver::{Algorithm, SolveOptions};
-use crate::spec::{error_record, ErrorKind, JobRecord, JobSpec, ProblemSpec};
+use crate::spec::{error_record, parse_line, ErrorKind, JobRecord, JobSpec, ProblemSpec};
 use crate::store::{CacheCounters, ResilientCache, SolutionCache};
 use crate::telemetry::{EventKind, LatencyHistogram, Telemetry};
 use crate::trace::Termination;
@@ -865,8 +865,9 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
                 Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
                 // A malformed line consumes a job index (the client meant
                 // *something* here) but never kills the loop.
-                Ok(LineRead::Line(line)) => serde_json::parse_value(&line)
-                    .map_err(|e| (ErrorKind::Invalid, format!("line is not a JSON job: {e}"))),
+                Ok(LineRead::Line(line)) => {
+                    parse_line(&line).map_err(|e| (ErrorKind::Invalid, e.0))
+                }
             };
             if let Some(serde::Value::Str(cmd)) = request.as_ref().ok().and_then(|v| v.get("cmd")) {
                 let response = match cmd.as_str() {
@@ -898,9 +899,8 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
             job_index += 1;
             let slot = request
                 .and_then(|value| {
-                    let spec = JobSpec::from_value(&value).map_err(|e| e.0);
-                    spec.and_then(|s| s.resolve(cfg.default_algo, cfg.options).map_err(|e| e.0))
-                        .map_err(|e| (ErrorKind::Invalid, e))
+                    JobSpec::resolve_value(&value, cfg.default_algo, cfg.options)
+                        .map_err(|e| (ErrorKind::Invalid, e.0))
                 })
                 .and_then(|resolved| {
                     let cells = resolved.problem.cells();

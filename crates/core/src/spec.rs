@@ -323,6 +323,13 @@ impl ProblemSpec {
 /// `u64` weights, with the same `init` / `f` as the reference
 /// implementations in `pardp-apps` (property-tested there — `pardp-core`
 /// cannot depend on `pardp-apps`, so the recurrences are mirrored).
+///
+/// [`DpProblem::split_min`] matches the family once per cell, not once
+/// per candidate: chain and polygon hoist `v[i]` and `v[j]` and walk
+/// `v[i+1..j]` beside the operands; obst and merge evaluate their
+/// `k`-free `f` once per cell. Each candidate keeps `f`'s arithmetic
+/// and the saturating [`Weight::add`], so the tables are the ones the
+/// per-candidate [`DpProblem::f`] gives.
 #[derive(Debug, Clone)]
 pub enum SpecProblem {
     /// `init = 0`, `f(i,k,j) = d_i d_k d_j`.
@@ -385,6 +392,27 @@ impl DpProblem<u64> for SpecProblem {
         }
     }
 
+    fn split_min(&self, i: usize, j: usize, left: &[u64], right: &[u64]) -> u64 {
+        let m = j - i - 1;
+        let operands = left[..m].iter().zip(&right[..m]);
+        match self {
+            SpecProblem::Chain { dims: v } | SpecProblem::Polygon { weights: v } => {
+                // `f`'s association: `v[i] * v[k] * v[j]`.
+                let (vi, vj) = (v[i], v[j]);
+                operands
+                    .zip(&v[i + 1..j])
+                    .fold(u64::INFINITY, |best, ((&l, &r), &vk)| {
+                        best.min2(l.add(r).add(vi * vk * vj))
+                    })
+            }
+            SpecProblem::Obst { .. } | SpecProblem::Merge { .. } => {
+                // `f` does not read `k`.
+                let c = self.f(i, i + 1, j);
+                operands.fold(u64::INFINITY, |best, (&l, &r)| best.min2(l.add(r).add(c)))
+            }
+        }
+    }
+
     fn name(&self) -> &str {
         match self {
             SpecProblem::Chain { .. } => "matrix-chain",
@@ -398,7 +426,10 @@ impl DpProblem<u64> for SpecProblem {
 /// One JSONL job line, exactly as it appears on the wire: the problem
 /// payload plus optional per-job overrides. Parse one with
 /// [`serde_json::from_str`], a whole file with [`parse_jobs`], and turn
-/// it into a runnable job with [`JobSpec::resolve`].
+/// it into a runnable job with [`JobSpec::resolve`]. The front ends read
+/// their lines with [`parse_line`] and [`JobSpec::resolve_value`]
+/// ([`resolve_lines`] for a whole batch file), which answer a bad line
+/// instead of failing the file.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobSpec {
     /// Problem family: `chain | obst | polygon | merge`.
@@ -525,6 +556,41 @@ impl JobSpec {
             options,
         })
     }
+
+    /// Read a job from a parsed request line ([`parse_line`]) and
+    /// [`resolve`](Self::resolve) it. `pardp batch` and `pardp serve`
+    /// both take this path, so a line that fails is answered `invalid`
+    /// with the same text by either.
+    pub fn resolve_value(
+        value: &Value,
+        default_algo: Algorithm,
+        base: SolveOptions,
+    ) -> Result<ResolvedJob, SpecError> {
+        JobSpec::from_value(value)
+            .map_err(|e| SpecError(e.0))?
+            .resolve(default_algo, base)
+    }
+}
+
+/// Read one request line of `pardp batch` or `pardp serve` as JSON. A
+/// line that is not JSON is answered `invalid` with this error's text.
+pub fn parse_line(line: &str) -> Result<Value, SpecError> {
+    serde_json::parse_value(line).map_err(|e| SpecError(format!("line is not a JSON job: {e}")))
+}
+
+/// Resolve a `pardp batch` job file: one slot per non-blank line, in
+/// order, so slot `t` is job `t` as `pardp serve` numbers the same
+/// lines. A line that does not resolve keeps its slot, holding the
+/// error serve answers it with.
+pub fn resolve_lines(
+    text: &str,
+    default_algo: Algorithm,
+    base: SolveOptions,
+) -> Vec<Result<ResolvedJob, SpecError>> {
+    text.lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| parse_line(line).and_then(|v| JobSpec::resolve_value(&v, default_algo, base)))
+        .collect()
 }
 
 /// Parse a JSONL job file: one [`JobSpec`] per non-blank line. Errors

@@ -54,25 +54,42 @@
 //! four tiles per worker on the main diagonal leave at least two per
 //! worker in the first half of the steps, which carry half the work.
 //! Measured on a 2-vCPU KVM guest (Intel Xeon), Parallel over Sequential
-//! time, medians of 9–15 interleaved runs over four problem families,
-//! ranges over repeated runs: `b = 16` gave 0.66–0.71 at `n = 256` and
-//! 0.60–0.67 at `n = 384`; `b = 24` 0.69–0.71 and 0.64–0.71; `b = 12`
-//! 0.86–1.12 and 0.69–0.75; `b = 32` 0.77 and 0.75; `b = 8` 1.17 and
-//! 0.83. Sequential cost per candidate did not separate the edges from
-//! 8 to 32 beyond run-to-run noise (2.9–4.5 ns).
+//! time of the four wire families (values `1..=100`), summed over 15
+//! interleaved rounds per process; median (range) over 7 processes per
+//! edge, the edges interleaved:
+//!
+//! | `b` | `n = 256` | `n = 384` |
+//! |---|---|---|
+//! | 8 | 1.05 (0.90–1.38) | 0.81 (0.74–1.04) |
+//! | 12 | 0.90 (0.83–1.05) | 0.73 (0.68–0.79) |
+//! | 16 | 0.84 (0.79–1.09) | 0.70 (0.65–0.79) |
+//! | 24 | 0.76 (0.70–0.90) | 0.73 (0.62–0.77) |
+//! | 32 | 0.78 (0.74–0.93) | 0.71 (0.67–0.81) |
+//!
+//! Sequential cost per candidate did not separate the edges beyond
+//! run-to-run noise (medians 1.5–1.9 ns). In alternating runs of the
+//! `solve-wavefront` benchmark a cap of 24 instead of 16 lowered the
+//! median latency in 7 of 10 pairs, by 5.5% at the median, which is
+//! within the spread of the runs, so the cap stays at 16. At `n = 128`
+//! on two workers the rule picks `b = 16` under either cap.
 //!
 //! # Grain, deadline and exactness
 //!
 //! A step with fewer than `STEP_GRAIN` = 4096 candidate evaluations runs
 //! on the calling thread, which avoids fork-join overhead on tiny steps.
+//! A grain of 16384 raised the median `solve-wavefront` latency in 7 of
+//! 10 alternating pairs (+4.6% at the median).
 //! Tests call `sweep` with a grain of 0 or `usize::MAX` to force every
 //! step onto the pool or onto the calling thread. The deadline is
 //! checked once per step; a cancelled sweep returns the table with
-//! every later step still infinity. Each cell reduces
-//! exactly as [`solve_sequential`](crate::seq::solve_sequential) does:
-//! `k` ascending, `w(i,k).add(w(k,j)).add(f(i,k,j))`, folded with
-//! [`Weight::min2`] from infinity. Integer and float tables are
-//! therefore bit-identical on every backend.
+//! every later step still infinity. Each cell is one
+//! [`DpProblem::split_min`] call on its two operand slices, whose
+//! contract is [`solve_sequential`](crate::seq::solve_sequential)'s
+//! reduction: `k` ascending, `w(i,k).add(w(k,j)).add(f(i,k,j))`, folded
+//! with [`Weight::min2`] from infinity. Integer and float tables are
+//! therefore bit-identical on every backend. A problem that overrides
+//! the call (the wire families' [`SpecProblem`](crate::spec::SpecProblem))
+//! matches its family once per cell instead of once per candidate.
 
 use crate::exec::disjoint::DisjointPartsMut;
 use crate::exec::ExecBackend;
@@ -229,11 +246,8 @@ fn solve_tile<W: Weight, P: DpProblem<W> + ?Sized>(
         let i = i0 + r;
         for j in (i + 2).max(done + 1).max(j0)..j1 {
             let lower = &mut cols[j - j0];
-            let mut best = W::INFINITY;
             // `w(i, k)` is `upper[k - i]` and `w(k, j)` is `lower[k]`.
-            for (k, (&ik, &kj)) in (i + 1..j).zip(upper[1..j - i].iter().zip(&lower[i + 1..j])) {
-                best = best.min2(ik.add(kj).add(problem.f(i, k, j)));
-            }
+            let best = problem.split_min(i, j, &upper[1..j - i], &lower[i + 1..j]);
             upper[j - i] = best;
             lower[i] = best;
         }

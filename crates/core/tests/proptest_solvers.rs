@@ -140,6 +140,9 @@ proptest! {
     // ones, cover partial last tiles and every tile edge the rule picks,
     // on each backend. Float tables are compared bit for bit. Steps
     // forced onto the pool or inline are `wavefront::tests`' to check.
+    // The wire families run `SpecProblem`'s `split_min` override, the
+    // closures the default fold over `f`; the oracle calls `f` per
+    // candidate.
     #[test]
     fn wavefront_tables_equal_the_oracle_across_tile_edges(seed in 0u64..u64::MAX) {
         let edge = pardp_core::wavefront::tile_edge(1 << 20, 1);
@@ -149,6 +152,13 @@ proptest! {
             let float_oracle = solve_sequential(&floats);
             let float_bits =
                 |w: &WTable<f64>| w.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let wire: Vec<_> = wire_instances(n, seed)
+                .into_iter()
+                .map(|p| {
+                    let oracle = solve_sequential(&p);
+                    (p, oracle)
+                })
+                .collect();
             for exec in [ExecBackend::Sequential, ExecBackend::Parallel, ExecBackend::Threads(3)] {
                 let wavefront = Solver::new(Algorithm::Wavefront)
                     .options(SolveOptions::default().exec(exec));
@@ -157,6 +167,9 @@ proptest! {
                     float_bits(&wavefront.solve(&floats).w) == float_bits(&float_oracle),
                     "f64 n={} {}", n, exec
                 );
+                for (p, oracle) in &wire {
+                    prop_assert!(wavefront.solve(p).w == *oracle, "{} n={} {}", p.name(), n, exec);
+                }
             }
         }
     }
@@ -172,6 +185,26 @@ fn make_instance(n: usize, seed: u64) -> TabulatedProblem<u64> {
     let init: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
     let f: Vec<u64> = (0..m * m * m).map(|_| rng.gen_range(0..100)).collect();
     TabulatedProblem::new(init, |i, k, j| f[(i * m + k) * m + j])
+}
+
+/// A seeded instance of size `n` of every wire family whose shape rule
+/// admits `n` (obst and polygon need `n >= 2`), values drawn from
+/// `1..=100`.
+fn wire_instances(n: usize, seed: u64) -> Vec<SpecProblem> {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed ^ n as u64);
+    let mut values =
+        |len: usize| -> Vec<u64> { (0..len).map(|_| rng.gen_range(1..=100)).collect() };
+    let mut specs = vec![
+        ProblemSpec::chain(values(n + 1)),
+        ProblemSpec::merge(values(n)),
+    ];
+    if n >= 2 {
+        specs.push(ProblemSpec::obst(values(n - 1), values(n)));
+        specs.push(ProblemSpec::polygon(values(n + 1)));
+    }
+    specs.into_iter().map(|s| s.unwrap().build()).collect()
 }
 
 /// A `u64` and an `f64` instance of size `n` from one seed, with costs
