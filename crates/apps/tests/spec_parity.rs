@@ -105,7 +105,7 @@ fn merge_matches_merge_order() {
 
 #[test]
 fn every_family_solves_to_the_apps_value_through_the_wire() {
-    // End to end: JSONL text -> resolve -> build -> solve agrees with
+    // End to end: JSONL line -> read -> build -> solve agrees with
     // the apps type under every algorithm that applies.
     let lines = r#"{"family":"chain","values":[30,35,15,5,10,20,25]}
 {"family":"obst","values":[15,10,5,10,20],"q":[5,10,5,5,5,10]}
@@ -113,10 +113,12 @@ fn every_family_solves_to_the_apps_value_through_the_wire() {
 {"family":"merge","values":[10,20,30]}
 "#;
     let expect = [15125u64, 275, 20, 90];
-    for (spec, want) in parse_jobs(lines).unwrap().iter().zip(expect) {
-        let resolved = spec
-            .resolve(Algorithm::Sequential, SolveOptions::default())
-            .unwrap();
+    for (line, want) in lines.lines().zip(expect) {
+        let base = SolveOptions::default();
+        let Request::Job(Ok(resolved)) = read_request(line.as_bytes(), Algorithm::Sequential, base)
+        else {
+            panic!("{line}")
+        };
         let problem = resolved.problem.build();
         let solution = Solver::new(resolved.algorithm).solve(&problem);
         assert_eq!(solution.value(), want, "{}", resolved.problem.family());

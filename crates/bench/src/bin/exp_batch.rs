@@ -131,8 +131,8 @@ fn main() {
                 seconds: t,
                 throughput: tp,
                 throughput_vs_loop: tp / loop_tp,
-                small_jobs: report.small_jobs,
-                large_jobs: report.large_jobs,
+                small_jobs: report.counts.completed_small as usize,
+                large_jobs: report.counts.completed_large as usize,
                 parity_ok,
             });
         }
@@ -154,7 +154,7 @@ fn main() {
             .iter()
             .zip(&loop_values)
             .all(|(r, &v)| r.solution.value() == v)
-            && report.large_jobs > 0;
+            && report.counts.completed_large > 0;
         let tp = batch_size as f64 / t;
         points.push(BatchPoint {
             batch_size,
@@ -163,8 +163,8 @@ fn main() {
             seconds: t,
             throughput: tp,
             throughput_vs_loop: tp / loop_tp,
-            small_jobs: report.small_jobs,
-            large_jobs: report.large_jobs,
+            small_jobs: report.counts.completed_small as usize,
+            large_jobs: report.counts.completed_large as usize,
             parity_ok,
         });
     }

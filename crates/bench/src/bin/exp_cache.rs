@@ -22,7 +22,7 @@
 //!   and the executed candidates must come in strictly under cold.
 //!
 //! A final batch section feeds a doubled, overlapping corpus through
-//! `BatchSolver::solve_resolved` with a shared cache and checks the
+//! `BatchSolver::solve_lines` with a shared cache and checks the
 //! traffic counters (hits, misses, warm starts, intra-batch dedups).
 //! Every metric the assertions rely on is ops-based — candidate counts
 //! survive a loaded 1-CPU CI box; seconds are reported for color only.
@@ -205,13 +205,15 @@ fn main() {
     // per size), pass 2 repeats every chain and extends it by three
     // matrices — repeats must hit, extensions must warm-start from the
     // records pass 1 inserted.
-    let job = |spec: ProblemSpec| ResolvedJob {
-        problem: spec,
-        algorithm: Algorithm::Sublinear,
-        options: opts(),
+    let job = |spec: ProblemSpec| {
+        Ok(ResolvedJob {
+            problem: spec,
+            algorithm: Algorithm::Sublinear,
+            options: opts(),
+        })
     };
-    let mut pass1: Vec<ResolvedJob> = Vec::new();
-    let mut pass2: Vec<ResolvedJob> = Vec::new();
+    let mut pass1: Vec<Result<ResolvedJob, SpecError>> = Vec::new();
+    let mut pass2: Vec<Result<ResolvedJob, SpecError>> = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
         let chain = generators::random_chain(n, 100, 4200 + i as u64);
         let spec = ProblemSpec::chain(chain.dims().to_vec()).expect("valid chain");
@@ -224,14 +226,15 @@ fn main() {
     }
     let cache = MemoryCache::new(64);
     let solver = BatchSolver::new();
-    let report1 = solver.solve_resolved(&pass1, Some(&cache));
-    let report2 = solver.solve_resolved(&pass2, Some(&cache));
+    let report1 = solver.solve_lines(&pass1, Some(&cache));
+    let report2 = solver.solve_lines(&pass2, Some(&cache));
     let batch_parity = report1
         .results
         .iter()
         .map(|r| (r, &pass1[r.job]))
         .chain(report2.results.iter().map(|r| (r, &pass2[r.job])))
         .all(|(r, job)| {
+            let job = job.as_ref().expect("every job resolved");
             let cold = Solver::new(job.algorithm)
                 .options(job.options)
                 .solve(&job.problem.build());
@@ -239,10 +242,10 @@ fn main() {
         });
     let batch = BatchPoint {
         jobs: pass1.len() + pass2.len(),
-        cold_misses: report1.cache.misses,
-        deduped: report1.cache.deduped,
-        repeat_hits: report2.cache.hits,
-        extension_warm_starts: report2.cache.warm_starts,
+        cold_misses: report1.counts.cache_misses,
+        deduped: report1.counts.deduped,
+        repeat_hits: report2.counts.cache_hits,
+        extension_warm_starts: report2.counts.warm_starts,
         parity_ok: batch_parity,
     };
     println!(

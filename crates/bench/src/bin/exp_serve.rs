@@ -71,12 +71,13 @@ fn corpus(batch_size: usize, sizes: &[usize]) -> String {
 /// The reference records: the same corpus through `BatchSolver` under
 /// the daemon's defaults.
 fn batch_records(text: &str, config: &ServeConfig) -> Vec<JobRecord> {
-    let resolved: Vec<ResolvedJob> = parse_jobs(text)
-        .expect("corpus parses")
-        .iter()
-        .map(|s| {
-            s.resolve(config.default_algo, config.options)
-                .expect("job resolves")
+    let resolved: Vec<ResolvedJob> = text
+        .lines()
+        .filter_map(|line| {
+            match read_request(line.as_bytes(), config.default_algo, config.options) {
+                Request::Job(job) => Some(job.expect("job resolves")),
+                _ => None,
+            }
         })
         .collect();
     let problems: Vec<SpecProblem> = resolved.iter().map(|r| r.problem.build()).collect();
@@ -92,7 +93,14 @@ fn batch_records(text: &str, config: &ServeConfig) -> Vec<JobRecord> {
     report
         .results
         .iter()
-        .map(|r| JobRecord::new(resolved[r.job].problem.family(), r))
+        .map(|r| {
+            JobRecord::of_solution(
+                r.job,
+                resolved[r.job].problem.family(),
+                &r.solution,
+                r.large,
+            )
+        })
         .collect()
 }
 

@@ -6,7 +6,6 @@ use pardp_core::pram_exec::{model_reduced, model_rytter, model_sublinear};
 use pardp_core::prelude::*;
 use pardp_core::reconstruct::reconstruct_root;
 use pardp_core::rytter::rytter_schedule;
-use pardp_core::spec::resolve_lines;
 use pardp_pebble::game::{moves_to_pebble, SquareRule};
 use pardp_pebble::{gen, lemma_move_bound};
 use pardp_pram::Timeline;
@@ -251,12 +250,10 @@ fn run_solve(
     }
 }
 
-/// `pardp batch`: read JSONL job specs, solve them concurrently through
-/// [`BatchSolver`], emit one JSONL result line per job plus a summary.
-///
-/// The wire types (job schema, result records, the summary trailer) are
-/// `pardp_core::spec` — shared verbatim with `pardp serve`, so the two
-/// front ends accept the same jobs and answer with identical records.
+/// `pardp batch`: read JSONL requests with the reader `pardp serve` uses
+/// ([`read_request`]), solve the jobs concurrently through
+/// [`BatchSolver`], and emit one answer line per non-blank line (a command
+/// line gets [`command_error`]) plus a summary.
 fn run_batch(
     path: &str,
     default_algo: Algorithm,
@@ -266,13 +263,23 @@ fn run_batch(
     log: Option<&str>,
     log_level: LogLevel,
 ) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read job file '{path}': {e}")))?;
-    let base = SolveOptions::default().termination(Termination::Fixpoint);
-    let jobs = resolve_lines(&text, default_algo, base);
+    let bytes =
+        std::fs::read(path).map_err(|e| CliError(format!("cannot read job file '{path}': {e}")))?;
+    // Per request line in order: a command's answer, or `None` for the
+    // next job's.
+    let (mut jobs, mut answers) = (Vec::new(), Vec::new());
+    for line in bytes.split(|&b| b == b'\n') {
+        match read_request(line, default_algo, wire_options()) {
+            Request::Blank => {}
+            Request::Command(name) => answers.push(Some(command_error(&name))),
+            Request::Job(job) => {
+                jobs.push(job);
+                answers.push(None);
+            }
+        }
+    }
 
-    let telemetry = open_telemetry(log, log_level)?;
-    let mut solver = BatchSolver::new().telemetry(telemetry.clone());
+    let mut solver = BatchSolver::new().telemetry(open_telemetry(log, log_level)?);
     if let Some(b) = backend {
         solver = solver.exec(b);
     }
@@ -284,60 +291,28 @@ fn run_batch(
     let store = cache_dir.map(open_cache).transpose()?;
     let report = solver.solve_lines(&jobs, store.as_ref().map(|s| s as &dyn SolutionCache));
 
-    // Records and failed jobs interleave back into submission order: a
-    // failed job (a line that did not resolve, a panic, a failed Knuth
-    // guard) answers with its error line in its slot — the line `pardp
-    // serve` answers with — instead of taking the whole run down.
-    let mut lines: Vec<(usize, String)> = report.errors.iter().map(|e| (e.job, e.line())).collect();
-    lines.extend(report.results.iter().map(|r| {
-        let family = jobs[r.job]
-            .as_ref()
-            .expect("a solved job resolved")
-            .problem
-            .family();
-        let record = JobRecord::new(family, r);
-        (
-            r.job,
-            serde_json::to_string(&record).expect("records serialize"),
-        )
-    }));
-    lines.sort_by_key(|(job, _)| *job);
-    let mut out: String = lines.into_iter().map(|(_, line)| line + "\n").collect();
+    let mut job_lines = report.lines(&jobs).into_iter();
+    let mut out = String::new();
+    for answer in answers {
+        out.push_str(
+            &answer
+                .or_else(|| job_lines.next())
+                .expect("one line per job"),
+        );
+        out.push('\n');
+    }
     // Cache traffic gets its own line (only when a store is attached),
     // so the trailing summary stays wire-identical to a cache-less run.
     if store.is_some() {
-        let c = report.cache;
+        let c = report.counts;
         out.push_str(&format!(
             "{{\"cache_hits\":{},\"cache_misses\":{},\"warm_starts\":{},\"deduped\":{},\"errors\":{}}}\n",
-            c.hits, c.misses, c.warm_starts, c.deduped, c.errors
+            c.cache_hits, c.cache_misses, c.warm_starts, c.deduped, c.cache_errors
         ));
     }
     let summary = report.summary(solver.backend());
     out.push_str(&serde_json::to_string(&summary).map_err(|e| CliError(e.to_string()))?);
     out.push('\n');
-    // A batch run ends its event stream the same way a serve drain does:
-    // one machine-readable `summary` line, then a flush so file sinks
-    // land on disk before the process exits.
-    if let Some(tel) = &telemetry {
-        let c = report.cache;
-        let errors_of = |kind| report.errors.iter().filter(|e| e.kind == kind).count() as u64;
-        let invalid = jobs.iter().filter(|j| j.is_err()).count() as u64;
-        tel.emit(EventKind::Summary {
-            accepted: jobs.len() as u64 - invalid,
-            rejected: 0,
-            invalid,
-            completed: report.results.len() as u64,
-            completed_small: report.results.iter().filter(|r| !r.large).count() as u64,
-            completed_large: report.results.iter().filter(|r| r.large).count() as u64,
-            panics: errors_of(ErrorKind::Internal),
-            timeouts: errors_of(ErrorKind::Timeout),
-            cache_hits: c.hits,
-            cache_misses: c.misses,
-            warm_starts: c.warm_starts,
-            cache_errors: c.errors,
-        });
-        tel.flush();
-    }
     Ok(out)
 }
 
@@ -488,9 +463,7 @@ fn solve_with(
 ) -> Result<(String, Option<ParenTree>), CliError> {
     let p = spec.build();
     let n = p.n();
-    let mut opts = SolveOptions::default()
-        .termination(Termination::Fixpoint)
-        .record_trace(trace);
+    let mut opts = wire_options().record_trace(trace);
     if let Some(b) = backend {
         opts = opts.exec(b);
     }
@@ -675,7 +648,7 @@ mod tests {
     }
 
     /// Write a temp JSONL job file and return its path.
-    fn temp_jobs(name: &str, lines: &str) -> String {
+    fn temp_jobs(name: &str, lines: impl AsRef<[u8]>) -> String {
         let path = std::env::temp_dir().join(format!(
             "pardp-cli-test-{name}-{}.jsonl",
             std::process::id()
@@ -758,7 +731,7 @@ mod tests {
             ),
         ] {
             let good = "{\"family\":\"chain\",\"values\":[2,3,4]}";
-            let path = temp_jobs(name, &format!("{good}\n{bad}\n{good}\n"));
+            let path = temp_jobs(name, format!("{good}\n{bad}\n{good}\n"));
             let out = run_line(&format!("batch {path}")).unwrap();
             std::fs::remove_file(&path).ok();
             let lines: Vec<&str> = out.lines().collect();
@@ -821,6 +794,54 @@ mod tests {
                 has("summary", "\"accepted\":1,\"rejected\":0,\"invalid\":1,"),
                 "{log}"
             );
+        }
+    }
+
+    #[test]
+    fn batch_answers_command_and_non_utf8_lines_as_serve_does() {
+        // Commands take no job number and a non-UTF-8 line is one
+        // `invalid` job: batch numbers and answers the jobs as serve does,
+        // answers every command in its place, and counts like serve.
+        let text = b"{\"cmd\":\"stats\"}\n\xff\n{\"cmd\":\"bogus\"}\n\
+                     {\"family\":\"chain\",\"values\":[2,3,4]}\n";
+        let served_log = std::env::temp_dir().join(format!(
+            "pardp-cli-test-cmd-served-{}.jsonl",
+            std::process::id()
+        ));
+        let config = ServeConfig {
+            telemetry: open_telemetry(served_log.to_str(), LogLevel::Info).unwrap(),
+            ..ServeConfig::default()
+        };
+        let mut served = Vec::new();
+        pardp_core::serve::serve_pipe(&text[..], &mut served, &config);
+        drop(config);
+        let served = String::from_utf8(served).unwrap();
+        let served: Vec<&str> = served.lines().collect();
+        let path = temp_jobs("cmd", text);
+        let log = format!("{path}.events");
+        let out = run_line(&format!("batch {path} --log {log}")).unwrap();
+        let batched: Vec<&str> = out.lines().collect();
+        assert_eq!(batched.len(), 5, "4 answers + summary: {out}");
+        assert_eq!(batched[0], command_error("stats"));
+        assert_eq!(
+            batched[1],
+            r#"{"job":0,"error":"request line is not UTF-8","kind":"invalid"}"#
+        );
+        assert!(batched[3].starts_with("{\"job\":1,") && batched[3].contains("\"value\":24"));
+        let mask = |line: &str| line.split("\"wall_seconds\"").next().unwrap().to_string();
+        for i in 1..4 {
+            assert_eq!(mask(batched[i]), mask(served[i]), "line {i}");
+        }
+        // The two `summary` events agree field for field.
+        let summary = |path: &str| {
+            let text = std::fs::read_to_string(path).unwrap();
+            let line = text.lines().last().unwrap().to_string();
+            assert!(line.starts_with("{\"event\":\"summary\","), "{text}");
+            line.split_once(",\"accepted\"").unwrap().1.to_string()
+        };
+        assert_eq!(summary(&log), summary(served_log.to_str().unwrap()));
+        for file in [&path, &log, &served_log.to_string_lossy().into_owned()] {
+            std::fs::remove_file(file).ok();
         }
     }
 

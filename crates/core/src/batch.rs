@@ -2,21 +2,21 @@
 //!
 //! A [`BatchSolver`] takes a set of jobs — heterogeneous problem sizes,
 //! one [`Algorithm`] + [`SolveOptions`] per job or a shared default —
-//! and solves them concurrently over the existing work-stealing pool,
-//! returning one [`BatchResult`] per job (in submission order) plus
-//! aggregate statistics and throughput in a [`BatchReport`]. Two entry
-//! points share one schedule:
+//! and solves them concurrently over the existing work-stealing pool.
+//! It returns one [`BatchReport`]: per job, in submission order, a
+//! [`BatchResult`] or a [`BatchError`], plus the batch's [`JobCounts`],
+//! aggregate statistics and throughput. Two entry points share one
+//! schedule:
 //!
-//! * [`solve_batch`](BatchSolver::solve_batch) /
-//!   [`solve_batch_isolated`](BatchSolver::solve_batch_isolated) solve
-//!   borrowed [`DpProblem`]s of any weight type, exactly as
-//!   [`Solver::solve`] would;
-//! * [`solve_resolved`](BatchSolver::solve_resolved) solves wire jobs
-//!   ([`ResolvedJob`]s) through the per-job step that `pardp serve` runs
-//!   too: an optional solution cache, the Knuth guard, and one error line
-//!   per failed job. [`solve_lines`](BatchSolver::solve_lines), the
-//!   `pardp batch` path, does the same over a job file's lines and
-//!   answers a line that did not resolve in its slot, as serve does.
+//! * [`solve_batch`](BatchSolver::solve_batch) solves borrowed
+//!   [`DpProblem`]s of any weight type, exactly as [`Solver::solve`]
+//!   would;
+//! * [`solve_lines`](BatchSolver::solve_lines), the `pardp batch` path,
+//!   solves the job lines of a file through the per-job step that `pardp
+//!   serve` runs too: an optional solution cache, the Knuth guard, one
+//!   error line per failed job, and a line that did not resolve answered
+//!   `invalid` in its slot. It counts like serve, and
+//!   [`BatchReport::lines`] renders its answers as serve does.
 //!
 //! ## The two scheduling regimes
 //!
@@ -40,7 +40,8 @@
 //!
 //! One private helper runs this two-phase schedule for both entry
 //! points, each job inside the job-level panic boundary: a panicking
-//! solve costs that job, never the batch or the shared pool.
+//! solve costs that job, which lands in [`BatchReport::errors`], never
+//! the batch or the shared pool.
 //!
 //! **Oversubscription rule:** the two regimes never overlap in time,
 //! and neither multiplies inner × outer parallelism — the large-job
@@ -56,7 +57,7 @@
 //!
 //! ## Dedup and the snapshot rule
 //!
-//! [`solve_resolved`](BatchSolver::solve_resolved) solves jobs with
+//! [`solve_lines`](BatchSolver::solve_lines) solves jobs with
 //! equal [`ProblemKey`]s once: the first is the representative, later
 //! ones reuse its answer. With a cache attached it reads the cache for
 //! every representative before either phase and writes after both, each
@@ -94,12 +95,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::exec::ExecBackend;
+pub use crate::job::JobCounts;
 use crate::job::{self, Read, Regime};
 use crate::ops::OpStats;
 use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
-use crate::spec::{error_record, ErrorKind, ResolvedJob, SpecError};
-use crate::store::{CacheCounters, ProblemKey, ResilientCache, SolutionCache};
+use crate::spec::{error_record, BatchSummary, ErrorKind, ResolvedJob, SpecError};
+use crate::store::{ProblemKey, ResilientCache, SolutionCache};
 use crate::telemetry::{EventKind, Telemetry};
 use crate::weight::Weight;
 
@@ -219,31 +221,39 @@ impl BatchError {
     }
 }
 
-/// The outcome of a whole batch: per-job results in submission order
-/// plus aggregate diagnostics.
+/// The outcome of a whole batch: per job, in submission order, a result
+/// or an error, plus the batch's counts and aggregate diagnostics.
 #[derive(Debug, Clone)]
 pub struct BatchReport<W> {
-    /// One result per job, in submission order.
+    /// One result per job answered with a solution, in submission order.
     pub results: Vec<BatchResult<W>>,
+    /// Failed jobs — panics, failed Knuth guards, timeouts, lines that
+    /// did not resolve — in submission order; these have no entry in
+    /// [`results`](BatchReport::results).
+    pub errors: Vec<BatchError>,
+    /// The batch's job counts. `completed_small` and `completed_large`
+    /// classify every job that ran, failed ones included.
+    pub counts: JobCounts,
     /// Wall-clock time of the whole batch (both phases).
     pub wall: Duration,
-    /// Aggregate operation statistics over every job (zero contribution
-    /// from the direct algorithms, which do not instrument their loops).
+    /// Aggregate operation statistics over every job answered with a
+    /// solution, cached ones included (zero from the direct algorithms,
+    /// which do not instrument their loops; a warm start adds only the
+    /// work it did).
     pub stats: OpStats,
-    /// Jobs solved per second of batch wall time (`0.0` for an empty
-    /// batch).
+    /// Jobs answered with a solution per second of batch wall time
+    /// (`0.0` for an empty batch).
     pub throughput: f64,
-    /// How many jobs are classified small (cells ≤ threshold), failed
-    /// jobs included.
-    pub small_jobs: usize,
-    /// How many jobs are classified large, failed jobs included.
-    pub large_jobs: usize,
 }
 
 impl<W: Weight> BatchReport<W> {
-    /// Fold the results of a batch that started at `t0`; `large`
-    /// classifies every submitted job.
-    fn new(results: Vec<BatchResult<W>>, large: &[bool], t0: Instant) -> Self {
+    /// Fold the answers of a batch that started at `t0`.
+    fn new(
+        results: Vec<BatchResult<W>>,
+        errors: Vec<BatchError>,
+        counts: JobCounts,
+        t0: Instant,
+    ) -> Self {
         let stats = results
             .iter()
             .fold(OpStats::default(), |acc, r| acc.merge(r.solution.stats));
@@ -253,65 +263,49 @@ impl<W: Weight> BatchReport<W> {
         } else {
             results.len() as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)
         };
-        let large_jobs = large.iter().filter(|&&l| l).count();
         BatchReport {
             results,
+            errors,
+            counts,
             wall,
             stats,
             throughput,
-            small_jobs: large.len() - large_jobs,
-            large_jobs,
         }
     }
-}
 
-/// The outcome of [`BatchSolver::solve_resolved`]: the same per-job
-/// results and aggregates as a [`BatchReport`], plus the cache traffic
-/// and the failed jobs. No borrowed problems — results own their
-/// solutions.
-#[derive(Debug, Clone)]
-pub struct CachedBatchReport {
-    /// One result per answered job, in submission order. `large` is the
-    /// job's regime classification (by cell count); cache-served jobs
-    /// never actually entered a regime.
-    pub results: Vec<BatchResult<u64>>,
-    /// Wall-clock time of the whole batch.
-    pub wall: Duration,
-    /// Aggregate statistics over every answered job, cached solutions
-    /// included — so a fully-hit batch reports the same totals as the
-    /// cold batch that populated the cache (warm starts excepted: they
-    /// report the smaller work actually done).
-    pub stats: OpStats,
-    /// Answered jobs per second of batch wall time.
-    pub throughput: f64,
-    /// Jobs classified small (cells ≤ threshold), failed jobs included.
-    pub small_jobs: usize,
-    /// Jobs classified large, failed jobs included.
-    pub large_jobs: usize,
-    /// Cache traffic of this batch.
-    pub cache: CacheCounters,
-    /// Failed jobs — panics, failed Knuth guards, timeouts, lines that
-    /// did not resolve — sorted by job index; these have no entry in
-    /// [`results`](CachedBatchReport::results).
-    pub errors: Vec<BatchError>,
-}
-
-impl CachedBatchReport {
-    /// The standard trailing summary line of this run — wire-identical
-    /// to a cache-less [`BatchSummary`](crate::spec::BatchSummary), so
-    /// attaching a cache never changes the summary schema. Cache
-    /// traffic rides separately in [`CachedBatchReport::cache`].
-    pub fn summary(&self, backend: ExecBackend) -> crate::spec::BatchSummary {
-        crate::spec::BatchSummary {
+    /// The batch's trailing summary line, for a batch run on `backend`
+    /// ([`BatchSolver::backend`]).
+    pub fn summary(&self, backend: ExecBackend) -> BatchSummary {
+        BatchSummary {
             jobs: self.results.len(),
-            small_jobs: self.small_jobs,
-            large_jobs: self.large_jobs,
+            small_jobs: self.counts.completed_small as usize,
+            large_jobs: self.counts.completed_large as usize,
             backend: backend.to_string(),
             wall_seconds: self.wall.as_secs_f64(),
             throughput: self.throughput,
             candidates: self.stats.candidates,
             writes: self.stats.writes,
         }
+    }
+}
+
+impl BatchReport<u64> {
+    /// The answer lines of a [`solve_lines`](BatchSolver::solve_lines)
+    /// run over `jobs`, in job order: each job's record or error line,
+    /// rendered as a `pardp serve` worker renders it.
+    pub fn lines(&self, jobs: &[Result<ResolvedJob, SpecError>]) -> Vec<String> {
+        let mut results = self.results.iter().peekable();
+        let mut errors = self.errors.iter();
+        (0..jobs.len())
+            .map(|i| {
+                let (answer, large) = match results.next_if(|r| r.job == i) {
+                    Some(r) => (Ok(&r.solution), r.large),
+                    None => (Err(errors.next().expect("every job is answered")), false),
+                };
+                let family = jobs[i].as_ref().map_or("", |j| j.problem.family());
+                job::answer_line(i, family, answer, large)
+            })
+            .collect()
     }
 }
 
@@ -327,11 +321,12 @@ impl CachedBatchReport {
 ///   through the pipelined small-job path; `0` forces everything
 ///   through the parallel per-problem path.
 /// * [`telemetry`](Self::telemetry) — an optional structured event
-///   stream ([`crate::telemetry`]); [`solve_resolved`](Self::solve_resolved)
+///   stream ([`crate::telemetry`]); [`solve_lines`](Self::solve_lines)
 ///   emits one `admitted` → `regime` → `cache` → `completed` chain per
 ///   job in submission order (a failed job ends its chain like a serve
-///   job does). `None` (the default) emits nothing and changes no
-///   output byte.
+///   job does, a line that did not resolve is a lone `rejected`), then
+///   the `summary` event. `None` (the default) emits nothing and changes
+///   no output byte.
 #[derive(Debug, Clone)]
 pub struct BatchSolver {
     exec: ExecBackend,
@@ -375,8 +370,9 @@ impl BatchSolver {
         self
     }
 
-    /// Attach a structured event stream: per-job lifecycle events from
-    /// [`solve_resolved`](Self::solve_resolved). `None` is the default.
+    /// Attach a structured event stream: per-job lifecycle events and
+    /// the `summary` event of [`solve_lines`](Self::solve_lines). `None`
+    /// is the default.
     pub fn telemetry(mut self, telemetry: Option<Arc<Telemetry>>) -> Self {
         self.telemetry = telemetry;
         self
@@ -435,32 +431,11 @@ impl BatchSolver {
     /// plus aggregate statistics. Output is bit-identical to a
     /// sequential loop of [`Solver::solve`] over the same jobs.
     ///
-    /// If any job's solve panics, the whole batch still runs to the end
-    /// and the panic is then re-raised with the first failed job's
-    /// message. Callers that want to keep the surviving results use
-    /// [`solve_batch_isolated`](Self::solve_batch_isolated) instead.
+    /// A panicking job is **isolated**: its panic is caught at the job
+    /// boundary and the job lands in `report.errors` (kind `internal`,
+    /// with the panic message) instead of `report.results`. The rest of
+    /// the batch runs on, bit-identical to a fault-free run.
     pub fn solve_batch<W: Weight>(&self, jobs: &[BatchJob<'_, W>]) -> BatchReport<W> {
-        let (report, errors) = self.solve_batch_isolated(jobs);
-        if let Some(e) = errors.into_iter().next() {
-            panic!("batch job {} panicked: {}", e.job, e.message);
-        }
-        report
-    }
-
-    /// Like [`solve_batch`](Self::solve_batch), but a panicking job is
-    /// **isolated** instead of taking the batch down: its panic is
-    /// caught at the job boundary, the job is dropped from
-    /// `report.results`, and a [`BatchError`] (submission index + panic
-    /// message) is returned alongside, sorted by job index. Jobs that
-    /// did not panic produce results bit-identical to a fault-free run.
-    ///
-    /// `small_jobs` / `large_jobs` still count *classified* jobs (the
-    /// regime split of the submitted batch), so they may exceed
-    /// `results.len()` when jobs failed.
-    pub fn solve_batch_isolated<W: Weight>(
-        &self,
-        jobs: &[BatchJob<'_, W>],
-    ) -> (BatchReport<W>, Vec<BatchError>) {
         let t0 = Instant::now();
         let large: Vec<bool> = jobs
             .iter()
@@ -472,27 +447,39 @@ impl BatchSolver {
                 .options(regime.options(job.options))
                 .solve(job.problem)
         });
-        let mut results = Vec::new();
-        let mut errors = Vec::new();
+        let mut counts = JobCounts {
+            accepted: jobs.len() as u64,
+            ..JobCounts::default()
+        };
+        let (mut results, mut errors) = (Vec::new(), Vec::new());
         for (i, r) in solved.into_iter().enumerate() {
+            counts.complete(large[i]);
             match r {
                 Ok(solution) => results.push(BatchResult {
                     job: i,
                     solution,
                     large: large[i],
                 }),
-                Err(message) => errors.push(BatchError {
-                    job: i,
-                    kind: ErrorKind::Internal,
-                    message,
-                }),
+                Err(message) => {
+                    counts.panics += 1;
+                    errors.push(BatchError {
+                        job: i,
+                        kind: ErrorKind::Internal,
+                        message,
+                    });
+                }
             }
         }
-        (BatchReport::new(results, &large, t0), errors)
+        BatchReport::new(results, errors, counts, t0)
     }
 
-    /// Solve resolved wire jobs through the per-job step `pardp serve`
-    /// runs too, with intra-batch dedup and an optional shared cache.
+    /// Solve the job slots of a `pardp batch` file (slot `t` is job `t`,
+    /// as [`read_request`](crate::spec::read_request) numbers the lines;
+    /// library callers pass `Ok` slots) through the per-job step `pardp
+    /// serve` runs too, with intra-batch dedup and an optional shared
+    /// cache. A slot that holds an error is never solved; like serve, the
+    /// batch counts it `invalid`, emits a `rejected` event and answers an
+    /// `invalid` [`BatchError`] with its text.
     ///
     /// Jobs with equal [`ProblemKey`]s are solved once — the first
     /// occurrence is the representative, later ones reuse its answer
@@ -504,44 +491,25 @@ impl BatchSolver {
     /// jobs (trace recording, Knuth) are neither deduped nor cached.
     ///
     /// A job whose solve panics, fails the Knuth guard or passes its
-    /// deadline lands in [`CachedBatchReport::errors`]. Every solution
-    /// is bit-identical (value, table; trace and stats except after warm
-    /// starts) to a cold [`Solver::solve`] loop over the same jobs.
-    pub fn solve_resolved(
-        &self,
-        jobs: &[ResolvedJob],
-        cache: Option<&dyn SolutionCache>,
-    ) -> CachedBatchReport {
-        let slots: Vec<_> = jobs.iter().map(Ok).collect();
-        self.solve_slots(&slots, cache)
-    }
-
-    /// [`solve_resolved`](Self::solve_resolved) over the slots of a job
-    /// file ([`resolve_lines`](crate::spec::resolve_lines)): job `t` is
-    /// slot `t`. A slot that holds an error is answered the way `pardp
-    /// serve` answers its line: a `rejected` event of kind `invalid` and
-    /// an `invalid` [`BatchError`] with the error's text. Such a slot is
-    /// never solved and counts in neither `small_jobs` nor `large_jobs`.
+    /// deadline lands in [`BatchReport::errors`]. Every solution is
+    /// bit-identical (value, table; trace and stats except after warm
+    /// starts) to a cold [`Solver::solve`] loop over the same jobs. With
+    /// telemetry attached, the run ends its stream as a serve drain
+    /// does: the `summary` event of its counts, then a flush.
     pub fn solve_lines(
         &self,
-        lines: &[Result<ResolvedJob, SpecError>],
+        jobs: &[Result<ResolvedJob, SpecError>],
         cache: Option<&dyn SolutionCache>,
-    ) -> CachedBatchReport {
-        let slots: Vec<_> = lines.iter().map(Result::as_ref).collect();
-        self.solve_slots(&slots, cache)
-    }
-
-    fn solve_slots(
-        &self,
-        jobs: &[Result<&ResolvedJob, &SpecError>],
-        cache: Option<&dyn SolutionCache>,
-    ) -> CachedBatchReport {
+    ) -> BatchReport<u64> {
         let t0 = Instant::now();
         let resilient = cache.map(ResilientCache::new);
         let cache = resilient.as_ref().map(|c| c as &dyn SolutionCache);
         let large: Vec<bool> = jobs
             .iter()
-            .map(|j| j.is_ok_and(|j| j.problem.cells() > self.large_job_cells))
+            .map(|j| {
+                j.as_ref()
+                    .is_ok_and(|j| j.problem.cells() > self.large_job_cells)
+            })
             .collect();
         let mut first: HashMap<ProblemKey, usize> = HashMap::new();
         let rep: Vec<usize> = jobs
@@ -563,7 +531,7 @@ impl BatchSolver {
                 _ => None,
             })
             .collect();
-        let solved = self.phases(&large, |i, regime| match (&reads[i], jobs[i]) {
+        let solved = self.phases(&large, |i, regime| match (&reads[i], &jobs[i]) {
             (Some(Read::Miss(pending)), Ok(j)) => {
                 Some(pending.solve(&j.problem, j.algorithm, &j.options, Some(regime)))
             }
@@ -573,24 +541,15 @@ impl BatchSolver {
         // solution as it comes; a duplicate answers with its
         // representative's outcome.
         let telemetry = self.telemetry.as_deref();
-        let mut counters = CacheCounters::default();
+        let mut counts = JobCounts::default();
         let (mut results, mut errors) = (Vec::new(), Vec::new());
         let mut outcomes: Vec<Option<Result<job::Solved, String>>> = Vec::new();
         for (i, slot) in solved.into_iter().zip(reads).enumerate() {
-            let resolved = match jobs[i] {
+            let resolved = match &jobs[i] {
                 Ok(resolved) => resolved,
                 Err(e) => {
-                    if let Some(tel) = telemetry {
-                        tel.emit(EventKind::Rejected {
-                            job: i as u64,
-                            kind: ErrorKind::Invalid.name(),
-                        });
-                    }
-                    errors.push(BatchError {
-                        job: i,
-                        kind: ErrorKind::Invalid,
-                        message: e.0.clone(),
-                    });
+                    let e = job::refuse(i, ErrorKind::Invalid, e.0.clone(), &mut counts, telemetry);
+                    errors.push(e);
                     outcomes.push(None);
                     continue;
                 }
@@ -611,7 +570,8 @@ impl BatchSolver {
                     large: large[i],
                 });
             }
-            match job::respond(i, outcome, rep[i] != i, &mut counters, telemetry) {
+            counts.accepted += 1;
+            match job::respond(i, outcome, large[i], rep[i] != i, &mut counts, telemetry) {
                 Ok(solution) => results.push(BatchResult {
                     job: i,
                     solution,
@@ -620,19 +580,13 @@ impl BatchSolver {
                 Err(e) => errors.push(e),
             }
         }
-        counters.errors = resilient.map_or(0, |c| c.errors());
-        let report = BatchReport::new(results, &large, t0);
-        let refused = jobs.iter().filter(|j| j.is_err()).count();
-        CachedBatchReport {
-            results: report.results,
-            wall: report.wall,
-            stats: report.stats,
-            throughput: report.throughput,
-            small_jobs: report.small_jobs - refused,
-            large_jobs: report.large_jobs,
-            cache: counters,
-            errors,
+        counts.cache_errors = resilient.map_or(0, |c| c.errors());
+        let report = BatchReport::new(results, errors, counts, t0);
+        if let Some(tel) = telemetry {
+            tel.emit(report.counts.summary());
+            tel.flush();
         }
+        report
     }
 }
 
@@ -674,8 +628,8 @@ mod tests {
         ] {
             let report = BatchSolver::new().exec(exec).solve_batch(&jobs);
             assert_eq!(report.results.len(), jobs.len());
-            assert_eq!(report.small_jobs, 3);
-            assert_eq!(report.large_jobs, 0);
+            assert_eq!(report.counts.completed_small, 3);
+            assert_eq!(report.counts.completed_large, 0);
             for (i, (r, job)) in report.results.iter().zip(&jobs).enumerate() {
                 assert_eq!(r.job, i);
                 assert!(!r.large);
@@ -699,8 +653,8 @@ mod tests {
         let jobs: Vec<BatchJob<'_, u64>> =
             problems.iter().map(|p| BatchJob::new(p.as_ref())).collect();
         let report = BatchSolver::new().large_job_cells(21).solve_batch(&jobs);
-        assert_eq!(report.small_jobs, 2);
-        assert_eq!(report.large_jobs, 1);
+        assert_eq!(report.counts.completed_small, 2);
+        assert_eq!(report.counts.completed_large, 1);
         assert!(report.results[2].large);
         assert!(!report.results[0].large && !report.results[1].large);
         // Regime routing cannot change any value.
@@ -708,8 +662,8 @@ mod tests {
         let all_small = BatchSolver::new()
             .large_job_cells(usize::MAX)
             .solve_batch(&jobs);
-        assert_eq!(all_large.small_jobs, 0);
-        assert_eq!(all_small.large_jobs, 0);
+        assert_eq!(all_large.counts.completed_small, 0);
+        assert_eq!(all_small.counts.completed_large, 0);
         for i in 0..jobs.len() {
             assert_eq!(
                 report.results[i].solution.value(),
@@ -748,7 +702,8 @@ mod tests {
         assert!(report.results.is_empty());
         assert_eq!(report.throughput, 0.0);
         assert_eq!(report.stats, OpStats::default());
-        assert_eq!((report.small_jobs, report.large_jobs), (0, 0));
+        assert!(report.errors.is_empty());
+        assert_eq!(report.counts, JobCounts::default());
     }
 
     fn poison_chain(n: usize) -> impl DpProblem<u64> {
@@ -773,19 +728,22 @@ mod tests {
                 BatchJob::new(&bad),
                 BatchJob::new(good[2].as_ref()),
             ];
-            let (report, errors) = BatchSolver::new()
+            let report = BatchSolver::new()
                 .large_job_cells(threshold)
-                .solve_batch_isolated(&jobs);
+                .solve_batch(&jobs);
             assert_eq!(report.results.len(), 2, "threshold={threshold}");
+            let errors = &report.errors;
             assert_eq!(errors.len(), 1);
-            assert_eq!(errors[0].job, 1);
+            assert_eq!((errors[0].job, errors[0].kind), (1, ErrorKind::Internal));
             assert_eq!(errors[0].message, "injected solve panic");
             // Survivors keep their submission indices and values.
             assert_eq!(report.results[0].job, 0);
             assert_eq!(report.results[0].solution.value(), 15125);
             assert_eq!(report.results[1].job, 2);
-            // The classification counts still describe the whole batch.
-            assert_eq!(report.small_jobs + report.large_jobs, 3);
+            // The counts still describe the whole batch.
+            let c = report.counts;
+            assert_eq!((c.accepted, c.completed, c.panics), (3, 3, 1));
+            assert_eq!(c.completed_small + c.completed_large, 3);
         }
     }
 
@@ -794,23 +752,15 @@ mod tests {
         let bad = poison_chain(4);
         let jobs: Vec<BatchJob<'_, u64>> = vec![BatchJob::new(&bad)];
         let solver = BatchSolver::new();
-        let (report, errors) = solver.solve_batch_isolated(&jobs);
+        let report = solver.solve_batch(&jobs);
         assert!(report.results.is_empty());
-        assert_eq!(errors.len(), 1);
+        assert_eq!(report.errors.len(), 1);
         // The shared pool must still be usable for a clean batch.
         let good = chains();
         let jobs: Vec<BatchJob<'_, u64>> = good.iter().map(|p| BatchJob::new(p.as_ref())).collect();
         let report = solver.solve_batch(&jobs);
         assert_eq!(report.results.len(), 3);
         assert_eq!(report.results[0].solution.value(), 15125);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch job 0 panicked: injected solve panic")]
-    fn solve_batch_still_propagates_panics() {
-        let bad = poison_chain(4);
-        let jobs: Vec<BatchJob<'_, u64>> = vec![BatchJob::new(&bad)];
-        BatchSolver::new().solve_batch(&jobs);
     }
 
     #[test]
@@ -830,60 +780,64 @@ mod tests {
 
     #[test]
     fn batch_dedups_and_shares_the_cache() {
-        let jobs: Vec<ResolvedJob> = [
+        let jobs: Vec<Result<ResolvedJob, SpecError>> = [
             &[30u64, 35, 15, 5, 10, 20, 25][..],
             &[30, 35, 15, 5, 10, 20, 25],
             &[5, 10, 3, 12, 5],
             &[30, 35, 15, 5, 10, 20, 25],
         ]
         .iter()
-        .map(|dims| ResolvedJob {
-            problem: ProblemSpec::chain(dims.to_vec()).unwrap(),
-            algorithm: Algorithm::Sublinear,
-            options: SolveOptions::default().exec(ExecBackend::Sequential),
+        .map(|dims| {
+            Ok(ResolvedJob {
+                problem: ProblemSpec::chain(dims.to_vec()).unwrap(),
+                algorithm: Algorithm::Sublinear,
+                options: SolveOptions::default().exec(ExecBackend::Sequential),
+            })
         })
         .collect();
         let cache = crate::store::MemoryCache::new(8);
         let solver = BatchSolver::new().exec(ExecBackend::Sequential);
-        let report = solver.solve_resolved(&jobs, Some(&cache));
-        assert_eq!(report.cache.deduped, 2);
-        assert_eq!(report.cache.hits, 0);
-        assert_eq!(report.cache.misses, 2);
+        let report = solver.solve_lines(&jobs, Some(&cache));
+        assert_eq!(report.counts.deduped, 2);
+        assert_eq!(report.counts.cache_hits, 0);
+        assert_eq!(report.counts.cache_misses, 2);
         assert_eq!(report.results.len(), 4);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.job, i);
             let cold = Solver::new(Algorithm::Sublinear)
                 .options(SolveOptions::default().exec(ExecBackend::Sequential))
-                .solve(&jobs[i].problem.build());
+                .solve(&jobs[i].as_ref().unwrap().problem.build());
             assert_eq!(r.solution.value(), cold.value(), "job {i}");
             assert!(r.solution.w.table_eq(&cold.w), "job {i}");
             assert_eq!(r.solution.stats, cold.stats, "job {i}");
         }
         // Second run over the same jobs: all representatives hit.
-        let again = solver.solve_resolved(&jobs, Some(&cache));
-        assert_eq!(again.cache.hits, 2);
-        assert_eq!(again.cache.misses, 0);
+        let again = solver.solve_lines(&jobs, Some(&cache));
+        assert_eq!(again.counts.cache_hits, 2);
+        assert_eq!(again.counts.cache_misses, 0);
         assert_eq!(again.stats, report.stats);
         // Without a cache, dedup still applies.
-        let nocache = solver.solve_resolved(&jobs, None);
-        assert_eq!(nocache.cache.deduped, 2);
-        assert_eq!(nocache.cache.hits + nocache.cache.misses, 0);
+        let nocache = solver.solve_lines(&jobs, None);
+        assert_eq!(nocache.counts.deduped, 2);
+        assert_eq!(nocache.counts.cache_hits + nocache.counts.cache_misses, 0);
         assert_eq!(nocache.stats, report.stats);
     }
 
     #[test]
     fn a_panicking_warm_start_is_that_jobs_error() {
         let opts = SolveOptions::default().exec(ExecBackend::Sequential);
-        let resolved = |problem| ResolvedJob {
-            problem,
-            algorithm: Algorithm::Sublinear,
-            options: opts,
+        let resolved = |problem| {
+            Ok(ResolvedJob {
+                problem,
+                algorithm: Algorithm::Sublinear,
+                options: opts,
+            })
         };
         let cache = crate::store::MemoryCache::new(8);
         let solver = BatchSolver::new().exec(ExecBackend::Sequential);
         let prefix = ProblemSpec::obst(vec![1, 2], vec![1, 1, 1]).unwrap();
-        let report = solver.solve_resolved(&[resolved(prefix.clone())], Some(&cache));
-        assert_eq!(report.cache.misses, 1);
+        let report = solver.solve_lines(&[resolved(prefix.clone())], Some(&cache));
+        assert_eq!(report.counts.cache_misses, 1);
         // One more key but no more dummy frequencies, built around the
         // constructor's shape check: its size-3 prefix is the cached
         // instance, and the solve panics (index out of bounds) as soon
@@ -895,7 +849,7 @@ mod tests {
         let seed = job::probe(&cache, &broken, Algorithm::Sublinear, &opts);
         assert_eq!(seed.map(|(m, _)| m), Some(3), "the job warm-starts");
 
-        let report = solver.solve_resolved(&[resolved(broken), resolved(prefix)], Some(&cache));
+        let report = solver.solve_lines(&[resolved(broken), resolved(prefix)], Some(&cache));
         assert_eq!(report.errors.len(), 1);
         let e = &report.errors[0];
         assert_eq!((e.job, e.kind), (0, ErrorKind::Internal));
@@ -903,6 +857,8 @@ mod tests {
         // The sibling is unaffected: a hit on the prefix.
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.results[0].job, 1);
-        assert_eq!((report.cache.hits, report.cache.misses), (1, 0));
+        let c = report.counts;
+        assert_eq!((c.cache_hits, c.cache_misses), (1, 0));
+        assert_eq!((c.completed, c.panics), (2, 1));
     }
 }

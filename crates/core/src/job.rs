@@ -14,9 +14,9 @@
 //!    bypassed the cache or timed out (a partial table never reaches the
 //!    store); a failing insert downgrades the job to a bypass.
 //! 4. **Respond** ([`respond`]) — the one place a job's outcome becomes
-//!    cache traffic counts, its `cache` and terminal telemetry events,
-//!    and its answer: a solution or a [`BatchError`], whose kind the
-//!    front ends count failures by.
+//!    its [`JobCounts`], its `cache` and terminal telemetry events, and
+//!    its answer, rendered by [`answer_line`]. A request refused before
+//!    it runs goes through [`refuse`] instead.
 //!
 //! A job's [`Solution::wall`] is the time spent in its own stages, so a
 //! cache hit reports its lookup time and a batch job leaves out the time
@@ -40,10 +40,8 @@ use crate::batch::BatchError;
 use crate::exec::ExecBackend;
 use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution, SolveOptions, Solver};
-use crate::spec::{verify_knuth, ErrorKind, ProblemSpec};
-use crate::store::{
-    CacheCounters, CacheOutcome, CachedSolution, ProblemKey, SolutionCache, StoreError,
-};
+use crate::spec::{verify_knuth, ErrorKind, JobRecord, ProblemSpec};
+use crate::store::{CacheOutcome, CachedSolution, ProblemKey, SolutionCache, StoreError};
 use crate::tables::WTable;
 use crate::telemetry::{EventKind, Telemetry};
 use crate::weight::Weight;
@@ -61,6 +59,73 @@ pub(crate) fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             "the solve panicked".to_string()
         }
     })
+}
+
+/// The job counts of a `pardp batch` run or a `pardp serve` session: the
+/// twelve counts of its `summary` event ([`JobCounts::summary`]) plus
+/// batch's `deduped`. Both front ends count every job answered after it
+/// ran through one respond step, and every request refused before it ran
+/// through one refuse step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobCounts {
+    /// Jobs that passed admission (batch: lines that resolved).
+    pub accepted: u64,
+    /// Requests refused before they ran, invalid ones aside (serve only).
+    pub rejected: u64,
+    /// Request lines that were not valid jobs.
+    pub invalid: u64,
+    /// Jobs answered after they ran, failed ones included.
+    pub completed: u64,
+    /// Completed jobs of the small regime.
+    pub completed_small: u64,
+    /// Completed jobs of the large regime.
+    pub completed_large: u64,
+    /// Jobs whose solve panicked.
+    pub panics: u64,
+    /// Jobs stopped at their deadline.
+    pub timeouts: u64,
+    /// Jobs served straight from the cache.
+    pub cache_hits: u64,
+    /// Jobs not found in the cache (warm starts included).
+    pub cache_misses: u64,
+    /// Missed jobs seeded from a cached prefix table.
+    pub warm_starts: u64,
+    /// Cache backend errors ([`ResilientCache::errors`]).
+    ///
+    /// [`ResilientCache::errors`]: crate::store::ResilientCache::errors
+    pub cache_errors: u64,
+    /// Batch jobs that reused an identical earlier job's outcome.
+    pub deduped: u64,
+}
+
+impl JobCounts {
+    /// Count one answered job of the given regime.
+    pub(crate) fn complete(&mut self, large: bool) {
+        self.completed += 1;
+        if large {
+            self.completed_large += 1;
+        } else {
+            self.completed_small += 1;
+        }
+    }
+
+    /// The session's `summary` event.
+    pub fn summary(&self) -> EventKind {
+        EventKind::Summary {
+            accepted: self.accepted,
+            rejected: self.rejected,
+            invalid: self.invalid,
+            completed: self.completed,
+            completed_small: self.completed_small,
+            completed_large: self.completed_large,
+            panics: self.panics,
+            timeouts: self.timeouts,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            warm_starts: self.warm_starts,
+            cache_errors: self.cache_errors,
+        }
+    }
 }
 
 /// A job's scheduling regime: the small/large classification by
@@ -299,10 +364,34 @@ pub(crate) fn step(
     write(cache, spec, solved)
 }
 
-/// Respond — turn job `job`'s outcome (`Err` is a panic's text) into
-/// its cache traffic in `counters`, its `cache` and terminal events,
-/// and its answer. `dedup` marks a batch job that reused an identical
-/// job's outcome. Callers count failed jobs by their error kind.
+/// Refuse request `job` before it runs: count it in `counts` (`invalid`
+/// for kind `invalid`, `rejected` for any other), emit its lone
+/// `rejected` event, and return its error.
+pub(crate) fn refuse(
+    job: usize,
+    kind: ErrorKind,
+    message: String,
+    counts: &mut JobCounts,
+    telemetry: Option<&Telemetry>,
+) -> BatchError {
+    match kind {
+        ErrorKind::Invalid => counts.invalid += 1,
+        _ => counts.rejected += 1,
+    }
+    if let Some(t) = telemetry {
+        t.emit(EventKind::Rejected {
+            job: job as u64,
+            kind: kind.name(),
+        });
+    }
+    BatchError { job, kind, message }
+}
+
+/// Respond — turn job `job`'s outcome (`Err` is a panic's text) into its
+/// counts in `counts`, its `cache` and terminal events, and its answer.
+/// Every job counts as completed in its regime (`large`), failed ones
+/// included; `dedup` marks a batch job that reused an identical job's
+/// outcome.
 ///
 /// The event lifecycle: a returned solve emits `cache`, then
 /// `completed` (or `rejected` with kind `invalid` for a failed Knuth
@@ -311,8 +400,9 @@ pub(crate) fn step(
 pub(crate) fn respond(
     job: usize,
     outcome: Result<Solved, String>,
+    large: bool,
     dedup: bool,
-    counters: &mut CacheCounters,
+    counts: &mut JobCounts,
     telemetry: Option<&Telemetry>,
 ) -> Result<Solution<u64>, BatchError> {
     let id = job as u64;
@@ -321,13 +411,16 @@ pub(crate) fn respond(
             t.emit(kind);
         }
     };
+    counts.complete(large);
     let fail = |kind, message| Err(BatchError { job, kind, message });
     let solved = match outcome {
         Err(message) => {
+            counts.panics += 1;
             emit(EventKind::Panic { job: id });
             return fail(ErrorKind::Internal, message);
         }
         Ok(solved) if solved.solution.timed_out() => {
+            counts.timeouts += 1;
             emit(EventKind::Timeout { job: id });
             let message = "the job's deadline passed before the solve completed";
             return fail(ErrorKind::Timeout, message.to_string());
@@ -335,13 +428,13 @@ pub(crate) fn respond(
         Ok(solved) => solved,
     };
     match (dedup, solved.outcome) {
-        (true, _) => counters.deduped += 1,
-        (false, CacheOutcome::Hit) => counters.hits += 1,
+        (true, _) => counts.deduped += 1,
+        (false, CacheOutcome::Hit) => counts.cache_hits += 1,
         (false, CacheOutcome::Warm { .. }) => {
-            counters.misses += 1;
-            counters.warm_starts += 1;
+            counts.cache_misses += 1;
+            counts.warm_starts += 1;
         }
-        (false, CacheOutcome::Miss) => counters.misses += 1,
+        (false, CacheOutcome::Miss) => counts.cache_misses += 1,
         (false, CacheOutcome::Bypass) => {}
     }
     let source = if dedup {
@@ -366,4 +459,21 @@ pub(crate) fn respond(
         value: solved.solution.value(),
     });
     Ok(solved.solution)
+}
+
+/// Job `job`'s answer line, the bytes both front ends write: its
+/// [`JobRecord`] as JSON, or its error line ([`BatchError::line`]).
+pub(crate) fn answer_line(
+    job: usize,
+    family: &str,
+    answer: Result<&Solution<u64>, &BatchError>,
+    large: bool,
+) -> String {
+    match answer {
+        Ok(solution) => {
+            serde_json::to_string(&JobRecord::of_solution(job, family, solution, large))
+                .expect("records serialize")
+        }
+        Err(e) => e.line(),
+    }
 }

@@ -121,7 +121,7 @@ pub mod weight;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::batch::{
-        BatchError, BatchJob, BatchReport, BatchResult, BatchSolver, CachedBatchReport,
+        BatchError, BatchJob, BatchReport, BatchResult, BatchSolver, JobCounts,
     };
     pub use crate::exec::ExecBackend;
     pub use crate::fault::{unpoison, CancelToken, FaultPlan, FaultSite, FaultyCache};
@@ -132,12 +132,13 @@ pub mod prelude {
     pub use crate::serve::{ServeConfig, ServeStats, Server};
     pub use crate::solver::{Algorithm, OptionsError, Solution, SolveKnob, SolveOptions, Solver};
     pub use crate::spec::{
-        error_record, parse_jobs, table_hash, verify_knuth, BatchSummary, ErrorKind, JobRecord,
-        JobSpec, ProblemSpec, ResolvedJob, SpecError, SpecProblem,
+        command_error, error_record, read_request, table_hash, verify_knuth, wire_options,
+        BatchSummary, ErrorKind, JobRecord, JobSpec, ProblemSpec, Request, ResolvedJob, SpecError,
+        SpecProblem,
     };
     pub use crate::store::{
-        cached_solve, CacheCounters, CacheOutcome, CachedSolution, CachedSolver, FileStore,
-        MemoryCache, ProblemKey, ResilientCache, SolutionCache, StoreError, StoreStat,
+        cached_solve, CacheOutcome, CachedSolution, CachedSolver, FileStore, MemoryCache,
+        ProblemKey, ResilientCache, SolutionCache, StoreError, StoreStat,
     };
     pub use crate::tables::WTable;
     pub use crate::telemetry::{

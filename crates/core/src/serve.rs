@@ -10,8 +10,9 @@
 //!
 //! ## Protocol (newline-delimited JSON, request order preserved)
 //!
-//! Requests are [`JobSpec`] lines — the exact schema `pardp batch`
-//! reads — plus two commands:
+//! Requests are [`JobSpec`](crate::spec::JobSpec) lines — the schema
+//! `pardp batch` reads, through the same reader, [`read_request`] — plus
+//! two commands:
 //!
 //! ```json
 //! {"family":"chain","values":[30,35,15,5,10,20,25]}
@@ -20,12 +21,16 @@
 //! ```
 //!
 //! Responses come back **in request order**, one line per request: a
-//! [`JobRecord`] for a solved job, `{"job":i,"error":"..."}` for a
-//! rejected or failed one, `{"stats":{...}}` ([`ServeStats`]) for
-//! `stats`, and `{"ok":"shutdown"}` for `shutdown`. Responses are
-//! bit-identical to `pardp batch` on the same job lines, except the
-//! nondeterministic `wall_seconds` field (see
-//! [`JobRecord::deterministic`]).
+//! [`JobRecord`](crate::spec::JobRecord) for a solved job,
+//! `{"job":i,"error":"..."}` for a rejected or failed one,
+//! `{"stats":{...}}` ([`ServeStats`]) for `stats`, and
+//! `{"ok":"shutdown"}` for `shutdown`. A blank line is skipped and a
+//! command takes no job number; any other line is a job, so a line that
+//! is not UTF-8 or not JSON is one `invalid` job and the session goes
+//! on. Answers to job lines are bit-identical to `pardp batch` on the
+//! same file, except the nondeterministic `wall_seconds` field (see
+//! [`JobRecord::deterministic`](crate::spec::JobRecord::deterministic));
+//! batch answers every command line with [`command_error`].
 //!
 //! ## Backpressure and admission
 //!
@@ -33,8 +38,8 @@
 //! full, a job is rejected *immediately* with
 //! `{"job":i,"error":"overloaded"}` rather than buffered without bound —
 //! a loaded daemon stays responsive and honest. Jobs above
-//! [`ServeConfig::max_cells`] (or [`ServeConfig::max_dense_cells`] for
-//! the dense-table algorithms, whose `pw` table is quadratic in the cell
+//! [`DEFAULT_MAX_CELLS`] (or [`DEFAULT_MAX_DENSE_CELLS`] for the
+//! dense-table algorithms, whose `pw` table is quadratic in the cell
 //! count) are rejected at admission, before they can wedge the pool.
 //!
 //! ## The regime gate
@@ -51,7 +56,9 @@
 //! Inside the gate a worker runs the per-job step `pardp batch` runs
 //! too — read the cache, solve in the job's regime with the Knuth
 //! guard, write the cache — back to back, then answers through the same
-//! respond step, so both front ends count, log and answer a job alike.
+//! respond step, so both front ends count, log and answer a job alike; a
+//! worker adds each job's [`JobCounts`] to the daemon's lock-free
+//! counters in one place.
 //!
 //! ## Failure hardening
 //!
@@ -68,7 +75,7 @@
 //! * cache backend failures degrade to misses behind a
 //!   [`ResilientCache`] ([`ServeStats::cache_errors`]), with the
 //!   backend disabled after a bounded failure budget;
-//! * request lines longer than [`ServeConfig::max_line_bytes`] are
+//! * request lines longer than [`DEFAULT_MAX_LINE_BYTES`] are
 //!   rejected without being buffered, and TCP connections idle longer
 //!   than [`ServeConfig::idle_timeout`] are dropped.
 //!
@@ -87,9 +94,9 @@
 //! The job schema is [`crate::spec`], shared verbatim: a `jobs.jsonl`
 //! that works with `pardp batch` streams unchanged through
 //! `pardp serve --pipe`, and the result lines differ only in
-//! `wall_seconds`. Library users construct [`JobSpec`] values (or
-//! [`ProblemSpec`]s) instead of private CLI
-//! types.
+//! `wall_seconds`. Library users construct
+//! [`JobSpec`](crate::spec::JobSpec) values (or
+//! [`ProblemSpec`](crate::spec::ProblemSpec)s).
 //!
 //! ```
 //! use pardp_core::serve::{serve_pipe, ServeConfig};
@@ -104,7 +111,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
@@ -113,41 +120,42 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::DEFAULT_LARGE_JOB_CELLS;
+use crate::batch::{JobCounts, DEFAULT_LARGE_JOB_CELLS};
 use crate::exec::ExecBackend;
 use crate::fault::{unpoison, FaultPlan, FaultSite};
 use crate::job::{self, Regime};
 use crate::solver::{Algorithm, SolveOptions};
-use crate::spec::{error_record, parse_line, ErrorKind, JobRecord, JobSpec, ProblemSpec};
-use crate::store::{CacheCounters, ResilientCache, SolutionCache};
+use crate::spec::{
+    command_error, command_record, read_request, wire_options, ErrorKind, Request, ResolvedJob,
+};
+use crate::store::{ResilientCache, SolutionCache};
 use crate::telemetry::{EventKind, LatencyHistogram, Telemetry};
-use crate::trace::Termination;
 
 /// Default bound of the job queue: submissions beyond this many waiting
 /// jobs are rejected with `overloaded`.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// Default admission cap in `w`-table cells (`n(n+1)/2`; n = 512). Jobs
-/// above it are rejected — a daemon must bound per-job memory, unlike a
-/// one-shot batch run.
+/// Admission cap in `w`-table cells (`n(n+1)/2`; n = 512). Jobs above it
+/// are rejected — a daemon must bound per-job memory, unlike a one-shot
+/// batch run.
 pub const DEFAULT_MAX_CELLS: usize = 512 * 513 / 2;
 
-/// Default admission cap for the dense-table algorithms (sublinear §2,
+/// Admission cap for the dense-table algorithms (sublinear §2,
 /// Rytter), whose `pw` table grows as `n^4 / 24` (n = 96 ⇒ ~4.7k cells
 /// ⇒ 3.76M `pw` entries per buffer, 57 MiB for a solve's two `u64`
 /// buffers). Larger instances should use the banded §5 solver or a
 /// sequential baseline.
 pub const DEFAULT_MAX_DENSE_CELLS: usize = 96 * 97 / 2;
 
-/// Default cap on one request line in bytes (1 MiB). A line longer than
+/// Cap on one request line in bytes (1 MiB). A line longer than
 /// this is rejected with kind `rejected` and discarded without being
 /// buffered — a client cannot make the daemon hold an unbounded line.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Configuration of the daemon. The defaults match `pardp batch`
-/// (parallel pool, sublinear default algorithm, fixpoint stop, the batch
-/// regime threshold), so responses agree bit-for-bit with a batch run of
-/// the same lines.
+/// (parallel pool, sublinear default algorithm, [`wire_options`], the
+/// batch regime threshold), so responses agree bit-for-bit with a batch
+/// run of the same lines.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// The worker pool the daemon drains jobs over; the worker count is
@@ -161,10 +169,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// The small/large regime threshold in `w`-table cells.
     pub large_job_cells: usize,
-    /// Admission cap in `w`-table cells for every algorithm.
-    pub max_cells: usize,
-    /// Admission cap for the dense-table algorithms (sublinear, rytter).
-    pub max_dense_cells: usize,
     /// Optional solution cache shared by every worker (`None` solves
     /// every job cold — the default, bit-identical to `pardp batch`).
     /// The daemon wraps it in a [`ResilientCache`], so backend failures
@@ -181,10 +185,6 @@ pub struct ServeConfig {
     /// sends nothing for this long is dropped. `None` (the default)
     /// waits forever.
     pub idle_timeout: Option<Duration>,
-    /// Cap on one request line in bytes
-    /// ([`DEFAULT_MAX_LINE_BYTES`]); longer lines are rejected and
-    /// discarded without being buffered.
-    pub max_line_bytes: usize,
     /// Deterministic fault-injection plan for chaos tests (see
     /// [`crate::fault`]). `None` — the default and the production
     /// setting — injects nothing and costs one pointer check per site.
@@ -204,12 +204,9 @@ impl std::fmt::Debug for ServeConfig {
             .field("options", &self.options)
             .field("queue_capacity", &self.queue_capacity)
             .field("large_job_cells", &self.large_job_cells)
-            .field("max_cells", &self.max_cells)
-            .field("max_dense_cells", &self.max_dense_cells)
             .field("cache", &self.cache.as_ref().map(|c| c.len()))
             .field("job_timeout", &self.job_timeout)
             .field("idle_timeout", &self.idle_timeout)
-            .field("max_line_bytes", &self.max_line_bytes)
             .field("fault", &self.fault)
             .field("telemetry", &self.telemetry)
             .finish()
@@ -221,15 +218,12 @@ impl Default for ServeConfig {
         ServeConfig {
             exec: ExecBackend::Parallel,
             default_algo: Algorithm::Sublinear,
-            options: SolveOptions::default().termination(Termination::Fixpoint),
+            options: wire_options(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             large_job_cells: DEFAULT_LARGE_JOB_CELLS,
-            max_cells: DEFAULT_MAX_CELLS,
-            max_dense_cells: DEFAULT_MAX_DENSE_CELLS,
             cache: None,
             job_timeout: None,
             idle_timeout: None,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             fault: None,
             telemetry: None,
         }
@@ -348,14 +342,40 @@ struct Counters {
     latency: LatencyHistogram,
 }
 
+impl Counters {
+    /// Each job count the daemon keeps, paired with its field of `n`.
+    /// `accepted` is not among them: [`Shared::submit`] ticks it under
+    /// the queue lock.
+    fn job_counts<'a>(&'a self, n: &'a mut JobCounts) -> [(&'a AtomicU64, &'a mut u64); 10] {
+        [
+            (&self.rejected, &mut n.rejected),
+            (&self.invalid, &mut n.invalid),
+            (&self.completed, &mut n.completed),
+            (&self.completed_small, &mut n.completed_small),
+            (&self.completed_large, &mut n.completed_large),
+            (&self.cache_hits, &mut n.cache_hits),
+            (&self.cache_misses, &mut n.cache_misses),
+            (&self.warm_starts, &mut n.warm_starts),
+            (&self.panics, &mut n.panics),
+            (&self.timeouts, &mut n.timeouts),
+        ]
+    }
+
+    /// Add the counts of one answered or refused request: the one place
+    /// they reach the daemon's counters.
+    fn add(&self, mut n: JobCounts) {
+        for (counter, by) in self.job_counts(&mut n) {
+            counter.fetch_add(*by, Ordering::Relaxed);
+        }
+    }
+}
+
 /// One queued job: a resolved, admitted request plus its reply slot.
 struct Job {
     index: usize,
-    /// The validated spec — the cache identity and the instance the
-    /// solve stage builds.
-    spec: ProblemSpec,
-    algorithm: Algorithm,
-    options: SolveOptions,
+    /// The request as read: its spec is the cache identity and the
+    /// instance the solve stage builds.
+    resolved: ResolvedJob,
     large: bool,
     /// When the job passed admission — the latency clock's zero.
     accepted: Instant,
@@ -414,48 +434,26 @@ impl Shared {
         }
     }
 
-    /// Refuse request `job` before it reaches a worker: count it, emit
-    /// its `rejected` event, and queue its error line.
-    fn refuse(&self, job: usize, kind: ErrorKind, error: &str) -> Slot {
-        let c = &self.counters;
-        let counter = match kind {
-            ErrorKind::Invalid => &c.invalid,
-            _ => &c.rejected,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Refuse request `job` before it reaches a worker through the
+    /// shared refuse step batch takes too (count, `rejected` event), and
+    /// queue its error line.
+    fn refuse(&self, job: usize, kind: ErrorKind, error: String) -> Slot {
+        let mut counts = JobCounts::default();
+        let telemetry = self.config.telemetry.as_deref();
+        let e = job::refuse(job, kind, error, &mut counts, telemetry);
+        self.counters.add(counts);
         if kind == ErrorKind::Overloaded {
-            c.overloaded.fetch_add(1, Ordering::Relaxed);
+            self.counters.overloaded.fetch_add(1, Ordering::Relaxed);
         }
-        self.emit(EventKind::Rejected {
-            job: job as u64,
-            kind: kind.name(),
-        });
-        Slot::Line(error_record(job, kind, error))
+        Slot::Line(e.line())
     }
 
     /// Emit the final `summary` event from the drained counters and
     /// flush the sink — the machine-readable twin of the CLI's stderr
     /// drain line. Called once per session, after the queue drains.
     fn emit_summary(&self) {
-        if self.config.telemetry.is_none() {
-            return;
-        }
-        let stats = self.stats();
-        self.emit(EventKind::Summary {
-            accepted: stats.accepted,
-            rejected: stats.rejected,
-            invalid: stats.invalid,
-            completed: stats.completed,
-            completed_small: stats.completed_small,
-            completed_large: stats.completed_large,
-            panics: stats.panics,
-            timeouts: stats.timeouts,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            warm_starts: stats.warm_starts,
-            cache_errors: stats.cache_errors,
-        });
         if let Some(tel) = &self.config.telemetry {
+            tel.emit(self.counts().0.summary());
             tel.flush();
         }
     }
@@ -494,16 +492,16 @@ impl Shared {
         Ok(())
     }
 
-    fn stats(&self) -> ServeStats {
+    /// The job counts so far, and the queue depth.
+    fn counts(&self) -> (JobCounts, usize) {
         let c = &self.counters;
-        let completed = c.completed.load(Ordering::Relaxed);
-        let completed_small = c.completed_small.load(Ordering::Relaxed);
-        let completed_large = c.completed_large.load(Ordering::Relaxed);
-        let rejected = c.rejected.load(Ordering::Relaxed);
-        let overloaded = c.overloaded.load(Ordering::Relaxed);
-        let invalid = c.invalid.load(Ordering::Relaxed);
-        let panics = c.panics.load(Ordering::Relaxed);
-        let timeouts = c.timeouts.load(Ordering::Relaxed);
+        let mut n = JobCounts {
+            cache_errors: self.cache.as_ref().map_or(0, |c| c.errors()),
+            ..JobCounts::default()
+        };
+        for (counter, count) in c.job_counts(&mut n) {
+            *count = counter.load(Ordering::Relaxed);
+        }
         // `accepted` is loaded *inside* the queue critical section and
         // strictly after the `completed` load above. Every completed
         // tick we just observed is sequenced after its job's pop (under
@@ -511,31 +509,36 @@ impl Shared {
         // `accepted` — and those sections all happen-before this
         // acquire. So a snapshot can never report completed > accepted,
         // keeping mid-run stats consistent with the drain guarantee.
-        let (queue_depth, accepted) = {
-            let q = unpoison(self.queue.lock());
-            (q.len(), c.accepted.load(Ordering::Relaxed))
-        };
+        let q = unpoison(self.queue.lock());
+        n.accepted = c.accepted.load(Ordering::Relaxed);
+        (n, q.len())
+    }
+
+    fn stats(&self) -> ServeStats {
+        let c = &self.counters;
+        let (n, queue_depth) = self.counts();
+        let overloaded = c.overloaded.load(Ordering::Relaxed);
         let uptime = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         ServeStats {
-            accepted,
-            rejected,
-            invalid,
-            completed,
-            completed_small,
-            completed_large,
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            warm_starts: c.warm_starts.load(Ordering::Relaxed),
-            panics,
-            timeouts,
-            cache_errors: self.cache.as_ref().map_or(0, |c| c.errors()),
+            accepted: n.accepted,
+            rejected: n.rejected,
+            invalid: n.invalid,
+            completed: n.completed,
+            completed_small: n.completed_small,
+            completed_large: n.completed_large,
+            cache_hits: n.cache_hits,
+            cache_misses: n.cache_misses,
+            warm_starts: n.warm_starts,
+            panics: n.panics,
+            timeouts: n.timeouts,
+            cache_errors: n.cache_errors,
             queue_depth,
             queue_high_watermark: c.queue_high_watermark.load(Ordering::Relaxed),
-            errors_invalid: invalid,
-            errors_rejected: rejected.saturating_sub(overloaded),
+            errors_invalid: n.invalid,
+            errors_rejected: n.rejected.saturating_sub(overloaded),
             errors_overloaded: overloaded,
-            errors_timeout: timeouts,
-            errors_internal: panics,
+            errors_timeout: n.timeouts,
+            errors_internal: n.panics,
             latency_p50_us: c.latency.percentile(0.50),
             latency_p90_us: c.latency.percentile(0.90),
             latency_p99_us: c.latency.percentile(0.99),
@@ -547,8 +550,8 @@ impl Shared {
             queue_capacity: self.config.queue_capacity,
             workers: self.workers,
             uptime_seconds: uptime,
-            small_per_second: completed_small as f64 / uptime,
-            large_per_second: completed_large as f64 / uptime,
+            small_per_second: n.completed_small as f64 / uptime,
+            large_per_second: n.completed_large as f64 / uptime,
         }
     }
 }
@@ -634,58 +637,33 @@ fn run_job(shared: &Shared, job: Job) {
             large: job.large,
             workers: shared.workers,
         };
-        let options = job.options.deadline(deadline);
-        job::step(cache, &job.spec, job.algorithm, &options, Some(regime))
+        let r = &job.resolved;
+        let options = r.options.deadline(deadline);
+        job::step(cache, &r.problem, r.algorithm, &options, Some(regime))
     });
     let telemetry = shared.config.telemetry.as_deref();
-    let mut traffic = CacheCounters::default();
+    let mut counts = JobCounts::default();
+    let answer = job::respond(job.index, outcome, job.large, false, &mut counts, telemetry);
     let c = &shared.counters;
-    let line = match job::respond(job.index, outcome, false, &mut traffic, telemetry) {
-        Ok(solution) => {
-            // Work/Span accounting: the trace always carries the total
-            // (work); the per-op split is nonzero only for jobs run with
-            // trace recording (see `SolveTrace::work_by_op`).
-            let ws = solution.work_span();
-            let (wa, wsq, wp) = solution.trace.work_by_op();
-            c.work.fetch_add(ws.work, Ordering::Relaxed);
-            c.span.fetch_add(ws.span, Ordering::Relaxed);
-            c.work_activate.fetch_add(wa, Ordering::Relaxed);
-            c.work_square.fetch_add(wsq, Ordering::Relaxed);
-            c.work_pebble.fetch_add(wp, Ordering::Relaxed);
-            let record = JobRecord::of_solution(job.index, job.spec.family(), &solution, job.large);
-            serde_json::to_string(&record).expect("record serializes")
-        }
-        Err(e) => {
-            match e.kind {
-                ErrorKind::Internal => c.panics.fetch_add(1, Ordering::Relaxed),
-                ErrorKind::Timeout => c.timeouts.fetch_add(1, Ordering::Relaxed),
-                _ => 0,
-            };
-            e.line()
-        }
-    };
-    c.cache_hits.fetch_add(traffic.hits, Ordering::Relaxed);
-    c.cache_misses.fetch_add(traffic.misses, Ordering::Relaxed);
-    c.warm_starts
-        .fetch_add(traffic.warm_starts, Ordering::Relaxed);
-    c.latency.record(job.accepted.elapsed().as_micros() as u64);
-    c.completed.fetch_add(1, Ordering::Relaxed);
-    if job.large {
-        c.completed_large.fetch_add(1, Ordering::Relaxed);
-    } else {
-        c.completed_small.fetch_add(1, Ordering::Relaxed);
+    if let Ok(solution) = &answer {
+        // Work/Span accounting: the trace always carries the total
+        // (work); the per-op split is nonzero only for jobs run with
+        // trace recording (see `SolveTrace::work_by_op`).
+        let ws = solution.work_span();
+        let (wa, wsq, wp) = solution.trace.work_by_op();
+        c.work.fetch_add(ws.work, Ordering::Relaxed);
+        c.span.fetch_add(ws.span, Ordering::Relaxed);
+        c.work_activate.fetch_add(wa, Ordering::Relaxed);
+        c.work_square.fetch_add(wsq, Ordering::Relaxed);
+        c.work_pebble.fetch_add(wp, Ordering::Relaxed);
     }
+    let family = job.resolved.problem.family();
+    let line = job::answer_line(job.index, family, answer.as_ref(), job.large);
+    c.latency.record(job.accepted.elapsed().as_micros() as u64);
+    c.add(counts);
     // The connection may already be gone; the job still counts as
     // completed (it was answered).
     job.reply.send(line).ok();
-}
-
-/// `{"error":"...","kind":"..."}` — command-level errors with no job
-/// index.
-#[derive(Serialize)]
-struct CmdError {
-    error: String,
-    kind: String,
 }
 
 /// `{"stats":{...}}`.
@@ -702,74 +680,43 @@ struct ShutdownAck {
 
 /// One request line read under the byte cap.
 enum LineRead {
-    /// A complete line (terminator stripped, `\r\n` tolerated).
-    Line(String),
+    /// A complete line's bytes, `\n` terminator stripped.
+    Line(Vec<u8>),
     /// The line exceeded the cap; it was drained and discarded without
     /// being buffered.
     Oversized,
-    /// A complete line that is not UTF-8; it was consumed.
-    NotUtf8,
     /// Clean end of input.
     Eof,
 }
 
-/// Read one `\n`-terminated line, buffering at most `cap` bytes. A line
-/// longer than `cap` is consumed to its terminator but never held in
-/// memory — the defence [`ServeConfig::max_line_bytes`] promises. An
-/// unterminated trailing line still counts (matching
-/// [`BufRead::lines`]). A line that is not UTF-8 is consumed like any
-/// other and reported as [`LineRead::NotUtf8`], so the next read starts
-/// at the next line; only a read error (including an idle-timeout
-/// expiry on a socket) is an `Err`.
+/// Read one `\n`-terminated line, buffering at most `cap + 1` bytes. A
+/// longer line is consumed to its terminator but never held in memory —
+/// the defence [`DEFAULT_MAX_LINE_BYTES`] promises. An unterminated
+/// trailing line still counts (matching [`BufRead::lines`]). Only a read
+/// error (including an idle-timeout expiry on a socket) is an `Err`.
 fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> std::io::Result<LineRead> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    let mut terminated = false;
-    loop {
-        let used = {
+    let mut line = Vec::new();
+    reader.take(cap as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > cap {
+        loop {
             let available = match reader.fill_buf() {
                 Ok(b) => b,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
-            if available.is_empty() {
-                break; // EOF
+            let end = available.iter().position(|&b| b == b'\n');
+            let used = end.map_or(available.len(), |pos| pos + 1);
+            reader.consume(used);
+            if end.is_some() || used == 0 {
+                return Ok(LineRead::Oversized);
             }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if !overflowed {
-                        line.extend_from_slice(&available[..pos]);
-                    }
-                    terminated = true;
-                    pos + 1
-                }
-                None => {
-                    if !overflowed {
-                        line.extend_from_slice(available);
-                    }
-                    available.len()
-                }
-            }
-        };
-        reader.consume(used);
-        if line.len() > cap {
-            overflowed = true;
-            line = Vec::new();
         }
-        if terminated {
-            break;
-        }
-    }
-    if overflowed {
-        return Ok(LineRead::Oversized);
-    }
-    if line.is_empty() && !terminated {
+    } else if line.is_empty() {
         return Ok(LineRead::Eof);
     }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    Ok(String::from_utf8(line).map_or(LineRead::NotUtf8, LineRead::Line))
+    Ok(LineRead::Line(line))
 }
 
 /// A response slot, queued in request order: a line that is ready now,
@@ -785,22 +732,21 @@ enum Slot {
 
 /// Check a resolved job against the admission caps; the error is the
 /// wire message.
-fn admit(shared: &Shared, algorithm: Algorithm, cells: usize) -> Result<(), String> {
-    let cfg = &shared.config;
-    if cells > cfg.max_cells {
+fn admit(algorithm: Algorithm, cells: usize) -> Result<(), String> {
+    if cells > DEFAULT_MAX_CELLS {
         return Err(format!(
-            "job too large: {cells} w-table cells exceeds the admission cap {}",
-            cfg.max_cells
+            "job too large: {cells} w-table cells exceeds the admission cap \
+             {DEFAULT_MAX_CELLS}"
         ));
     }
-    if matches!(algorithm, Algorithm::Sublinear | Algorithm::Rytter) && cells > cfg.max_dense_cells
+    if matches!(algorithm, Algorithm::Sublinear | Algorithm::Rytter)
+        && cells > DEFAULT_MAX_DENSE_CELLS
     {
         return Err(format!(
             "job too large for the dense-table '{algorithm}' solver: {cells} \
-             w-table cells exceeds the dense admission cap {} (its pw table is \
-             quadratic in the cell count); use the banded reduced solver or a \
-             sequential baseline",
-            cfg.max_dense_cells
+             w-table cells exceeds the dense admission cap {DEFAULT_MAX_DENSE_CELLS} \
+             (its pw table is quadratic in the cell count); use the banded \
+             reduced solver or a sequential baseline"
         ));
     }
     Ok(())
@@ -823,11 +769,7 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
                 let line = match slot {
                     Slot::Line(s) => s,
                     Slot::Pending(reply) => reply.recv().unwrap_or_else(|_| {
-                        serde_json::to_string(&CmdError {
-                            error: "internal: worker dropped the reply".into(),
-                            kind: ErrorKind::Internal.name().into(),
-                        })
-                        .expect("error serializes")
+                        command_record(ErrorKind::Internal, "internal: worker dropped the reply")
                     }),
                     Slot::Stats => serde_json::to_string(&StatsLine {
                         stats: shared.stats(),
@@ -845,80 +787,66 @@ fn handle_connection<R: BufRead, W: Write + Send>(shared: &Shared, mut reader: R
         let cfg = &shared.config;
         let mut job_index = 0usize;
         loop {
-            let request = match read_line_capped(&mut reader, cfg.max_line_bytes) {
+            let job = match read_line_capped(&mut reader, DEFAULT_MAX_LINE_BYTES) {
                 // Read errors cover a dropped peer and the idle-timeout
                 // expiry on a socket — both close the connection
                 // (accepted jobs still drain).
                 Err(_) | Ok(LineRead::Eof) => break,
-                // An oversized line consumes a job index like any other
+                // An oversized line takes a job number like any other
                 // malformed request, but its bytes were never buffered.
                 Ok(LineRead::Oversized) => Err((
                     ErrorKind::Rejected,
                     format!(
-                        "request line exceeds the {}-byte cap and was discarded",
-                        cfg.max_line_bytes
+                        "request line exceeds the {DEFAULT_MAX_LINE_BYTES}-byte cap and was \
+                         discarded"
                     ),
                 )),
-                Ok(LineRead::NotUtf8) => {
-                    Err((ErrorKind::Invalid, "request line is not UTF-8".to_string()))
-                }
-                Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
-                // A malformed line consumes a job index (the client meant
-                // *something* here) but never kills the loop.
                 Ok(LineRead::Line(line)) => {
-                    parse_line(&line).map_err(|e| (ErrorKind::Invalid, e.0))
+                    match read_request(&line, cfg.default_algo, cfg.options) {
+                        Request::Blank => continue,
+                        Request::Command(name) => {
+                            let response = match name.as_str() {
+                                "stats" => Slot::Stats,
+                                "shutdown" => {
+                                    shared.begin_shutdown();
+                                    let ack = serde_json::to_string(&ShutdownAck {
+                                        ok: "shutdown".into(),
+                                    })
+                                    .expect("ack serializes");
+                                    tx.send(Slot::Line(ack)).ok();
+                                    break;
+                                }
+                                _ => Slot::Line(command_error(&name)),
+                            };
+                            if tx.send(response).is_err() {
+                                break;
+                            }
+                            continue;
+                        }
+                        // A bad job line takes a job number (the client
+                        // meant *something* here) but never kills the loop.
+                        Request::Job(job) => job.map_err(|e| (ErrorKind::Invalid, e.0)),
+                    }
                 }
             };
-            if let Some(serde::Value::Str(cmd)) = request.as_ref().ok().and_then(|v| v.get("cmd")) {
-                let response = match cmd.as_str() {
-                    "stats" => Slot::Stats,
-                    "shutdown" => {
-                        shared.begin_shutdown();
-                        let ack = serde_json::to_string(&ShutdownAck {
-                            ok: "shutdown".into(),
-                        })
-                        .expect("ack serializes");
-                        tx.send(Slot::Line(ack)).ok();
-                        break;
-                    }
-                    other => Slot::Line(
-                        serde_json::to_string(&CmdError {
-                            error: format!("unknown cmd '{other}' (expected stats | shutdown)"),
-                            kind: ErrorKind::Invalid.name().into(),
-                        })
-                        .expect("error serializes"),
-                    ),
-                };
-                if tx.send(response).is_err() {
-                    break;
-                }
-                continue;
-            }
 
             let index = job_index;
             job_index += 1;
-            let slot = request
-                .and_then(|value| {
-                    JobSpec::resolve_value(&value, cfg.default_algo, cfg.options)
-                        .map_err(|e| (ErrorKind::Invalid, e.0))
-                })
+            let slot = job
                 .and_then(|resolved| {
                     let cells = resolved.problem.cells();
-                    admit(shared, resolved.algorithm, cells)
-                        .map_err(|e| (ErrorKind::Rejected, e))?;
+                    admit(resolved.algorithm, cells).map_err(|e| (ErrorKind::Rejected, e))?;
                     let (reply_tx, reply_rx) = mpsc::channel();
                     shared.submit(Job {
                         index,
-                        spec: resolved.problem,
-                        algorithm: resolved.algorithm,
-                        options: resolved.options,
+                        resolved,
                         large: cells > cfg.large_job_cells,
                         accepted: Instant::now(),
                         reply: reply_tx,
                     })?;
                     Ok(Slot::Pending(reply_rx))
                 })
-                .unwrap_or_else(|(kind, e)| shared.refuse(index, kind, &e));
+                .unwrap_or_else(|(kind, e)| shared.refuse(index, kind, e));
             if tx.send(slot).is_err() {
                 break;
             }
@@ -1160,33 +1088,38 @@ mod tests {
         assert_eq!(stats.completed, 1);
     }
 
+    /// A job line of `count` values (each 1) of `family`, plus `extra`
+    /// fields.
+    fn job_line(family: &str, count: usize, extra: &str) -> String {
+        let values = vec!["1"; count].join(",");
+        format!("{{\"family\":\"{family}\",\"values\":[{values}]{extra}}}\n")
+    }
+
     #[test]
     fn admission_caps_reject_oversized_jobs() {
-        let cfg = ServeConfig {
-            max_cells: 10,
-            ..ServeConfig::default()
-        };
-        let input = "{\"family\":\"merge\",\"values\":[1,1,1,1,1,1,1,1]}\n";
-        let (lines, stats) = pipe(input, &cfg);
-        assert!(lines[0].contains("job too large"), "{}", lines[0]);
+        // 514 runs: 514·515/2 = 132,355 cells, over the 131,328 cap.
+        let (lines, stats) = pipe(job_line("merge", 514, ""), &ServeConfig::default());
+        assert!(
+            lines[0].contains("job too large: 132355 w-table cells"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("cap 131328"), "{}", lines[0]);
         assert!(lines[0].contains("\"job\":0"), "{}", lines[0]);
         assert_eq!(stats.rejected, 1);
-        // Dense cap: sublinear rejected where reduced is admitted.
-        let cfg = ServeConfig {
-            max_dense_cells: 10,
-            ..ServeConfig::default()
-        };
-        let dims: Vec<String> = (0..9).map(|_| "2".to_string()).collect();
-        let line = format!("{{\"family\":\"chain\",\"values\":[{}]}}", dims.join(","));
-        let (lines, _) = pipe(&line, &cfg);
-        assert!(lines[0].contains("dense"), "{}", lines[0]);
-        assert!(lines[0].contains("reduced"), "{}", lines[0]);
-        let reduced = format!(
-            "{{\"family\":\"chain\",\"values\":[{}],\"algo\":\"reduced\"}}",
-            dims.join(",")
+        // Dense cap: a 98-value chain (n = 97, 4,753 cells, over 4,656)
+        // is refused to sublinear and admitted to reduced.
+        let (lines, _) = pipe(job_line("chain", 98, ""), &ServeConfig::default());
+        assert!(
+            lines[0].contains("dense admission cap 4656"),
+            "{}",
+            lines[0]
         );
-        let (lines, _) = pipe(&reduced, &cfg);
-        assert!(lines[0].contains("\"value\":"), "{}", lines[0]);
+        assert!(lines[0].contains("reduced"), "{}", lines[0]);
+        let reduced = job_line("chain", 98, ",\"algo\":\"reduced\"");
+        let (lines, stats) = pipe(reduced, &ServeConfig::default());
+        assert!(lines[0].contains("\"value\":96"), "{}", lines[0]);
+        assert_eq!((stats.rejected, stats.completed), (0, 1));
     }
 
     #[test]
@@ -1198,36 +1131,32 @@ mod tests {
         assert!(lines[0].contains("\"kind\":\"invalid\""), "{}", lines[0]);
         assert!(lines[1].contains("\"kind\":\"invalid\""), "{}", lines[1]);
         assert!(lines[2].contains("\"kind\":\"invalid\""), "{}", lines[2]);
-        let cfg = ServeConfig {
-            max_cells: 10,
-            ..ServeConfig::default()
-        };
-        let (lines, _) = pipe(
-            "{\"family\":\"merge\",\"values\":[1,1,1,1,1,1,1,1]}\n",
-            &cfg,
-        );
+        let (lines, _) = pipe(job_line("merge", 514, ""), &ServeConfig::default());
         assert!(lines[0].contains("\"kind\":\"rejected\""), "{}", lines[0]);
     }
 
     #[test]
     fn oversized_request_line_is_rejected_without_buffering() {
-        let cfg = ServeConfig {
-            max_line_bytes: 64,
-            ..ServeConfig::default()
-        };
-        let long = format!(
-            "{{\"family\":\"chain\",\"values\":[{}]}}",
-            vec!["2"; 200].join(",")
-        );
-        let input = format!("{long}\n{{\"family\":\"chain\",\"values\":[2,3,4]}}\n");
-        let (lines, stats) = pipe(&input, &cfg);
-        assert_eq!(lines.len(), 2, "{lines:?}");
+        // A job line padded with spaces to exactly the cap is read; one
+        // byte more and it is discarded, terminated or not.
+        let job = "{\"family\":\"chain\",\"values\":[2,3,4]}";
+        let at_cap = format!("{job}{}", " ".repeat(DEFAULT_MAX_LINE_BYTES - job.len()));
+        let input = format!("{at_cap} \n{at_cap}\n{at_cap} ");
+        let (lines, stats) = pipe(&input, &ServeConfig::default());
+        assert_eq!(lines.len(), 3, "{lines:?}");
         assert!(lines[0].contains("\"job\":0"), "{}", lines[0]);
-        assert!(lines[0].contains("exceeds the 64-byte cap"), "{}", lines[0]);
+        assert!(
+            lines[0].contains("exceeds the 1048576-byte cap"),
+            "{}",
+            lines[0]
+        );
         assert!(lines[0].contains("\"kind\":\"rejected\""), "{}", lines[0]);
         // The next line is unaffected — the oversized one was drained.
+        assert!(lines[1].contains("\"job\":1"), "{}", lines[1]);
         assert!(lines[1].contains("\"value\":24"), "{}", lines[1]);
-        assert_eq!(stats.rejected, 1);
+        assert!(lines[2].starts_with("{\"job\":2,"), "{}", lines[2]);
+        assert!(lines[2].contains("\"kind\":\"rejected\""), "{}", lines[2]);
+        assert_eq!(stats.rejected, 2);
         assert_eq!(stats.completed, 1);
     }
 

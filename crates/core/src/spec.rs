@@ -1,12 +1,10 @@
 //! The public wire API: JSONL job specs and result records shared by
 //! `pardp batch`, `pardp serve`, and programmatic front ends.
 //!
-//! PR 5 introduced a JSONL job schema, but its parser lived as private
-//! code in `crates/cli`. This module promotes it behind the façade: one
-//! [`JobSpec`] input shape, one [`JobRecord`] output shape, one
-//! [`BatchSummary`] trailer — so the batch CLI and the serve daemon
-//! cannot drift apart, and library users submit jobs with the exact
-//! semantics the CLI documents.
+//! One [`JobSpec`] input shape, one line reader ([`read_request`]), one
+//! [`JobRecord`] output shape and one [`BatchSummary`] trailer, so the
+//! batch CLI and the serve daemon cannot drift apart, and library users
+//! submit jobs with the exact semantics the CLI documents.
 //!
 //! ## Input: one JSON object per line
 //!
@@ -37,21 +35,30 @@
 //! [`SolveOptions::validate_knob`], so capability errors are identical
 //! whether a job arrives via CLI flag, batch file, or serve socket.
 //!
+//! `pardp batch` and `pardp serve` classify every request line with one
+//! reader, [`read_request`]: a blank line is skipped; a command line
+//! (`{"cmd":"stats"}`) takes no job number, and batch, which runs no
+//! command, answers it in its place with [`command_error`]; every other
+//! line is a job and takes the next number. A job line that is not
+//! UTF-8, not JSON or does not resolve is answered `invalid`
+//! ([`error_record`]) in its slot, and the input goes on. Every wire job
+//! starts from [`wire_options`].
+//!
 //! ## Output: one [`JobRecord`] per job, one [`BatchSummary`] trailer
 //!
+//! Both front ends render a job's answer alike; batch takes its answers
+//! in job order from [`BatchReport::lines`](crate::batch::BatchReport::lines).
 //! Records are deterministic except for `wall_seconds`;
 //! [`JobRecord::deterministic`] zeroes the timing for bit-exact
 //! comparisons between front ends ([`table_hash`] fingerprints the full
 //! solved table, so agreement is checked cell-for-cell, not just on the
 //! goal value).
 
-use crate::batch::BatchResult;
-use crate::exec::ExecBackend;
 use crate::problem::DpProblem;
 use crate::reduced::default_band;
 use crate::solver::{Algorithm, Solution, SolveKnob, SolveOptions};
 use crate::tables::WTable;
-use crate::trace::SolveTrace;
+use crate::trace::{SolveTrace, Termination};
 use crate::weight::Weight;
 
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -425,11 +432,10 @@ impl DpProblem<u64> for SpecProblem {
 
 /// One JSONL job line, exactly as it appears on the wire: the problem
 /// payload plus optional per-job overrides. Parse one with
-/// [`serde_json::from_str`], a whole file with [`parse_jobs`], and turn
-/// it into a runnable job with [`JobSpec::resolve`]. The front ends read
-/// their lines with [`parse_line`] and [`JobSpec::resolve_value`]
-/// ([`resolve_lines`] for a whole batch file), which answer a bad line
-/// instead of failing the file.
+/// [`serde_json::from_str`] and turn it into a runnable job with
+/// [`JobSpec::resolve`]. The front ends read their lines with
+/// [`read_request`], which answers a bad line instead of failing the
+/// input.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobSpec {
     /// Problem family: `chain | obst | polygon | merge`.
@@ -557,10 +563,9 @@ impl JobSpec {
         })
     }
 
-    /// Read a job from a parsed request line ([`parse_line`]) and
-    /// [`resolve`](Self::resolve) it. `pardp batch` and `pardp serve`
-    /// both take this path, so a line that fails is answered `invalid`
-    /// with the same text by either.
+    /// Read a job from a request line's JSON value and
+    /// [`resolve`](Self::resolve) it: the last check of
+    /// [`read_request`].
     pub fn resolve_value(
         value: &Value,
         default_algo: Algorithm,
@@ -572,41 +577,50 @@ impl JobSpec {
     }
 }
 
-/// Read one request line of `pardp batch` or `pardp serve` as JSON. A
-/// line that is not JSON is answered `invalid` with this error's text.
-pub fn parse_line(line: &str) -> Result<Value, SpecError> {
-    serde_json::parse_value(line).map_err(|e| SpecError(format!("line is not a JSON job: {e}")))
+/// The base options of every wire job before its per-job overrides:
+/// the defaults with a fixpoint stop. `pardp solve`, `pardp batch` and
+/// [`ServeConfig::default`](crate::serve::ServeConfig::default) start
+/// from them.
+pub fn wire_options() -> SolveOptions {
+    SolveOptions::default().termination(Termination::Fixpoint)
 }
 
-/// Resolve a `pardp batch` job file: one slot per non-blank line, in
-/// order, so slot `t` is job `t` as `pardp serve` numbers the same
-/// lines. A line that does not resolve keeps its slot, holding the
-/// error serve answers it with.
-pub fn resolve_lines(
-    text: &str,
-    default_algo: Algorithm,
-    base: SolveOptions,
-) -> Vec<Result<ResolvedJob, SpecError>> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| parse_line(line).and_then(|v| JobSpec::resolve_value(&v, default_algo, base)))
-        .collect()
+/// One request line of `pardp batch` or `pardp serve`, classified by
+/// [`read_request`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// A blank line: skipped; it takes no job number.
+    Blank,
+    /// A command line — a JSON object whose `"cmd"` is a string — with
+    /// the command's name. It takes no job number.
+    Command(String),
+    /// A job line: the resolved job, or the error both front ends answer
+    /// it with, kind `invalid`. It takes the next job number.
+    Job(Result<ResolvedJob, SpecError>),
 }
 
-/// Parse a JSONL job file: one [`JobSpec`] per non-blank line. Errors
-/// name the offending 1-based line (`"line 3: ..."`); callers prefix
-/// their own source name (a path, a connection).
-pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, SpecError> {
-    let mut specs = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let spec: JobSpec = serde_json::from_str(line)
-            .map_err(|e| SpecError(format!("line {}: {e}", lineno + 1)))?;
-        specs.push(spec);
+/// Classify one request line (its bytes, `\r\n` tolerated): the one
+/// reader of `pardp batch` and `pardp serve`, so both number and answer
+/// the same lines alike. A job line is checked in this order: not
+/// UTF-8, not JSON, then [`JobSpec::resolve_value`] against
+/// `default_algo` and `base`.
+pub fn read_request(line: &[u8], default_algo: Algorithm, base: SolveOptions) -> Request {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let Ok(line) = std::str::from_utf8(line) else {
+        return Request::Job(Err(SpecError("request line is not UTF-8".into())));
+    };
+    if line.trim().is_empty() {
+        return Request::Blank;
     }
-    Ok(specs)
+    let value = match serde_json::parse_value(line) {
+        Ok(value) => value,
+        Err(e) => return Request::Job(Err(SpecError(format!("line is not a JSON job: {e}")))),
+    };
+    match value.get("cmd") {
+        Some(Value::Str(name)) => Request::Command(name.clone()),
+        _ => Request::Job(JobSpec::resolve_value(&value, default_algo, base)),
+    }
 }
 
 /// The canonical FNV-1a 64 hasher behind every identity in the wire
@@ -779,6 +793,39 @@ pub fn error_record(job: usize, kind: ErrorKind, error: &str) -> String {
     .expect("an error record always serializes")
 }
 
+/// Wire shape of an error line that answers a request with no job
+/// number (see [`command_error`]).
+#[derive(Serialize)]
+struct CommandErrorLine {
+    error: String,
+    kind: String,
+}
+
+/// Render an error line that carries no `job` field:
+/// `{"error":"...","kind":"..."}`.
+pub(crate) fn command_record(kind: ErrorKind, error: &str) -> String {
+    serde_json::to_string(&CommandErrorLine {
+        error: error.to_string(),
+        kind: kind.name().to_string(),
+    })
+    .expect("a command error always serializes")
+}
+
+/// The answer to command line `name` from a front end that does not run
+/// it: `{"error":"...","kind":"invalid"}`, with no `job` field, since a
+/// command takes no job number. `pardp serve` answers a name it does not
+/// know with it, `pardp batch` every command line, so the two answer an
+/// unknown name with the same bytes.
+pub fn command_error(name: &str) -> String {
+    let error = match name {
+        "stats" | "shutdown" => {
+            format!("cmd '{name}' is a pardp serve command; pardp batch runs job lines only")
+        }
+        _ => format!("unknown cmd '{name}' (expected stats | shutdown)"),
+    };
+    command_record(ErrorKind::Invalid, &error)
+}
+
 /// One JSONL result line: the deterministic solve outcome plus timing.
 /// Serialized field order is the wire order; `wall_seconds` is last and
 /// is the only nondeterministic field (see
@@ -836,11 +883,6 @@ impl JobRecord {
         }
     }
 
-    /// Build the record of one batch result.
-    pub fn new(family: &str, r: &BatchResult<u64>) -> Self {
-        Self::of_solution(r.job, family, &r.solution, r.large)
-    }
-
     /// A copy with `wall_seconds` zeroed — every remaining field is a
     /// deterministic function of the job, so two front ends agree on
     /// `deterministic()` output iff they solved identically.
@@ -851,42 +893,29 @@ impl JobRecord {
     }
 }
 
-/// The trailing JSONL summary line of a batch (or of a serve session's
-/// drained queue).
+/// The trailing JSONL summary line of `pardp batch`
+/// ([`BatchReport::summary`](crate::batch::BatchReport::summary)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchSummary {
-    /// Total jobs.
+    /// Jobs answered with a record. Failed jobs and lines that did not
+    /// resolve are left out; they answered with an error line.
     pub jobs: usize,
-    /// Jobs run whole-problem-per-worker.
+    /// Answered jobs of the small regime (whole-problem-per-worker),
+    /// failed ones included.
     pub small_jobs: usize,
-    /// Jobs run on the parallel per-problem path.
+    /// Answered jobs of the large regime (parallel per-problem), failed
+    /// ones included.
     pub large_jobs: usize,
     /// The pool backend (resolved, e.g. `threads(8)`).
     pub backend: String,
     /// Batch wall-clock seconds.
     pub wall_seconds: f64,
-    /// Jobs per second.
+    /// Jobs answered with a record per second.
     pub throughput: f64,
     /// Aggregate candidates over every job.
     pub candidates: u64,
     /// Aggregate improved-cell stores.
     pub writes: u64,
-}
-
-impl BatchSummary {
-    /// Summarise a [`BatchReport`](crate::batch::BatchReport).
-    pub fn new(report: &crate::batch::BatchReport<u64>, backend: ExecBackend) -> Self {
-        BatchSummary {
-            jobs: report.results.len(),
-            small_jobs: report.small_jobs,
-            large_jobs: report.large_jobs,
-            backend: backend.to_string(),
-            wall_seconds: report.wall.as_secs_f64(),
-            throughput: report.throughput,
-            candidates: report.stats.candidates,
-            writes: report.stats.writes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1092,16 +1121,44 @@ mod tests {
     }
 
     #[test]
-    fn parse_jobs_skips_blanks_and_names_bad_lines() {
-        let specs = parse_jobs(
-            "{\"family\":\"chain\",\"values\":[2,3]}\n\
-             \n\
-             {\"family\":\"merge\",\"values\":[4]}\n",
-        )
-        .unwrap();
-        assert_eq!(specs.len(), 2);
-        let e = parse_jobs("\n{\"family\":\"chain\"\n").unwrap_err();
-        assert!(e.0.contains("line 2"), "{e}");
+    fn read_request_classifies_lines_in_check_order() {
+        let read = |line: &[u8]| read_request(line, Algorithm::Sublinear, wire_options());
+        let job = |line: &[u8]| match read(line) {
+            Request::Job(job) => job,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(read(b""), Request::Blank);
+        assert_eq!(read(b" \t\r\n"), Request::Blank);
+        assert_eq!(
+            read(b"{\"cmd\":\"stats\"}\r\n"),
+            Request::Command("stats".into())
+        );
+        let chain = ProblemSpec::chain(vec![2, 3, 4]).unwrap();
+        assert_eq!(
+            job(b"{\"family\":\"chain\",\"values\":[2,3,4]}\r"),
+            JobSpec::from(&chain).resolve(Algorithm::Sublinear, wire_options())
+        );
+        // A "cmd" that is not a string makes a job line, here a bad one.
+        let e = job(b"{\"cmd\":1}").unwrap_err();
+        assert!(e.0.contains("missing field 'family'"), "{e}");
+        // UTF-8 first, then JSON, then the resolve.
+        let e = job(b"\xff{\"family\":\"chain\"").unwrap_err();
+        assert_eq!(e.0, "request line is not UTF-8");
+        let e = job(b"{\"family\":\"chain\"").unwrap_err();
+        assert!(e.0.starts_with("line is not a JSON job: "), "{e}");
+        let e = job(b"{\"family\":\"knapsack\",\"values\":[1]}").unwrap_err();
+        assert!(e.0.contains("unknown problem family"), "{e}");
+    }
+
+    #[test]
+    fn command_errors_carry_no_job_number() {
+        assert_eq!(
+            command_error("bogus"),
+            r#"{"error":"unknown cmd 'bogus' (expected stats | shutdown)","kind":"invalid"}"#
+        );
+        let stats = command_error("stats");
+        assert!(stats.starts_with("{\"error\":\"cmd 'stats' is a pardp serve command"));
+        assert!(stats.ends_with(",\"kind\":\"invalid\"}"), "{stats}");
     }
 
     #[test]
@@ -1190,7 +1247,8 @@ mod tests {
             .algorithm(Algorithm::Sublinear)
             .options(opts)];
         let report = BatchSolver::new().solve_batch(&jobs);
-        let rec = JobRecord::new(spec.family(), &report.results[0]);
+        let r = &report.results[0];
+        let rec = JobRecord::of_solution(r.job, spec.family(), &r.solution, r.large);
         assert_eq!(rec.value, 15125);
         assert_eq!(rec.regime, "small");
         assert!(rec.trace.is_some(), "record_trace jobs carry the trace");
@@ -1201,7 +1259,8 @@ mod tests {
         // Untraced jobs serialize a null trace.
         let jobs = [BatchJob::new(&p).algorithm(Algorithm::Sublinear)];
         let report = BatchSolver::new().solve_batch(&jobs);
-        let rec = JobRecord::new(spec.family(), &report.results[0]);
+        let r = &report.results[0];
+        let rec = JobRecord::of_solution(r.job, spec.family(), &r.solution, r.large);
         assert!(rec.trace.is_none());
         assert!(serde_json::to_string(&rec)
             .unwrap()
@@ -1255,7 +1314,7 @@ mod tests {
         let jobs = [BatchJob::new(&p), BatchJob::new(&p)];
         let solver = BatchSolver::new();
         let report = solver.solve_batch(&jobs);
-        let s = BatchSummary::new(&report, solver.backend());
+        let s = report.summary(solver.backend());
         assert_eq!((s.jobs, s.small_jobs, s.large_jobs), (2, 2, 0));
         assert_eq!(s.candidates, report.stats.candidates);
         let line = serde_json::to_string(&s).unwrap();

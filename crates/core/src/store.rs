@@ -23,11 +23,12 @@
 //!    (key → lookup → solve-miss → insert, each a public method of
 //!    [`CachedSolver`]). The stages themselves are the crate's one
 //!    per-job step (read → solve → write), which `pardp batch`
-//!    ([`BatchSolver::solve_resolved`](crate::batch::BatchSolver::solve_resolved):
+//!    ([`BatchSolver::solve_lines`](crate::batch::BatchSolver::solve_lines):
 //!    intra-batch dedup, one cache shared by both scheduling regimes)
 //!    and `pardp serve` (one cache shared by every worker) run too; both
-//!    report `hits` / `misses` / `warm_starts` and count backend errors
-//!    through a [`ResilientCache`].
+//!    count cache hits, misses and warm starts in the same
+//!    [`JobCounts`](crate::batch::JobCounts) and backend errors through
+//!    a [`ResilientCache`].
 //!
 //! ## Key derivation rules
 //!
@@ -769,7 +770,8 @@ pub const DEFAULT_CACHE_FAILURE_BUDGET: u64 = 8;
 /// answering from compute alone. The serve daemon wraps its configured
 /// cache in one of these and reports [`errors`](ResilientCache::errors)
 /// as the `cache_errors` stats counter; a cache-aware batch wraps its
-/// borrowed cache the same way for [`CacheCounters::errors`].
+/// borrowed cache the same way for
+/// [`JobCounts::cache_errors`](crate::batch::JobCounts::cache_errors).
 ///
 /// `C` is any handle to the backend: an `Arc` (the default) or a plain
 /// reference.
@@ -1007,25 +1009,6 @@ pub fn cached_solve(
         .options(*options)
         .with_cache(cache)
         .solve(spec)
-}
-
-/// Cache traffic counters of one batch run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Jobs served straight from the cache.
-    pub hits: u64,
-    /// Jobs not found in the cache (warm starts included).
-    pub misses: u64,
-    /// Missed jobs seeded from a cached prefix table.
-    pub warm_starts: u64,
-    /// Jobs that duplicated an earlier job in the same batch and reused
-    /// its solution.
-    pub deduped: u64,
-    /// Cache backend errors, counted by the batch's [`ResilientCache`]
-    /// exactly as serve counts `cache_errors`: failed lookups and inserts
-    /// (each degraded its job to a cold solve, [`CacheOutcome::Bypass`])
-    /// and failed warm-start probes.
-    pub errors: u64,
 }
 
 #[cfg(test)]

@@ -194,7 +194,10 @@ pub enum EventKind {
         value: u64,
     },
     /// Final drained counters, emitted once per serve/batch session —
-    /// the machine-readable twin of the human stderr drain line.
+    /// the machine-readable twin of the human stderr drain line. Both
+    /// front ends build it from their
+    /// [`JobCounts`](crate::batch::JobCounts)
+    /// ([`JobCounts::summary`](crate::batch::JobCounts::summary)).
     Summary {
         /// Jobs that passed admission.
         accepted: u64,
@@ -202,11 +205,13 @@ pub enum EventKind {
         rejected: u64,
         /// Malformed or unresolvable request lines.
         invalid: u64,
-        /// Jobs answered with a record.
+        /// Jobs a worker (serve) or the batch answered after they ran:
+        /// with a record, or with an error line for a panic, a timeout or
+        /// a failed Knuth guard. Refused requests are not counted.
         completed: u64,
-        /// Completed jobs solved in the small regime.
+        /// Completed jobs of the small regime.
         completed_small: u64,
-        /// Completed jobs solved in the large regime.
+        /// Completed jobs of the large regime.
         completed_large: u64,
         /// Solves that panicked and were isolated.
         panics: u64,

@@ -66,10 +66,8 @@ proptest! {
                     .large_job_cells(large_cells)
                     .solve_batch(&jobs);
                 prop_assert_eq!(report.results.len(), jobs.len());
-                prop_assert_eq!(
-                    report.small_jobs + report.large_jobs,
-                    jobs.len()
-                );
+                let c = report.counts;
+                prop_assert_eq!(c.completed_small + c.completed_large, jobs.len() as u64);
                 for (r, expect) in report.results.iter().zip(&loop_solutions) {
                     let tag = format!(
                         "{} job {} on {exec} (large_cells={large_cells})",

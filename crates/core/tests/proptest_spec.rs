@@ -52,12 +52,16 @@ proptest! {
             "" => line,
             tile => format!("{},\"tile\":{tile}}}", line.strip_suffix('}').unwrap()),
         };
-        // `parse_jobs` sees the same spec through blank-line noise.
+        // The front ends' reader skips the blank-line noise and reads
+        // each line as the job (or the error) `resolve` makes of the spec.
         let text = format!("\n{line}\n\n{line}\n");
-        let parsed = parse_jobs(&text).unwrap();
-        prop_assert_eq!(parsed.len(), 2);
-        prop_assert_eq!(&parsed[0], &spec);
-        prop_assert_eq!(&parsed[1], &spec);
+        let read: Vec<Request> = text
+            .split('\n')
+            .map(|l| read_request(l.as_bytes(), Algorithm::Sublinear, wire_options()))
+            .filter(|r| *r != Request::Blank)
+            .collect();
+        let expect = Request::Job(spec.resolve(Algorithm::Sublinear, wire_options()));
+        prop_assert_eq!(read, vec![expect.clone(), expect]);
     }
 
     // A validated instance pushed onto the wire and read back builds the

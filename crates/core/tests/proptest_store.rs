@@ -313,30 +313,30 @@ proptest! {
         copies in 2usize..4,
     ) {
         let spec = ProblemSpec::chain(dims).unwrap();
-        let mut jobs: Vec<ResolvedJob> = Vec::new();
+        let mut jobs: Vec<Result<ResolvedJob, SpecError>> = Vec::new();
         for algo in Algorithm::ALL {
             for _ in 0..copies {
-                jobs.push(ResolvedJob {
+                jobs.push(Ok(ResolvedJob {
                     problem: spec.clone(),
                     algorithm: algo,
                     options: opts(),
-                });
+                }));
             }
         }
         let solver = BatchSolver::new().exec(ExecBackend::Threads(2));
         for cache in [None, Some(MemoryCache::new(16))] {
-            let report = solver.solve_resolved(
+            let report = solver.solve_lines(
                 &jobs,
                 cache.as_ref().map(|c| c as &dyn SolutionCache),
             );
             prop_assert_eq!(report.results.len(), jobs.len());
             // Knuth (bypass) is never deduped; the other five are.
             prop_assert_eq!(
-                report.cache.deduped as usize,
+                report.counts.deduped as usize,
                 (Algorithm::ALL.len() - 1) * (copies - 1)
             );
             for r in &report.results {
-                let job = &jobs[r.job];
+                let job = jobs[r.job].as_ref().unwrap();
                 let cold = Solver::new(job.algorithm)
                     .options(job.options)
                     .solve(&job.problem.build());

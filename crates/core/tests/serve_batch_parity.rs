@@ -1,10 +1,11 @@
-//! `pardp batch` and `pardp serve` run one per-job step, so they must
-//! answer alike on the cases where their hand-written copies once
-//! drifted: cache hits, warm starts, cache bypasses, failed Knuth
-//! guards and store faults. Batch is driven through
-//! [`BatchSolver::solve_resolved`] (what `pardp batch` runs), serve
-//! through [`serve_pipe`] on one worker, so occurrence indices of a
-//! fault plan line up with submission order on both sides.
+//! `pardp batch` and `pardp serve` read their lines with one reader and
+//! run one per-job step, so they must number, answer and count alike on
+//! the cases where their hand-written copies once drifted: cache hits,
+//! warm starts, cache bypasses, failed Knuth guards, store faults,
+//! command lines and lines that are not UTF-8. Batch is driven through
+//! [`read_request`] and [`BatchSolver::solve_lines`] (what `pardp batch`
+//! runs), serve through [`serve_pipe`] on one worker, so occurrence
+//! indices of a fault plan line up with submission order on both sides.
 
 use std::sync::Arc;
 
@@ -63,9 +64,9 @@ fn cache_events(events: &[Event], jobs: usize) -> Vec<Option<&'static str>> {
 }
 
 /// Serve's answer lines with `wall_seconds` zeroed in records.
-fn serve_lines(input: &str, config: &ServeConfig) -> (Vec<String>, ServeStats) {
+fn serve_lines(input: &[u8], config: &ServeConfig) -> (Vec<String>, ServeStats) {
     let mut out = Vec::new();
-    let stats = serve_pipe(input.as_bytes(), &mut out, config);
+    let stats = serve_pipe(input, &mut out, config);
     let lines = String::from_utf8(out)
         .unwrap()
         .lines()
@@ -81,37 +82,45 @@ fn deterministic(line: &str) -> String {
     }
 }
 
-/// Batch's answer lines in submission order, as `pardp batch` prints
-/// them (records with `wall_seconds` zeroed).
+/// Batch's answer lines in request order, as `pardp batch` prints them
+/// (records with `wall_seconds` zeroed): each line goes through the
+/// reader, a command line is answered in its place, and the jobs are
+/// answered by `solve_lines` in job order.
 fn batch_lines(
-    input: &str,
-    cache: &dyn SolutionCache,
+    input: &[u8],
+    cache: Option<&dyn SolutionCache>,
     telemetry: Arc<Telemetry>,
-) -> (Vec<String>, CachedBatchReport) {
+) -> (Vec<String>, BatchReport<u64>) {
     let config = ServeConfig::default();
-    let jobs: Vec<ResolvedJob> = parse_jobs(input)
-        .unwrap()
-        .iter()
-        .map(|s| s.resolve(config.default_algo, config.options).unwrap())
-        .collect();
+    let (mut jobs, mut answers) = (Vec::new(), Vec::new());
+    for line in input.split(|&b| b == b'\n') {
+        match read_request(line, config.default_algo, config.options) {
+            Request::Blank => {}
+            Request::Command(name) => answers.push(Some(command_error(&name))),
+            Request::Job(job) => {
+                jobs.push(job);
+                answers.push(None);
+            }
+        }
+    }
     let report = BatchSolver::new()
         .telemetry(Some(telemetry))
-        .solve_resolved(&jobs, Some(cache));
-    let mut lines: Vec<(usize, String)> = report.errors.iter().map(|e| (e.job, e.line())).collect();
-    for r in &report.results {
-        let record = JobRecord::new(jobs[r.job].problem.family(), r).deterministic();
-        lines.push((r.job, serde_json::to_string(&record).unwrap()));
-    }
-    lines.sort_by_key(|(job, _)| *job);
-    (lines.into_iter().map(|(_, l)| l).collect(), report)
+        .solve_lines(&jobs, cache);
+    let mut job_lines = report.lines(&jobs).into_iter();
+    let lines = answers
+        .into_iter()
+        .map(|answer| deterministic(&answer.or_else(|| job_lines.next()).unwrap()))
+        .collect();
+    (lines, report)
 }
 
 #[test]
 fn batch_and_serve_answer_a_cached_corpus_alike() {
     let (serve_ring, serve_tel) = ring();
-    let (served, stats) = serve_lines(CORPUS, &one_worker(seeded_cache(), serve_tel));
+    let (served, stats) = serve_lines(CORPUS.as_bytes(), &one_worker(seeded_cache(), serve_tel));
     let (batch_ring, batch_tel) = ring();
-    let (batched, report) = batch_lines(CORPUS, seeded_cache().as_ref(), batch_tel);
+    let cache = seeded_cache();
+    let (batched, report) = batch_lines(CORPUS.as_bytes(), Some(cache.as_ref()), batch_tel);
 
     assert_eq!(served.len(), 6, "{served:?}");
     assert_eq!(batched, served, "deterministic records and error lines");
@@ -124,13 +133,14 @@ fn batch_and_serve_answer_a_cached_corpus_alike() {
 
     // Counters agree, except that batch reports the in-batch repeat as
     // `deduped` where serve (which has no batch to dedup) reports a hit.
-    let c = report.cache;
-    assert_eq!((c.hits, c.deduped), (0, 1));
-    assert_eq!(stats.cache_hits, c.hits + c.deduped);
-    assert_eq!(stats.cache_misses, c.misses);
+    let c = report.counts;
+    assert_eq!((c.cache_hits, c.deduped), (0, 1));
+    assert_eq!(stats.cache_hits, c.cache_hits + c.deduped);
+    assert_eq!(stats.cache_misses, c.cache_misses);
     assert_eq!(stats.warm_starts, c.warm_starts);
-    assert_eq!(stats.cache_errors, c.errors);
-    assert_eq!((c.misses, c.warm_starts, c.errors), (3, 1, 0));
+    assert_eq!(stats.cache_errors, c.cache_errors);
+    assert_eq!((c.cache_misses, c.warm_starts, c.cache_errors), (3, 1, 0));
+    assert_eq!((stats.completed, c.completed), (6, 6));
 
     // Per job the same cache outcome, the repeat aside.
     let serve_events = cache_events(&serve_ring.events(), 6);
@@ -158,8 +168,8 @@ fn batch_counts_store_faults_like_serve() {
     // lookup fails (a bypass that stores nothing), then the first insert
     // fails (a miss downgraded to a bypass). n = 2 has no warm-start
     // prefix, so each job probes one read and at most one write.
-    let input = "{\"family\":\"chain\",\"values\":[2,3,4]}\n\
-                 {\"family\":\"chain\",\"values\":[3,4,5]}\n";
+    let input = b"{\"family\":\"chain\",\"values\":[2,3,4]}\n\
+                  {\"family\":\"chain\",\"values\":[3,4,5]}\n";
     let faulty = || {
         let plan = Arc::new(
             FaultPlan::new()
@@ -175,12 +185,12 @@ fn batch_counts_store_faults_like_serve() {
     let (served, stats) = serve_lines(input, &one_worker(serve_cache, serve_tel));
     let (batch_cache, batch_plan) = faulty();
     let (batch_ring, batch_tel) = ring();
-    let (batched, report) = batch_lines(input, batch_cache.as_ref(), batch_tel);
+    let (batched, report) = batch_lines(input, Some(batch_cache.as_ref()), batch_tel);
 
     assert_eq!(batched, served, "store faults never change an answer");
-    let c = report.cache;
+    let c = report.counts;
     assert_eq!(
-        (c.hits, c.misses, c.warm_starts, c.errors),
+        (c.cache_hits, c.cache_misses, c.warm_starts, c.cache_errors),
         (
             stats.cache_hits,
             stats.cache_misses,
@@ -188,7 +198,7 @@ fn batch_counts_store_faults_like_serve() {
             stats.cache_errors
         ),
     );
-    assert_eq!((c.misses, c.errors), (0, 2));
+    assert_eq!((c.cache_misses, c.cache_errors), (0, 2));
     assert_eq!(
         cache_events(&batch_ring.events(), 2),
         cache_events(&serve_ring.events(), 2),
@@ -201,4 +211,63 @@ fn batch_counts_store_faults_like_serve() {
         assert_eq!(batch_plan.occurrences(site), serve_plan.occurrences(site));
         assert_eq!(batch_plan.injected(site), 1);
     }
+}
+
+/// A command serve does not know, one it runs, a line that is not UTF-8,
+/// a failed Knuth guard and plain jobs.
+const DRIFT: &[u8] = b"{\"cmd\":\"bogus\"}\n\
+    {\"family\":\"chain\",\"values\":[30,35,15,5,10,20,25]}\n\
+    {\"cmd\":\"stats\"}\n\
+    \xff\n\
+    {\"family\":\"chain\",\"values\":[10,1,10,1,10,1,10],\"algo\":\"knuth\"}\n\
+    \n\
+    {\"family\":\"chain\",\"values\":[2,3,4]}\n";
+
+#[test]
+fn batch_and_serve_number_answer_and_count_command_and_bad_lines_alike() {
+    let (serve_ring, serve_tel) = ring();
+    let config = ServeConfig {
+        exec: ExecBackend::Threads(1),
+        telemetry: Some(serve_tel),
+        ..ServeConfig::default()
+    };
+    let (served, _) = serve_lines(DRIFT, &config);
+    let (batch_ring, batch_tel) = ring();
+    let (batched, report) = batch_lines(DRIFT, None, batch_tel);
+
+    // One answer per non-blank line, in request order. Job lines carry
+    // the same number and the same answer in both front ends; commands
+    // take no number.
+    assert_eq!(served.len(), 6, "{served:?}");
+    assert_eq!(batched.len(), served.len(), "{batched:?}");
+    for i in [0, 1, 3, 4, 5] {
+        assert_eq!(batched[i], served[i], "line {i}");
+    }
+    assert_eq!(
+        served[0],
+        r#"{"error":"unknown cmd 'bogus' (expected stats | shutdown)","kind":"invalid"}"#
+    );
+    assert!(served[1].starts_with("{\"job\":0,"), "{}", served[1]);
+    assert_eq!(
+        served[3],
+        r#"{"job":1,"error":"request line is not UTF-8","kind":"invalid"}"#
+    );
+    assert!(served[4].starts_with("{\"job\":2,\"error\":\"knuth speedup"));
+    assert!(served[5].starts_with("{\"job\":3,") && served[5].contains("\"value\":24"));
+    // Serve runs `stats`; batch runs no command and answers it in its
+    // place, with no job number.
+    assert!(served[2].starts_with("{\"stats\":{"), "{}", served[2]);
+    assert_eq!(batched[2], command_error("stats"));
+
+    // The two summary events agree on every count.
+    let summary = |events: Vec<Event>| events.last().map(|e| e.kind.clone());
+    let served_summary = summary(serve_ring.events());
+    assert_eq!(summary(batch_ring.events()), served_summary);
+    assert_eq!(served_summary, Some(report.counts.summary()));
+    let c = report.counts;
+    assert_eq!((c.accepted, c.invalid, c.rejected), (3, 1, 0));
+    assert_eq!(
+        (c.completed, c.completed_small, c.completed_large),
+        (3, 3, 0)
+    );
 }

@@ -9,7 +9,6 @@ use std::net::TcpStream;
 
 use pardp_core::prelude::*;
 use pardp_core::serve::{serve_pipe, ServeConfig, Server};
-use pardp_core::spec::parse_jobs;
 use serde::Deserialize as _;
 
 /// A mixed-family, mixed-algorithm job corpus (every line is also valid
@@ -29,15 +28,27 @@ fn serve_lines(input: &str, config: &ServeConfig) -> (Vec<String>, ServeStats) {
     (text.lines().map(str::to_string).collect(), stats)
 }
 
+/// The jobs of a corpus of valid job lines, read as both front ends
+/// read them.
+fn resolved(input: &str, config: &ServeConfig) -> Vec<ResolvedJob> {
+    input
+        .lines()
+        .map(
+            |line| match read_request(line.as_bytes(), config.default_algo, config.options) {
+                Request::Job(job) => job.unwrap(),
+                other => panic!("{other:?}"),
+            },
+        )
+        .collect()
+}
+
 /// The expected records for a job corpus: a plain sequential loop of
 /// façade solves under the serve/batch defaults.
 fn loop_records(input: &str, config: &ServeConfig) -> Vec<JobRecord> {
-    parse_jobs(input)
-        .unwrap()
-        .iter()
+    resolved(input, config)
+        .into_iter()
         .enumerate()
-        .map(|(i, spec)| {
-            let r = spec.resolve(config.default_algo, config.options).unwrap();
+        .map(|(i, r)| {
             let problem = r.problem.build();
             let solution = Solver::new(r.algorithm).options(r.options).solve(&problem);
             let large = r.problem.cells() > config.large_job_cells;
@@ -69,11 +80,7 @@ fn pipe_responses_match_batch_solver_records() {
     let config = ServeConfig::default();
     let (lines, _) = serve_lines(CORPUS, &config);
 
-    let resolved: Vec<_> = parse_jobs(CORPUS)
-        .unwrap()
-        .iter()
-        .map(|s| s.resolve(config.default_algo, config.options).unwrap())
-        .collect();
+    let resolved = resolved(CORPUS, &config);
     let problems: Vec<SpecProblem> = resolved.iter().map(|r| r.problem.build()).collect();
     let jobs: Vec<BatchJob<'_, u64>> = problems
         .iter()
@@ -83,7 +90,8 @@ fn pipe_responses_match_batch_solver_records() {
     let report = BatchSolver::new().solve_batch(&jobs);
 
     for (line, r) in lines.iter().zip(&report.results) {
-        let expect = JobRecord::new(resolved[r.job].problem.family(), r);
+        let family = resolved[r.job].problem.family();
+        let expect = JobRecord::of_solution(r.job, family, &r.solution, r.large);
         assert_eq!(record(line).deterministic(), expect.deterministic());
     }
 }

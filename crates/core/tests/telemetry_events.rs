@@ -313,23 +313,29 @@ fn stats_report_watermark_percentiles_and_work() {
 fn batch_jobs_emit_consecutive_chains_in_submission_order() {
     let ring = Arc::new(RingSink::new(4096));
     let telemetry = Arc::new(Telemetry::new(Arc::clone(&ring) as Arc<dyn EventSink>));
-    // Events ride the resolved (cache-aware) path — the same one the
-    // CLI `batch` command and the serve daemon use.
-    let specs = parse_jobs(&corpus(3)).unwrap();
-    let base = SolveOptions::default().termination(Termination::Fixpoint);
-    let resolved: Vec<ResolvedJob> = specs
-        .iter()
-        .map(|s| s.resolve(Algorithm::Sublinear, base).unwrap())
+    // Events ride the wire (cache-aware) path — the same one the CLI
+    // `batch` command runs, through the reader the serve daemon uses.
+    let jobs: Vec<_> = corpus(3)
+        .lines()
+        .map(
+            |line| match read_request(line.as_bytes(), Algorithm::Sublinear, wire_options()) {
+                Request::Job(job) => job,
+                other => panic!("{other:?}"),
+            },
+        )
         .collect();
     let report = BatchSolver::new()
         .telemetry(Some(Arc::clone(&telemetry)))
-        .solve_resolved(&resolved, None);
+        .solve_lines(&jobs, None);
     assert_eq!(report.results.len(), 3);
 
     let events = ring.events();
     // Batch emission happens at assembly time, so each job's chain is
-    // consecutive: four events per job, in submission order.
-    assert_eq!(events.len(), 12);
+    // consecutive: four events per job, in submission order, then the
+    // summary of the run's counts.
+    assert_eq!(events.len(), 13);
+    assert_eq!(events[12].kind, report.counts.summary());
+    assert_eq!(report.counts.completed, 3);
     for (i, e) in events.iter().enumerate() {
         assert_eq!(e.seq, i as u64);
     }

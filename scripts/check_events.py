@@ -16,7 +16,15 @@ documented on `pardp_core::telemetry`:
     either `cache` and one terminal — `completed`, or `rejected` with
     kind `invalid` (a failed Knuth guard) — when the solve returned, or
     a lone `panic` / `timeout` when it did not; or a lone `rejected` for
-    a request that never ran.
+    a request that never ran;
+  * a `summary` event agrees with the events before it: `accepted` is
+    the number of `admitted` events, `completed` the number of `regime`
+    events (`completed_small` / `completed_large` split by regime),
+    `panics` / `timeouts` the `panic` / `timeout` events, `cache_hits`
+    the `cache` events with outcome `hit`, `cache_misses` those with
+    `miss` or `warm`, `warm_starts` those with `warm`, and `invalid` /
+    `rejected` the lone `rejected` events of kind `invalid` / of any
+    other kind. `cache_errors` has no event and is not checked.
 
 Non-event lines (the human-readable drain line on stderr, blank lines)
 are skipped, so the checker can be pointed at a raw `2>` capture of
@@ -31,6 +39,7 @@ otherwise.
 
 import json
 import sys
+from collections import Counter
 
 # event name -> {field: type}; `seq` is checked globally.
 SCHEMAS = {
@@ -118,12 +127,46 @@ def check_lifecycle(lineno, event, obj, jobs):
     jobs[job] = event
 
 
+def count_event(event, obj, prior, seen):
+    """Tally what the per-job events show; `prior` is the job's state
+    before this event ("new" for a request that has not been admitted)."""
+    if event == "regime":
+        seen["regime_" + obj["regime"]] += 1
+    elif event == "cache":
+        seen["cache_" + obj["outcome"]] += 1
+    elif event == "rejected" and prior == "new":
+        seen["lone_invalid" if obj["kind"] == "invalid" else "lone_rejected"] += 1
+    elif event in ("admitted", "panic", "timeout"):
+        seen[event] += 1
+
+
+def check_summary(lineno, obj, seen):
+    small, large = seen["regime_small"], seen["regime_large"]
+    expected = {
+        "accepted": seen["admitted"],
+        "completed": small + large,
+        "completed_small": small,
+        "completed_large": large,
+        "panics": seen["panic"],
+        "timeouts": seen["timeout"],
+        "cache_hits": seen["cache_hit"],
+        "cache_misses": seen["cache_miss"] + seen["cache_warm"],
+        "warm_starts": seen["cache_warm"],
+        "invalid": seen["lone_invalid"],
+        "rejected": seen["lone_rejected"],
+    }
+    for field, want in expected.items():
+        if obj[field] != want:
+            fail(lineno, f"summary.{field} is {obj[field]}, the stream's events show {want}")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} EVENTS.log")
     expected_seq = 0
     events = 0
     jobs = {}
+    seen = Counter()
     with open(sys.argv[1]) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -143,6 +186,9 @@ def main():
             expected_seq += 1
             events += 1
             check_fields(lineno, event, obj)
+            if event == "summary":
+                check_summary(lineno, obj, seen)
+            count_event(event, obj, jobs.get(obj.get("job"), "new"), seen)
             check_lifecycle(lineno, event, obj, jobs)
     unfinished = sorted(
         job for job, state in jobs.items() if state not in TERMINALS and state != "rejected"
