@@ -112,19 +112,18 @@ fn main() {
             let spec = ProblemSpec::chain(chain.dims().to_vec()).expect("valid chain");
             let m = (3 * n / 4).max(2);
             let prefix = spec.prefix(m).expect("2 <= m < n");
+            let solver = Solver::new(algo).options(opts());
 
             // Cold baseline.
-            let (cold, cold_seconds) = time_best(reps, || {
-                Solver::new(algo).options(opts()).solve(&spec.build())
-            });
+            let (cold, cold_seconds) = time_best(reps, || solver.solve(&spec.build()));
 
             // Hit: populate once, then every timed repeat is a pure
             // cache read.
             let cache = MemoryCache::new(8);
-            let (_, miss_outcome) = cached_solve(&cache, &spec, algo, &opts());
+            let (_, miss_outcome) = solver.with_cache(&cache).solve(&spec);
             assert_eq!(miss_outcome, CacheOutcome::Miss);
             let ((hit, hit_outcome), hit_seconds) =
-                time_best(reps, || cached_solve(&cache, &spec, algo, &opts()));
+                time_best(reps, || solver.with_cache(&cache).solve(&spec));
             assert_eq!(hit_outcome, CacheOutcome::Hit);
 
             // Warm: only the prefix record is cached. Each timed repeat
@@ -133,13 +132,18 @@ fn main() {
             let prefix_key = ProblemKey::derive(&prefix, algo, &opts()).expect("cacheable");
             let warm_seed = {
                 let seed_cache = MemoryCache::new(8);
-                cached_solve(&seed_cache, &prefix, algo, &opts());
-                seed_cache.get(prefix_key).expect("prefix record stored")
+                solver.with_cache(&seed_cache).solve(&prefix);
+                seed_cache
+                    .get(prefix_key)
+                    .expect("memory reads cannot fail")
+                    .expect("prefix record stored")
             };
             let ((warm, warm_outcome), warm_seconds) = time_best(reps, || {
                 let fresh = MemoryCache::new(8);
-                fresh.put(prefix_key, warm_seed.clone());
-                cached_solve(&fresh, &spec, algo, &opts())
+                fresh
+                    .put(prefix_key, warm_seed.clone())
+                    .expect("memory writes cannot fail");
+                solver.with_cache(&fresh).solve(&spec)
             });
             assert_eq!(warm_outcome, CacheOutcome::Warm { seed_n: m });
 

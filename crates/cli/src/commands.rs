@@ -470,12 +470,10 @@ fn solve_with(
     // With a cache attached the solve runs key → lookup → solve-miss →
     // insert; cached tables are bit-identical to the cold path, so the
     // witness and the Knuth guard below see the same `w` either way.
+    let solver = Solver::new(algo).options(opts);
     let (sol, outcome) = match cache {
-        Some(c) => cached_solve(c, spec, algo, &opts),
-        None => (
-            Solver::new(algo).options(opts).solve(&p),
-            CacheOutcome::Bypass,
-        ),
+        Some(c) => solver.with_cache(c).solve(spec),
+        None => (solver.solve(&p), CacheOutcome::Bypass),
     };
 
     // The Knuth-Yao speedup is only valid on quadrangle-inequality

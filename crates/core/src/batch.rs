@@ -846,7 +846,7 @@ mod tests {
             p: vec![1, 2, 3],
             q: vec![1, 1, 1],
         };
-        let seed = job::probe(&cache, &broken, Algorithm::Sublinear, &opts);
+        let seed = job::probe(&cache, &broken, Algorithm::Sublinear, &opts).unwrap();
         assert_eq!(seed.map(|(m, _)| m), Some(3), "the job warm-starts");
 
         let report = solver.solve_lines(&[resolved(broken), resolved(prefix)], Some(&cache));

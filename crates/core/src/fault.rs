@@ -46,12 +46,14 @@
 //!   do not iterate and are bounded by the admission caps instead). A
 //!   timed-out job writes a `timeout` error line, releases the regime
 //!   gate, and its partial table is **never** cached.
-//! * **Store errors** degrade to cache misses:
-//!   [`ResilientCache`](crate::store::ResilientCache) counts each
-//!   lookup/insert failure ([`CacheOutcome::Bypass`]), and disables the
-//!   cache after a bounded failure budget so a dying disk cannot add
-//!   per-job latency forever. Corrupt records are skipped at open — a
-//!   bad page anywhere in the file costs only the records on it.
+//! * **Store errors** degrade the job to a bypass:
+//!   [`ResilientCache`](crate::store::ResilientCache) counts each failing
+//!   lookup, warm-start probe or insert, the job reports
+//!   [`CacheOutcome::Bypass`] and stores nothing (a failing read also
+//!   solves it cold), and the cache is disabled after a bounded failure
+//!   budget so a dying disk cannot add per-job latency forever. Corrupt
+//!   records are skipped at open — a bad page anywhere in the file costs
+//!   only the records on it.
 //!
 //! ## Writing a chaos test
 //!
@@ -158,11 +160,11 @@ impl CancelToken {
 /// [`FaultPlan`] can inject a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A solution-store lookup fails with an IO error
-    /// (injected by [`FaultyCache::try_get`]).
+    /// A solution-store read — a lookup or a warm-start probe — fails
+    /// with an IO error (injected by [`FaultyCache`]'s `get`).
     StoreRead,
     /// A solution-store insert fails with an IO error
-    /// (injected by [`FaultyCache::try_put`]).
+    /// (injected by [`FaultyCache`]'s `put`).
     StoreWrite,
     /// A [`FileStore`](crate::store::FileStore) append writes only part
     /// of its record — mid-file corruption the next open must skip
@@ -332,11 +334,12 @@ impl FaultPlan {
 /// [`FaultSite::StoreWrite`] errors per plan — the chaos-test stand-in
 /// for a failing disk.
 ///
-/// Only the fallible entry points ([`SolutionCache::try_get`] /
-/// [`SolutionCache::try_put`]) inject; the infallible `get` / `put`
-/// pass straight through, so warm-start probes (which use `get`) do not
-/// consume occurrence indices and every cacheable job probes exactly
-/// one `StoreRead` occurrence and at most one `StoreWrite` occurrence.
+/// Every [`get`](SolutionCache::get) takes one `StoreRead` occurrence and
+/// every [`put`](SolutionCache::put) one `StoreWrite` occurrence, so a
+/// job's ledger is the same through the façade, `pardp batch` and `pardp
+/// serve`: one read for its lookup, one per warm-start probe size (a
+/// size-`n` miss probes `n-1` down to 2 until a prefix answers or a read
+/// fails) and at most one write.
 pub struct FaultyCache {
     inner: Arc<dyn SolutionCache>,
     plan: Arc<FaultPlan>,
@@ -350,30 +353,22 @@ impl FaultyCache {
 }
 
 impl SolutionCache for FaultyCache {
-    fn get(&self, key: ProblemKey) -> Option<CachedSolution> {
+    fn get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
+        if self.plan.should(FaultSite::StoreRead) {
+            return Err(StoreError("injected store read error".into()));
+        }
         self.inner.get(key)
     }
 
-    fn put(&self, key: ProblemKey, solution: CachedSolution) {
-        self.inner.put(key, solution);
+    fn put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
+        if self.plan.should(FaultSite::StoreWrite) {
+            return Err(StoreError("injected store write error".into()));
+        }
+        self.inner.put(key, solution)
     }
 
     fn len(&self) -> usize {
         self.inner.len()
-    }
-
-    fn try_get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
-        if self.plan.should(FaultSite::StoreRead) {
-            return Err(StoreError("injected store read error".into()));
-        }
-        self.inner.try_get(key)
-    }
-
-    fn try_put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
-        if self.plan.should(FaultSite::StoreWrite) {
-            return Err(StoreError("injected store write error".into()));
-        }
-        self.inner.try_put(key, solution)
     }
 }
 

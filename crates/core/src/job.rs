@@ -3,8 +3,8 @@
 //!
 //! 1. **Read** ([`read`]) — key → lookup → warm-seed probe. A job with
 //!    no key (trace recording, Knuth) or no cache bypasses the store; a
-//!    failing lookup degrades the job to a cold solve that stores
-//!    nothing.
+//!    failing read, the lookup's or a probe's, degrades the job to a cold
+//!    solve that stores nothing.
 //! 2. **Solve** ([`Pending::solve`]) — the seeded or cold solve. The
 //!    wire front ends pass the job's [`Regime`]: its backend rule comes
 //!    first and the Knuth guard ([`verify_knuth`]) after, and both front
@@ -62,10 +62,10 @@ pub(crate) fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 /// The job counts of a `pardp batch` run or a `pardp serve` session: the
-/// twelve counts of its `summary` event ([`JobCounts::summary`]) plus
-/// batch's `deduped`. Both front ends count every job answered after it
-/// ran through one respond step, and every request refused before it ran
-/// through one refuse step.
+/// thirteen counts of its `summary` event ([`JobCounts::summary`]). Both
+/// front ends count every job answered after it ran through one respond
+/// step, and every request refused before it ran through one refuse
+/// step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobCounts {
     /// Jobs that passed admission (batch: lines that resolved).
@@ -124,6 +124,7 @@ impl JobCounts {
             cache_misses: self.cache_misses,
             warm_starts: self.warm_starts,
             cache_errors: self.cache_errors,
+            deduped: self.deduped,
         }
     }
 }
@@ -201,9 +202,13 @@ pub(crate) fn read(
                     key: None,
                 });
             }
-            Ok(None) => (key, seed) = (Some(k), probe(cache, spec, algorithm, options)),
-            // A failing backend: solve cold and store nothing, so one
-            // failing disk costs one error, not three.
+            // A failing read, the lookup's or a probe's: solve cold and
+            // store nothing, so one failing disk costs one error.
+            Ok(None) => {
+                if let Ok(found) = probe(cache, spec, algorithm, options) {
+                    (key, seed) = (Some(k), found);
+                }
+            }
             Err(_) => {}
         }
     }
@@ -223,7 +228,7 @@ pub(crate) fn lookup(
     algorithm: Algorithm,
     key: ProblemKey,
 ) -> Result<Option<Solution<u64>>, StoreError> {
-    let cached = cache.try_get(key)?.filter(|c| c.answers(spec, algorithm));
+    let cached = cache.get(key)?.filter(|c| c.answers(spec, algorithm));
     Ok(cached.and_then(|c| c.to_solution().ok()))
 }
 
@@ -234,32 +239,39 @@ pub(crate) fn insert(
     key: ProblemKey,
     solution: &Solution<u64>,
 ) -> Result<(), StoreError> {
-    cache.try_put(key, CachedSolution::of_solution(spec.family(), solution))
+    cache.put(key, CachedSolution::of_solution(spec.family(), solution))
 }
 
 /// The warm-seed probe: the largest cached strict-prefix table of
 /// `spec` (sizes `n-1` down to 2), for the algorithms with a seeded
-/// solve. Rytter has none: its misses solve cold.
+/// solve. Rytter has none: its misses solve cold. Each size is one
+/// read, and the first failing read ends the probe with its error.
 pub(crate) fn probe(
     cache: &dyn SolutionCache,
     spec: &ProblemSpec,
     algorithm: Algorithm,
     options: &SolveOptions,
-) -> Option<(usize, WTable<u64>)> {
+) -> Result<Option<(usize, WTable<u64>)>, StoreError> {
     if !matches!(
         algorithm,
         Algorithm::Sequential | Algorithm::Wavefront | Algorithm::Sublinear | Algorithm::Reduced
     ) {
-        return None;
+        return Ok(None);
     }
-    (2..spec.n()).rev().find_map(|m| {
-        let prefix = spec.prefix(m)?;
-        let cached = cache.get(ProblemKey::derive(&prefix, algorithm, options)?)?;
-        let seed = cached
-            .answers(&prefix, algorithm)
-            .then(|| cached.to_table());
-        Some((m, seed?.ok()?))
-    })
+    (2..spec.n())
+        .rev()
+        .find_map(|m| {
+            let prefix = spec.prefix(m)?;
+            let cached = match cache.get(ProblemKey::derive(&prefix, algorithm, options)?) {
+                Ok(cached) => cached?,
+                Err(e) => return Some(Err(e)),
+            };
+            let seed = cached
+                .answers(&prefix, algorithm)
+                .then(|| cached.to_table());
+            Some(Ok((m, seed?.ok()?)))
+        })
+        .transpose()
 }
 
 /// The seeded or cold solve of `problem`: a cold solve goes through the

@@ -137,13 +137,13 @@ pub mod prelude {
         SpecProblem,
     };
     pub use crate::store::{
-        cached_solve, CacheOutcome, CachedSolution, CachedSolver, FileStore, MemoryCache,
-        ProblemKey, ResilientCache, SolutionCache, StoreError, StoreStat,
+        CacheOutcome, CachedSolution, CachedSolver, FileStore, MemoryCache, ProblemKey,
+        ResilientCache, SolutionCache, StoreError, StoreStat,
     };
     pub use crate::tables::WTable;
     pub use crate::telemetry::{
-        Event, EventKind, EventSink, LatencyHistogram, LogLevel, NullSink, RingSink, Telemetry,
-        WorkSpan, WriterSink,
+        Event, EventKind, EventSink, LatencyHistogram, LogLevel, RingSink, Telemetry, WorkSpan,
+        WriterSink,
     };
     pub use crate::trace::{StopReason, Termination};
     pub use crate::weight::Weight;

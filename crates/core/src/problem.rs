@@ -209,13 +209,6 @@ impl<W: Weight> TabulatedProblem<W> {
         self.name = name.into();
         self
     }
-
-    /// Overwrite a single `f` entry (used by adversarial generators).
-    pub fn set_f(&mut self, i: usize, k: usize, j: usize, v: W) {
-        assert!(i < k && k < j && j <= self.n);
-        let m = self.n + 1;
-        self.f[(i * m + k) * m + j] = v;
-    }
 }
 
 impl<W: Weight> DpProblem<W> for TabulatedProblem<W> {
@@ -266,14 +259,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn set_f_overrides() {
-        let mut tab = TabulatedProblem::new(vec![0u64; 3], |_, _, _| 5);
-        tab.set_f(0, 1, 3, 99);
-        assert_eq!(tab.f(0, 1, 3), 99);
-        assert_eq!(tab.f(0, 1, 2), 5);
     }
 
     #[test]

@@ -34,37 +34,6 @@ pub fn solve_sequential<W: Weight, P: DpProblem<W> + ?Sized>(problem: &P) -> WTa
     w
 }
 
-/// The optimal split points alongside the table: `root(i,j)` is the
-/// smallest `k` achieving `w(i,j)`.
-pub fn solve_sequential_with_roots<W: Weight, P: DpProblem<W> + ?Sized>(
-    problem: &P,
-) -> (WTable<W>, Vec<usize>) {
-    let n = problem.n();
-    let m = n + 1;
-    let mut w = WTable::new(n);
-    let mut roots = vec![0usize; m * m];
-    for i in 0..n {
-        w.set(i, i + 1, problem.init(i));
-    }
-    for d in 2..=n {
-        for i in 0..=n - d {
-            let j = i + d;
-            let mut best = W::INFINITY;
-            let mut best_k = i + 1;
-            for k in i + 1..j {
-                let cand = w.get(i, k).add(w.get(k, j)).add(problem.f(i, k, j));
-                if cand < best {
-                    best = cand;
-                    best_k = k;
-                }
-            }
-            w.set(i, j, best);
-            roots[i * m + j] = best_k;
-        }
-    }
-    (w, roots)
-}
-
 /// The Knuth–Yao `O(n^2)` speedup: restrict the split search for `(i,j)`
 /// to `[root(i,j-1), root(i+1,j)]`.
 ///
@@ -238,22 +207,6 @@ mod tests {
                         assert_eq!(w.get(i, j), brute_force_value(&p, i, j), "n={n} ({i},{j})");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn roots_achieve_the_optimum() {
-        let p = clrs_chain();
-        let (w, roots) = solve_sequential_with_roots(&p);
-        let n = p.n();
-        let m = n + 1;
-        for i in 0..n {
-            for j in i + 2..=n {
-                let k = roots[i * m + j];
-                assert!(i < k && k < j);
-                let via = w.get(i, k).add(w.get(k, j)).add(p.f(i, k, j));
-                assert_eq!(via, w.get(i, j), "({i},{j}) via k={k}");
             }
         }
     }

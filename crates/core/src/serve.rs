@@ -72,9 +72,10 @@
 //!   ([`SolveOptions::deadline`]) — the job answers with a `timeout`
 //!   error line, releases the regime gate, and its partial table is
 //!   never cached;
-//! * cache backend failures degrade to misses behind a
-//!   [`ResilientCache`] ([`ServeStats::cache_errors`]), with the
-//!   backend disabled after a bounded failure budget;
+//! * cache backend failures (a lookup, a warm-start probe or an insert)
+//!   degrade their job to a bypass behind a [`ResilientCache`]
+//!   ([`ServeStats::cache_errors`]), with the backend disabled after a
+//!   bounded failure budget;
 //! * request lines longer than [`DEFAULT_MAX_LINE_BYTES`] are
 //!   rejected without being buffered, and TCP connections idle longer
 //!   than [`ServeConfig::idle_timeout`] are dropped.
@@ -171,10 +172,11 @@ pub struct ServeConfig {
     pub large_job_cells: usize,
     /// Optional solution cache shared by every worker (`None` solves
     /// every job cold — the default, bit-identical to `pardp batch`).
-    /// The daemon wraps it in a [`ResilientCache`], so backend failures
-    /// degrade to misses instead of failing jobs; cache traffic shows up
-    /// in [`ServeStats::cache_hits`] / [`ServeStats::cache_misses`] /
-    /// [`ServeStats::warm_starts`] / [`ServeStats::cache_errors`].
+    /// The daemon wraps it in a [`ResilientCache`], so a failing read or
+    /// write degrades its job to a bypass instead of failing it; cache
+    /// traffic shows up in [`ServeStats::cache_hits`] /
+    /// [`ServeStats::cache_misses`] / [`ServeStats::warm_starts`] /
+    /// [`ServeStats::cache_errors`].
     pub cache: Option<Arc<dyn SolutionCache>>,
     /// Per-job wall-clock deadline: a job still solving this long after
     /// it is picked up is cancelled cooperatively (see

@@ -482,11 +482,6 @@ impl<W: Weight> Solution<W> {
         self.w.root()
     }
 
-    /// The solved table.
-    pub fn table(&self) -> &WTable<W> {
-        &self.w
-    }
-
     /// Whether the solve was cancelled by its deadline
     /// ([`SolveOptions::deadline`]). A timed-out solution carries a
     /// **partial** table: its value must not be reported, compared, or

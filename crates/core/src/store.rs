@@ -12,9 +12,10 @@
 //!    little-endian, length-prefixed fields) that backs
 //!    [`table_hash`](crate::spec::table_hash). One hash function is the
 //!    single source of identity everywhere: façade, batch, serve, CLI.
-//! 2. **Storage** — the [`SolutionCache`] trait with two std-only
-//!    implementations: [`MemoryCache`], a bounded in-memory LRU safe
-//!    for concurrent serve workers, and [`FileStore`], a persistent
+//! 2. **Storage** — the [`SolutionCache`] trait (one fallible `get`, one
+//!    fallible `put`) with two std-only implementations: [`MemoryCache`],
+//!    a bounded in-memory LRU safe for concurrent serve workers, and
+//!    [`FileStore`], a persistent
 //!    page-aligned record file with an in-memory index and crash-safe
 //!    appends (a torn final record is detected by checksum and skipped
 //!    on load, never served).
@@ -28,7 +29,9 @@
 //!    and `pardp serve` (one cache shared by every worker) run too; both
 //!    count cache hits, misses and warm starts in the same
 //!    [`JobCounts`](crate::batch::JobCounts) and backend errors through
-//!    a [`ResilientCache`].
+//!    a [`ResilientCache`]. Every read of a job — the lookup and each
+//!    warm-start probe — fails alike: the job solves cold, stores
+//!    nothing, reports [`CacheOutcome::Bypass`] and costs one error.
 //!
 //! ## Key derivation rules
 //!
@@ -61,7 +64,8 @@
 //! payload entries inside `[i,j]`. A cached size-`m` table of the same
 //! family, payload prefix, and options therefore seeds the first
 //! `m(m+1)/2` cells of a size-`n` solve bit-exactly. On a miss, the
-//! store probes prefixes from `n-1` down to `2` and:
+//! store probes prefixes from `n-1` down to `2` (each probe a `get`, so
+//! the first failing one ends the probe and bypasses the cache) and:
 //!
 //! * **Sequential / Wavefront** — completes the table with the tiled
 //!   wavefront sweep ([`crate::wavefront`]), which skips the seeded
@@ -214,8 +218,8 @@ pub struct CachedSolution {
     pub cells: Vec<u64>,
     /// The run's [`SolveTrace`], verbatim.
     pub trace: SolveTrace,
-    /// [`OpStats::candidates`] of the run (stats are mirrored field by
-    /// field — [`OpStats`] itself has no wire form).
+    /// [`OpStats::candidates`] of the run (the stats are mirrored field
+    /// by field, a layout the stored records keep).
     pub candidates: u64,
     /// [`OpStats::writes`] of the run.
     pub writes: u64,
@@ -290,31 +294,24 @@ impl CachedSolution {
 /// A concurrent solution cache. Methods take `&self`: implementations
 /// use interior mutability so one cache can be shared by every serve
 /// worker and batch phase without external locking.
+///
+/// Every read and write can fail. Cache-aware solvers treat any `Err`
+/// alike, whether it comes from the lookup, a warm-start probe or the
+/// insert: the job is solved cold, stores nothing and reports
+/// [`CacheOutcome::Bypass`]. A degraded cache therefore only ever costs
+/// performance, never answers.
 pub trait SolutionCache: Send + Sync {
-    /// Fetch the record stored under `key`, if any.
-    fn get(&self, key: ProblemKey) -> Option<CachedSolution>;
+    /// Fetch the record stored under `key`: `Ok(None)` is a true miss,
+    /// `Err` a failing backend (IO error, corrupt record under an
+    /// indexed key).
+    fn get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError>;
     /// Store `solution` under `key`, replacing any previous record.
-    fn put(&self, key: ProblemKey, solution: CachedSolution);
+    fn put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError>;
     /// Number of records currently retrievable.
     fn len(&self) -> usize;
     /// Whether the cache holds no records.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Fallible fetch: `Ok(None)` is a true miss, `Err` a failing
-    /// backend (IO error, corrupt record under an indexed key). The
-    /// default delegates to [`get`](SolutionCache::get) for backends
-    /// that cannot fail. Cache-aware solvers treat `Err` as
-    /// [`CacheOutcome::Bypass`] — solve cold, skip the insert — so a
-    /// degraded cache only ever costs performance, never answers.
-    fn try_get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
-        Ok(self.get(key))
-    }
-    /// Fallible store, same contract: the default delegates to
-    /// [`put`](SolutionCache::put) and cannot fail.
-    fn try_put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
-        self.put(key, solution);
-        Ok(())
     }
 }
 
@@ -378,16 +375,18 @@ impl MemoryCache {
 }
 
 impl SolutionCache for MemoryCache {
-    fn get(&self, key: ProblemKey) -> Option<CachedSolution> {
+    fn get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
         let mut inner = self.lock();
         inner.clock += 1;
         let now = inner.clock;
-        let (stamp, solution) = inner.map.get_mut(&key.0)?;
+        let Some((stamp, solution)) = inner.map.get_mut(&key.0) else {
+            return Ok(None);
+        };
         *stamp = now;
-        Some(solution.clone())
+        Ok(Some(solution.clone()))
     }
 
-    fn put(&self, key: ProblemKey, solution: CachedSolution) {
+    fn put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
         let mut inner = self.lock();
         inner.clock += 1;
         let now = inner.clock;
@@ -402,6 +401,7 @@ impl SolutionCache for MemoryCache {
             }
         }
         inner.map.insert(key.0, (now, solution));
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -677,19 +677,7 @@ impl FileStore {
 }
 
 impl SolutionCache for FileStore {
-    fn get(&self, key: ProblemKey) -> Option<CachedSolution> {
-        self.try_get(key).unwrap_or(None)
-    }
-
-    fn put(&self, key: ProblemKey, solution: CachedSolution) {
-        let _ = self.try_put(key, solution);
-    }
-
-    fn len(&self) -> usize {
-        self.lock().index.len()
-    }
-
-    fn try_get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
+    fn get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
         let mut inner = self.lock();
         let Some(&(offset, payload_len)) = inner.index.get(&key.0) else {
             return Ok(None);
@@ -703,7 +691,7 @@ impl SolutionCache for FileStore {
         }
     }
 
-    fn try_put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
+    fn put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
         let payload = serde_json::to_string(&solution)
             .map_err(|e| StoreError(format!("cannot serialize cache record: {e:?}")))?
             .into_bytes();
@@ -752,32 +740,35 @@ impl SolutionCache for FileStore {
         inner.index.insert(key.0, (offset, payload.len() as u64));
         Ok(())
     }
+
+    fn len(&self) -> usize {
+        self.lock().index.len()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Graceful degradation: the resilient wrapper
 // ---------------------------------------------------------------------------
 
-/// Default [`ResilientCache`] failure budget: errors tolerated before
-/// the cache is taken out of service.
+/// [`ResilientCache`]'s failure budget: errors tolerated before the
+/// cache is taken out of service.
 pub const DEFAULT_CACHE_FAILURE_BUDGET: u64 = 8;
 
 /// A [`SolutionCache`] wrapper that degrades instead of failing: every
-/// backend error is counted and surfaced as a miss (the cache-aware
-/// solvers then solve cold and report [`CacheOutcome::Bypass`]), and
-/// once the failure budget is spent the backend is disabled entirely —
-/// a dying disk stops costing per-job latency, and the daemon keeps
-/// answering from compute alone. The serve daemon wraps its configured
-/// cache in one of these and reports [`errors`](ResilientCache::errors)
-/// as the `cache_errors` stats counter; a cache-aware batch wraps its
-/// borrowed cache the same way for
-/// [`JobCounts::cache_errors`](crate::batch::JobCounts::cache_errors).
+/// backend error is counted and passed on (the cache-aware solvers then
+/// solve cold and report [`CacheOutcome::Bypass`]), and once
+/// [`DEFAULT_CACHE_FAILURE_BUDGET`] errors are spent the backend is
+/// disabled entirely — a dying disk stops costing per-job latency, and
+/// the daemon keeps answering from compute alone. The serve daemon wraps
+/// its configured cache in one of these and reports
+/// [`errors`](ResilientCache::errors) as the `cache_errors` stats
+/// counter; a cache-aware batch wraps its borrowed cache the same way
+/// for [`JobCounts::cache_errors`](crate::batch::JobCounts::cache_errors).
 ///
 /// `C` is any handle to the backend: an `Arc` (the default) or a plain
 /// reference.
 pub struct ResilientCache<C = Arc<dyn SolutionCache>> {
     inner: C,
-    budget: u64,
     failures: AtomicU64,
     disabled: AtomicBool,
 }
@@ -785,7 +776,6 @@ pub struct ResilientCache<C = Arc<dyn SolutionCache>> {
 impl<C> std::fmt::Debug for ResilientCache<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientCache")
-            .field("budget", &self.budget)
             .field("errors", &self.errors())
             .field("disabled", &self.is_disabled())
             .finish()
@@ -793,16 +783,10 @@ impl<C> std::fmt::Debug for ResilientCache<C> {
 }
 
 impl<C> ResilientCache<C> {
-    /// Wrap `inner` with the default failure budget.
+    /// Wrap `inner`.
     pub fn new(inner: C) -> ResilientCache<C> {
-        Self::with_budget(inner, DEFAULT_CACHE_FAILURE_BUDGET)
-    }
-
-    /// Wrap `inner`, disabling it after `budget` errors (floored at 1).
-    pub fn with_budget(inner: C, budget: u64) -> ResilientCache<C> {
         ResilientCache {
             inner,
-            budget: budget.max(1),
             failures: AtomicU64::new(0),
             disabled: AtomicBool::new(false),
         }
@@ -820,8 +804,18 @@ impl<C> ResilientCache<C> {
         self.disabled.load(Ordering::Relaxed)
     }
 
+    /// A disabled backend short-circuits every call without touching it.
+    fn in_service(&self) -> Result<(), StoreError> {
+        if self.is_disabled() {
+            return Err(StoreError(
+                "solution cache disabled after repeated errors".into(),
+            ));
+        }
+        Ok(())
+    }
+
     fn note_failure(&self) {
-        if self.failures.fetch_add(1, Ordering::Relaxed) + 1 >= self.budget {
+        if self.failures.fetch_add(1, Ordering::Relaxed) + 1 >= DEFAULT_CACHE_FAILURE_BUDGET {
             self.disabled.store(true, Ordering::Relaxed);
         }
     }
@@ -832,12 +826,16 @@ where
     C: std::ops::Deref + Send + Sync,
     C::Target: SolutionCache,
 {
-    fn get(&self, key: ProblemKey) -> Option<CachedSolution> {
-        self.try_get(key).unwrap_or(None)
+    fn get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
+        self.in_service()?;
+        self.inner.get(key).inspect_err(|_| self.note_failure())
     }
 
-    fn put(&self, key: ProblemKey, solution: CachedSolution) {
-        let _ = self.try_put(key, solution);
+    fn put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
+        self.in_service()?;
+        self.inner
+            .put(key, solution)
+            .inspect_err(|_| self.note_failure())
     }
 
     fn len(&self) -> usize {
@@ -846,26 +844,6 @@ where
         } else {
             self.inner.len()
         }
-    }
-
-    fn try_get(&self, key: ProblemKey) -> Result<Option<CachedSolution>, StoreError> {
-        if self.is_disabled() {
-            return Err(StoreError(
-                "solution cache disabled after repeated errors".into(),
-            ));
-        }
-        self.inner.try_get(key).inspect_err(|_| self.note_failure())
-    }
-
-    fn try_put(&self, key: ProblemKey, solution: CachedSolution) -> Result<(), StoreError> {
-        if self.is_disabled() {
-            return Err(StoreError(
-                "solution cache disabled after repeated errors".into(),
-            ));
-        }
-        self.inner
-            .try_put(key, solution)
-            .inspect_err(|_| self.note_failure())
     }
 }
 
@@ -886,9 +864,10 @@ pub enum CacheOutcome {
     /// Solved cold and inserted for next time.
     Miss,
     /// The cache was not used: the job is uncacheable (trace recording,
-    /// Knuth), the backend failed (lookup or insert error — see
-    /// [`ResilientCache`]), or the solve timed out (a partial table is
-    /// never stored). Solved cold, nothing stored.
+    /// Knuth), a read or a write failed (the lookup, a warm-start probe
+    /// or the insert — see [`ResilientCache`]), or the solve timed out (a
+    /// partial table is never stored). Nothing is stored; an uncacheable
+    /// job or a failing read solves cold.
     Bypass,
 }
 
@@ -930,11 +909,6 @@ impl Solver {
 }
 
 impl<'c> CachedSolver<'c> {
-    /// The underlying algorithm.
-    pub fn algorithm(&self) -> Algorithm {
-        self.solver.algorithm()
-    }
-
     /// Stage 1 — the cache identity of `spec` under this solver's
     /// configuration, or `None` for cache-bypassing jobs.
     pub fn key(&self, spec: &ProblemSpec) -> Option<ProblemKey> {
@@ -946,26 +920,31 @@ impl<'c> CachedSolver<'c> {
     /// answer this `(spec, algorithm)` request (the collision guard). A
     /// failing backend reads as a miss here; the composed
     /// [`solve`](CachedSolver::solve) then skips the warm probe and the
-    /// insert too ([`CacheOutcome::Bypass`]).
+    /// insert ([`CacheOutcome::Bypass`]).
     pub fn lookup(&self, spec: &ProblemSpec, key: ProblemKey) -> Option<Solution<u64>> {
         job::lookup(self.cache, spec, self.solver.algorithm(), key).unwrap_or(None)
     }
 
     /// Stage 3 — solve on a miss: probe cached prefix tables for a
-    /// warm start (largest first), fall back to a cold solve.
+    /// warm start (largest first), fall back to a cold solve. A failing
+    /// probe read is a failing read like the lookup's: the solve is cold
+    /// and the outcome [`CacheOutcome::Bypass`].
     pub fn solve_miss(&self, spec: &ProblemSpec) -> (Solution<u64>, CacheOutcome) {
         let (algorithm, options) = (self.solver.algorithm(), self.solver.solve_options());
-        let seed = job::probe(self.cache, spec, algorithm, options);
+        let probed = job::probe(self.cache, spec, algorithm, options);
+        let seed = probed.as_ref().ok().and_then(Option::as_ref);
         let solution = job::solve(
             &spec.build(),
             algorithm,
             options,
-            seed.as_ref().map(|(m, w)| (*m, w)),
+            seed.map(|(m, w)| (*m, w)),
         );
-        match seed {
-            Some((seed_n, _)) => (solution, CacheOutcome::Warm { seed_n }),
-            None => (solution, CacheOutcome::Miss),
-        }
+        let outcome = match probed {
+            Ok(Some((seed_n, _))) => CacheOutcome::Warm { seed_n },
+            Ok(None) => CacheOutcome::Miss,
+            Err(_) => CacheOutcome::Bypass,
+        };
+        (solution, outcome)
     }
 
     /// Stage 4 — store `solution` under `key` for the next repeat. A
@@ -981,10 +960,11 @@ impl<'c> CachedSolver<'c> {
     /// except after a warm start, where they honestly report the
     /// (smaller) work actually done. Its wall time covers the stages.
     ///
-    /// Degradation: a failing backend turns the outcome into
-    /// [`CacheOutcome::Bypass`] (cold solve, warm probe and insert
-    /// skipped); a timed-out solve is likewise never inserted — a
-    /// partial table must not poison future lookups.
+    /// Degradation: a failing read (the lookup or a warm-start probe)
+    /// makes the job a cold solve that stores nothing, and a failing
+    /// insert leaves the cache as it was; either reports
+    /// [`CacheOutcome::Bypass`]. A timed-out solve is likewise never
+    /// inserted — a partial table must not poison future lookups.
     pub fn solve(&self, spec: &ProblemSpec) -> (Solution<u64>, CacheOutcome) {
         let solved = job::step(
             Some(self.cache),
@@ -995,20 +975,6 @@ impl<'c> CachedSolver<'c> {
         );
         (solved.solution, solved.outcome)
     }
-}
-
-/// One-call form of the staged solve for callers that hold the pieces
-/// rather than a [`Solver`].
-pub fn cached_solve(
-    cache: &dyn SolutionCache,
-    spec: &ProblemSpec,
-    algorithm: Algorithm,
-    options: &SolveOptions,
-) -> (Solution<u64>, CacheOutcome) {
-    Solver::new(algorithm)
-        .options(*options)
-        .with_cache(cache)
-        .solve(spec)
 }
 
 #[cfg(test)]
@@ -1316,29 +1282,75 @@ mod tests {
     fn resilient_cache_disables_the_backend_after_its_budget() {
         use crate::fault::{FaultPlan, FaultSite, FaultyCache};
 
-        let plan = Arc::new(FaultPlan::new().fail(FaultSite::StoreRead, &[1, 2]));
+        let budget = DEFAULT_CACHE_FAILURE_BUDGET;
+        // Occurrence 0 is healthy, 1 ..= budget fail — spending the budget.
+        let failing: Vec<u64> = (1..=budget).collect();
+        let plan = Arc::new(FaultPlan::new().fail(FaultSite::StoreRead, &failing));
         let faulty = Arc::new(FaultyCache::new(
             Arc::new(MemoryCache::new(8)),
             Arc::clone(&plan),
         ));
-        let resilient = ResilientCache::with_budget(faulty, 2);
-        let key =
-            ProblemKey::derive(&spec(&[30, 35, 15, 5]), Algorithm::Sublinear, &seq_opts()).unwrap();
-        // Occurrence 0 is healthy, 1 and 2 fail — spending the budget.
-        assert!(resilient.try_get(key).unwrap().is_none());
-        assert!(resilient.try_get(key).is_err());
-        assert_eq!(resilient.errors(), 1);
-        assert!(!resilient.is_disabled());
-        assert!(resilient.try_get(key).is_err());
-        assert_eq!(resilient.errors(), 2);
+        let resilient = ResilientCache::new(faulty);
+        let s = spec(&[30, 35, 15, 5]);
+        let key = ProblemKey::derive(&s, Algorithm::Sublinear, &seq_opts()).unwrap();
+        assert!(resilient.get(key).unwrap().is_none());
+        for spent in 1..budget {
+            assert!(resilient.get(key).is_err());
+            assert_eq!(resilient.errors(), spent);
+            assert!(!resilient.is_disabled());
+        }
+        assert!(resilient.get(key).is_err());
+        assert_eq!(resilient.errors(), budget);
         assert!(resilient.is_disabled());
         // Disabled: every call short-circuits without touching the
         // backend — the error count freezes and no occurrence is spent.
-        assert!(resilient.try_get(key).is_err());
-        assert!(resilient.get(key).is_none());
+        let solved = Solver::new(Algorithm::Sublinear).solve(&s.build());
+        assert!(resilient.get(key).is_err());
+        assert!(resilient
+            .put(key, CachedSolution::of_solution("chain", &solved))
+            .is_err());
         assert_eq!(resilient.len(), 0);
-        assert_eq!(resilient.errors(), 2);
-        assert_eq!(plan.occurrences(FaultSite::StoreRead), 3);
+        assert_eq!(resilient.errors(), budget);
+        assert_eq!(plan.occurrences(FaultSite::StoreRead), budget + 1);
+        assert_eq!(plan.occurrences(FaultSite::StoreWrite), 0);
+    }
+
+    #[test]
+    fn facade_probe_reads_take_occurrences_and_fail_like_the_lookup() {
+        use crate::fault::{FaultPlan, FaultSite, FaultyCache};
+
+        let s = spec(&[2, 3, 4, 5, 6, 7]);
+        let solver = Solver::new(Algorithm::Sublinear).options(seq_opts());
+        let faulty = |plan: &Arc<FaultPlan>| {
+            FaultyCache::new(Arc::new(MemoryCache::new(8)), Arc::clone(plan))
+        };
+        // A healthy n = 5 miss reads once for its lookup and once per
+        // probed prefix size (4, 3, 2), as in serve and batch.
+        let plan = Arc::new(FaultPlan::new());
+        let cache = faulty(&plan);
+        let (cold, outcome) = solver.with_cache(&cache).solve(&s);
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(plan.occurrences(FaultSite::StoreRead), 4);
+        assert_eq!(plan.occurrences(FaultSite::StoreWrite), 1);
+
+        // The first probe read fails: a cold bypass that stops probing
+        // and stores nothing.
+        let plan = Arc::new(FaultPlan::new().fail(FaultSite::StoreRead, &[1]));
+        let cache = faulty(&plan);
+        let (sol, outcome) = solver.with_cache(&cache).solve(&s);
+        assert_eq!(outcome, CacheOutcome::Bypass);
+        assert!(sol.w.table_eq(&cold.w));
+        assert_eq!(sol.stats, cold.stats);
+        assert!(cache.is_empty());
+        assert_eq!(plan.occurrences(FaultSite::StoreRead), 2);
+        assert_eq!(plan.occurrences(FaultSite::StoreWrite), 0);
+
+        // The staged `solve_miss` answers a failing probe the same way.
+        let plan = Arc::new(FaultPlan::new().fail(FaultSite::StoreRead, &[0]));
+        let cache = faulty(&plan);
+        let (sol, outcome) = solver.with_cache(&cache).solve_miss(&s);
+        assert_eq!(outcome, CacheOutcome::Bypass);
+        assert!(sol.w.table_eq(&cold.w));
     }
 
     #[test]
@@ -1357,9 +1369,11 @@ mod tests {
         let resilient = ResilientCache::new(faulty);
         let solver = Solver::new(Algorithm::Sublinear).options(seq_opts());
         let staged = solver.with_cache(&resilient);
-        // n = 2 specs: no warm-start prefixes exist, so each solve
-        // probes exactly one StoreRead (and at most one StoreWrite)
-        // occurrence and the explicit schedule indexes by solve.
+        // n = 2 specs keep one read per solve: they have no warm-start
+        // prefix to probe (probes are reads and take StoreRead
+        // occurrences too), so each solve takes exactly one StoreRead
+        // (and at most one StoreWrite) occurrence and the explicit
+        // schedule indexes by solve.
         let s0 = spec(&[30, 35, 15]);
         let s1 = spec(&[5, 10, 3]);
 

@@ -6,12 +6,11 @@
 //!
 //! 1. **Event stream** — [`Telemetry`] assigns every emitted [`Event`] a
 //!    monotonically increasing sequence number and hands it to an
-//!    [`EventSink`]. Three sinks ship with the crate: [`NullSink`]
-//!    (drops everything — with no `Telemetry` configured the serving
-//!    path does not even construct events, so telemetry off is truly
-//!    zero-cost and output is bit-identical), [`WriterSink`] (buffered
-//!    JSONL writer for `--log <path|->`), and [`RingSink`] (bounded
-//!    in-memory ring for tests).
+//!    [`EventSink`]. Two sinks ship with the crate: [`WriterSink`]
+//!    (buffered JSONL writer for `--log <path|->`) and [`RingSink`]
+//!    (bounded in-memory ring for tests). With no `Telemetry` configured
+//!    the serving path does not even construct events, so telemetry off
+//!    is truly zero-cost and output is bit-identical.
 //! 2. **Latency histogram** — [`LatencyHistogram`], a lock-free
 //!    log₂-bucketed histogram of microsecond samples backing the
 //!    `latency_p50_us`/`latency_p90_us`/`latency_p99_us` fields of
@@ -225,6 +224,10 @@ pub enum EventKind {
         warm_starts: u64,
         /// Store errors degraded to cold solves.
         cache_errors: u64,
+        /// Batch jobs answered with an identical earlier job's outcome
+        /// (their `cache` events carry outcome `dedup`); always 0 for
+        /// serve, which has no batch to dedup.
+        deduped: u64,
     },
 }
 
@@ -328,6 +331,7 @@ impl Serialize for Event {
                 cache_misses,
                 warm_starts,
                 cache_errors,
+                deduped,
             } => {
                 push("accepted", Value::UInt(*accepted));
                 push("rejected", Value::UInt(*rejected));
@@ -341,6 +345,7 @@ impl Serialize for Event {
                 push("cache_misses", Value::UInt(*cache_misses));
                 push("warm_starts", Value::UInt(*warm_starts));
                 push("cache_errors", Value::UInt(*cache_errors));
+                push("deduped", Value::UInt(*deduped));
             }
         }
         Value::Object(pairs)
@@ -355,17 +360,6 @@ pub trait EventSink: Send + Sync + std::fmt::Debug {
     fn emit(&self, event: &Event);
     /// Flush any buffering; the default is a no-op.
     fn flush(&self) {}
-}
-
-/// A sink that drops every event. [`Telemetry`] over a `NullSink`
-/// still sequences events; for true zero cost leave the `telemetry`
-/// config option unset instead — the serving path then skips event
-/// construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&self, _event: &Event) {}
 }
 
 /// A buffered JSONL writer sink: one event per line, in emission

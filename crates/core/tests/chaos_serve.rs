@@ -9,8 +9,8 @@
 //! a known job and the whole schedule is replayable by index (see the
 //! `fault` module docs). The per-job probe order is: `JobDelay` (after
 //! the deadline stamp), `WorkerPanic` (inside the regime gate),
-//! `StoreRead` (cache lookup), `StoreWrite` (cache insert — skipped on
-//! a lookup error or a timeout).
+//! `StoreRead` (cache lookup, then one per warm-start prefix size),
+//! `StoreWrite` (cache insert — skipped on a read error or a timeout).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,9 +20,10 @@ use pardp_core::serve::serve_pipe;
 use pardp_core::store::DEFAULT_CACHE_FAILURE_BUDGET;
 use proptest::prelude::*;
 
-/// A corpus of `count` distinct small chain jobs (n = 2, so the
-/// warm-start prefix probe never runs and each cacheable job consumes
-/// exactly one `StoreRead` occurrence and at most one `StoreWrite`).
+/// A corpus of `count` distinct small chain jobs. n = 2 keeps one read
+/// per job: there is no warm-start prefix to probe (probes are reads and
+/// take `StoreRead` occurrences too), so each cacheable job consumes
+/// exactly one `StoreRead` occurrence and at most one `StoreWrite`.
 fn corpus(count: usize) -> String {
     (0..count)
         .map(|i| {
@@ -135,6 +136,68 @@ fn explicit_schedule_answers_every_request_with_exact_counters() {
     ] {
         assert_eq!(plan.injected(site), 1, "{}", site.name());
     }
+}
+
+/// Serve one chain job on one worker over a cache whose reads fail at
+/// `failing`, and check it against the fault-free run.
+fn failing_probe_reads(values: &[u64], failing: &[u64]) -> (ServeStats, Arc<FaultPlan>) {
+    let input = format!("{{\"family\":\"chain\",\"values\":{values:?}}}\n");
+    let plan = Arc::new(FaultPlan::new().fail(FaultSite::StoreRead, failing));
+    let ring = Arc::new(RingSink::new(64));
+    let config = ServeConfig {
+        exec: ExecBackend::Threads(1),
+        cache: Some(Arc::new(FaultyCache::new(
+            Arc::new(MemoryCache::new(256)),
+            Arc::clone(&plan),
+        ))),
+        telemetry: Some(Arc::new(Telemetry::new(
+            Arc::clone(&ring) as Arc<dyn EventSink>
+        ))),
+        ..ServeConfig::default()
+    };
+    let (lines, stats) = serve_lines(&input, &config);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert_eq!(
+        record(&lines[0]).deterministic(),
+        baseline(&input)[0].deterministic(),
+        "a failing probe never changes the answer"
+    );
+    let outcomes: Vec<&str> = ring
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Cache { outcome, .. } => Some(outcome),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(outcomes, ["bypass"]);
+    (stats, plan)
+}
+
+#[test]
+fn a_failing_probe_read_is_one_error_and_a_cold_bypass() {
+    // StoreRead occurrence 0 is the job's lookup (a healthy miss), 1 its
+    // first warm-start probe (prefix size n - 1). A failing probe read
+    // ends the read stage as a failing lookup does: the job solves cold,
+    // reports a bypass, stores nothing and costs one error.
+    let (stats, plan) = failing_probe_reads(&[2, 3, 4, 5, 6, 7], &[1]);
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses, stats.warm_starts),
+        (0, 0, 0)
+    );
+    assert_eq!(stats.cache_errors, 1);
+    assert_eq!(plan.occurrences(FaultSite::StoreRead), 2);
+    assert_eq!(plan.occurrences(FaultSite::StoreWrite), 0);
+
+    // Every later read would fail too, but the probe stops at its first
+    // error: one n = 10 job spends one error, not the whole budget.
+    let failing: Vec<u64> = (1..=20).collect();
+    let (stats, plan) = failing_probe_reads(&[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], &failing);
+    assert_eq!(stats.cache_errors, 1);
+    assert!(stats.cache_errors < DEFAULT_CACHE_FAILURE_BUDGET);
+    assert_eq!(stats.cache_misses, 0);
+    assert_eq!(plan.occurrences(FaultSite::StoreRead), 2);
+    assert_eq!(plan.occurrences(FaultSite::StoreWrite), 0);
 }
 
 #[test]

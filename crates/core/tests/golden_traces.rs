@@ -132,12 +132,13 @@ fn generate() -> String {
             let mut seeds = vec![2, n / 2, n.saturating_sub(1)];
             seeds.retain(|&m| m >= 2 && m < n);
             seeds.dedup();
+            let solver = Solver::new(algo).options(opts);
             for m in seeds {
                 let cache = MemoryCache::new(4);
                 let prefix = spec.prefix(m).expect("strict prefix");
-                let (_, seeded) = cached_solve(&cache, &prefix, algo, &opts);
+                let (_, seeded) = solver.with_cache(&cache).solve(&prefix);
                 assert_eq!(seeded, CacheOutcome::Miss, "{iname} {kname} m={m}");
-                let (warm, outcome) = cached_solve(&cache, &spec, algo, &opts);
+                let (warm, outcome) = solver.with_cache(&cache).solve(&spec);
                 assert_eq!(
                     outcome,
                     CacheOutcome::Warm { seed_n: m },

@@ -69,27 +69,29 @@ proptest! {
         let caches: [&dyn SolutionCache; 2] = [&mem, &file];
 
         for algo in Algorithm::ALL {
-            let cold = Solver::new(algo).options(opts()).solve(&spec.build());
+            let solver = Solver::new(algo).options(opts());
+            let cold = solver.solve(&spec.build());
             for (c, cache) in caches.iter().enumerate() {
                 if algo == Algorithm::Knuth {
                     // Bypassed on the solve path; the record layer must
                     // still round-trip it exactly.
                     let key = ProblemKey(0xdead_0000 + c as u64);
                     let rec = CachedSolution::of_solution(spec.family(), &cold);
-                    cache.put(key, rec.clone());
-                    prop_assert_eq!(cache.get(key).unwrap(), rec);
-                    let (sol, outcome) = cached_solve(*cache, &spec, algo, &opts());
+                    cache.put(key, rec.clone()).unwrap();
+                    prop_assert_eq!(cache.get(key).unwrap().unwrap(), rec);
+                    let (sol, outcome) = solver.with_cache(*cache).solve(&spec);
                     prop_assert_eq!(outcome, CacheOutcome::Bypass);
                     assert_identical(&sol, &cold)?;
                     continue;
                 }
-                let (first, o1) = cached_solve(*cache, &spec, algo, &opts());
+                let (first, o1) = solver.with_cache(*cache).solve(&spec);
                 prop_assert_eq!(o1, CacheOutcome::Miss, "{}", algo);
                 assert_identical(&first, &cold)?;
                 for exec in BACKENDS {
                     let exec_opts = opts().exec(exec);
-                    let cold_exec = Solver::new(algo).options(exec_opts).solve(&spec.build());
-                    let (hit, o2) = cached_solve(*cache, &spec, algo, &exec_opts);
+                    let exec_solver = Solver::new(algo).options(exec_opts);
+                    let cold_exec = exec_solver.solve(&spec.build());
+                    let (hit, o2) = exec_solver.with_cache(*cache).solve(&spec);
                     prop_assert_eq!(o2, CacheOutcome::Hit, "{} on {}", algo, exec);
                     assert_identical(&hit, &cold_exec)?;
                 }
@@ -114,17 +116,11 @@ proptest! {
         let specs: Vec<ProblemSpec> = (0..7u64)
             .map(|i| ProblemSpec::chain(base.iter().map(|v| v + i).collect()).unwrap())
             .collect();
-        let cold: Vec<Solution<u64>> = specs
-            .iter()
-            .map(|s| {
-                Solver::new(Algorithm::Sublinear)
-                    .options(opts())
-                    .solve(&s.build())
-            })
-            .collect();
+        let solver = Solver::new(Algorithm::Sublinear).options(opts());
+        let cold: Vec<Solution<u64>> = specs.iter().map(|s| solver.solve(&s.build())).collect();
         for _ in 0..sweeps {
             for (spec, want) in specs.iter().zip(&cold) {
-                let (sol, _) = cached_solve(&cache, spec, Algorithm::Sublinear, &opts());
+                let (sol, _) = solver.with_cache(&cache).solve(spec);
                 assert_identical(&sol, want)?;
             }
         }
@@ -143,20 +139,21 @@ proptest! {
         let mut stored: Vec<(ProblemKey, CachedSolution)> = Vec::new();
         {
             let store = FileStore::open(&dir).unwrap();
+            let solver = Solver::new(Algorithm::Reduced).options(opts());
             for spec in &specs {
-                let (_, outcome) = cached_solve(&store, spec, Algorithm::Reduced, &opts());
+                let (_, outcome) = solver.with_cache(&store).solve(spec);
                 // Prefixes of an already-solved chain are distinct
                 // instances here, so each one misses or warm-starts.
                 prop_assert!(outcome != CacheOutcome::Bypass);
                 let key = ProblemKey::derive(spec, Algorithm::Reduced, &opts()).unwrap();
-                stored.push((key, store.get(key).unwrap()));
+                stored.push((key, store.get(key).unwrap().unwrap()));
             }
         }
         let reopened = FileStore::open_existing(&dir).unwrap();
         prop_assert_eq!(reopened.skipped_bytes(), 0);
         prop_assert_eq!(reopened.len(), stored.len());
         for (key, rec) in &stored {
-            prop_assert_eq!(&reopened.get(*key).unwrap(), rec);
+            prop_assert_eq!(&reopened.get(*key).unwrap().unwrap(), rec);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -175,12 +172,13 @@ proptest! {
         let key_a = ProblemKey::derive(&spec_a, Algorithm::Sublinear, &opts()).unwrap();
         let key_b = ProblemKey::derive(&spec_b, Algorithm::Sublinear, &opts()).unwrap();
         let data = dir.join("store.dat");
+        let solver = Solver::new(Algorithm::Sublinear).options(opts());
         let (first_end, rec_a) = {
             let store = FileStore::open(&dir).unwrap();
-            cached_solve(&store, &spec_a, Algorithm::Sublinear, &opts());
+            solver.with_cache(&store).solve(&spec_a);
             let first_end = std::fs::metadata(&data).unwrap().len();
-            cached_solve(&store, &spec_b, Algorithm::Sublinear, &opts());
-            (first_end, store.get(key_a).unwrap())
+            solver.with_cache(&store).solve(&spec_b);
+            (first_end, store.get(key_a).unwrap().unwrap())
         };
         // Tear strictly inside the second record's header + payload
         // bytes (reading its length field from the on-disk header) —
@@ -203,12 +201,12 @@ proptest! {
             .unwrap();
         let reopened = FileStore::open_existing(&dir).unwrap();
         prop_assert_eq!(reopened.skipped_bytes(), torn - first_end);
-        prop_assert_eq!(&reopened.get(key_a).unwrap(), &rec_a);
-        prop_assert_eq!(reopened.get(key_b), None);
+        prop_assert_eq!(&reopened.get(key_a).unwrap().unwrap(), &rec_a);
+        prop_assert_eq!(reopened.get(key_b), Ok(None));
         // The next insert overwrites the torn tail and round-trips.
-        let (sol, outcome) = cached_solve(&reopened, &spec_b, Algorithm::Sublinear, &opts());
+        let (sol, outcome) = solver.with_cache(&reopened).solve(&spec_b);
         prop_assert!(outcome == CacheOutcome::Miss || matches!(outcome, CacheOutcome::Warm { .. }));
-        let (hit, o2) = cached_solve(&reopened, &spec_b, Algorithm::Sublinear, &opts());
+        let (hit, o2) = solver.with_cache(&reopened).solve(&spec_b);
         prop_assert_eq!(o2, CacheOutcome::Hit);
         assert_identical(&hit, &sol)?;
         std::fs::remove_dir_all(&dir).ok();
@@ -240,10 +238,11 @@ proptest! {
             let m = spec.n() - 2;
             let prefix = spec.prefix(m).unwrap();
             for algo in algos {
-                let cold = Solver::new(algo).options(opts()).solve(&spec.build());
-                let (_, o1) = cached_solve(&cache, &prefix, algo, &opts());
+                let solver = Solver::new(algo).options(opts());
+                let cold = solver.solve(&spec.build());
+                let (_, o1) = solver.with_cache(&cache).solve(&prefix);
                 prop_assert_eq!(o1, CacheOutcome::Miss, "{} {}", spec.family(), algo);
-                let (warm, o2) = cached_solve(&cache, spec, algo, &opts());
+                let (warm, o2) = solver.with_cache(&cache).solve(spec);
                 prop_assert_eq!(
                     o2,
                     CacheOutcome::Warm { seed_n: m },
@@ -258,7 +257,7 @@ proptest! {
                 }
                 // The warm result was inserted: the repeat is a full hit,
                 // bit-identical to what the warm start produced.
-                let (hit, o3) = cached_solve(&cache, spec, algo, &opts());
+                let (hit, o3) = solver.with_cache(&cache).solve(spec);
                 prop_assert_eq!(o3, CacheOutcome::Hit);
                 assert_identical(&hit, &warm)?;
             }
@@ -288,11 +287,12 @@ proptest! {
                 .collect();
             for spec in &specs {
                 for algo in [Algorithm::Sequential, Algorithm::Wavefront] {
-                    let cold = Solver::new(algo).options(options).solve(&spec.build());
+                    let solver = Solver::new(algo).options(options);
+                    let cold = solver.solve(&spec.build());
                     for &m in &prefixes {
                         let cache = MemoryCache::new(4);
-                        cached_solve(&cache, &spec.prefix(m).unwrap(), algo, &options);
-                        let (warm, outcome) = cached_solve(&cache, spec, algo, &options);
+                        solver.with_cache(&cache).solve(&spec.prefix(m).unwrap());
+                        let (warm, outcome) = solver.with_cache(&cache).solve(spec);
                         prop_assert_eq!(outcome, CacheOutcome::Warm { seed_n: m });
                         prop_assert!(
                             warm.w == cold.w,

@@ -160,26 +160,31 @@ fn batch_and_serve_answer_a_cached_corpus_alike() {
     for job in [0, 2, 3, 4, 5] {
         assert_eq!(batch_events[job], serve_events[job], "job {job}");
     }
+
+    // Both summary events carry `deduped`: batch's counts its one
+    // `dedup` event, serve's is always 0.
+    let deduped = |events: Vec<Event>| match events.last().map(|e| e.kind.clone()) {
+        Some(EventKind::Summary { deduped, .. }) => deduped,
+        other => panic!("expected a summary, got {other:?}"),
+    };
+    assert_eq!(deduped(batch_ring.events()), c.deduped);
+    assert_eq!(deduped(serve_ring.events()), 0);
 }
 
-#[test]
-fn batch_counts_store_faults_like_serve() {
-    // The chaos suite's store schedule on two n = 2 chains: the first
-    // lookup fails (a bypass that stores nothing), then the first insert
-    // fails (a miss downgraded to a bypass). n = 2 has no warm-start
-    // prefix, so each job probes one read and at most one write.
-    let input = b"{\"family\":\"chain\",\"values\":[2,3,4]}\n\
-                  {\"family\":\"chain\",\"values\":[3,4,5]}\n";
+/// Run `input` (`jobs` chain jobs) through serve on one worker and
+/// through batch, each over its own [`FaultyCache`] scheduled by `plan`,
+/// and check that the two agree on answers, counts, `cache` events and
+/// occurrence ledgers. Returns serve's side.
+fn store_faults_agree(
+    input: &[u8],
+    jobs: usize,
+    plan: impl Fn() -> FaultPlan,
+) -> (ServeStats, Vec<Option<&'static str>>, Arc<FaultPlan>) {
     let faulty = || {
-        let plan = Arc::new(
-            FaultPlan::new()
-                .fail(FaultSite::StoreRead, &[0])
-                .fail(FaultSite::StoreWrite, &[0]),
-        );
+        let plan = Arc::new(plan());
         let cache = FaultyCache::new(Arc::new(MemoryCache::new(8)), Arc::clone(&plan));
         (Arc::new(cache), plan)
     };
-
     let (serve_cache, serve_plan) = faulty();
     let (serve_ring, serve_tel) = ring();
     let (served, stats) = serve_lines(input, &one_worker(serve_cache, serve_tel));
@@ -187,6 +192,7 @@ fn batch_counts_store_faults_like_serve() {
     let (batch_ring, batch_tel) = ring();
     let (batched, report) = batch_lines(input, Some(batch_cache.as_ref()), batch_tel);
 
+    assert_eq!(served.len(), jobs, "{served:?}");
     assert_eq!(batched, served, "store faults never change an answer");
     let c = report.counts;
     assert_eq!(
@@ -198,19 +204,51 @@ fn batch_counts_store_faults_like_serve() {
             stats.cache_errors
         ),
     );
-    assert_eq!((c.cache_misses, c.cache_errors), (0, 2));
-    assert_eq!(
-        cache_events(&batch_ring.events(), 2),
-        cache_events(&serve_ring.events(), 2),
-    );
-    assert_eq!(
-        cache_events(&serve_ring.events(), 2),
-        [Some("bypass"), Some("bypass")]
-    );
+    let events = cache_events(&serve_ring.events(), jobs);
+    assert_eq!(cache_events(&batch_ring.events(), jobs), events);
     for site in [FaultSite::StoreRead, FaultSite::StoreWrite] {
         assert_eq!(batch_plan.occurrences(site), serve_plan.occurrences(site));
-        assert_eq!(batch_plan.injected(site), 1);
+        assert_eq!(batch_plan.injected(site), serve_plan.injected(site));
     }
+    (stats, events, serve_plan)
+}
+
+#[test]
+fn batch_counts_store_faults_like_serve() {
+    // The chaos suite's store schedule on two n = 2 chains: the first
+    // lookup fails (a bypass that stores nothing), then the first insert
+    // fails (a miss downgraded to a bypass). n = 2 keeps one read per
+    // job: there is no warm-start prefix to probe, so each job takes one
+    // read and at most one write.
+    let (stats, events, plan) = store_faults_agree(
+        b"{\"family\":\"chain\",\"values\":[2,3,4]}\n\
+          {\"family\":\"chain\",\"values\":[3,4,5]}\n",
+        2,
+        || {
+            FaultPlan::new()
+                .fail(FaultSite::StoreRead, &[0])
+                .fail(FaultSite::StoreWrite, &[0])
+        },
+    );
+    assert_eq!((stats.cache_misses, stats.cache_errors), (0, 2));
+    assert_eq!(events, [Some("bypass"), Some("bypass")]);
+    for site in [FaultSite::StoreRead, FaultSite::StoreWrite] {
+        assert_eq!(plan.injected(site), 1);
+    }
+
+    // An n = 5 chain probes prefixes after its lookup, and probes are
+    // reads: occurrence 0 is the healthy lookup, 1 the first probe. The
+    // failing probe makes the job a cold bypass that stores nothing and
+    // costs one error, in both front ends.
+    let (stats, events, plan) = store_faults_agree(
+        b"{\"family\":\"chain\",\"values\":[2,3,4,5,6,7]}\n",
+        1,
+        || FaultPlan::new().fail(FaultSite::StoreRead, &[1]),
+    );
+    assert_eq!((stats.cache_misses, stats.cache_errors), (0, 1));
+    assert_eq!(events, [Some("bypass")]);
+    assert_eq!(plan.occurrences(FaultSite::StoreRead), 2);
+    assert_eq!(plan.occurrences(FaultSite::StoreWrite), 0);
 }
 
 /// A command serve does not know, one it runs, a line that is not UTF-8,

@@ -22,9 +22,10 @@ documented on `pardp_core::telemetry`:
     events (`completed_small` / `completed_large` split by regime),
     `panics` / `timeouts` the `panic` / `timeout` events, `cache_hits`
     the `cache` events with outcome `hit`, `cache_misses` those with
-    `miss` or `warm`, `warm_starts` those with `warm`, and `invalid` /
-    `rejected` the lone `rejected` events of kind `invalid` / of any
-    other kind. `cache_errors` has no event and is not checked.
+    `miss` or `warm`, `warm_starts` those with `warm`, `deduped` those
+    with `dedup`, and `invalid` / `rejected` the lone `rejected` events
+    of kind `invalid` / of any other kind. `cache_errors` has no event
+    and is not checked.
 
 Non-event lines (the human-readable drain line on stderr, blank lines)
 are skipped, so the checker can be pointed at a raw `2>` capture of
@@ -66,6 +67,7 @@ SCHEMAS = {
         "cache_misses": int,
         "warm_starts": int,
         "cache_errors": int,
+        "deduped": int,
     },
 }
 
@@ -152,6 +154,7 @@ def check_summary(lineno, obj, seen):
         "cache_hits": seen["cache_hit"],
         "cache_misses": seen["cache_miss"] + seen["cache_warm"],
         "warm_starts": seen["cache_warm"],
+        "deduped": seen["cache_dedup"],
         "invalid": seen["lone_invalid"],
         "rejected": seen["lone_rejected"],
     }
