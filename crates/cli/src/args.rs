@@ -5,11 +5,14 @@
 //! algorithm table of its own.
 
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
+use pardp_core::batch::DEFAULT_LARGE_JOB_CELLS;
 use pardp_core::prelude::{
     Algorithm, ExecBackend, LogLevel, ProblemSpec, SolveKnob, SolveOptions, SpecError,
 };
+use pardp_core::serve::DEFAULT_QUEUE_CAPACITY;
 
 /// A parsing or execution error with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +31,6 @@ impl From<SpecError> for CliError {
         CliError(e.0)
     }
 }
-
-/// The problem family of a `solve` command is the shared wire type
-/// [`ProblemSpec`] — the family rules (arities, positivity) live in
-/// `pardp_core::spec` only, so the `solve` parser, the `batch` job
-/// reader, and the `serve` daemon agree on what a valid instance is.
-pub type Problem = ProblemSpec;
 
 /// The action of a `pardp cache <action> <dir>` command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +55,75 @@ pub enum Shape {
     Random,
 }
 
+/// The six flags `pardp batch` and `pardp serve` share, with the
+/// defaults of `BatchSolver::new()` and `ServeConfig::default()` applied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobFlags {
+    /// Default algorithm for jobs without an `"algo"` field (`--algo`).
+    pub algo: Algorithm,
+    /// Backend the jobs run over (`--backend`).
+    pub backend: ExecBackend,
+    /// Regime threshold (`--large-cells`): jobs with more `w`-table
+    /// cells than this run on the parallel per-problem path.
+    pub large_cells: usize,
+    /// Persistent solution-store directory (`--cache <dir>`); `None`
+    /// solves cold (the default, or explicit `--no-cache`).
+    pub cache: Option<String>,
+    /// Structured event log destination (`--log <path|->`): a JSONL
+    /// file, or `-` for stderr (stdout stays a clean protocol channel).
+    /// `None` disables telemetry.
+    pub log: Option<String>,
+    /// Event severity threshold (`--log-level`, default `info`).
+    pub log_level: LogLevel,
+}
+
+/// `pardp batch <jobs.jsonl>`
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchArgs {
+    /// Path to the JSONL job file (one problem spec per line).
+    pub path: String,
+    /// The flags shared with `serve`.
+    pub flags: JobFlags,
+}
+
+/// Where `pardp serve` reads its requests.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Transport {
+    /// A TCP listener, a thread per connection (`--addr`, e.g.
+    /// `127.0.0.1:7070`; port 0 picks one).
+    Tcp(String),
+    /// One session over stdin/stdout (`--pipe`).
+    Pipe,
+}
+
+/// `pardp serve (--addr <host:port> | --pipe)`
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServeArgs {
+    /// TCP or pipe.
+    pub transport: Transport,
+    /// The flags shared with `batch`.
+    pub flags: JobFlags,
+    /// Queue bound (`--queue`); beyond it jobs are rejected with
+    /// `overloaded`.
+    pub queue: usize,
+    /// Per-job solve deadline (`--job-timeout <seconds>`): a job still
+    /// solving after this is cancelled and answered with a `timeout`
+    /// error line.
+    pub job_timeout: Option<Duration>,
+    /// Per-connection idle read timeout (`--idle-timeout <seconds>`,
+    /// TCP only): silent connections are dropped.
+    pub idle_timeout: Option<Duration>,
+}
+
 /// A fully parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Parsed {
     /// `pardp solve <family> ...`
     Solve {
-        /// The instance.
-        problem: Problem,
+        /// The instance, as the shared wire type: the family rules live
+        /// in `pardp_core::spec` only, so `solve`, `batch` and `serve`
+        /// agree on what a valid instance is.
+        problem: ProblemSpec,
         /// Solver selection (from the `pardp-core` registry).
         algo: Algorithm,
         /// Execution backend, if `--backend` was given explicitly (only
@@ -79,59 +138,9 @@ pub enum Parsed {
         cache: Option<String>,
     },
     /// `pardp batch <jobs.jsonl>`
-    Batch {
-        /// Path to the JSONL job file (one problem spec per line).
-        path: String,
-        /// Default algorithm for jobs without an `"algo"` field.
-        algo: Algorithm,
-        /// Backend the batch fans out over (`--backend`, default
-        /// parallel).
-        backend: Option<ExecBackend>,
-        /// Regime threshold override (`--large-cells`): jobs with more
-        /// `w`-table cells than this run on the parallel per-problem
-        /// path.
-        large_cells: Option<usize>,
-        /// Persistent solution-store directory (`--cache <dir>`); `None`
-        /// solves cold (the default, or explicit `--no-cache`).
-        cache: Option<String>,
-        /// Structured event log destination (`--log <path|->`): a JSONL
-        /// file, or `-` for stderr. `None` disables telemetry.
-        log: Option<String>,
-        /// Event severity threshold (`--log-level`, default `info`).
-        log_level: LogLevel,
-    },
+    Batch(BatchArgs),
     /// `pardp serve (--addr <host:port> | --pipe)`
-    Serve {
-        /// TCP listen address (e.g. `127.0.0.1:7070`; port 0 picks one).
-        addr: Option<String>,
-        /// Serve one session over stdin/stdout instead of TCP.
-        pipe: bool,
-        /// Default algorithm for jobs without an `"algo"` field.
-        algo: Algorithm,
-        /// Worker pool the daemon drains jobs over (`--backend`).
-        backend: Option<ExecBackend>,
-        /// Regime threshold override (`--large-cells`), as in `batch`.
-        large_cells: Option<usize>,
-        /// Queue bound override (`--queue`); beyond it jobs are rejected
-        /// with `overloaded`.
-        queue: Option<usize>,
-        /// Persistent solution-store directory (`--cache <dir>`); `None`
-        /// serves cold (the default, or explicit `--no-cache`).
-        cache: Option<String>,
-        /// Per-job solve deadline (`--job-timeout <seconds>`): a job
-        /// still solving after this is cancelled and answered with a
-        /// `timeout` error line.
-        job_timeout: Option<Duration>,
-        /// Per-connection idle read timeout (`--idle-timeout <seconds>`,
-        /// TCP only): silent connections are dropped.
-        idle_timeout: Option<Duration>,
-        /// Structured event log destination (`--log <path|->`): a JSONL
-        /// file, or `-` for stderr (stdout stays a clean protocol
-        /// channel). `None` disables telemetry.
-        log: Option<String>,
-        /// Event severity threshold (`--log-level`, default `info`).
-        log_level: LogLevel,
-    },
+    Serve(ServeArgs),
     /// `pardp cache (stat | clear) <dir>`
     Cache {
         /// What to do with the store.
@@ -243,17 +252,17 @@ CACHING (--cache DIR | --no-cache): persistent solution store.
 ",
         algos = Algorithm::listing(),
         parallel = Algorithm::names_reading(SolveKnob::Exec),
-        large_cells = pardp_core::batch::DEFAULT_LARGE_JOB_CELLS,
-        queue = pardp_core::serve::DEFAULT_QUEUE_CAPACITY,
+        large_cells = DEFAULT_LARGE_JOB_CELLS,
+        queue = DEFAULT_QUEUE_CAPACITY,
     )
 }
 
-fn parse_list(s: &str) -> Result<Vec<u64>, CliError> {
+fn parse_list(s: &str) -> Result<Vec<u64>, String> {
     s.split(',')
         .map(|t| {
             t.trim()
                 .parse::<u64>()
-                .map_err(|_| CliError(format!("'{t}' is not a non-negative integer")))
+                .map_err(|_| format!("'{t}' is not a non-negative integer"))
         })
         .collect()
 }
@@ -267,88 +276,105 @@ fn take_flag(rest: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-fn take_value(rest: &mut Vec<String>, flag: &str) -> Result<Option<String>, CliError> {
-    if let Some(pos) = rest.iter().position(|a| a == flag) {
-        if pos + 1 >= rest.len() {
-            return Err(CliError(format!("{flag} needs a value")));
-        }
-        let v = rest.remove(pos + 1);
-        rest.remove(pos);
-        Ok(Some(v))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Take a `--flag <seconds>` value as a duration: positive, finite,
-/// fractions allowed (`0.5` is half a second).
-fn take_seconds(rest: &mut Vec<String>, flag: &str) -> Result<Option<Duration>, CliError> {
-    match take_value(rest, flag)? {
-        None => Ok(None),
-        Some(s) => {
-            let secs: f64 = s
-                .parse()
-                .map_err(|_| CliError(format!("bad {flag} '{s}' (expected seconds, e.g. 2.5)")))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(CliError(format!(
-                    "{flag} needs a positive number of seconds (got '{s}'); \
-                     drop the flag to disable the timeout"
-                )));
-            }
-            Ok(Some(Duration::from_secs_f64(secs)))
-        }
-    }
-}
-
-/// Take the shared `--log <path|->` / `--log-level <level>` pair of
-/// `batch` and `serve`. The level defaults to `info`; giving it
-/// without `--log` is pointless and rejected so a typo cannot silently
-/// drop the event stream.
-fn take_log(rest: &mut Vec<String>) -> Result<(Option<String>, LogLevel), CliError> {
-    let log = take_value(rest, "--log")?;
-    if let Some(path) = &log {
-        if path.is_empty() {
-            return Err(CliError(
-                "--log needs a destination: a file path, or - for stderr".into(),
-            ));
-        }
-    }
-    let level = match take_value(rest, "--log-level")? {
-        None => LogLevel::Info,
-        Some(s) => {
-            if log.is_none() {
-                return Err(CliError(
-                    "--log-level needs --log <path|-> (there is no event stream to filter)".into(),
-                ));
-            }
-            LogLevel::parse(&s).map_err(CliError)?
-        }
+/// The one reader of a `--flag <value>`: take the flag and the argument
+/// after it, and parse that with `read` (`str::parse` for a type's
+/// `FromStr`, or a closure with the flag's own messages). `None` if the
+/// flag is absent. The value may not be another flag, so `--cache
+/// --no-cache` is a `--cache` without a directory; a lone `-` is a value.
+fn take<T>(
+    rest: &mut Vec<String>,
+    flag: &str,
+    read: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, CliError> {
+    let Some(pos) = rest.iter().position(|a| a == flag) else {
+        return Ok(None);
     };
-    Ok((log, level))
+    match rest.get(pos + 1) {
+        Some(value) if !value.starts_with("--") => {}
+        _ => return Err(CliError(format!("{flag} needs a value"))),
+    }
+    let value = rest.remove(pos + 1);
+    rest.remove(pos);
+    read(&value).map(Some).map_err(CliError)
 }
 
-/// Take the shared `--cache <dir>` / `--no-cache` pair of `solve`,
-/// `batch`, and `serve`. Solving cold is already the default, so
-/// `--no-cache` mostly serves scripts that want to force it explicitly —
-/// but combining it with a directory is contradictory and rejected.
+/// A numeric flag's parser: `bad <flag> '<value>' (expected <what>)`.
+fn number<T: FromStr>(
+    flag: &'static str,
+    what: &'static str,
+) -> impl Fn(&str) -> Result<T, String> {
+    move |v| {
+        v.parse()
+            .map_err(|_| format!("bad {flag} '{v}' (expected {what})"))
+    }
+}
+
+/// A `--flag <seconds>` parser: positive, fractions allowed (`0.5` is
+/// half a second).
+fn seconds(flag: &'static str) -> impl Fn(&str) -> Result<Duration, String> {
+    move |v| match number::<f64>(flag, "seconds, e.g. 2.5")(v)? {
+        secs if secs > 0.0 => Duration::try_from_secs_f64(secs).map_err(|_| {
+            format!(
+                "{flag} '{v}' is beyond the longest timeout; \
+                 drop the flag to disable the timeout"
+            )
+        }),
+        _ => Err(format!(
+            "{flag} needs a positive number of seconds (got '{v}'); \
+             drop the flag to disable the timeout"
+        )),
+    }
+}
+
+/// Take the `--cache <dir>` / `--no-cache` pair of `solve`, `batch`, and
+/// `serve`. Solving cold is already the default, so `--no-cache` mostly
+/// serves scripts that want to force it explicitly — but combining it
+/// with a directory is contradictory and rejected.
 fn take_cache(rest: &mut Vec<String>) -> Result<Option<String>, CliError> {
-    let dir = take_value(rest, "--cache")?;
-    let off = take_flag(rest, "--no-cache");
-    if off && dir.is_some() {
+    let dir = take(rest, "--cache", |v| match v {
+        "" => Err("--cache needs a directory path; use --no-cache to solve cold".into()),
+        dir => Ok(dir.to_string()),
+    })?;
+    if take_flag(rest, "--no-cache") && dir.is_some() {
         return Err(CliError(
             "give one of --cache <dir> (reuse solutions across runs) or \
              --no-cache (solve everything cold), not both"
                 .into(),
         ));
     }
-    if let Some(d) = &dir {
-        if d.is_empty() {
-            return Err(CliError(
-                "--cache needs a directory path; use --no-cache to solve cold".into(),
-            ));
-        }
-    }
     Ok(dir)
+}
+
+/// Take the six flags `batch` and `serve` share, with their defaults.
+/// `--log-level` without `--log` is rejected, so a typo cannot silently
+/// drop the event stream.
+fn take_job_flags(rest: &mut Vec<String>) -> Result<JobFlags, CliError> {
+    let algo = take(rest, "--algo", str::parse)?.unwrap_or(Algorithm::Sublinear);
+    let backend = take(rest, "--backend", str::parse)?.unwrap_or(ExecBackend::Parallel);
+    let large_cells = take(
+        rest,
+        "--large-cells",
+        number("--large-cells", "a cell count"),
+    )?
+    .unwrap_or(DEFAULT_LARGE_JOB_CELLS);
+    let cache = take_cache(rest)?;
+    let log = take(rest, "--log", |v| match v {
+        "" => Err("--log needs a destination: a file path, or - for stderr".into()),
+        dest => Ok(dest.to_string()),
+    })?;
+    let log_level = take(rest, "--log-level", |v| match log {
+        Some(_) => LogLevel::parse(v),
+        None => Err("--log-level needs --log <path|-> (there is no event stream to filter)".into()),
+    })?
+    .unwrap_or(LogLevel::Info);
+    Ok(JobFlags {
+        algo,
+        backend,
+        large_cells,
+        cache,
+        log,
+        log_level,
+    })
 }
 
 /// Check what a subcommand left in `rest` after taking its flags: a
@@ -367,7 +393,7 @@ fn check_leftovers(rest: &[String], max: usize) -> Result<(), CliError> {
 /// The one positional list of a `solve` family; `missing` if absent.
 fn payload(rest: &[String], missing: &str) -> Result<Vec<u64>, CliError> {
     check_leftovers(rest, 1)?;
-    parse_list(rest.first().ok_or_else(|| CliError(missing.into()))?)
+    parse_list(rest.first().ok_or_else(|| CliError(missing.into()))?).map_err(CliError)
 }
 
 /// Parse `argv` (without the program name).
@@ -380,14 +406,8 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Parsed::Help),
         "solve" => {
-            let algo = match take_value(&mut rest, "--algo")? {
-                Some(s) => s.parse::<Algorithm>().map_err(CliError)?,
-                None => Algorithm::Sublinear,
-            };
-            let backend = match take_value(&mut rest, "--backend")? {
-                Some(s) => Some(s.parse::<ExecBackend>().map_err(CliError)?),
-                None => None,
-            };
+            let algo = take(&mut rest, "--algo", str::parse)?.unwrap_or(Algorithm::Sublinear);
+            let backend = take(&mut rest, "--backend", str::parse)?;
             let witness = take_flag(&mut rest, "--witness");
             let trace = take_flag(&mut rest, "--trace");
             let cache = take_cache(&mut rest)?;
@@ -423,11 +443,11 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             let problem = match family.as_str() {
                 "chain" => ProblemSpec::chain(payload(&rest, "chain needs dimensions")?)?,
                 "obst" => {
-                    let p = take_value(&mut rest, "--p")?;
-                    let q = take_value(&mut rest, "--q")?;
+                    let p = take(&mut rest, "--p", parse_list)?;
+                    let q = take(&mut rest, "--q", parse_list)?;
                     check_leftovers(&rest, 0)?;
-                    let p = parse_list(&p.ok_or_else(|| CliError("obst needs --p".into()))?)?;
-                    let q = parse_list(&q.ok_or_else(|| CliError("obst needs --q".into()))?)?;
+                    let p = p.ok_or_else(|| CliError("obst needs --p".into()))?;
+                    let q = q.ok_or_else(|| CliError("obst needs --q".into()))?;
                     ProblemSpec::obst(p, q)?
                 }
                 "polygon" => ProblemSpec::polygon(payload(&rest, "polygon needs weights")?)?,
@@ -449,103 +469,54 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             })
         }
         "batch" => {
-            let algo = match take_value(&mut rest, "--algo")? {
-                Some(s) => s.parse::<Algorithm>().map_err(CliError)?,
-                None => Algorithm::Sublinear,
-            };
-            let backend = match take_value(&mut rest, "--backend")? {
-                Some(s) => Some(s.parse::<ExecBackend>().map_err(CliError)?),
-                None => None,
-            };
-            let large_cells = match take_value(&mut rest, "--large-cells")? {
-                Some(s) => Some(s.parse::<usize>().map_err(|_| {
-                    CliError(format!("bad --large-cells '{s}' (expected a cell count)"))
-                })?),
-                None => None,
-            };
-            let cache = take_cache(&mut rest)?;
-            let (log, log_level) = take_log(&mut rest)?;
+            let flags = take_job_flags(&mut rest)?;
             check_leftovers(&rest, 1)?;
-            if rest.is_empty() {
-                return Err(CliError(
-                    "batch needs a JSONL job file (one problem per line)".into(),
-                ));
-            }
-            Ok(Parsed::Batch {
-                path: rest.remove(0),
-                algo,
-                backend,
-                large_cells,
-                cache,
-                log,
-                log_level,
-            })
+            let path = rest.pop().ok_or_else(|| {
+                CliError("batch needs a JSONL job file (one problem per line)".into())
+            })?;
+            Ok(Parsed::Batch(BatchArgs { path, flags }))
         }
         "serve" => {
-            let algo = match take_value(&mut rest, "--algo")? {
-                Some(s) => s.parse::<Algorithm>().map_err(CliError)?,
-                None => Algorithm::Sublinear,
-            };
-            let backend = match take_value(&mut rest, "--backend")? {
-                Some(s) => Some(s.parse::<ExecBackend>().map_err(CliError)?),
-                None => None,
-            };
-            let large_cells = match take_value(&mut rest, "--large-cells")? {
-                Some(s) => Some(s.parse::<usize>().map_err(|_| {
-                    CliError(format!("bad --large-cells '{s}' (expected a cell count)"))
-                })?),
-                None => None,
-            };
-            let queue = match take_value(&mut rest, "--queue")? {
-                Some(s) => {
-                    let q: usize = s.parse().map_err(|_| {
-                        CliError(format!("bad --queue '{s}' (expected a job count)"))
-                    })?;
-                    if q == 0 {
-                        return Err(CliError(
-                            "--queue 0 would reject every job as overloaded; give a \
-                             positive bound (or drop the flag for the default)"
-                                .into(),
-                        ));
-                    }
-                    Some(q)
+            let flags = take_job_flags(&mut rest)?;
+            let queue = take(&mut rest, "--queue", |v| {
+                match number("--queue", "a job count")(v)? {
+                    0 => Err("--queue 0 would reject every job as overloaded; give a \
+                              positive bound (or drop the flag for the default)"
+                        .into()),
+                    q => Ok(q),
                 }
-                None => None,
-            };
-            let cache = take_cache(&mut rest)?;
-            let (log, log_level) = take_log(&mut rest)?;
-            let job_timeout = take_seconds(&mut rest, "--job-timeout")?;
-            let idle_timeout = take_seconds(&mut rest, "--idle-timeout")?;
-            let addr = take_value(&mut rest, "--addr")?;
+            })?
+            .unwrap_or(DEFAULT_QUEUE_CAPACITY);
+            let job_timeout = take(&mut rest, "--job-timeout", seconds("--job-timeout"))?;
+            let idle_timeout = take(&mut rest, "--idle-timeout", seconds("--idle-timeout"))?;
+            let addr = take(&mut rest, "--addr", |v| Ok(v.to_string()))?;
             let pipe = take_flag(&mut rest, "--pipe");
             check_leftovers(&rest, 0)?;
-            if addr.is_some() == pipe {
-                return Err(CliError(
-                    "serve needs exactly one of --addr <host:port> (TCP daemon) or \
-                     --pipe (one session over stdin/stdout)"
-                        .into(),
-                ));
-            }
-            if pipe && idle_timeout.is_some() {
-                return Err(CliError(
-                    "--idle-timeout applies to TCP connections only; --pipe reads \
-                     stdin to EOF"
-                        .into(),
-                ));
-            }
-            Ok(Parsed::Serve {
-                addr,
-                pipe,
-                algo,
-                backend,
-                large_cells,
+            let transport = match (addr, pipe) {
+                (Some(addr), false) => Transport::Tcp(addr),
+                (None, true) if idle_timeout.is_some() => {
+                    return Err(CliError(
+                        "--idle-timeout applies to TCP connections only; --pipe reads \
+                         stdin to EOF"
+                            .into(),
+                    ))
+                }
+                (None, true) => Transport::Pipe,
+                _ => {
+                    return Err(CliError(
+                        "serve needs exactly one of --addr <host:port> (TCP daemon) or \
+                         --pipe (one session over stdin/stdout)"
+                            .into(),
+                    ))
+                }
+            };
+            Ok(Parsed::Serve(ServeArgs {
+                transport,
+                flags,
                 queue,
-                cache,
                 job_timeout,
                 idle_timeout,
-                log,
-                log_level,
-            })
+            }))
         }
         "cache" => {
             check_leftovers(&rest, 2)?;
@@ -576,17 +547,18 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             })
         }
         "game" => {
-            // --rule jump | modified
-            let rule = take_value(&mut rest, "--rule")?;
-            let jump = match rule.as_deref() {
-                Some("jump") => true,
-                Some("modified") | None => false,
-                Some(other) => return Err(CliError(format!("unknown --rule '{other}'"))),
-            };
-            let seed = match take_value(&mut rest, "--seed")? {
-                Some(s) => s.parse().map_err(|_| CliError("bad --seed".into()))?,
-                None => 1,
-            };
+            let jump = take(&mut rest, "--rule", |v| match v {
+                "jump" => Ok(true),
+                "modified" => Ok(false),
+                other => Err(format!("unknown --rule '{other}'")),
+            })?
+            .unwrap_or(false);
+            let seed = take(
+                &mut rest,
+                "--seed",
+                number("--seed", "a non-negative integer"),
+            )?
+            .unwrap_or(1);
             check_leftovers(&rest, 2)?;
             if rest.len() < 2 {
                 return Err(CliError("game needs <shape> <n>".into()));
@@ -612,10 +584,12 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
             })
         }
         "model" => {
-            let processors = match take_value(&mut rest, "--processors")? {
-                Some(s) => s.parse().map_err(|_| CliError("bad --processors".into()))?,
-                None => 0,
-            };
+            let processors = take(
+                &mut rest,
+                "--processors",
+                number("--processors", "a processor count"),
+            )?
+            .unwrap_or(0);
             check_leftovers(&rest, 1)?;
             let n: usize = rest
                 .first()
@@ -648,6 +622,18 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|t| t.to_string()).collect()
+    }
+
+    /// The shared `batch`/`serve` flags when none is given.
+    fn default_flags() -> JobFlags {
+        JobFlags {
+            algo: Algorithm::Sublinear,
+            backend: ExecBackend::Parallel,
+            large_cells: DEFAULT_LARGE_JOB_CELLS,
+            cache: None,
+            log: None,
+            log_level: LogLevel::Info,
+        }
     }
 
     #[test]
@@ -726,15 +712,10 @@ mod tests {
         let p = parse(&argv("batch jobs.jsonl")).unwrap();
         assert_eq!(
             p,
-            Parsed::Batch {
+            Parsed::Batch(BatchArgs {
                 path: "jobs.jsonl".into(),
-                algo: Algorithm::Sublinear,
-                backend: None,
-                large_cells: None,
-                cache: None,
-                log: None,
-                log_level: LogLevel::Info,
-            }
+                flags: default_flags(),
+            })
         );
         let p = parse(&argv(
             "batch --algo reduced --backend threads:2 --large-cells 50 jobs.jsonl",
@@ -742,15 +723,15 @@ mod tests {
         .unwrap();
         assert_eq!(
             p,
-            Parsed::Batch {
+            Parsed::Batch(BatchArgs {
                 path: "jobs.jsonl".into(),
-                algo: Algorithm::Reduced,
-                backend: Some(ExecBackend::Threads(2)),
-                large_cells: Some(50),
-                cache: None,
-                log: None,
-                log_level: LogLevel::Info,
-            }
+                flags: JobFlags {
+                    algo: Algorithm::Reduced,
+                    backend: ExecBackend::Threads(2),
+                    large_cells: 50,
+                    ..default_flags()
+                },
+            })
         );
         let err = parse(&argv("batch")).unwrap_err();
         assert!(err.0.contains("JSONL"), "{err}");
@@ -765,19 +746,13 @@ mod tests {
         let p = parse(&argv("serve --pipe")).unwrap();
         assert_eq!(
             p,
-            Parsed::Serve {
-                addr: None,
-                pipe: true,
-                algo: Algorithm::Sublinear,
-                backend: None,
-                large_cells: None,
-                queue: None,
-                cache: None,
+            Parsed::Serve(ServeArgs {
+                transport: Transport::Pipe,
+                flags: default_flags(),
+                queue: DEFAULT_QUEUE_CAPACITY,
                 job_timeout: None,
                 idle_timeout: None,
-                log: None,
-                log_level: LogLevel::Info,
-            }
+            })
         );
         let p = parse(&argv(
             "serve --addr 127.0.0.1:0 --algo reduced --backend threads:2 \
@@ -786,19 +761,18 @@ mod tests {
         .unwrap();
         assert_eq!(
             p,
-            Parsed::Serve {
-                addr: Some("127.0.0.1:0".into()),
-                pipe: false,
-                algo: Algorithm::Reduced,
-                backend: Some(ExecBackend::Threads(2)),
-                large_cells: Some(50),
-                queue: Some(8),
-                cache: None,
+            Parsed::Serve(ServeArgs {
+                transport: Transport::Tcp("127.0.0.1:0".into()),
+                flags: JobFlags {
+                    algo: Algorithm::Reduced,
+                    backend: ExecBackend::Threads(2),
+                    large_cells: 50,
+                    ..default_flags()
+                },
+                queue: 8,
                 job_timeout: Some(Duration::from_millis(2500)),
                 idle_timeout: Some(Duration::from_secs(30)),
-                log: None,
-                log_level: LogLevel::Info,
-            }
+            })
         );
         // Exactly one transport: neither and both are rejected.
         let err = parse(&argv("serve")).unwrap_err();
@@ -826,7 +800,7 @@ mod tests {
         assert!(err.0.contains("TCP"), "{err}");
         // Fractional seconds work.
         match parse(&argv("serve --pipe --job-timeout 0.25")).unwrap() {
-            Parsed::Serve { job_timeout, .. } => {
+            Parsed::Serve(ServeArgs { job_timeout, .. }) => {
                 assert_eq!(job_timeout, Some(Duration::from_millis(250)));
             }
             other => panic!("{other:?}"),
@@ -836,21 +810,30 @@ mod tests {
     #[test]
     fn parse_log_flags_on_batch_and_serve() {
         match parse(&argv("batch --log events.jsonl jobs.jsonl")).unwrap() {
-            Parsed::Batch { log, log_level, .. } => {
+            Parsed::Batch(BatchArgs {
+                flags: JobFlags { log, log_level, .. },
+                ..
+            }) => {
                 assert_eq!(log.as_deref(), Some("events.jsonl"));
                 assert_eq!(log_level, LogLevel::Info);
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("serve --pipe --log - --log-level debug")).unwrap() {
-            Parsed::Serve { log, log_level, .. } => {
+            Parsed::Serve(ServeArgs {
+                flags: JobFlags { log, log_level, .. },
+                ..
+            }) => {
                 assert_eq!(log.as_deref(), Some("-"));
                 assert_eq!(log_level, LogLevel::Debug);
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("serve --pipe --log e.jsonl --log-level error")).unwrap() {
-            Parsed::Serve { log, log_level, .. } => {
+            Parsed::Serve(ServeArgs {
+                flags: JobFlags { log, log_level, .. },
+                ..
+            }) => {
                 assert_eq!(log.as_deref(), Some("e.jsonl"));
                 assert_eq!(log_level, LogLevel::Error);
             }
@@ -879,16 +862,16 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse(&argv("batch --cache /tmp/store jobs.jsonl")).unwrap() {
-            Parsed::Batch { cache, .. } => assert_eq!(cache.as_deref(), Some("/tmp/store")),
+            Parsed::Batch(b) => assert_eq!(b.flags.cache.as_deref(), Some("/tmp/store")),
             other => panic!("{other:?}"),
         }
         match parse(&argv("serve --pipe --cache /tmp/store")).unwrap() {
-            Parsed::Serve { cache, .. } => assert_eq!(cache.as_deref(), Some("/tmp/store")),
+            Parsed::Serve(s) => assert_eq!(s.flags.cache.as_deref(), Some("/tmp/store")),
             other => panic!("{other:?}"),
         }
         // --no-cache is an accepted explicit default.
         match parse(&argv("batch --no-cache jobs.jsonl")).unwrap() {
-            Parsed::Batch { cache, .. } => assert_eq!(cache, None),
+            Parsed::Batch(b) => assert_eq!(b.flags.cache, None),
             other => panic!("{other:?}"),
         }
         // The contradictory combination is rejected with both spellings
@@ -906,6 +889,31 @@ mod tests {
         // --cache without a path.
         let err = parse(&argv("solve --cache")).unwrap_err();
         assert!(err.0.contains("--cache needs a value"), "{err}");
+    }
+
+    #[test]
+    fn a_flag_value_may_not_be_another_flag() {
+        // Neither line may read the next flag as its value: no store
+        // named `--no-cache`, no event log named `--log-level`.
+        let err = parse(&argv("solve --cache --no-cache chain 30,35,15,5,10,20,25")).unwrap_err();
+        assert_eq!(err.0, "--cache needs a value");
+        let err = parse(&argv("batch --log --log-level jobs.jsonl")).unwrap_err();
+        assert_eq!(err.0, "--log needs a value");
+        // A lone dash is a value: `--log -` streams to stderr.
+        match parse(&argv("batch --log - --log-level debug jobs.jsonl")).unwrap() {
+            Parsed::Batch(b) => {
+                assert_eq!(b.flags.log.as_deref(), Some("-"));
+                assert_eq!(b.flags.log_level, LogLevel::Debug);
+                assert_eq!(b.path, "jobs.jsonl");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_overlong_timeout_is_an_error() {
+        let err = parse(&argv("serve --pipe --job-timeout 1e300")).unwrap_err();
+        assert!(err.0.contains("--job-timeout '1e300'"), "{err}");
     }
 
     #[test]

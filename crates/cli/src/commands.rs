@@ -1,18 +1,21 @@
 //! Command execution: build the instance, run the chosen solver, format
 //! the results.
 
+use std::sync::Arc;
+
 use pardp_apps::{MatrixChain, MergeOrder, OptimalBst, WeightedPolygon};
 use pardp_core::pram_exec::{model_reduced, model_rytter, model_sublinear};
 use pardp_core::prelude::*;
 use pardp_core::reconstruct::reconstruct_root;
 use pardp_core::rytter::rytter_schedule;
+use pardp_core::serve::serve_pipe;
 use pardp_pebble::game::{moves_to_pebble, SquareRule};
 use pardp_pebble::{gen, lemma_move_bound};
 use pardp_pram::Timeline;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::args::{usage, CacheAction, CliError, Parsed, Problem, Shape};
+use crate::args::{usage, BatchArgs, CacheAction, CliError, Parsed, ServeArgs, Shape, Transport};
 
 /// Open the persistent store behind `--cache <dir>` (creating the
 /// directory on first use).
@@ -23,10 +26,7 @@ fn open_cache(dir: &str) -> Result<FileStore, CliError> {
 /// Build the telemetry pipeline behind `--log <path|->`: `-` streams
 /// JSONL events to stderr (stdout stays protocol-only), anything else
 /// truncates and writes a file. No flag, no telemetry, no overhead.
-fn open_telemetry(
-    log: Option<&str>,
-    level: LogLevel,
-) -> Result<Option<std::sync::Arc<Telemetry>>, CliError> {
+fn open_telemetry(log: Option<&str>, level: LogLevel) -> Result<Option<Arc<Telemetry>>, CliError> {
     let Some(dest) = log else { return Ok(None) };
     let writer: Box<dyn std::io::Write + Send> = if dest == "-" {
         Box::new(std::io::stderr())
@@ -36,58 +36,16 @@ fn open_telemetry(
                 .map_err(|e| CliError(format!("cannot open log file '{dest}': {e}")))?,
         )
     };
-    let sink = std::sync::Arc::new(WriterSink::new(writer));
-    Ok(Some(std::sync::Arc::new(Telemetry::with_level(
-        sink, level,
-    ))))
+    let sink = Arc::new(WriterSink::new(writer));
+    Ok(Some(Arc::new(Telemetry::with_level(sink, level))))
 }
 
 /// Execute a parsed command, producing the output text.
 pub fn execute(parsed: &Parsed) -> Result<String, CliError> {
     match parsed {
         Parsed::Help => Ok(usage()),
-        Parsed::Batch {
-            path,
-            algo,
-            backend,
-            large_cells,
-            cache,
-            log,
-            log_level,
-        } => run_batch(
-            path,
-            *algo,
-            *backend,
-            *large_cells,
-            cache.as_deref(),
-            log.as_deref(),
-            *log_level,
-        ),
-        Parsed::Serve {
-            addr,
-            pipe,
-            algo,
-            backend,
-            large_cells,
-            queue,
-            cache,
-            job_timeout,
-            idle_timeout,
-            log,
-            log_level,
-        } => run_serve(
-            addr.as_deref(),
-            *pipe,
-            *algo,
-            *backend,
-            *large_cells,
-            *queue,
-            cache.as_deref(),
-            *job_timeout,
-            *idle_timeout,
-            log.as_deref(),
-            *log_level,
-        ),
+        Parsed::Batch(batch) => run_batch(batch),
+        Parsed::Serve(serve) => run_serve(serve),
         Parsed::Cache { action, dir } => run_cache(*action, dir),
         Parsed::Bound { n } => {
             let b = pardp_core::schedule_bound(*n);
@@ -193,7 +151,7 @@ fn run_model(n: usize, processors: u64) -> Result<String, CliError> {
 }
 
 fn run_solve(
-    problem: &Problem,
+    problem: &ProblemSpec,
     algo: Algorithm,
     backend: Option<ExecBackend>,
     witness: bool,
@@ -204,7 +162,7 @@ fn run_solve(
     let (out, tree) = solve_with(problem, algo, backend, trace, witness, cache.as_ref())?;
     // The `pardp_apps` types only render: headers and the witness.
     match problem {
-        Problem::Chain { dims } => {
+        ProblemSpec::Chain { dims } => {
             let mc = MatrixChain::new(dims.clone());
             let mut s = format!("matrix chain, n = {}\n{out}", mc.n_matrices());
             if let Some(tree) = tree {
@@ -212,7 +170,7 @@ fn run_solve(
             }
             Ok(s)
         }
-        Problem::Obst { p, q } => {
+        ProblemSpec::Obst { p, q } => {
             let bst = OptimalBst::new(p.clone(), q.clone());
             let mut s = format!("optimal BST, {} keys\n{out}", bst.n_keys());
             if let Some(tree) = tree {
@@ -227,7 +185,7 @@ fn run_solve(
             }
             Ok(s)
         }
-        Problem::Polygon { weights } => {
+        ProblemSpec::Polygon { weights } => {
             let poly = WeightedPolygon::new(weights.clone());
             let mut s = format!(
                 "polygon triangulation, {} vertices\n{out}",
@@ -239,7 +197,7 @@ fn run_solve(
             }
             Ok(s)
         }
-        Problem::Merge { lengths } => {
+        ProblemSpec::Merge { lengths } => {
             let m = MergeOrder::new(lengths.clone());
             let mut s = format!("merge order, {} runs\n{out}", m.lengths().len());
             if let Some(tree) = tree {
@@ -254,22 +212,15 @@ fn run_solve(
 /// ([`read_request`]), solve the jobs concurrently through
 /// [`BatchSolver`], and emit one answer line per non-blank line (a command
 /// line gets [`command_error`]) plus a summary.
-fn run_batch(
-    path: &str,
-    default_algo: Algorithm,
-    backend: Option<ExecBackend>,
-    large_cells: Option<usize>,
-    cache_dir: Option<&str>,
-    log: Option<&str>,
-    log_level: LogLevel,
-) -> Result<String, CliError> {
+fn run_batch(batch: &BatchArgs) -> Result<String, CliError> {
+    let BatchArgs { path, flags } = batch;
     let bytes =
         std::fs::read(path).map_err(|e| CliError(format!("cannot read job file '{path}': {e}")))?;
     // Per request line in order: a command's answer, or `None` for the
     // next job's.
     let (mut jobs, mut answers) = (Vec::new(), Vec::new());
     for line in bytes.split(|&b| b == b'\n') {
-        match read_request(line, default_algo, wire_options()) {
+        match read_request(line, flags.algo, wire_options()) {
             Request::Blank => {}
             Request::Command(name) => answers.push(Some(command_error(&name))),
             Request::Job(job) => {
@@ -279,16 +230,13 @@ fn run_batch(
         }
     }
 
-    let mut solver = BatchSolver::new().telemetry(open_telemetry(log, log_level)?);
-    if let Some(b) = backend {
-        solver = solver.exec(b);
-    }
-    if let Some(c) = large_cells {
-        solver = solver.large_job_cells(c);
-    }
+    let solver = BatchSolver::new()
+        .exec(flags.backend)
+        .large_job_cells(flags.large_cells)
+        .telemetry(open_telemetry(flags.log.as_deref(), flags.log_level)?);
     // The cache-aware path is the only path: without --cache it still
     // dedups identical jobs within the batch (`cache: None` below).
-    let store = cache_dir.map(open_cache).transpose()?;
+    let store = flags.cache.as_deref().map(open_cache).transpose()?;
     let report = solver.solve_lines(&jobs, store.as_ref().map(|s| s as &dyn SolutionCache));
 
     let mut job_lines = report.lines(&jobs).into_iter();
@@ -349,64 +297,52 @@ fn install_sigint() -> &'static std::sync::atomic::AtomicBool {
 /// `pardp serve`: run the persistent daemon (`pardp_core::serve`) in
 /// pipe mode (one stdin/stdout session) or as a TCP listener until
 /// shutdown, then report the drained counters on stderr.
-#[allow(clippy::too_many_arguments)]
-fn run_serve(
-    addr: Option<&str>,
-    pipe: bool,
-    algo: Algorithm,
-    backend: Option<ExecBackend>,
-    large_cells: Option<usize>,
-    queue: Option<usize>,
-    cache_dir: Option<&str>,
-    job_timeout: Option<std::time::Duration>,
-    idle_timeout: Option<std::time::Duration>,
-    log: Option<&str>,
-    log_level: LogLevel,
-) -> Result<String, CliError> {
-    let mut config = pardp_core::serve::ServeConfig {
-        default_algo: algo,
+fn run_serve(serve: &ServeArgs) -> Result<String, CliError> {
+    let ServeArgs {
+        transport,
+        flags,
+        queue,
         job_timeout,
         idle_timeout,
-        telemetry: open_telemetry(log, log_level)?,
+    } = serve;
+    let config = ServeConfig {
+        exec: flags.backend,
+        default_algo: flags.algo,
+        queue_capacity: *queue,
+        large_job_cells: flags.large_cells,
+        job_timeout: *job_timeout,
+        idle_timeout: *idle_timeout,
+        telemetry: open_telemetry(flags.log.as_deref(), flags.log_level)?,
+        cache: match &flags.cache {
+            Some(dir) => Some(Arc::new(open_cache(dir)?)),
+            None => None,
+        },
         ..Default::default()
     };
-    if let Some(b) = backend {
-        config.exec = b;
-    }
-    if let Some(c) = large_cells {
-        config.large_job_cells = c;
-    }
-    if let Some(q) = queue {
-        config.queue_capacity = q;
-    }
-    let cached = cache_dir.is_some();
-    if let Some(dir) = cache_dir {
-        config.cache = Some(std::sync::Arc::new(open_cache(dir)?));
-    }
 
-    let stats = if pipe {
+    let stats = match transport {
         // Responses go to stdout (they are the protocol); everything
         // human-facing goes to stderr.
-        let stdin = std::io::stdin();
-        pardp_core::serve::serve_pipe(stdin.lock(), std::io::stdout(), &config)
-    } else {
-        let addr = addr.expect("the parser requires --addr without --pipe");
-        let server = pardp_core::serve::Server::bind(addr, &config)
-            .map_err(|e| CliError(format!("cannot bind '{addr}': {e}")))?;
-        eprintln!(
-            "pardp serve: listening on {} ({} worker{}, queue {})",
-            server.addr(),
-            server.stats().workers,
-            if server.stats().workers == 1 { "" } else { "s" },
-            config.queue_capacity,
-        );
-        let sigint = install_sigint();
-        while !server.shutdown_requested() && !sigint.load(std::sync::atomic::Ordering::SeqCst) {
-            std::thread::sleep(std::time::Duration::from_millis(100));
+        Transport::Pipe => serve_pipe(std::io::stdin().lock(), std::io::stdout(), &config),
+        Transport::Tcp(addr) => {
+            let server = Server::bind(addr, &config)
+                .map_err(|e| CliError(format!("cannot bind '{addr}': {e}")))?;
+            eprintln!(
+                "pardp serve: listening on {} ({} worker{}, queue {})",
+                server.addr(),
+                server.stats().workers,
+                if server.stats().workers == 1 { "" } else { "s" },
+                config.queue_capacity,
+            );
+            let sigint = install_sigint();
+            while !server.shutdown_requested() && !sigint.load(std::sync::atomic::Ordering::SeqCst)
+            {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            server.join()
         }
-        server.join()
     };
-    let cache_note = if cached {
+    let cache_note = if flags.cache.is_some() {
         format!(
             " cache (hits {} / misses {} / warm starts {} / errors {})",
             stats.cache_hits, stats.cache_misses, stats.warm_starts, stats.cache_errors,

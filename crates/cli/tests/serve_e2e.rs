@@ -2,12 +2,16 @@
 //! `pardp serve --pipe` must answer with records bit-identical to
 //! `pardp batch` on the same file (modulo the nondeterministic
 //! `wall_seconds`), because both front ends share `pardp_core::spec`
-//! and the same scheduling regimes.
+//! and the same scheduling regimes. `pardp serve --addr` answers the
+//! same protocol over TCP.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 use pardp_core::prelude::JobRecord;
+use pardp_core::serve::DEFAULT_QUEUE_CAPACITY;
 
 const JOBS: &str = r#"{"family":"chain","values":[30,35,15,5,10,20,25]}
 {"family":"obst","values":[15,10,5,10,20],"q":[5,10,5,5,5,10],"algo":"reduced"}
@@ -107,4 +111,62 @@ fn serve_rejects_bad_transport_combinations() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("exactly one"), "{err}");
+}
+
+/// A daemon process, killed if a failing assertion leaves it running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+#[test]
+fn serve_addr_answers_and_shuts_down_over_one_tcp_connection() {
+    let mut serve = Daemon(
+        pardp()
+            .args(["serve", "--addr", "127.0.0.1:0", "--backend", "1"])
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // The first stderr line names the bound port.
+    let mut stderr = BufReader::new(serve.0.stderr.take().unwrap());
+    let mut listening = String::new();
+    stderr.read_line(&mut listening).unwrap();
+    let addr = listening
+        .strip_prefix("pardp serve: listening on ")
+        .and_then(|rest| {
+            rest.strip_suffix(&format!(" (1 worker, queue {DEFAULT_QUEUE_CAPACITY})\n"))
+        })
+        .unwrap_or_else(|| panic!("{listening}"));
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    (&stream)
+        .write_all(
+            b"{\"family\":\"chain\",\"values\":[30,35,15,5,10,20,25]}\n\
+              {\"cmd\":\"shutdown\"}\n",
+        )
+        .unwrap();
+    let mut answers = BufReader::new(&stream).lines();
+    let record = answers.next().unwrap().unwrap();
+    assert!(record.contains("\"value\":15125"), "{record}");
+    assert_eq!(answers.next().unwrap().unwrap(), r#"{"ok":"shutdown"}"#);
+
+    let status = serve.0.wait().unwrap();
+    assert!(status.success(), "{status:?}");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    let drained = rest
+        .lines()
+        .find(|l| l.starts_with("pardp serve: drained"))
+        .unwrap_or_else(|| panic!("{rest}"));
+    assert!(drained.contains(" accepted 1 "), "{drained}");
+    assert!(drained.contains(" completed 1 "), "{drained}");
 }
