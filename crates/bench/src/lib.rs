@@ -2,7 +2,7 @@
 //!
 //! One binary per experiment of EXPERIMENTS.md (E1–E11, F1–F2, T1,
 //! B1), plus the shared table-formatting and measurement helpers they
-//! use. The criterion benchmarks live in `benches/`.
+//! use.
 //!
 //! Run any experiment with
 //!

@@ -583,7 +583,7 @@ impl BatchSolver {
         counts.cache_errors = resilient.map_or(0, |c| c.errors());
         let report = BatchReport::new(results, errors, counts, t0);
         if let Some(tel) = telemetry {
-            tel.emit(report.counts.summary());
+            tel.emit(EventKind::Summary(report.counts));
             tel.flush();
         }
         report

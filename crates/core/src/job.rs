@@ -36,6 +36,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
+
 use crate::batch::BatchError;
 use crate::exec::ExecBackend;
 use crate::problem::DpProblem;
@@ -61,20 +63,22 @@ pub(crate) fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// The job counts of a `pardp batch` run or a `pardp serve` session: the
-/// thirteen counts of its `summary` event ([`JobCounts::summary`]). Both
-/// front ends count every job answered after it ran through one respond
-/// step, and every request refused before it ran through one refuse
-/// step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The job counts of a `pardp batch` run or a `pardp serve` session, and
+/// the payload of its `summary` event ([`EventKind::Summary`]), which
+/// serializes the fields in declaration order. Both front ends count
+/// every job answered after it ran through one respond step, and every
+/// request refused before it ran through one refuse step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct JobCounts {
     /// Jobs that passed admission (batch: lines that resolved).
     pub accepted: u64,
-    /// Requests refused before they ran, invalid ones aside (serve only).
+    /// Requests refused before they ran (admission caps, overload,
+    /// oversized lines, shutdown), invalid ones aside (serve only).
     pub rejected: u64,
     /// Request lines that were not valid jobs.
     pub invalid: u64,
-    /// Jobs answered after they ran, failed ones included.
+    /// Jobs answered after they ran, failed ones included: a panic, a
+    /// timeout or a failed Knuth guard answers with an error line.
     pub completed: u64,
     /// Completed jobs of the small regime.
     pub completed_small: u64,
@@ -94,7 +98,8 @@ pub struct JobCounts {
     ///
     /// [`ResilientCache::errors`]: crate::store::ResilientCache::errors
     pub cache_errors: u64,
-    /// Batch jobs that reused an identical earlier job's outcome.
+    /// Batch jobs that reused an identical earlier job's outcome (their
+    /// `cache` events carry outcome `dedup`); always 0 for serve.
     pub deduped: u64,
 }
 
@@ -106,25 +111,6 @@ impl JobCounts {
             self.completed_large += 1;
         } else {
             self.completed_small += 1;
-        }
-    }
-
-    /// The session's `summary` event.
-    pub fn summary(&self) -> EventKind {
-        EventKind::Summary {
-            accepted: self.accepted,
-            rejected: self.rejected,
-            invalid: self.invalid,
-            completed: self.completed,
-            completed_small: self.completed_small,
-            completed_large: self.completed_large,
-            panics: self.panics,
-            timeouts: self.timeouts,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            warm_starts: self.warm_starts,
-            cache_errors: self.cache_errors,
-            deduped: self.deduped,
         }
     }
 }

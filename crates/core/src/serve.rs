@@ -56,9 +56,9 @@
 //! Inside the gate a worker runs the per-job step `pardp batch` runs
 //! too — read the cache, solve in the job's regime with the Knuth
 //! guard, write the cache — back to back, then answers through the same
-//! respond step, so both front ends count, log and answer a job alike; a
-//! worker adds each job's [`JobCounts`] to the daemon's lock-free
-//! counters in one place.
+//! respond step, so both front ends count, log and answer a job alike.
+//! The daemon keeps its job counts in one [`JobCounts`] behind a mutex,
+//! which that step updates in place.
 //!
 //! ## Failure hardening
 //!
@@ -316,20 +316,14 @@ pub struct ServeStats {
     pub large_per_second: f64,
 }
 
-/// Atomic counters, incremented lock-free from every thread.
+/// The daemon's counters: the job tally, which a snapshot copies in one
+/// lock hold, and the statistics beside it.
 #[derive(Default)]
 struct Counters {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    invalid: AtomicU64,
-    completed: AtomicU64,
-    completed_small: AtomicU64,
-    completed_large: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    warm_starts: AtomicU64,
-    panics: AtomicU64,
-    timeouts: AtomicU64,
+    /// The session's job counts. `cache_errors` stays 0 here: it is read
+    /// from the [`ResilientCache`] at snapshot time. Lock order: the
+    /// queue before the tally, and the tally before the telemetry sink.
+    jobs: Mutex<JobCounts>,
     /// Rejections whose kind was specifically `overloaded` (these also
     /// tick `rejected`, the aggregate).
     overloaded: AtomicU64,
@@ -342,34 +336,6 @@ struct Counters {
     /// Admission-to-reply latency of every answered job, in µs. Always
     /// on: recording is one relaxed atomic increment.
     latency: LatencyHistogram,
-}
-
-impl Counters {
-    /// Each job count the daemon keeps, paired with its field of `n`.
-    /// `accepted` is not among them: [`Shared::submit`] ticks it under
-    /// the queue lock.
-    fn job_counts<'a>(&'a self, n: &'a mut JobCounts) -> [(&'a AtomicU64, &'a mut u64); 10] {
-        [
-            (&self.rejected, &mut n.rejected),
-            (&self.invalid, &mut n.invalid),
-            (&self.completed, &mut n.completed),
-            (&self.completed_small, &mut n.completed_small),
-            (&self.completed_large, &mut n.completed_large),
-            (&self.cache_hits, &mut n.cache_hits),
-            (&self.cache_misses, &mut n.cache_misses),
-            (&self.warm_starts, &mut n.warm_starts),
-            (&self.panics, &mut n.panics),
-            (&self.timeouts, &mut n.timeouts),
-        ]
-    }
-
-    /// Add the counts of one answered or refused request: the one place
-    /// they reach the daemon's counters.
-    fn add(&self, mut n: JobCounts) {
-        for (counter, by) in self.job_counts(&mut n) {
-            counter.fetch_add(*by, Ordering::Relaxed);
-        }
-    }
 }
 
 /// One queued job: a resolved, admitted request plus its reply slot.
@@ -440,10 +406,11 @@ impl Shared {
     /// shared refuse step batch takes too (count, `rejected` event), and
     /// queue its error line.
     fn refuse(&self, job: usize, kind: ErrorKind, error: String) -> Slot {
-        let mut counts = JobCounts::default();
         let telemetry = self.config.telemetry.as_deref();
-        let e = job::refuse(job, kind, error, &mut counts, telemetry);
-        self.counters.add(counts);
+        let e = {
+            let mut counts = unpoison(self.counters.jobs.lock());
+            job::refuse(job, kind, error, &mut counts, telemetry)
+        };
         if kind == ErrorKind::Overloaded {
             self.counters.overloaded.fetch_add(1, Ordering::Relaxed);
         }
@@ -455,7 +422,7 @@ impl Shared {
     /// drain line. Called once per session, after the queue drains.
     fn emit_summary(&self) {
         if let Some(tel) = &self.config.telemetry {
-            tel.emit(self.counts().0.summary());
+            tel.emit(EventKind::Summary(self.counts().0));
             tel.flush();
         }
     }
@@ -478,17 +445,17 @@ impl Shared {
         self.emit(EventKind::Admitted {
             job: job.index as u64,
         });
+        // Ticked before the push: no worker can complete this job before
+        // it is accepted, so no snapshot reads `completed` ahead of
+        // `accepted`.
+        unpoison(self.counters.jobs.lock()).accepted += 1;
         q.push_back(job);
+        // Under the queue lock, so the watermark never races the push it
+        // describes.
         let depth = q.len() as u64;
-        // Ticked while the queue lock is still held: a worker can only
-        // observe (and complete) this job after taking the same lock, so
-        // no stats snapshot can transiently report `completed` ahead of
-        // `accepted`, and the watermark is exact rather than racing the
-        // push it describes.
         self.counters
             .queue_high_watermark
             .fetch_max(depth, Ordering::Relaxed);
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
         drop(q);
         self.not_empty.notify_one();
         Ok(())
@@ -496,24 +463,9 @@ impl Shared {
 
     /// The job counts so far, and the queue depth.
     fn counts(&self) -> (JobCounts, usize) {
-        let c = &self.counters;
-        let mut n = JobCounts {
-            cache_errors: self.cache.as_ref().map_or(0, |c| c.errors()),
-            ..JobCounts::default()
-        };
-        for (counter, count) in c.job_counts(&mut n) {
-            *count = counter.load(Ordering::Relaxed);
-        }
-        // `accepted` is loaded *inside* the queue critical section and
-        // strictly after the `completed` load above. Every completed
-        // tick we just observed is sequenced after its job's pop (under
-        // this same mutex), whose submit critical section ticked
-        // `accepted` — and those sections all happen-before this
-        // acquire. So a snapshot can never report completed > accepted,
-        // keeping mid-run stats consistent with the drain guarantee.
-        let q = unpoison(self.queue.lock());
-        n.accepted = c.accepted.load(Ordering::Relaxed);
-        (n, q.len())
+        let mut n = *unpoison(self.counters.jobs.lock());
+        n.cache_errors = self.cache.as_ref().map_or(0, |c| c.errors());
+        (n, unpoison(self.queue.lock()).len())
     }
 
     fn stats(&self) -> ServeStats {
@@ -644,9 +596,12 @@ fn run_job(shared: &Shared, job: Job) {
         job::step(cache, &r.problem, r.algorithm, &options, Some(regime))
     });
     let telemetry = shared.config.telemetry.as_deref();
-    let mut counts = JobCounts::default();
-    let answer = job::respond(job.index, outcome, job.large, false, &mut counts, telemetry);
     let c = &shared.counters;
+    // `respond` emits the job's events while it holds the tally.
+    let answer = {
+        let mut counts = unpoison(c.jobs.lock());
+        job::respond(job.index, outcome, job.large, false, &mut counts, telemetry)
+    };
     if let Ok(solution) = &answer {
         // Work/Span accounting: the trace always carries the total
         // (work); the per-op split is nonzero only for jobs run with
@@ -662,7 +617,6 @@ fn run_job(shared: &Shared, job: Job) {
     let family = job.resolved.problem.family();
     let line = job::answer_line(job.index, family, answer.as_ref(), job.large);
     c.latency.record(job.accepted.elapsed().as_micros() as u64);
-    c.add(counts);
     // The connection may already be gone; the job still counts as
     // completed (it was answered).
     job.reply.send(line).ok();

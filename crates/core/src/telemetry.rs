@@ -87,6 +87,7 @@
 //! assert_eq!(events[1].seq, 1);
 //! ```
 
+use crate::job::JobCounts;
 use crate::trace::SolveTrace;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
@@ -194,41 +195,9 @@ pub enum EventKind {
     },
     /// Final drained counters, emitted once per serve/batch session —
     /// the machine-readable twin of the human stderr drain line. Both
-    /// front ends build it from their
-    /// [`JobCounts`](crate::batch::JobCounts)
-    /// ([`JobCounts::summary`](crate::batch::JobCounts::summary)).
-    Summary {
-        /// Jobs that passed admission.
-        accepted: u64,
-        /// Requests refused before queueing (admission, overload, oversize).
-        rejected: u64,
-        /// Malformed or unresolvable request lines.
-        invalid: u64,
-        /// Jobs a worker (serve) or the batch answered after they ran:
-        /// with a record, or with an error line for a panic, a timeout or
-        /// a failed Knuth guard. Refused requests are not counted.
-        completed: u64,
-        /// Completed jobs of the small regime.
-        completed_small: u64,
-        /// Completed jobs of the large regime.
-        completed_large: u64,
-        /// Solves that panicked and were isolated.
-        panics: u64,
-        /// Solves that exceeded their deadline.
-        timeouts: u64,
-        /// Solution-store hits.
-        cache_hits: u64,
-        /// Solution-store misses (warm starts included).
-        cache_misses: u64,
-        /// Misses seeded from a smaller cached instance.
-        warm_starts: u64,
-        /// Store errors degraded to cold solves.
-        cache_errors: u64,
-        /// Batch jobs answered with an identical earlier job's outcome
-        /// (their `cache` events carry outcome `dedup`); always 0 for
-        /// serve, which has no batch to dedup.
-        deduped: u64,
-    },
+    /// front ends emit their [`JobCounts`], whose fields follow `seq` in
+    /// declaration order.
+    Summary(JobCounts),
 }
 
 impl EventKind {
@@ -245,7 +214,7 @@ impl EventKind {
             EventKind::Panic { .. } => "panic",
             EventKind::Timeout { .. } => "timeout",
             EventKind::Completed { .. } => "completed",
-            EventKind::Summary { .. } => "summary",
+            EventKind::Summary(_) => "summary",
         }
     }
 
@@ -257,7 +226,7 @@ impl EventKind {
             | EventKind::Regime { .. }
             | EventKind::Cache { .. }
             | EventKind::Completed { .. }
-            | EventKind::Summary { .. } => LogLevel::Info,
+            | EventKind::Summary(_) => LogLevel::Info,
             EventKind::Rejected { .. }
             | EventKind::Fault { .. }
             | EventKind::Panic { .. }
@@ -318,34 +287,10 @@ impl Serialize for Event {
                 push("wall_us", Value::UInt(*wall_us));
                 push("value", Value::UInt(*value));
             }
-            EventKind::Summary {
-                accepted,
-                rejected,
-                invalid,
-                completed,
-                completed_small,
-                completed_large,
-                panics,
-                timeouts,
-                cache_hits,
-                cache_misses,
-                warm_starts,
-                cache_errors,
-                deduped,
-            } => {
-                push("accepted", Value::UInt(*accepted));
-                push("rejected", Value::UInt(*rejected));
-                push("invalid", Value::UInt(*invalid));
-                push("completed", Value::UInt(*completed));
-                push("completed_small", Value::UInt(*completed_small));
-                push("completed_large", Value::UInt(*completed_large));
-                push("panics", Value::UInt(*panics));
-                push("timeouts", Value::UInt(*timeouts));
-                push("cache_hits", Value::UInt(*cache_hits));
-                push("cache_misses", Value::UInt(*cache_misses));
-                push("warm_starts", Value::UInt(*warm_starts));
-                push("cache_errors", Value::UInt(*cache_errors));
-                push("deduped", Value::UInt(*deduped));
+            EventKind::Summary(counts) => {
+                if let Value::Object(fields) = counts.to_value() {
+                    pairs.extend(fields);
+                }
             }
         }
         Value::Object(pairs)
@@ -685,6 +630,30 @@ mod tests {
         assert_eq!(
             line,
             r#"{"event":"completed","seq":5,"job":0,"wall_us":12,"value":15125}"#
+        );
+
+        let e = Event {
+            seq: 9,
+            kind: EventKind::Summary(JobCounts {
+                accepted: 1,
+                rejected: 2,
+                invalid: 3,
+                completed: 4,
+                completed_small: 5,
+                completed_large: 6,
+                panics: 7,
+                timeouts: 8,
+                cache_hits: 9,
+                cache_misses: 10,
+                warm_starts: 11,
+                cache_errors: 12,
+                deduped: 13,
+            }),
+        };
+        let line = serde_json::to_string(&e).unwrap();
+        assert_eq!(
+            line,
+            r#"{"event":"summary","seq":9,"accepted":1,"rejected":2,"invalid":3,"completed":4,"completed_small":5,"completed_large":6,"panics":7,"timeouts":8,"cache_hits":9,"cache_misses":10,"warm_starts":11,"cache_errors":12,"deduped":13}"#
         );
     }
 

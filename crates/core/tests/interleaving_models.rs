@@ -2,11 +2,11 @@
 //! run under the deterministic checker (`pardp_core::check`).
 //!
 //! Each model mirrors the *shape* of a real protocol — the serve job
-//! queue, the serve regime gate, telemetry sequencing, the exec pool's
-//! poisoned region — using the checker's shim primitives, and asserts
-//! the property the real code promises. Further models pin historical
-//! near-misses by reintroducing each bug in the model and asserting the
-//! checker catches it.
+//! queue, the serve regime gate, telemetry sequencing, the serve job
+//! tally, the exec pool's poisoned region — using the checker's shim
+//! primitives, and asserts the property the real code promises. Further
+//! models pin historical near-misses by reintroducing each bug in the
+//! model and asserting the checker catches it.
 
 use pardp_core::check::{self, sync::Condvar, sync::Mutex, sync::RwLock, unpoison, Checker};
 use std::any::Any;
@@ -242,6 +242,123 @@ fn telemetry_sequence_is_gap_free_under_concurrent_emitters() {
         report.distinct >= 1000,
         "expected >= 1000 distinct schedules, got {}",
         report.distinct
+    );
+}
+
+/// The serve job tally, modelled after `serve::Shared`: `submit` ticks
+/// `accepted` in the one `Mutex<JobCounts>` while it holds the queue
+/// lock, then pushes; a worker pops, then adds `completed`; a stats
+/// snapshot copies the tally in one lock hold. The tally is
+/// `(accepted, completed)`.
+struct TallyModel {
+    queue: Mutex<VecDeque<u64>>,
+    not_empty: Condvar,
+    tally: Mutex<(u64, u64)>,
+}
+
+impl TallyModel {
+    /// `Shared::submit`; `tick_under_queue` = false ticks `accepted`
+    /// only after the queue lock is released — the bug the pin catches.
+    fn submit(&self, job: u64, tick_under_queue: bool) {
+        let mut q = unpoison(self.queue.lock());
+        if tick_under_queue {
+            unpoison(self.tally.lock()).0 += 1;
+        }
+        q.push_back(job);
+        drop(q);
+        if !tick_under_queue {
+            unpoison(self.tally.lock()).0 += 1;
+        }
+        self.not_empty.notify_one();
+    }
+
+    /// `worker_loop` then `run_job`: pop, then count the job completed.
+    fn complete_one(&self) {
+        let mut q = unpoison(self.queue.lock());
+        while q.pop_front().is_none() {
+            q = unpoison(self.not_empty.wait(q));
+        }
+        drop(q);
+        unpoison(self.tally.lock()).1 += 1;
+    }
+}
+
+/// A submitter admits two jobs, one worker completes both and an
+/// observer snapshots the tally twice; every snapshot must read
+/// `completed <= accepted`.
+fn tally_model(tick_under_queue: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let m = Arc::new(TallyModel {
+            queue: Mutex::new(VecDeque::new()),
+            not_empty: Condvar::new(),
+            tally: Mutex::new((0, 0)),
+        });
+        let submitter = {
+            let m = m.clone();
+            check::thread::spawn(move || {
+                for job in 0..2 {
+                    m.submit(job, tick_under_queue);
+                }
+            })
+        };
+        let worker = {
+            let m = m.clone();
+            check::thread::spawn(move || {
+                for _ in 0..2 {
+                    m.complete_one();
+                }
+            })
+        };
+        let observer = {
+            let m = m.clone();
+            check::thread::spawn(move || {
+                for _ in 0..2 {
+                    let (accepted, completed) = *unpoison(m.tally.lock());
+                    assert!(
+                        completed <= accepted,
+                        "snapshot read completed {completed} ahead of accepted {accepted}"
+                    );
+                }
+            })
+        };
+        for t in [submitter, worker, observer] {
+            t.join().unwrap();
+        }
+        assert_eq!(*unpoison(m.tally.lock()), (2, 2));
+    }
+}
+
+/// Model 5 — the serve job tally: because `accepted` is ticked
+/// before the push, no snapshot reads `completed` ahead of `accepted`,
+/// and the drained tally counts every job once.
+#[test]
+fn serve_tally_never_reads_completed_ahead_of_accepted() {
+    quiet_model_panics();
+    let report = Checker::new().seed(0x7a11).run(tally_model(true));
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert!(
+        report.distinct >= 100,
+        "expected >= 100 distinct schedules, got {}",
+        report.distinct
+    );
+}
+
+/// Regression pin: ticking `accepted` after the queue lock is released
+/// lets a worker pop and complete the job first, so the checker must
+/// find a snapshot that reads `completed > accepted`.
+#[test]
+fn regression_accepted_ticked_after_push_is_caught() {
+    quiet_model_panics();
+    let report = Checker::new()
+        .seed(0x7a11)
+        .schedules(512)
+        .run(tally_model(false));
+    assert!(
+        report
+            .failures
+            .iter()
+            .any(|f| f.messages.iter().any(|m| m.contains("ahead of accepted"))),
+        "a late accepted tick must be caught: {report:?}"
     );
 }
 

@@ -164,7 +164,7 @@ fn batch_and_serve_answer_a_cached_corpus_alike() {
     // Both summary events carry `deduped`: batch's counts its one
     // `dedup` event, serve's is always 0.
     let deduped = |events: Vec<Event>| match events.last().map(|e| e.kind.clone()) {
-        Some(EventKind::Summary { deduped, .. }) => deduped,
+        Some(EventKind::Summary(counts)) => counts.deduped,
         other => panic!("expected a summary, got {other:?}"),
     };
     assert_eq!(deduped(batch_ring.events()), c.deduped);
@@ -301,7 +301,7 @@ fn batch_and_serve_number_answer_and_count_command_and_bad_lines_alike() {
     let summary = |events: Vec<Event>| events.last().map(|e| e.kind.clone());
     let served_summary = summary(serve_ring.events());
     assert_eq!(summary(batch_ring.events()), served_summary);
-    assert_eq!(served_summary, Some(report.counts.summary()));
+    assert_eq!(served_summary, Some(EventKind::Summary(report.counts)));
     let c = report.counts;
     assert_eq!((c.accepted, c.invalid, c.rejected), (3, 1, 0));
     assert_eq!(

@@ -117,13 +117,13 @@ fn lifecycle_emits_gap_free_per_job_chains() {
 
     // The summary event mirrors the drained counters.
     match events.last().unwrap().kind {
-        EventKind::Summary {
+        EventKind::Summary(JobCounts {
             accepted,
             completed,
             panics,
             timeouts,
             ..
-        } => {
+        }) => {
             assert_eq!(accepted, stats.accepted);
             assert_eq!(completed, stats.completed);
             assert_eq!(panics, 0);
@@ -334,7 +334,7 @@ fn batch_jobs_emit_consecutive_chains_in_submission_order() {
     // consecutive: four events per job, in submission order, then the
     // summary of the run's counts.
     assert_eq!(events.len(), 13);
-    assert_eq!(events[12].kind, report.counts.summary());
+    assert_eq!(events[12].kind, EventKind::Summary(report.counts));
     assert_eq!(report.counts.completed, 3);
     for (i, e) in events.iter().enumerate() {
         assert_eq!(e.seq, i as u64);

@@ -7,8 +7,10 @@ documented on `pardp_core::telemetry`:
 
   * every line that looks like an event (starts with `{`) parses as a
     single JSON object with a known `event` name;
-  * each event carries exactly the required fields of its kind, with
-    the right JSON types and enumerated values (`regime`, `outcome`);
+  * each event carries exactly the required fields of its kind, in
+    order (`event`, `seq`, then the fields as `SCHEMAS` lists them),
+    with the right JSON types and enumerated values (`regime`,
+    `outcome`);
   * `seq` starts at 0 and increases by exactly 1 — the stream is
     gap-free and in delivery order;
   * per job, worker events follow the documented lifecycle:
@@ -89,6 +91,9 @@ def check_fields(lineno, event, obj):
         missing = sorted(expected - actual)
         extra = sorted(actual - expected)
         fail(lineno, f"{event}: missing fields {missing}, unexpected {extra}")
+    order = ["event", "seq", *schema]
+    if list(obj) != order:
+        fail(lineno, f"{event}: fields in order {list(obj)}, expected {order}")
     for field, kind in schema.items():
         value = obj[field]
         # bool is an int subclass in Python; reject it explicitly.
