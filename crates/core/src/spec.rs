@@ -337,6 +337,14 @@ impl ProblemSpec {
 /// `k`-free `f` once per cell. Each candidate keeps `f`'s arithmetic
 /// and the saturating [`Weight::add`], so the tables are the ones the
 /// per-candidate [`DpProblem::f`] gives.
+///
+/// The fold is compiled twice: for the build's target, and with AVX-512
+/// enabled, where the compiler vectorizes it over zmm lanes. On x86_64,
+/// `split_min` runs the AVX-512 build when
+/// [`is_x86_feature_detected!`](std::arch::is_x86_feature_detected)
+/// reports both `avx512f` and `avx512dq`, and the portable build
+/// otherwise. Both give the same bits: each lane op is the scalar op,
+/// and an integer min may be reassociated.
 #[derive(Debug, Clone)]
 pub enum SpecProblem {
     /// `init = 0`, `f(i,k,j) = d_i d_k d_j`.
@@ -400,6 +408,32 @@ impl DpProblem<u64> for SpecProblem {
     }
 
     fn split_min(&self, i: usize, j: usize, left: &[u64], right: &[u64]) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+        {
+            // SAFETY: `split_min_avx512` enables exactly avx512f and
+            // avx512dq, and this CPU was just detected to have both.
+            return unsafe { self.split_min_avx512(i, j, left, right) };
+        }
+        self.split_min_body(i, j, left, right)
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            SpecProblem::Chain { .. } => "matrix-chain",
+            SpecProblem::Obst { .. } => "optimal-bst",
+            SpecProblem::Polygon { .. } => "triangulation-weighted",
+            SpecProblem::Merge { .. } => "merge-order",
+        }
+    }
+}
+
+impl SpecProblem {
+    /// The fold behind [`DpProblem::split_min`], compiled once for the
+    /// build's target and once more inside [`Self::split_min_avx512`].
+    #[inline(always)]
+    fn split_min_body(&self, i: usize, j: usize, left: &[u64], right: &[u64]) -> u64 {
         let m = j - i - 1;
         let operands = left[..m].iter().zip(&right[..m]);
         match self {
@@ -420,13 +454,14 @@ impl DpProblem<u64> for SpecProblem {
         }
     }
 
-    fn name(&self) -> &str {
-        match self {
-            SpecProblem::Chain { .. } => "matrix-chain",
-            SpecProblem::Obst { .. } => "optimal-bst",
-            SpecProblem::Polygon { .. } => "triangulation-weighted",
-            SpecProblem::Merge { .. } => "merge-order",
-        }
+    /// [`Self::split_min_body`] with AVX-512 enabled, so the compiler
+    /// may vectorize the fold over zmm lanes. Each lane op is the scalar
+    /// op and an integer min may be reassociated, so the result is the
+    /// same bits.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn split_min_avx512(&self, i: usize, j: usize, left: &[u64], right: &[u64]) -> u64 {
+        self.split_min_body(i, j, left, right)
     }
 }
 
@@ -1320,5 +1355,97 @@ mod tests {
         let line = serde_json::to_string(&s).unwrap();
         let back: BatchSummary = serde_json::from_str(&line).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// Each `split_min` path this host has, forced in turn, against the
+    /// `f`-based default fold, bit for bit: the portable body and, where
+    /// the CPU has AVX-512, the same body compiled for it. Every family,
+    /// every operand length from 0 to 70 (so each vector width's tail
+    /// runs), operands at and past the infinity edge. Only optimized
+    /// builds vectorize, so CI also runs this test under `--release`.
+    #[test]
+    fn split_min_paths_match_the_default_fold() {
+        use crate::problem::FnProblem;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const N: usize = 72;
+        const INF: u64 = <u64 as Weight>::INFINITY;
+        const EDGES: [u64; 7] = [0, 1, INF - 1, INF, INF + 1, 1 << 63, u64::MAX];
+        // Mixed payloads draw small or large values; heavy ones only
+        // large. Dims stay at most 2^20, so products stay below 2^60.
+        // Obst and merge values stay below 1.5 * 2^56, so heavy prefix
+        // sums pass infinity on long intervals without wrapping.
+        fn values(rng: &mut SmallRng, len: usize, large: u64, heavy: bool) -> Vec<u64> {
+            (0..len)
+                .map(|_| match heavy || rng.gen_bool(0.5) {
+                    true => rng.gen_range(large / 2..=large),
+                    false => rng.gen_range(1..=100),
+                })
+                .collect()
+        }
+        let mut rng = SmallRng::seed_from_u64(29);
+        let (dim, sum) = (1u64 << 20, (1u64 << 56) + (1 << 55));
+        let mut payloads = Vec::new();
+        for heavy in [false, true] {
+            payloads.extend([
+                ProblemSpec::Chain {
+                    dims: values(&mut rng, N + 1, dim, heavy),
+                },
+                ProblemSpec::Obst {
+                    p: values(&mut rng, N - 1, sum, heavy),
+                    q: values(&mut rng, N, sum, heavy),
+                },
+                ProblemSpec::Polygon {
+                    weights: values(&mut rng, N + 1, dim, heavy),
+                },
+                ProblemSpec::Merge {
+                    lengths: values(&mut rng, N, sum, heavy),
+                },
+            ]);
+        }
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        let mut cells = 0;
+        for spec in &payloads {
+            let p = spec.build();
+            let oracle = FnProblem::new(N, |i| p.init(i), |i, k, j| p.f(i, k, j));
+            for m in 0..=70 {
+                // Trial 0 mixes edges, small and arbitrary operands;
+                // trial 1 draws only edges.
+                for trial in 0..2 {
+                    let i = rng.gen_range(0..=N - 1 - m);
+                    let j = i + 1 + m;
+                    let mut operand = || match rng.gen_range(0..3) {
+                        0 => EDGES[rng.gen_range(0..EDGES.len())],
+                        _ if trial == 1 => EDGES[rng.gen_range(0..EDGES.len())],
+                        1 => rng.gen_range(0..=1u64 << 40),
+                        _ => rng.gen_range(0..=u64::MAX),
+                    };
+                    let left: Vec<u64> = (0..m).map(|_| operand()).collect();
+                    let right: Vec<u64> = (0..m).map(|_| operand()).collect();
+                    let want = oracle.split_min(i, j, &left, &right);
+                    let at = format!("{} ({i}, {j})", p.name());
+                    assert_eq!(p.split_min(i, j, &left, &right), want, "dispatch {at}");
+                    assert_eq!(p.split_min_body(i, j, &left, &right), want, "portable {at}");
+                    #[cfg(target_arch = "x86_64")]
+                    if avx512 {
+                        // SAFETY: both features the wrapper enables were
+                        // detected on this CPU above.
+                        let got = unsafe { p.split_min_avx512(i, j, &left, &right) };
+                        assert_eq!(got, want, "avx512 {at}");
+                    }
+                    cells += 1;
+                }
+            }
+        }
+        let paths = match avx512 {
+            true => "portable, avx512",
+            false => "portable (no avx512f + avx512dq here)",
+        };
+        println!("split_min parity: {cells} cells matched on {paths}");
     }
 }

@@ -49,36 +49,46 @@
 //! # Tile edge
 //!
 //! [`tile_edge`] picks `b` from `n` and the worker count: the largest
-//! edge up to 16 that still cuts the main tile-diagonal into four tiles
+//! edge up to 32 that still cuts the main tile-diagonal into four tiles
 //! per worker, but never below 4. Step `D` has `⌈(n+1)/b⌉ - D` tiles, so
 //! four tiles per worker on the main diagonal leave at least two per
 //! worker in the first half of the steps, which carry half the work.
-//! Measured on a 2-vCPU KVM guest (Intel Xeon), Parallel over Sequential
-//! time of the four wire families (values `1..=100`), summed over 15
-//! interleaved rounds per process; median (range) over 7 processes per
-//! edge, the edges interleaved:
+//! On two workers the rule picks `b = 16` at `n = 128` and the cap at
+//! `n = 256` and `n = 384`.
 //!
-//! | `b` | `n = 256` | `n = 384` |
+//! The cap and the grain below were measured with the AVX-512 cell
+//! kernel of the wire families ([`SpecProblem`](crate::spec::SpecProblem))
+//! and the host width read once per solve, on a 2-vCPU KVM guest (Intel
+//! Xeon). Each variant ran in rotation with the same build at a cap of
+//! 16 and a grain of 4096, one `solve-wavefront` benchmark run per seed.
+//! The table gives the median `latency_p50_ms` (the `n = 256` class) and
+//! in how many seeds the variant read lower than that build:
+//!
+//! | variant | seeds 301–306, 10 s lists | seeds 307–314, 30 s lists |
 //! |---|---|---|
-//! | 8 | 1.05 (0.90–1.38) | 0.81 (0.74–1.04) |
-//! | 12 | 0.90 (0.83–1.05) | 0.73 (0.68–0.79) |
-//! | 16 | 0.84 (0.79–1.09) | 0.70 (0.65–0.79) |
-//! | 24 | 0.76 (0.70–0.90) | 0.73 (0.62–0.77) |
-//! | 32 | 0.78 (0.74–0.93) | 0.71 (0.67–0.81) |
+//! | cap 16, grain 4096 | 1.28 ms | 1.00 ms |
+//! | cap 24 | 1.12 ms, 5 of 6 | 0.92 ms, 7 of 8 |
+//! | cap 32 | 1.06 ms, 5 of 6 | 0.90 ms, 6 of 8 |
+//! | grain 16384 | 1.32 ms, 2 of 6 | not run |
+//! | grain 65536 | 1.15 ms, 5 of 6 | 1.05 ms, 4 of 8 |
 //!
-//! Sequential cost per candidate did not separate the edges beyond
-//! run-to-run noise (medians 1.5–1.9 ns). In alternating runs of the
-//! `solve-wavefront` benchmark a cap of 24 instead of 16 lowered the
-//! median latency in 7 of 10 pairs, by 5.5% at the median, which is
-//! within the spread of the runs, so the cap stays at 16. At `n = 128`
-//! on two workers the rule picks `b = 16` under either cap.
+//! Both wider caps also lowered the tail median in both rounds (3.72 →
+//! 3.05 and 2.98 ms, then 2.84 → 2.59 and 2.41 ms), so the cap is 32.
+//! With the scalar kernel a cap of 24 had lowered the median latency in
+//! only 7 of 10 pairs, within the spread of the runs. The vector kernel
+//! cut the work per tile to about a third, so the fixed cost of a step
+//! weighs more and fewer, larger steps pay.
 //!
 //! # Grain, deadline and exactness
 //!
 //! A step with fewer than `STEP_GRAIN` = 4096 candidate evaluations runs
 //! on the calling thread, which avoids fork-join overhead on tiny steps.
-//! A grain of 16384 raised the median `solve-wavefront` latency in 7 of
-//! 10 alternating pairs (+4.6% at the median).
+//! The grain was chosen when a candidate cost 1.5–2 ns and a pool region
+//! about 25 µs. With the vector kernel (0.38–0.59 ns per candidate in
+//! traced Sequential replays) and the width read once, 4096 candidates
+//! are about 2 µs of work. It was re-measured in the table above and
+//! stays: a grain of 16384 read lower in 2 of 6 seeds, and one of 65536
+//! in 9 of 14, by less than the wider caps gained.
 //! Tests call `sweep` with a grain of 0 or `usize::MAX` to force every
 //! step onto the pool or onto the calling thread. The deadline is
 //! checked once per step; a cancelled sweep returns the table with
@@ -89,7 +99,13 @@
 //! with [`Weight::min2`] from infinity. Integer and float tables are
 //! therefore bit-identical on every backend. A problem that overrides
 //! the call (the wire families' [`SpecProblem`](crate::spec::SpecProblem))
-//! matches its family once per cell instead of once per candidate.
+//! matches its family once per cell instead of once per candidate, and
+//! on CPUs with AVX-512 runs that fold from a build vectorized over zmm
+//! lanes. In traced `solve-wavefront` replays on the 2-vCPU Xeon guest
+//! above (three per side, alternating with the scalar build), Sequential
+//! cost 0.38–0.59 ns per candidate instead of 1.08–1.55, and an
+//! `n = 256` solve on the default Parallel backend took 0.93–1.28 ms
+//! instead of 2.60–3.74 ms.
 
 use crate::exec::disjoint::DisjointPartsMut;
 use crate::exec::ExecBackend;
@@ -100,7 +116,7 @@ use crate::trace::StopReason;
 use crate::weight::Weight;
 
 /// Largest tile edge.
-const MAX_EDGE: usize = 16;
+const MAX_EDGE: usize = 32;
 /// Smallest tile edge.
 const MIN_EDGE: usize = 4;
 /// Tiles per worker on the main tile-diagonal.
@@ -109,7 +125,7 @@ const TILES_PER_WORKER: usize = 4;
 const STEP_GRAIN: usize = 4096;
 
 /// The tile edge the sweep uses for `n` objects on `workers` workers:
-/// `(n + 1) / (4 * workers)`, clamped to `4..=16` (see the module docs
+/// `(n + 1) / (4 * workers)`, clamped to `4..=32` (see the module docs
 /// for the rule and the measurements behind it).
 pub fn tile_edge(n: usize, workers: usize) -> usize {
     ((n + 1) / (TILES_PER_WORKER * workers.max(1))).clamp(MIN_EDGE, MAX_EDGE)
@@ -175,7 +191,12 @@ fn sweep<W: Weight, P: DpProblem<W> + ?Sized>(
         }
     }
 
-    let b = tile_edge(n, opts.exec.effective_threads());
+    // `Parallel` asks the OS for the host width on every call (15–18 µs
+    // on a 2-vCPU Xeon guest), so read it once per solve and run pool
+    // steps on `Threads(width)`, whose width is a field read.
+    let width = opts.exec.effective_threads();
+    let pool = ExecBackend::Threads(width);
+    let b = tile_edge(n, width);
     let tiles = (n + 1).div_ceil(b);
     let span = |t: usize| (t * b, ((t + 1) * b).min(n + 1));
     let (mut row_spans, mut col_spans) = (Vec::with_capacity(tiles), Vec::with_capacity(tiles));
@@ -191,12 +212,11 @@ fn sweep<W: Weight, P: DpProblem<W> + ?Sized>(
         row_spans.extend((0..tiles - d).map(span));
         col_spans.clear();
         col_spans.extend((d..tiles).map(span));
-        let exec =
-            if opts.exec.is_parallel() && step_candidates(&row_spans, &col_spans, done) >= grain {
-                opts.exec
-            } else {
-                ExecBackend::Sequential
-            };
+        let exec = if width > 1 && step_candidates(&row_spans, &col_spans, done) >= grain {
+            pool
+        } else {
+            ExecBackend::Sequential
+        };
         exec.map_reduce(
             DisjointPartsMut::new(&mut upper, &row_spans),
             DisjointPartsMut::new(&mut lower, &col_spans),
