@@ -1,7 +1,8 @@
-//! B1 — the §5 banded path: wall-time of the flat-slice streamed
-//! `a-square-banded` kernel against the per-cell naive reference, and the
-//! solver-level payoff of convergence-aware scheduling in the §5 solver
-//! (banded square row skipping + persistent pebble dirty bits).
+//! B1 — the §5 banded path: wall-time of the tiled `a-square-banded`
+//! kernel (its records keep the label `streamed`, which the committed
+//! `BENCH_B1.json` baseline pins) against the per-cell naive reference,
+//! and the solver-level payoff of convergence-aware scheduling in the §5
+//! solver (banded square row skipping + persistent pebble dirty bits).
 //!
 //! ```text
 //! exp_banded [--quick] [--json PATH]
@@ -132,8 +133,8 @@ fn main() {
             writes: base.writes,
             parity_ok: true,
         });
-        // The streamed kernel against the naive reference (their parity
-        // on every backend is also proptested).
+        // The tiled kernel against the naive reference (their parity on
+        // every backend is also proptested).
         let mut out = BandedPw::new(n, band);
         let (stats, t) = time_best(reps, || {
             a_square_banded_scheduled(

@@ -26,23 +26,26 @@
 //! examined (the unit-work measure used by the E8/E9 accounting) and
 //! whether any table cell strictly improved (the §7 convergence signal).
 //! All functions take an [`ExecBackend`]; the parallel backends partition
-//! work by table row, which keeps writes disjoint without locks (the CREW
-//! exclusive-write discipline), so every backend computes identical
-//! tables.
+//! the written table into disjoint parts, which keeps writes disjoint
+//! without locks (the CREW exclusive-write discipline), so every backend
+//! computes identical tables. The dense ops take one part per root row
+//! ([`DensePw`]'s `rows_mut`), the banded activate and square one part
+//! per root width ([`BandedPw`]'s `widths_mut`), and the pebbles one part
+//! per `w'` row.
 //!
 //! Each square has two kernels, selected by [`SquareStrategy`]: the
-//! streaming kernel the iteration engine always runs, and a per-cell
-//! naive reference that the parity tests and benches compare it with.
-//! The dense squares ([`a_square_dense_scheduled`],
-//! [`a_square_rytter_with`]) stream each intermediate's cells with
-//! incrementally kept positions over [`DensePw`]'s segment layout, and
-//! their reference reads through the [`DensePw::get`] accessor. The
-//! banded square ([`a_square_banded_scheduled`]) streams flat slices of
-//! [`BandedPw`]'s eccentricity-block layout. Both kernels enumerate
-//! exactly the same candidate set, so tables and [`OpStats`] are
-//! identical; only the memory access order differs. Every dense and
-//! banded op partitions its table by root row (the tables' `rows_mut`),
-//! so parallel writes stay disjoint.
+//! kernel the iteration engine always runs, and a per-cell naive
+//! reference that the parity tests and benches compare it with:
+//!
+//! | square | kernel ([`SquareStrategy::Auto`]) | reference ([`SquareStrategy::Naive`]) |
+//! |---|---|---|
+//! | [`a_square_dense_scheduled`] | streams each intermediate's cells over [`DensePw`]'s segment layout, positions kept incrementally | [`DensePw::get`] per candidate |
+//! | [`a_square_rytter_with`] | streams each intermediate's segments over the same layout | [`DensePw::get`] per candidate |
+//! | [`a_square_banded_scheduled`] | eight roots of one width per step over [`BandedPw`]'s width-major layout, each candidate one lane-wise `min(cell, v + step)` over contiguous runs; an AVX-512 build is chosen at run time | [`BandedPw::get`] per candidate |
+//!
+//! Both kernels of a square enumerate exactly the same candidate set, in
+//! the same per-cell order, so tables (`f64` bits too) and [`OpStats`]
+//! are identical; only the memory access order differs.
 //!
 //! Convergence-aware scheduling: the activates return per-row changed
 //! bits, and the dense and banded squares and pebbles take an optional
@@ -605,6 +608,44 @@ pub fn a_pebble_dense_scheduled<W: Weight>(
 // Banded (§5) ops
 // ---------------------------------------------------------------------------
 
+/// Run `process(d, block, flags)` once per width block of `pw` on `exec`:
+/// the shape of the banded `a-activate` and `a-square`. `flags[i]` is the
+/// changed-flag of root `(i, i + d)`; the flags come back in pair-index
+/// order.
+fn map_widths_flagged<W: Weight>(
+    exec: &ExecBackend,
+    pw: &mut BandedPw<W>,
+    process: impl Fn(usize, &mut [W], &mut [bool]) -> OpStats + Sync,
+) -> (OpStats, Vec<bool>) {
+    let idx = pw.indexer().clone();
+    let n = idx.n();
+    // Width-major flags: the roots of width d at `spans[d - 1]`.
+    let mut end = 0;
+    let spans: Vec<(usize, usize)> = (1..=n)
+        .map(|d| {
+            let start = end;
+            end += n + 1 - d;
+            (start, end)
+        })
+        .collect();
+    let mut by_width = vec![false; idx.len()];
+    let stats = exec.map_reduce(
+        pw.widths_mut(),
+        DisjointPartsMut::new(&mut by_width, &spans),
+        1,
+        |part, block, flags| process(part + 1, block, flags),
+        OpStats::default,
+        OpStats::merge,
+    );
+    let mut flags = vec![false; idx.len()];
+    for (d, &(start, end)) in (1..=n).zip(&spans) {
+        for (i, &flag) in by_width[start..end].iter().enumerate() {
+            flags[idx.index(i, i + d)] = flag;
+        }
+    }
+    (stats, flags)
+}
+
 /// `a-activate` over banded storage: identical to the dense rule but only
 /// in-band cells are kept — gap `(i,k)` needs `j - k <= B`, gap `(k,j)`
 /// needs `k - i <= B`, so each row does `O(B)` work. Also returns the
@@ -618,51 +659,42 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
     let band = pw.band();
-    let idx = pw.indexer().clone();
-    // Hoisted per-op table: the inverse pair lookup (a binary search in
-    // `PairIndexer::pair`), computed once here instead of once per row.
-    let pairs: Vec<(usize, usize)> = idx.pairs().collect();
-    let process_row = |a: usize, row: &mut [W]| -> (OpStats, bool) {
-        let (i, j) = pairs[a];
-        let d = j - i;
+    let n = pw.indexer().n();
+    let process_width = |d: usize, block: &mut [W], flags: &mut [bool]| -> OpStats {
         let mut stats = OpStats::default();
         if d < 2 {
-            return (stats, false);
+            return stats;
         }
-        // Gap (i,k): eccentricity e = j - k <= band  =>  k >= j - band.
-        let k_lo_1 = i + 1;
-        let k_lo = if j > band {
-            k_lo_1.max(j - band)
-        } else {
-            k_lo_1
-        };
-        for k in k_lo..j {
-            let e = j - k;
-            let pos = BandedPw::<W>::block_offset(e); // p - i = 0
-            let cand = problem.f(i, k, j).add(w.get(k, j));
-            if cand < row[pos] {
-                row[pos] = cand;
-                stats.changed = true;
-                stats.writes += 1;
+        // Gap number g of root (i, i + d) sits at g * m + i.
+        let m = n + 1 - d;
+        for (i, changed) in flags.iter_mut().enumerate() {
+            let j = i + d;
+            let mut relax = |g: usize, cand: W| {
+                let cell = &mut block[g * m + i];
+                if cand < *cell {
+                    *cell = cand;
+                    *changed = true;
+                    stats.writes += 1;
+                }
+                stats.candidates += 1;
+            };
+            // Gap (i,k): eccentricity e = j - k <= band, gap number
+            // block_offset(e).
+            for k in (i + 1).max(j.saturating_sub(band))..j {
+                let g = BandedPw::<W>::block_offset(j - k);
+                relax(g, problem.f(i, k, j).add(w.get(k, j)));
             }
-            stats.candidates += 1;
-        }
-        // Gap (k,j): eccentricity e = k - i <= band.
-        let k_hi = (j - 1).min(i + band);
-        for k in i + 1..=k_hi {
-            let e = k - i;
-            let pos = BandedPw::<W>::block_offset(e) + (k - i);
-            let cand = problem.f(i, k, j).add(w.get(i, k));
-            if cand < row[pos] {
-                row[pos] = cand;
-                stats.changed = true;
-                stats.writes += 1;
+            // Gap (k,j): eccentricity e = k - i <= band, gap number
+            // block_offset(e) + e.
+            for k in i + 1..=(j - 1).min(i + band) {
+                let g = BandedPw::<W>::block_offset(k - i) + (k - i);
+                relax(g, problem.f(i, k, j).add(w.get(i, k)));
             }
-            stats.candidates += 1;
         }
-        (stats, stats.changed)
+        stats.changed = stats.writes > 0;
+        stats
     };
-    map_rows_flagged(exec, pw.rows_mut(), 1, process_row)
+    map_widths_flagged(exec, pw, process_width)
 }
 
 /// `a-square` over banded storage with the §5 `O(sqrt n)` composition
@@ -673,18 +705,19 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 ///
 /// * `strategy` selects the kernel: [`SquareStrategy::Naive`] is the
 ///   definitional per-cell gather through the [`BandedPw::get`] accessor;
-///   [`SquareStrategy::Auto`] selects the flat-slice streamed kernel
-///   (`banded_square_row_streamed`). A banded row holds at most
-///   `(B+1)(B+2)/2` cells, so the streamed kernel's whole per-intermediate
-///   footprint (the root row, the intermediate's row, and the output row)
-///   fits in cache. Both kernels enumerate exactly the same candidate set
-///   and produce bit-identical tables and [`OpStats`].
+///   [`SquareStrategy::Auto`] selects the tiled kernel
+///   (`banded_square_width_tiled`), which updates eight roots of one
+///   width per step. Both kernels enumerate exactly the same candidate
+///   set, in the same per-cell order, and produce bit-identical tables,
+///   [`OpStats`] and row flags.
 /// * `skip`, if given, marks rows whose **inputs** did not change since
 ///   the previous square (row `(i,j)` reads only rows nested in `(i,j)`);
 ///   such rows are copied from `prev` instead of recomputed and report
 ///   zero candidates.
 /// * The returned `Vec<bool>` holds the per-row changed bits for the
 ///   caller's next scheduling decision.
+///
+/// The width blocks run in parallel on `exec`.
 pub fn a_square_banded_scheduled<W: Weight>(
     prev: &BandedPw<W>,
     next: &mut BandedPw<W>,
@@ -692,45 +725,52 @@ pub fn a_square_banded_scheduled<W: Weight>(
     skip: Option<&[bool]>,
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
-    let idx = prev.indexer().clone();
-    // Hoisted per-op table (see `a_activate_banded_tracked`).
-    let pairs: Vec<(usize, usize)> = idx.pairs().collect();
-    let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
-        if skip.is_some_and(|mask| mask[a]) {
-            next_row.copy_from_slice(prev.row(a));
-            return (OpStats::default(), false);
+    square_banded(prev, next, strategy, TileBuild::detect(), skip, exec)
+}
+
+/// [`a_square_banded_scheduled`] with the tile build chosen by the
+/// caller.
+fn square_banded<W: Weight>(
+    prev: &BandedPw<W>,
+    next: &mut BandedPw<W>,
+    strategy: SquareStrategy,
+    build: TileBuild,
+    skip: Option<&[bool]>,
+    exec: &ExecBackend,
+) -> (OpStats, Vec<bool>) {
+    let idx = prev.indexer();
+    let process_width = |d: usize, block: &mut [W], flags: &mut [bool]| -> OpStats {
+        let masked = |i: usize| skip.is_some_and(|mask| mask[idx.index(i, i + d)]);
+        match strategy {
+            SquareStrategy::Naive => banded_square_width_naive(prev, d, block, flags, masked),
+            SquareStrategy::Auto => banded_square_width_tiled(prev, d, block, flags, masked, build),
         }
-        let (i, j) = pairs[a];
-        let stats = match strategy {
-            SquareStrategy::Naive => banded_square_row_naive(prev, a, i, j, next_row),
-            SquareStrategy::Auto => banded_square_row_streamed(prev, a, i, j, next_row),
-        };
-        (stats, stats.changed)
     };
-    // With a skip mask many rows degrade to memcpys; coarsen the block
-    // floor so claim overhead is amortised (as in the dense scheduler).
-    let grain = if skip.is_some() { 8 } else { 1 };
-    map_rows_flagged(exec, next.rows_mut(), grain, process_row)
+    map_widths_flagged(exec, next, process_width)
 }
 
 /// Reference kernel: per-cell gathers through the bounds-checked
-/// [`BandedPw::get`] accessor, straight from the §5 composition rule.
-fn banded_square_row_naive<W: Weight>(
+/// [`BandedPw::get`] accessor, straight from the §5 composition rule,
+/// for every root of width `d`.
+fn banded_square_width_naive<W: Weight>(
     prev: &BandedPw<W>,
-    _a: usize,
-    i: usize,
-    j: usize,
-    next_row: &mut [W],
+    d: usize,
+    block: &mut [W],
+    flags: &mut [bool],
+    masked: impl Fn(usize) -> bool,
 ) -> OpStats {
     let band = prev.band();
-    let d = j - i;
+    let m = prev.roots(d);
     let mut stats = OpStats::default();
-    let emax = prev.emax(d);
-    for e in 0..=emax {
-        let g = d - e; // gap width q - p
-        for p in i..=i + e {
-            let q = p + g;
+    for (i, changed) in flags.iter_mut().enumerate() {
+        let (j, keep) = (i + d, masked(i));
+        for (g, (p, q)) in prev.gaps_of(i, j).enumerate() {
             let old = prev.get(i, j, p, q);
+            let cell = &mut block[g * m + i];
+            if keep {
+                *cell = old;
+                continue;
+            }
             let mut best = old;
             // (r, q) intermediates: i <= r < p, with both factors in
             // band: r >= p - B (for pw(r,q,p,q)) and r <= q + B - d
@@ -753,140 +793,236 @@ fn banded_square_row_naive<W: Weight>(
                 best = best.min2(cand);
                 stats.candidates += 1;
             }
-            let pos = BandedPw::<W>::block_offset(e) + (p - i);
             if best < old {
-                stats.changed = true;
+                *changed = true;
                 stats.writes += 1;
             }
-            next_row[pos] = best;
+            *cell = best;
         }
     }
+    stats.changed = stats.writes > 0;
     stats
 }
 
-/// Flat-slice streamed kernel: intermediate-major enumeration over the
-/// eccentricity-block layout, exactly the candidate set of the naive
-/// kernel.
+/// Roots per tile of the banded square: eight `u64` lanes fill one
+/// 512-bit vector.
+const TILE: usize = 8;
+
+/// Which build of the banded square's tile body an op call runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TileBuild {
+    /// The body compiled for the build's target.
+    Portable,
+    /// The body compiled with avx512f enabled. Only
+    /// [`TileBuild::detect`] makes it, after this CPU reported avx512f.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl TileBuild {
+    /// The fastest build this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return TileBuild::Avx512;
+        }
+        TileBuild::Portable
+    }
+}
+
+/// Candidates of one banded root whose highest stored eccentricity is
+/// `emax`: gap `(t, u)` has `t` `r`-role and `u` `s`-role candidates, so
+/// `sum_{e <= emax} e (e + 1) = emax (emax + 1) (emax + 2) / 3`.
+fn banded_root_candidates(emax: usize) -> u64 {
+    (emax * (emax + 1) * (emax + 2) / 3) as u64
+}
+
+/// Tiled kernel: the square of every root of width `d`, [`TILE`] roots
+/// per step.
 ///
-/// For a root row `(i, j)` every §5 composition factors through an
-/// intermediate gap `(x, y)` that shares an endpoint with the updated
-/// cell. Instead of gathering, per cell, both factors through the
-/// [`BandedPw::get`] offset arithmetic, this kernel walks the in-band
-/// gaps `(x, y)` of the root once, `x`-major — so the intermediates'
-/// table rows are visited in ascending, mostly contiguous memory order —
-/// and plays each gap's two roles against **three resident slices**:
+/// Every root of one width has the same gaps and the same candidates, so
+/// the kernel computes [`TILE`] neighbouring roots `(i0 + l, i0 + l + d)`
+/// at once (`square_tile`): each candidate is one lane-wise
+/// `cell = cell.min2(v.add(step))` whose three operands are contiguous
+/// runs of the width-major tables. A width's last tile overlaps the one
+/// before it, and recomputing a lane gives the same value, so only the
+/// lanes it adds are counted. Widths with fewer than [`TILE`] roots run
+/// the same body one root at a time.
 ///
-/// * the root row `prev.row(a)` (first factors, read at precomputed
-///   block offsets);
-/// * the intermediate's own row `prev.row(index(x, y))` (second factors:
-///   `pw'(x,y,x,q)` is the *first* cell of block `y - q`, `pw'(x,y,p,y)`
-///   the *last* cell of block `p - x`);
-/// * the output row `next_row` (min-accumulated in place).
-///
-/// Each slice holds at most `(B+1)(B+2)/2` cells, so the working set per
-/// intermediate is three cache-resident rows — no per-cell indexer calls,
-/// no bounds/band checks, and intermediates whose partial weight is still
-/// infinite are counted in bulk and skipped without touching their row
-/// (most of the table, in the early iterations).
-// The hand-maintained counters (`c`, `u`, `e_cell`) are the point of the
-// kernel: each advances by a data-dependent recurrence, which the
-// iterator forms clippy suggests cannot express without reintroducing
-// the per-candidate multiplies this kernel removes.
-#[allow(clippy::explicit_counter_loop)]
-fn banded_square_row_streamed<W: Weight>(
+/// A tile computes all of its lanes but keeps, and counts, only the rows
+/// `masked` does not mark: a marked row is copied from `prev` and reports
+/// no candidates and no change. A width whose rows are all marked is
+/// copied whole.
+fn banded_square_width_tiled<W: Weight>(
     prev: &BandedPw<W>,
-    a: usize,
-    i: usize,
-    j: usize,
-    next_row: &mut [W],
+    d: usize,
+    block: &mut [W],
+    flags: &mut [bool],
+    masked: impl Fn(usize) -> bool,
+    build: TileBuild,
 ) -> OpStats {
-    let band = prev.band();
-    let idx = prev.indexer();
-    let d = j - i;
-    let prev_row = prev.row(a);
-    next_row.copy_from_slice(prev_row);
+    let m = prev.roots(d);
     let mut stats = OpStats::default();
-    // In-band gaps (x, y) of the root need y - x >= d - band.
-    let x_hi = (j - 1).min(i + band);
-    for x in i..=x_hi {
-        let y_lo = (x + 1).max((x + d).saturating_sub(band));
-        // Pair indices of (x, y) for consecutive y are consecutive, so
-        // the intermediate rows stream forward in memory.
-        let mut c = idx.index(x, y_lo);
-        for y in y_lo..=j {
-            // Cells reached through this intermediate (empty ranges
-            // clamp to zero):
-            // * s-role — cells (x, q) sharing the left endpoint, with
-            //   q >= y - B (second factor in band) and the cell itself
-            //   in band (q >= x + d - B);
-            // * r-role — cells (p, y) sharing the right endpoint, with
-            //   p <= x + B and the cell in band (p <= y + B - d; in-band
-            //   (x, y) guarantees y + B >= x + d, so no underflow).
-            let q_lo = (x + 1)
-                .max((x + d).saturating_sub(band))
-                .max(y.saturating_sub(band));
-            let s_cells = y.saturating_sub(q_lo);
-            let p_hi = (y - 1).min(y + band - d).min(x + band);
-            let r_cells = p_hi.saturating_sub(x);
-            stats.candidates += (s_cells + r_cells) as u64;
-            let e_int = d - (y - x);
-            let v = prev_row[BandedPw::<W>::block_offset(e_int) + (x - i)];
-            if v.is_finite_cost() && s_cells + r_cells > 0 {
-                let crow = prev.row(c);
-                // Both walks keep their positions incrementally: a block
-                // offset moves between adjacent eccentricities by the
-                // eccentricity itself (tri(e+1) = tri(e) + e + 1), so no
-                // per-candidate multiplies survive.
-                //
-                // s-role: pw'(i,j,x,y) + pw'(x,y,x,q) -> cell (x, q),
-                // q ascending. The step factor sits at block_offset(y-q)
-                // of the intermediate's row, the cell at
-                // block_offset(d - (q-x)) + (x-i) of the root row.
-                if s_cells > 0 {
-                    let mut t = y - q_lo;
-                    let mut step_pos = BandedPw::<W>::block_offset(t);
-                    let mut e_cell = d - (q_lo - x);
-                    let mut cell_pos = BandedPw::<W>::block_offset(e_cell) + (x - i);
-                    for _ in 0..s_cells {
-                        let cand = v.add(crow[step_pos]);
-                        let cell = &mut next_row[cell_pos];
-                        if cand < *cell {
-                            *cell = cand;
-                        }
-                        step_pos -= t;
-                        t -= 1;
-                        cell_pos -= e_cell;
-                        e_cell -= 1;
-                    }
-                }
-                // r-role: pw'(i,j,x,y) + pw'(x,y,p,y) -> cell (p, y),
-                // p ascending. The step factor is the last cell of block
-                // (p-x) of the intermediate's row, the cell at
-                // block_offset(d - (y-p)) + (p-i) of the root row.
-                let mut u = 1usize;
-                let mut step_pos = 2usize; // block_offset(1) + 1
-                let mut e_cell = d - (y - x - 1);
-                let mut cell_pos = BandedPw::<W>::block_offset(e_cell) + (x + 1 - i);
-                for _ in 0..r_cells {
-                    let cand = v.add(crow[step_pos]);
-                    let cell = &mut next_row[cell_pos];
-                    if cand < *cell {
-                        *cell = cand;
-                    }
-                    step_pos += u + 2;
-                    u += 1;
-                    cell_pos += e_cell + 2;
-                    e_cell += 1;
-                }
+    if (0..m).all(&masked) {
+        block.copy_from_slice(prev.width(d));
+        return stats;
+    }
+    let candidates = banded_root_candidates(prev.emax(d));
+    let mut tally = |i: usize, changes: u32| {
+        if !masked(i) {
+            stats.candidates += candidates;
+        }
+        stats.writes += u64::from(changes);
+        flags[i] = changes > 0;
+    };
+    if m < TILE {
+        let mut acc = vec![[W::INFINITY]; prev.root_cells(d)];
+        for i in 0..m {
+            let [changes] = square_tile(prev, d, i, [masked(i)], &mut acc, block);
+            tally(i, changes);
+        }
+    } else {
+        let mut acc = vec![[W::INFINITY; TILE]; prev.root_cells(d)];
+        // Roots below `done` are written and counted.
+        let mut done = 0;
+        while done < m {
+            let i0 = done.min(m - TILE);
+            let keep = std::array::from_fn(|l| masked(i0 + l));
+            let changes = match build {
+                TileBuild::Portable => square_tile(prev, d, i0, keep, &mut acc, block),
+                // SAFETY: `TileBuild::Avx512` is only made by
+                // `TileBuild::detect`, after `is_x86_feature_detected!`
+                // reported avx512f on this CPU, and `square_tile_avx512`
+                // enables exactly avx512f.
+                #[cfg(target_arch = "x86_64")]
+                TileBuild::Avx512 => unsafe {
+                    square_tile_avx512(prev, d, i0, keep, &mut acc, block)
+                },
+            };
+            for (l, &lane) in changes.iter().enumerate().skip(done - i0) {
+                tally(i0 + l, lane);
             }
-            c += 1;
+            done = i0 + TILE;
         }
     }
-    // Writes = cells that improved; min-accumulation is monotone, so
-    // "differs from prev" and "improved" coincide (cf. the naive kernel's
-    // best < old test).
-    count_row_writes(prev_row, next_row, &mut stats);
+    stats.changed = stats.writes > 0;
     stats
+}
+
+/// One tile of the banded square: the `L` roots `(i0 + l, i0 + l + d)`,
+/// every gap, written to width `d`'s `block` of the next table. Lanes
+/// with `keep[l]` set get their `prev` value back. Returns each lane's
+/// count of cells that changed.
+///
+/// `acc` holds one `L`-lane accumulator per gap number. The kernel walks
+/// the in-band intermediates `(a, b)` of the root (gap `(i + a, j - b)`),
+/// `a` ascending, then `b` descending, and plays each against the cells
+/// it reaches with the same `k = 1 ..= emax - a - b`:
+///
+/// * `s`-role: cell `(a, b + k)` takes `pw'(gap (a, b)) + pw'(gap (0, k)
+///   of root (i + a, j - b))`;
+/// * `r`-role: cell `(a + k, b)` takes `pw'(gap (a, b)) + pw'(gap (k, 0)
+///   of root (i + a, j - b))`.
+///
+/// So every cell sees its `r`-role candidates by ascending `r`, then its
+/// `s`-role candidates by ascending `s`: the naive kernel's order, which
+/// keeps `f64` tables bit-identical. The intermediate root has width
+/// `d - a - b`, and its gaps sit at root offset `i0 + a` of that width's
+/// block, so every operand is a run of `L` adjacent cells. A lane whose
+/// first factor is infinite needs no branch: `add` saturates and `min2`
+/// keeps the cell. An intermediate infinite in every lane changes no cell,
+/// so it is skipped.
+#[inline(always)]
+fn square_tile<W: Weight, const L: usize>(
+    prev: &BandedPw<W>,
+    d: usize,
+    i0: usize,
+    keep: [bool; L],
+    acc: &mut [[W; L]],
+    block: &mut [W],
+) -> [u32; L] {
+    let data = prev.as_slice();
+    let n = prev.indexer().n();
+    let emax = prev.emax(d);
+    let m = n + 1 - d;
+    let tri = BandedPw::<W>::block_offset;
+    // Gap g of lane 0 sits at `base + g * m`.
+    let base = prev.width_span(d).0 + i0;
+    if keep.iter().all(|&k| k) {
+        for g in 0..acc.len() {
+            block[g * m + i0..][..L].copy_from_slice(&lanes::<W, L>(data, base + g * m));
+        }
+        return [0; L];
+    }
+    for (g, cell) in acc.iter_mut().enumerate() {
+        *cell = lanes(data, base + g * m);
+    }
+    for a in 0..emax {
+        for b in (0..emax - a).rev() {
+            let e0 = a + b;
+            let v = lanes(data, base + (tri(e0) + a) * m);
+            if v.iter().all(|x| !x.is_finite_cost()) {
+                continue;
+            }
+            let width = d - e0;
+            let stride = n + 1 - width;
+            let inter = &data[prev.width_span(width).0 + i0 + a..];
+            // Gap (0, k) of the intermediate sits at `tri(k) * stride` in
+            // `inter` and gap (k, 0) `k * stride` past it; cell (a, b + k)
+            // is `acc[tri(e0 + k) + a]` and cell (a + k, b) `k` past it.
+            // Each position moves by a step that grows with `k`.
+            let (mut s_at, mut s_step) = (stride, 2 * stride);
+            let mut cell = tri(e0 + 1) + a;
+            for k in 1..=emax - e0 {
+                relax(&mut acc[cell], &v, &lanes(inter, s_at));
+                relax(&mut acc[cell + k], &v, &lanes(inter, s_at + k * stride));
+                s_at += s_step;
+                s_step += stride;
+                cell += e0 + k + 1;
+            }
+        }
+    }
+    let mut changes = [0u32; L];
+    for (g, cell) in acc.iter().enumerate() {
+        let old: [W; L] = lanes(data, base + g * m);
+        let out = &mut block[g * m + i0..][..L];
+        for l in 0..L {
+            let value = if keep[l] { old[l] } else { cell[l] };
+            changes[l] += u32::from(value != old[l]);
+            out[l] = value;
+        }
+    }
+    changes
+}
+
+/// [`square_tile`] over [`TILE`] lanes with avx512f enabled, so the
+/// compiler may run each lane-wise step as one zmm instruction. Each
+/// lane op is the scalar op, so the result is the same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn square_tile_avx512<W: Weight>(
+    prev: &BandedPw<W>,
+    d: usize,
+    i0: usize,
+    keep: [bool; TILE],
+    acc: &mut [[W; TILE]],
+    block: &mut [W],
+) -> [u32; TILE] {
+    square_tile(prev, d, i0, keep, acc, block)
+}
+
+/// The `L` cells of `cells` from `at` on, by value.
+#[inline(always)]
+fn lanes<W: Weight, const L: usize>(cells: &[W], at: usize) -> [W; L] {
+    cells[at..at + L].try_into().expect("a run of L cells")
+}
+
+/// One lane-wise composition step: `cell[l] = min(cell[l], v[l] + step[l])`.
+#[inline(always)]
+fn relax<W: Weight, const L: usize>(cell: &mut [W; L], v: &[W; L], step: &[W; L]) {
+    for l in 0..L {
+        cell[l] = cell[l].min2(v[l].add(step[l]));
+    }
 }
 
 /// `a-pebble` over banded storage, optionally restricted to the §5 size
@@ -911,10 +1047,11 @@ fn banded_square_row_streamed<W: Weight>(
 /// pair counts as a write only when it strictly improves, exactly like
 /// every other op (see [`OpStats::writes`]).
 ///
-/// The in-band candidate family walks the pair's flat `pw'` row slice in
-/// storage order (eccentricity-block-major) instead of gathering each gap
-/// through the [`BandedPw::get`] offset arithmetic; gaps whose partial
-/// weight is still infinite skip their `w'` lookup.
+/// The in-band candidate family walks the root's gaps in gap-number
+/// order (eccentricity-major), one cell per cell-row of its width block,
+/// instead of gathering each gap through the [`BandedPw::get`] offset
+/// arithmetic; gaps whose partial weight is still infinite skip their
+/// `w'` lookup.
 ///
 /// `skip`, if given, marks pairs whose inputs (`pw'` row, nested `w'`
 /// values, which include every `w'` the direct decompositions read) have
@@ -955,16 +1092,17 @@ pub fn a_pebble_banded_scheduled<W: Weight, P: DpProblem<W> + ?Sized>(
                 continue;
             }
             let mut best = old;
-            // In-band stored gaps, walked as the flat row slice in
-            // storage order. Position 0 is the (i,j) gap itself (the
-            // free 0 + w'(i,j) candidate already seeded via `old`).
-            let row = pw.row(a);
-            let mut pos = 0usize;
+            // In-band stored gaps in gap-number order: gap g of this
+            // root sits at g * m + i of its width block. Gap 0 is the
+            // (i,j) gap itself (the free 0 + w'(i,j) candidate already
+            // seeded via `old`).
+            let (block, m) = (pw.width(d), pw.roots(d));
+            let mut pos = i;
             for e in 0..=pw.emax(d) {
                 let g = d - e;
                 for t in 0..=e {
-                    if pos > 0 {
-                        let pwv = row[pos];
+                    if pos > i {
+                        let pwv = block[pos];
                         if pwv.is_finite_cost() {
                             let p = i + t;
                             let cand = pwv.add(w_prev.get(p, p + g));
@@ -972,7 +1110,7 @@ pub fn a_pebble_banded_scheduled<W: Weight, P: DpProblem<W> + ?Sized>(
                         }
                         stats.candidates += 1;
                     }
-                    pos += 1;
+                    pos += m;
                 }
             }
             for k in i + 1..j {
@@ -1400,6 +1538,115 @@ mod tests {
         let stats = a_pebble_banded_scheduled(&p, &pw, &w, &mut w_next, None, None, &SEQ).0;
         assert_eq!(stats.writes, 0);
         assert!(!stats.changed);
+    }
+
+    /// Each tile build this host has, forced in turn, against the naive
+    /// banded square, bit for bit: the portable body and, where the CPU
+    /// has avx512f, the same body compiled for it. Warm `u64` and `f64`
+    /// tables, bands from 1 to past `n` (so full tiles, overlapped last
+    /// tiles and widths with fewer roots than a tile all run), with and
+    /// without random skip masks. Only optimized builds vectorize, so CI
+    /// also runs this test under `--release`.
+    #[test]
+    fn banded_square_tile_builds_match_the_naive_square() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn warm<W: Weight>(p: &impl DpProblem<W>, band: usize, iters: usize) -> BandedPw<W> {
+            let n = p.n();
+            let mut w = WTable::new(n);
+            for i in 0..n {
+                w.set(i, i + 1, p.init(i));
+            }
+            let mut pw = BandedPw::new(n, band);
+            let mut next = BandedPw::new(n, band);
+            let mut w_next = w.clone();
+            for _ in 0..iters {
+                a_activate_banded_tracked(p, &w, &mut pw, &SEQ);
+                a_square_banded_scheduled(&pw, &mut next, SquareStrategy::Auto, None, &SEQ);
+                std::mem::swap(&mut pw, &mut next);
+                a_pebble_banded_scheduled(p, &pw, &w, &mut w_next, None, None, &SEQ);
+                std::mem::swap(&mut w, &mut w_next);
+            }
+            pw
+        }
+        /// Every build against the naive square on `pw`; returns the
+        /// squares compared.
+        fn check<W: Weight>(
+            pw: &BandedPw<W>,
+            builds: &[TileBuild],
+            rng: &mut SmallRng,
+            bits: impl Fn(&W) -> u64,
+        ) -> usize {
+            let (n, band) = (pw.indexer().n(), pw.band());
+            let table = |t: &BandedPw<W>| t.as_slice().iter().map(&bits).collect::<Vec<_>>();
+            let mask: Vec<bool> = (0..pw.indexer().len()).map(|_| rng.gen_bool(0.3)).collect();
+            let mut squares = 0;
+            for skip in [None, Some(&mask[..])] {
+                let mut reference = BandedPw::new(n, band);
+                let (base, base_rows) = square_banded(
+                    pw,
+                    &mut reference,
+                    SquareStrategy::Naive,
+                    TileBuild::Portable,
+                    skip,
+                    &SEQ,
+                );
+                for &build in builds {
+                    for exec in [SEQ, ExecBackend::Threads(2)] {
+                        let mut out = BandedPw::new(n, band);
+                        let (stats, rows) =
+                            square_banded(pw, &mut out, SquareStrategy::Auto, build, skip, &exec);
+                        let at = format!(
+                            "{build:?} on {exec}, n={n}, B={band}, masked: {}",
+                            skip.is_some()
+                        );
+                        assert_eq!(table(&out), table(&reference), "tables {at}");
+                        assert_eq!(stats, base, "stats {at}");
+                        assert_eq!(rows, base_rows, "row flags {at}");
+                        squares += 1;
+                    }
+                }
+            }
+            squares
+        }
+
+        let mut builds = vec![TileBuild::Portable];
+        if TileBuild::detect() != TileBuild::Portable {
+            builds.push(TileBuild::detect());
+        }
+        let mut rng = SmallRng::seed_from_u64(30);
+        let mut squares = 0;
+        for (n, band) in [
+            (3, 1),
+            (9, 3),
+            (12, 14),
+            (17, 4),
+            (24, 10),
+            (33, 12),
+            (40, 42),
+        ] {
+            let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..60)).collect();
+            let costs: Vec<f64> = (0..=n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    _ => rng.gen_range(0.0..9.0),
+                })
+                .collect();
+            let p_u64 = FnProblem::new(n, |_| 0u64, |i, k, j| dims[i] * dims[k] * dims[j]);
+            let p_f64 = FnProblem::new(n, |_| 0.0, |i, k, j| costs[i] * costs[k] + costs[j]);
+            for iters in 1..=3 {
+                squares += check(&warm(&p_u64, band, iters), &builds, &mut rng, |&v| v);
+                squares += check(&warm(&p_f64, band, iters), &builds, &mut rng, |v| {
+                    v.to_bits()
+                });
+            }
+        }
+        let paths = match builds.len() {
+            2 => "portable, avx512",
+            _ => "portable (no avx512f here)",
+        };
+        println!("banded square tile parity: {squares} squares matched on {paths}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   `B = 2 ceil(sqrt(n))`: `O(n^3)` memory instead of `O(n^4)`, realizing
 //!   the processor reduction's observation that the optimal-tree pebbling
 //!   never needs a partial weight whose gap lags the root by more than
-//!   `2 sqrt(n)` leaves.
+//!   `2 sqrt(n)` leaves. It is stored width-major: one block per root
+//!   width, one run of cells per gap across all roots of that width.
 
 use crate::exec::disjoint::DisjointPartsMut;
 use crate::weight::Weight;
@@ -193,22 +194,21 @@ impl<W: Weight> WTable<W> {
     }
 }
 
-/// Where each root's row sits in a ragged `pw'` buffer: rows, one per
-/// root pair `(i,j)`, are concatenated in [`PairIndexer`] order and row
-/// `a` occupies `spans[a]`. [`DensePw`] and [`BandedPw`] share it and
-/// differ only in how many cells a row of width `d = j - i` holds.
+/// Where each root's row sits in [`DensePw`]'s ragged buffer: rows, one
+/// per root pair `(i,j)`, are concatenated in [`PairIndexer`] order and
+/// row `a` occupies `spans[a]`.
 #[derive(Debug, Clone)]
 struct RowSpans(Vec<(usize, usize)>);
 
 impl RowSpans {
-    /// Spans of rows holding `row_len(d)` cells each.
-    fn new(idx: &PairIndexer, row_len: impl Fn(usize) -> usize) -> Self {
+    /// Spans of rows holding the `d(d+1)/2` gaps nested in each root.
+    fn new(idx: &PairIndexer) -> Self {
         let mut end = 0;
         RowSpans(
             idx.pairs()
                 .map(|(i, j)| {
                     let start = end;
-                    end += row_len(j - i);
+                    end += (j - i) * (j - i + 1) / 2;
                     (start, end)
                 })
                 .collect(),
@@ -267,7 +267,7 @@ impl<W: Weight> DensePw<W> {
     /// Fresh table: diagonal zero, everything else infinity.
     pub fn new(n: usize) -> Self {
         let idx = PairIndexer::new(n);
-        let rows = RowSpans::new(&idx, |d| d * (d + 1) / 2);
+        let rows = RowSpans::new(&idx);
         let mut data = vec![W::INFINITY; rows.cells()];
         for (a, (i, j)) in idx.pairs().enumerate() {
             data[rows.start(a) + (j - i - 1)] = W::ZERO;
@@ -356,28 +356,34 @@ impl<W: Weight> DensePw<W> {
 ///
 /// # Layout
 ///
-/// Rows (one per root pair `(i,j)`, in [`PairIndexer`] order) are
-/// concatenated in one flat buffer, as in [`DensePw`]; [`Self::row_span`]
-/// / [`Self::row`] recover a row's slice. Within a row with `d = j - i`, the stored gaps
-/// are grouped by *eccentricity* `e = d - (q - p)`
-/// (`0 <= e <= emax = min(d-1, band)`): block `e` starts at offset
-/// [`block_offset(e)`](Self::block_offset) `= e(e+1)/2` within the row
-/// and holds the `e + 1` gaps `(p, p + d - e)` for `p = i ..= i + e`, so
-/// a whole row occupies `(emax+1)(emax+2)/2` cells. Two flat-kernel
-/// consequences:
+/// A root `(i, j)` of width `d = j - i` stores the gaps
+/// `(p, q) = (i + t, j - u)` whose *eccentricity* `e = t + u` is at most
+/// [`emax(d)`](Self::emax) `= min(d - 1, band)`. Every root of one width
+/// has the same gaps, numbered eccentricity-major: gap `(t, u)` is
+/// number [`block_offset(e)`](Self::block_offset) `+ t`, so each root of
+/// width `d` holds [`root_cells(d)`](Self::root_cells)
+/// `= block_offset(emax + 1)` gaps.
 ///
-/// * gaps of equal eccentricity and consecutive left endpoints are
-///   **adjacent cells**, so per-eccentricity candidate families stream
-///   instead of gather;
-/// * a gap's in-row position `block_offset(e) + (p - i)` depends only on
-///   `(e, p - i)`, so kernels precompute block offsets once per row
-///   instead of redoing the offset arithmetic per cell (what the
-///   per-cell [`Self::get`] accessor has to do).
+/// The buffer is **width-major**: one contiguous block per width, widths
+/// ascending ([`Self::width_span`]). Inside the block of width `d`, each
+/// gap number `g` has one *cell-row* over the block's
+/// [`roots(d)`](Self::roots) `= n - d + 1` roots, `i` ascending, so gap
+/// `g` of root `(i, i + d)` sits at `g * roots(d) + i` in the block. No
+/// cell is padded. Two kernel consequences:
+///
+/// * one gap of neighbouring roots is a run of adjacent cells, so the
+///   banded `a-square`, which treats every root of a width alike,
+///   updates several roots per vector instruction;
+/// * a composition's second factor, gap `(t - t0, 0)` or `(0, u - u0)`
+///   of the intermediate root `(i + t0, j - u0)`, sits in the block of
+///   width `d - t0 - u0` at root offset `i + t0`: for neighbouring roots,
+///   a run of adjacent cells too.
 #[derive(Debug, Clone)]
 pub struct BandedPw<W> {
     idx: PairIndexer,
     band: usize,
-    rows: RowSpans,
+    /// `widths[d - 1]` is the `(start, end)` of width `d`'s block.
+    widths: Vec<(usize, usize)>,
     data: Vec<W>,
 }
 
@@ -387,16 +393,23 @@ impl<W: Weight> BandedPw<W> {
     /// infinity.
     pub fn new(n: usize, band: usize) -> Self {
         let idx = PairIndexer::new(n);
-        let rows = RowSpans::new(&idx, |d| Self::block_offset((d - 1).min(band) + 1));
-        let mut data = vec![W::INFINITY; rows.cells()];
-        // Diagonal (e = 0, p = i) is the first cell of each row.
-        for a in 0..idx.len() {
-            data[rows.start(a)] = W::ZERO;
+        let mut end = 0;
+        let widths: Vec<(usize, usize)> = (1..=n)
+            .map(|d| {
+                let start = end;
+                end += Self::block_offset((d - 1).min(band) + 1) * (n + 1 - d);
+                (start, end)
+            })
+            .collect();
+        let mut data = vec![W::INFINITY; end];
+        // The diagonal (gap 0) is the first cell-row of each block.
+        for (d, &(start, _)) in (1..=n).zip(&widths) {
+            data[start..start + (n + 1 - d)].fill(W::ZERO);
         }
         BandedPw {
             idx,
             band,
-            rows,
+            widths,
             data,
         }
     }
@@ -419,38 +432,57 @@ impl<W: Weight> BandedPw<W> {
         self.data.len()
     }
 
-    /// Offset of eccentricity block `e` within any row: `e(e+1)/2`. Block
-    /// `e` holds the `e + 1` gaps `(i + t, i + t + d - e)` for
-    /// `t = 0 ..= e`, so the cell of gap `(p, q)` sits at
-    /// `block_offset(e) + (p - i)` with `e = (j-i) - (q-p)`.
+    /// Number of eccentricity-`< e` gaps of a root: `e(e+1)/2`. Block
+    /// `e` of a root's gap numbering holds the `e + 1` gaps
+    /// `(i + t, j - (e - t))` for `t = 0 ..= e`, so gap `(p, q)` is
+    /// number `block_offset(e) + (p - i)` with `e = (j-i) - (q-p)`.
     #[inline]
     pub const fn block_offset(e: usize) -> usize {
         e * (e + 1) / 2
     }
 
-    /// The highest stored eccentricity of a width-`d` row:
+    /// The highest stored eccentricity of a width-`d` root:
     /// `min(d - 1, band)`.
     #[inline]
     pub fn emax(&self, d: usize) -> usize {
-        debug_assert!(d >= 1, "rows have width >= 1");
+        debug_assert!(d >= 1, "roots have width >= 1");
         (d - 1).min(self.band)
     }
 
-    /// Immutable row of pair index `a`: all stored gaps of that root, in
-    /// eccentricity-block order (see the type-level layout notes).
+    /// Stored gaps per root of width `d`: `block_offset(emax(d) + 1)`.
     #[inline]
-    pub fn row(&self, a: usize) -> &[W] {
-        &self.data[self.rows.range(a)]
+    pub fn root_cells(&self, d: usize) -> usize {
+        Self::block_offset(self.emax(d) + 1)
+    }
+
+    /// Number of roots of width `d`: `(i, i + d)` for `i = 0 ..= n - d`.
+    #[inline]
+    pub fn roots(&self, d: usize) -> usize {
+        debug_assert!((1..=self.idx.n()).contains(&d), "no width {d}");
+        self.idx.n() + 1 - d
+    }
+
+    /// The `(start, end)` of width `d`'s block in [`Self::as_slice`]:
+    /// `root_cells(d)` cell-rows of `roots(d)` cells each.
+    #[inline]
+    pub fn width_span(&self, d: usize) -> (usize, usize) {
+        self.widths[d - 1]
+    }
+
+    /// Width `d`'s block (see the type-level layout notes).
+    #[inline]
+    pub fn width(&self, d: usize) -> &[W] {
+        let (start, end) = self.width_span(d);
+        &self.data[start..end]
     }
 
     #[inline]
     fn cell(&self, i: usize, j: usize, p: usize, q: usize) -> usize {
-        let a = self.idx.index(i, j);
-        let e = (j - i) - (q - p);
-        debug_assert!(e <= self.band);
-        let c = self.rows.start(a) + Self::block_offset(e) + (p - i);
-        debug_assert!(c < self.rows.range(a).end, "cell outside row");
-        c
+        let d = j - i;
+        let e = d - (q - p);
+        debug_assert!(e <= self.emax(d), "gap ({p},{q}) out of band in ({i},{j})");
+        let g = Self::block_offset(e) + (p - i);
+        self.width_span(d).0 + g * self.roots(d) + i
     }
 
     /// Read `pw'(i,j,p,q)`; out-of-band cells read as `INFINITY`.
@@ -473,26 +505,19 @@ impl<W: Weight> BandedPw<W> {
         self.data[c] = v;
     }
 
-    /// Row span (offset range in `data`) of pair index `a`, for parallel
-    /// row partitioning.
-    #[inline]
-    pub fn row_span(&self, a: usize) -> (usize, usize) {
-        self.rows.0[a]
+    /// The width blocks as disjoint mutable parts, part `d - 1` for
+    /// width `d`, for the width-parallel ops.
+    pub(crate) fn widths_mut(&mut self) -> DisjointPartsMut<'_, W> {
+        DisjointPartsMut::new(&mut self.data, &self.widths)
     }
 
-    /// The rows as disjoint mutable parts, one per pair index, for the
-    /// row-parallel ops.
-    pub(crate) fn rows_mut(&mut self) -> DisjointPartsMut<'_, W> {
-        DisjointPartsMut::new(&mut self.data, &self.rows.0)
-    }
-
-    /// The full backing slice.
+    /// The full backing slice (width blocks concatenated).
     #[inline]
     pub fn as_slice(&self) -> &[W] {
         &self.data
     }
 
-    /// Enumerate the in-band gaps `(p, q)` of root `(i, j)` in storage
+    /// Enumerate the in-band gaps `(p, q)` of root `(i, j)` in gap-number
     /// order (eccentricity-major).
     pub fn gaps_of(&self, i: usize, j: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let d = j - i;
@@ -729,45 +754,59 @@ mod tests {
     }
 
     #[test]
-    fn banded_row_spans_partition_data() {
-        let pw = BandedPw::<u64>::new(8, 3);
-        let p = pw.indexer().len();
-        let mut end_prev = 0usize;
-        for a in 0..p {
-            let (s, e) = pw.row_span(a);
-            assert_eq!(s, end_prev);
-            assert!(e >= s);
-            end_prev = e;
+    fn banded_width_blocks_partition_data() {
+        // One block per width, ascending and back to back, each holding
+        // root_cells(d) cell-rows of roots(d) cells: the blocks tile the
+        // whole buffer with no padding.
+        for (n, band) in [(8usize, 3usize), (1, 2), (9, 100), (13, 1)] {
+            let pw = BandedPw::<u64>::new(n, band);
+            let mut end_prev = 0usize;
+            for d in 1..=n {
+                let (s, e) = pw.width_span(d);
+                assert_eq!(s, end_prev, "width {d} starts where {} ends", d - 1);
+                assert_eq!(e - s, pw.root_cells(d) * pw.roots(d), "width {d} length");
+                assert_eq!(pw.width(d).len(), e - s);
+                assert_eq!(pw.roots(d), n + 1 - d);
+                end_prev = e;
+            }
+            assert_eq!(end_prev, pw.stored_cells());
+            assert_eq!(end_prev, pw.as_slice().len());
+            let per_root: usize = pw
+                .indexer()
+                .pairs()
+                .map(|(i, j)| pw.gaps_of(i, j).count())
+                .sum();
+            assert_eq!(per_root, pw.stored_cells(), "no padding (n={n}, B={band})");
         }
-        assert_eq!(end_prev, pw.stored_cells());
     }
 
     #[test]
-    fn row_slices_follow_the_block_layout() {
+    fn width_blocks_follow_the_gap_layout() {
         // A value written through set(i, j, p, q) must sit at
-        // row(a)[block_offset(e) + (p - i)] for every stored gap.
+        // width(d)[g * roots(d) + i], g = block_offset(e) + (p - i), for
+        // every stored gap; an out-of-band get still reads infinity.
         for (n, band) in [(9usize, 3usize), (12, 5), (6, 100)] {
             let mut pw = BandedPw::<u64>::new(n, band);
             let idx = PairIndexer::new(n);
             let mut v = 10u64;
             for (i, j) in idx.pairs() {
-                let a = idx.index(i, j);
+                let d = j - i;
                 let gaps: Vec<_> = pw.gaps_of(i, j).collect();
-                for &(p, q) in &gaps {
-                    let e = (j - i) - (q - p);
-                    let pos = BandedPw::<u64>::block_offset(e) + (p - i);
+                assert_eq!(gaps.len(), pw.root_cells(d), "root ({i},{j}) gap count");
+                for (g, &(p, q)) in gaps.iter().enumerate() {
+                    let e = d - (q - p);
+                    assert_eq!(g, BandedPw::<u64>::block_offset(e) + (p - i), "gap number");
                     pw.set(i, j, p, q, v);
-                    assert_eq!(pw.row(a)[pos], v, "({i},{j},{p},{q})");
+                    assert_eq!(pw.width(d)[g * pw.roots(d) + i], v, "({i},{j},{p},{q})");
                     v += 1;
                 }
-                let d = j - i;
-                assert_eq!(
-                    pw.row(a).len(),
-                    BandedPw::<u64>::block_offset(pw.emax(d) + 1),
-                    "row ({i},{j}) length"
-                );
-                let (s, e) = pw.row_span(a);
-                assert_eq!(pw.row(a).len(), e - s);
+                for p in i..j {
+                    for q in p + 1..=j {
+                        if d - (q - p) > band {
+                            assert_eq!(pw.get(i, j, p, q), <u64 as Weight>::INFINITY);
+                        }
+                    }
+                }
             }
         }
     }

@@ -5,9 +5,10 @@
 //!   than the cells it is allowed to store into;
 //! * on fresh tables, `candidates` matches the closed-form count derived
 //!   independently from the operation definitions;
-//! * the streamed and naive square kernels produce bit-identical
-//!   tables and identical stats on every backend, for `u64` and for
-//!   `f64` (compared by `to_bits`) alike, with and without a skip mask.
+//! * the streamed (dense), tiled (banded) and naive square kernels
+//!   produce bit-identical tables and identical stats on every backend,
+//!   for `u64` and for `f64` (compared by `to_bits`) alike, with and
+//!   without a skip mask.
 
 use pardp_core::ops::{
     a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_banded_scheduled,
@@ -34,20 +35,44 @@ fn instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<u64>> {
         .prop_map(move |(init, f)| TabulatedProblem::new(init, |i, k, j| f[(i * m + k) * m + j]))
 }
 
-/// Strategy: an `f64` instance whose costs are a quarter zeros and
-/// otherwise fractional, so warm tables hold zero-weight paths and ties.
+/// The `f64` cost of a draw from `0..16`: a quarter zeros and otherwise
+/// fractional, so warm tables hold zero-weight paths and ties.
+fn f64_cost(v: u64) -> f64 {
+    if v < 4 {
+        0.0
+    } else {
+        v as f64 * 0.37
+    }
+}
+
+/// Strategy: an `f64` instance with [`f64_cost`] costs.
 fn f64_instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<f64>> {
     let m = n + 1;
-    let cost = |v: u64| if v < 4 { 0.0 } else { v as f64 * 0.37 };
     (
         proptest::collection::vec(0u64..16, n),
         proptest::collection::vec(0u64..16, m * m * m),
     )
         .prop_map(move |(init, f)| {
-            TabulatedProblem::new(init.into_iter().map(cost).collect(), |i, k, j| {
-                cost(f[(i * m + k) * m + j])
+            TabulatedProblem::new(init.into_iter().map(f64_cost).collect(), |i, k, j| {
+                f64_cost(f[(i * m + k) * m + j])
             })
         })
+}
+
+/// An instance of size `n` drawn from `seed`, for tests that draw `n`
+/// too: draws from `0..range`, mapped through `cost`.
+fn seeded_instance<W: Weight>(
+    n: usize,
+    seed: u64,
+    range: u64,
+    cost: impl Fn(u64) -> W,
+) -> TabulatedProblem<W> {
+    let m = n + 1;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut draw = || cost(rng.gen_range(0..range));
+    let init = (0..n).map(|_| draw()).collect();
+    let f: Vec<W> = (0..m * m * m).map(|_| draw()).collect();
+    TabulatedProblem::new(init, |i, k, j| f[(i * m + k) * m + j])
 }
 
 /// A square skip mask over `len` rows drawn from `seed`: about a third
@@ -84,11 +109,11 @@ fn warm_dense<W: Weight>(p: &TabulatedProblem<W>, iters: usize) -> (WTable<W>, D
 }
 
 /// Drive the banded ops for `iters` iterations from the initial state.
-fn warm_banded(
-    p: &TabulatedProblem<u64>,
+fn warm_banded<W: Weight>(
+    p: &TabulatedProblem<W>,
     band: usize,
     iters: usize,
-) -> (WTable<u64>, BandedPw<u64>) {
+) -> (WTable<W>, BandedPw<W>) {
     let n = p.n();
     let mut w = WTable::new(n);
     for i in 0..n {
@@ -119,6 +144,11 @@ fn warm_banded(
         std::mem::swap(&mut w, &mut w_next);
     }
     (w, pw)
+}
+
+/// Every stored cell of root `(i, j)`, in gap-number order.
+fn banded_cells<W: Weight>(pw: &BandedPw<W>, i: usize, j: usize) -> Vec<W> {
+    pw.gaps_of(i, j).map(|(p, q)| pw.get(i, j, p, q)).collect()
 }
 
 /// `changed == (writes > 0)` and `writes <= cap`.
@@ -386,26 +416,31 @@ proptest! {
     }
 
     #[test]
-    fn banded_square_streamed_matches_naive_on_every_backend(
-        p in instance_strategy(12),
+    fn banded_square_matches_naive_on_every_backend(
+        size in (2usize..41, 0usize..64, 0u64..u64::MAX),
         iters in 0usize..4,
-        extra_band in 0usize..5,
         mask_seed in 0u64..u64::MAX,
     ) {
         // Warm realistic banded tables, then one square per kernel,
         // backend and skip mask: tables, stats and per-row flags must
-        // match the naive sequential reference bit for bit.
-        let n = p.n();
-        let band = default_band(n) + extra_band;
+        // match the naive sequential reference bit for bit. Up to n = 40
+        // and band n + 2, the tiled kernel runs full tiles, overlapped
+        // last tiles and widths with fewer roots than a tile.
+        let (n, band_draw, seed) = size;
+        let band = 1 + band_draw % (n + 2);
+        let p = seeded_instance(n, seed, 100, |v| v);
         let (w, pw) = warm_banded(&p, band, iters);
-        let mask = skip_mask(mask_seed, pw.indexer().len());
+        let idx = PairIndexer::new(n);
+        let mask = skip_mask(mask_seed, idx.len());
         for skip in [None, Some(&mask[..])] {
             let mut reference = BandedPw::new(n, band);
             let (base, base_rows) = a_square_banded_scheduled(
                 &pw, &mut reference, SquareStrategy::Naive, skip, &ExecBackend::Sequential,
             );
-            for a in (0..mask.len()).filter(|&a| skip.is_some() && mask[a]) {
-                prop_assert_eq!(reference.row(a), pw.row(a), "skipped row {}", a);
+            for (a, (i, j)) in idx.pairs().enumerate().filter(|&(a, _)| skip.is_some() && mask[a]) {
+                prop_assert_eq!(
+                    banded_cells(&reference, i, j), banded_cells(&pw, i, j), "skipped row {}", a
+                );
                 prop_assert!(!base_rows[a], "skipped row {} flagged", a);
             }
             for backend in [
@@ -429,7 +464,7 @@ proptest! {
         }
         // Skip-everything degrades to a verbatim copy with no stats.
         let mut copied = BandedPw::new(n, band);
-        let skip = vec![true; pw.indexer().len()];
+        let skip = vec![true; idx.len()];
         let (stats, rows) = a_square_banded_scheduled(
             &pw, &mut copied, SquareStrategy::Auto, Some(&skip), &ExecBackend::Threads(3),
         );
@@ -441,10 +476,40 @@ proptest! {
         let (act, act_rows) =
             a_activate_banded_tracked(&p, &w, &mut pw_act, &ExecBackend::Threads(3));
         prop_assert_eq!(act.changed, act_rows.iter().any(|&b| b));
-        for (a, &flag) in act_rows.iter().enumerate() {
-            let (s, e) = pw.row_span(a);
-            let row_changed = pw.as_slice()[s..e] != pw_act.as_slice()[s..e];
-            prop_assert_eq!(flag, row_changed, "activate flag row {}", a);
+        for (a, (i, j)) in idx.pairs().enumerate() {
+            let row_changed = banded_cells(&pw, i, j) != banded_cells(&pw_act, i, j);
+            prop_assert_eq!(act_rows[a], row_changed, "activate flag row {}", a);
+        }
+    }
+
+    #[test]
+    fn banded_square_is_bitwise_identical_on_f64(
+        size in (2usize..25, 0usize..64, 0u64..u64::MAX),
+        iters in 0usize..4,
+        mask_seed in 0u64..u64::MAX,
+    ) {
+        // The tiled kernel keeps each cell's candidate order, so f64
+        // tables match the naive sequential reference bit for bit.
+        let (n, band_draw, seed) = size;
+        let band = 1 + band_draw % (n + 2);
+        let p = seeded_instance(n, seed, 16, f64_cost);
+        let (_, pw) = warm_banded(&p, band, iters);
+        let bits = |t: &BandedPw<f64>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mask = skip_mask(mask_seed, pw.indexer().len());
+        for skip in [None, Some(&mask[..])] {
+            let mut reference = BandedPw::new(n, band);
+            let (base, base_rows) = a_square_banded_scheduled(
+                &pw, &mut reference, SquareStrategy::Naive, skip, &ExecBackend::Sequential,
+            );
+            for backend in [ExecBackend::Sequential, ExecBackend::Threads(3)] {
+                let mut out = BandedPw::new(n, band);
+                let (stats, rows) =
+                    a_square_banded_scheduled(&pw, &mut out, SquareStrategy::Auto, skip, &backend);
+                let case = format!("on {backend}, masked: {}", skip.is_some());
+                prop_assert_eq!(bits(&out), bits(&reference), "f64 banded tables diverge {}", case);
+                prop_assert_eq!(stats, base, "f64 banded stats diverge {}", case);
+                prop_assert_eq!(&rows, &base_rows, "f64 banded row flags diverge {}", case);
+            }
         }
     }
 
