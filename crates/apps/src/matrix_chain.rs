@@ -11,15 +11,18 @@ use pardp_core::prelude::*;
 #[derive(Debug, Clone)]
 pub struct MatrixChain {
     dims: Vec<u64>,
+    pub(crate) spec: SpecProblem,
 }
 
 impl MatrixChain {
     /// Build from dimensions `d_0 .. d_n` (so `n = dims.len() - 1`
-    /// matrices). All dimensions must be positive.
+    /// matrices). Accepts exactly what [`ProblemSpec::chain`] accepts:
+    /// at least two dimensions, all positive, with `2n · (largest)³`
+    /// below the `u64` weight infinity. Panics with its error text
+    /// otherwise.
     pub fn new(dims: Vec<u64>) -> Self {
-        assert!(dims.len() >= 2, "need at least one matrix (two dimensions)");
-        assert!(dims.iter().all(|&d| d > 0), "dimensions must be positive");
-        MatrixChain { dims }
+        let spec = crate::build(ProblemSpec::chain(dims.clone()));
+        MatrixChain { dims, spec }
     }
 
     /// The dimension vector.
@@ -50,26 +53,6 @@ impl MatrixChain {
     pub fn render(&self, tree: &ParenTree) -> String {
         let names: Vec<String> = (1..=self.n_matrices()).map(|t| format!("A{t}")).collect();
         tree.render(&names)
-    }
-}
-
-impl DpProblem<u64> for MatrixChain {
-    fn n(&self) -> usize {
-        self.dims.len() - 1
-    }
-
-    #[inline]
-    fn init(&self, _i: usize) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn f(&self, i: usize, k: usize, j: usize) -> u64 {
-        self.dims[i] * self.dims[k] * self.dims[j]
-    }
-
-    fn name(&self) -> &str {
-        "matrix-chain"
     }
 }
 
@@ -142,5 +125,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_rejected() {
         MatrixChain::new(vec![3, 0, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn costs_past_the_weight_infinity_rejected() {
+        // Every product is 2^66: it would wrap to 0 in a release build.
+        MatrixChain::new(vec![1 << 22; 3]);
     }
 }

@@ -22,18 +22,17 @@ use pardp_core::prelude::*;
 #[derive(Debug, Clone)]
 pub struct MergeOrder {
     lengths: Vec<u64>,
-    prefix: Vec<u64>,
+    pub(crate) spec: SpecProblem,
 }
 
 impl MergeOrder {
-    /// Build from run lengths (at least one run).
+    /// Build from run lengths. Accepts exactly what
+    /// [`ProblemSpec::merge`] accepts: at least one run, with `2n` times
+    /// the total length below the `u64` weight infinity. Panics with its
+    /// error text otherwise.
     pub fn new(lengths: Vec<u64>) -> Self {
-        assert!(!lengths.is_empty(), "need at least one run");
-        let mut prefix = vec![0u64];
-        for &l in &lengths {
-            prefix.push(prefix.last().unwrap() + l);
-        }
-        MergeOrder { lengths, prefix }
+        let spec = crate::build(ProblemSpec::merge(lengths.clone()));
+        MergeOrder { lengths, spec }
     }
 
     /// The run lengths.
@@ -44,7 +43,7 @@ impl MergeOrder {
     /// Total length of runs `i..j` (the merge cost of interval `(i,j)`).
     #[inline]
     pub fn span(&self, i: usize, j: usize) -> u64 {
-        self.prefix[j] - self.prefix[i]
+        self.spec.f(i, i + 1, j) // `f` does not read the split `k`
     }
 
     /// Solve (via the [`Solver`] façade) and return
@@ -85,26 +84,6 @@ impl MergeOrder {
     }
 }
 
-impl DpProblem<u64> for MergeOrder {
-    fn n(&self) -> usize {
-        self.lengths.len()
-    }
-
-    #[inline]
-    fn init(&self, _i: usize) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn f(&self, i: usize, _k: usize, j: usize) -> u64 {
-        self.span(i, j)
-    }
-
-    fn name(&self) -> &str {
-        "merge-order"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +107,13 @@ mod tests {
         let m = MergeOrder::new(vec![42]);
         let (cost, _) = m.optimal_merge();
         assert_eq!(cost, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn costs_past_the_weight_infinity_rejected() {
+        // The total length is u64::MAX - 1, past the weight infinity.
+        MergeOrder::new(vec![u64::MAX / 2; 2]);
     }
 
     #[test]

@@ -30,10 +30,7 @@ pub struct OptimalBst {
     p: Vec<u64>,
     /// Dummy frequencies `q_0 .. q_m`.
     q: Vec<u64>,
-    /// Prefix sums: `p_prefix[t] = p_1 + .. + p_t`.
-    p_prefix: Vec<u64>,
-    /// Prefix sums: `q_prefix[t] = q_0 + .. + q_{t-1}`.
-    q_prefix: Vec<u64>,
+    pub(crate) spec: SpecProblem,
 }
 
 /// A constructed binary search tree over key indices `1..=m`.
@@ -54,24 +51,13 @@ pub enum BstNode {
 
 impl OptimalBst {
     /// Build from key frequencies `p_1..p_m` and dummy frequencies
-    /// `q_0..q_m` (`q.len() == p.len() + 1`).
+    /// `q_0..q_m`. Accepts exactly what [`ProblemSpec::obst`] accepts:
+    /// at least one key, `q.len() == p.len() + 1`, and `2n` times the
+    /// frequency total below the `u64` weight infinity. Panics with its
+    /// error text otherwise.
     pub fn new(p: Vec<u64>, q: Vec<u64>) -> Self {
-        assert_eq!(q.len(), p.len() + 1, "need one more dummy than keys");
-        assert!(!p.is_empty(), "need at least one key");
-        let mut p_prefix = vec![0u64];
-        for &x in &p {
-            p_prefix.push(p_prefix.last().unwrap() + x);
-        }
-        let mut q_prefix = vec![0u64];
-        for &x in &q {
-            q_prefix.push(q_prefix.last().unwrap() + x);
-        }
-        OptimalBst {
-            p,
-            q,
-            p_prefix,
-            q_prefix,
-        }
+        let spec = crate::build(ProblemSpec::obst(p.clone(), q.clone()));
+        OptimalBst { p, q, spec }
     }
 
     /// The *alphabetic tree* special case: only leaf (dummy) weights, no
@@ -92,9 +78,7 @@ impl OptimalBst {
     /// Interval weight `W(i,j)` (see module docs).
     #[inline]
     pub fn interval_weight(&self, i: usize, j: usize) -> u64 {
-        // keys k_{i+1} .. k_{j-1}: p_prefix[j-1] - p_prefix[i]
-        // dummies d_i .. d_{j-1}:  q_prefix[j] - q_prefix[i]
-        (self.p_prefix[j - 1] - self.p_prefix[i]) + (self.q_prefix[j] - self.q_prefix[i])
+        self.spec.f(i, i + 1, j) // `f` does not read the split `k`
     }
 
     /// Solve (via the [`Solver`] façade) and return
@@ -146,26 +130,6 @@ impl OptimalBst {
         let mut out = Vec::new();
         rec(tree, &mut out);
         out
-    }
-}
-
-impl DpProblem<u64> for OptimalBst {
-    fn n(&self) -> usize {
-        self.p.len() + 1
-    }
-
-    #[inline]
-    fn init(&self, i: usize) -> u64 {
-        self.q[i]
-    }
-
-    #[inline]
-    fn f(&self, i: usize, _k: usize, j: usize) -> u64 {
-        self.interval_weight(i, j)
-    }
-
-    fn name(&self) -> &str {
-        "optimal-bst"
     }
 }
 
@@ -301,6 +265,13 @@ mod tests {
         // Heavy leaf at depth <= 2: cost <= 100*3 + small terms.
         assert!(cost <= 100 * 3 + 3 * 4, "cost={cost}");
         let _ = tree;
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn costs_past_the_weight_infinity_rejected() {
+        // The frequency total does not even fit in a u64.
+        OptimalBst::new(vec![u64::MAX / 2; 2], vec![1; 3]);
     }
 
     #[test]

@@ -19,19 +19,23 @@ use pardp_core::prelude::*;
 /// A convex polygon with one abstract weight per vertex.
 #[derive(Debug, Clone)]
 pub struct WeightedPolygon {
-    weights: Vec<u64>,
+    pub(crate) spec: SpecProblem,
 }
 
 impl WeightedPolygon {
-    /// Build from vertex weights `w_0 .. w_n` (at least 3 vertices).
+    /// Build from vertex weights `w_0 .. w_n`. Accepts exactly what
+    /// [`ProblemSpec::polygon`] accepts: at least 3 vertices, with
+    /// `2n · (largest)³` below the `u64` weight infinity. Panics with
+    /// its error text otherwise.
     pub fn new(weights: Vec<u64>) -> Self {
-        assert!(weights.len() >= 3, "a polygon needs at least 3 vertices");
-        WeightedPolygon { weights }
+        WeightedPolygon {
+            spec: crate::build(ProblemSpec::polygon(weights)),
+        }
     }
 
     /// Number of vertices.
     pub fn n_vertices(&self) -> usize {
-        self.weights.len()
+        self.n() + 1
     }
 
     /// Solve (via the [`Solver`] façade) and return `(cost, diagonals)`
@@ -40,26 +44,6 @@ impl WeightedPolygon {
         let sol = Solver::new(Algorithm::Sequential).solve(self);
         let t = sol.tree(self).expect("solved table");
         (sol.value(), diagonals_of(&t, self.n()))
-    }
-}
-
-impl DpProblem<u64> for WeightedPolygon {
-    fn n(&self) -> usize {
-        self.weights.len() - 1
-    }
-
-    #[inline]
-    fn init(&self, _i: usize) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn f(&self, i: usize, k: usize, j: usize) -> u64 {
-        self.weights[i] * self.weights[k] * self.weights[j]
-    }
-
-    fn name(&self) -> &str {
-        "triangulation-weighted"
     }
 }
 
@@ -173,6 +157,13 @@ mod tests {
         let (cost, diags) = poly.optimal_triangulation();
         assert_eq!(cost, 24);
         assert!(diags.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn costs_past_the_weight_infinity_rejected() {
+        // Every triangle weighs 2^66: it would wrap to 0 in a release build.
+        WeightedPolygon::new(vec![1 << 22; 3]);
     }
 
     #[test]

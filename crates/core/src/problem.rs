@@ -7,9 +7,12 @@
 //! c(i,i+1) = init(i),                                     0 <= i <= n-1
 //! ```
 //!
-//! with non-negative `f` and `init`. [`DpProblem`] is exactly that triple;
-//! concrete instances (matrix chain, optimal BST, triangulation) live in
-//! the `pardp-apps` crate, and [`FnProblem`] wraps arbitrary closures.
+//! with non-negative `f` and `init`. [`DpProblem`] is exactly that triple.
+//! The four wire families (matrix chain, optimal BST, weighted polygon
+//! triangulation, merge order) are implemented once, by
+//! [`SpecProblem`](crate::spec::SpecProblem); the `pardp-apps` crate
+//! wraps it with solution interpretation and adds a geometric
+//! triangulation, and [`FnProblem`] wraps arbitrary closures.
 
 use crate::weight::Weight;
 

@@ -78,12 +78,12 @@ impl std::error::Error for SpecError {}
 /// A validated problem instance of one of the four wire families.
 ///
 /// The constructors hold every family's shape rules (formerly private to
-/// the CLI's parser), so `pardp solve`, `pardp batch`, and `pardp serve`
-/// accept and reject exactly the same instances. They also bound the
-/// payload so no tree cost or prefix sum can reach the `u64` weight
-/// infinity (`u64::MAX / 4`): `2n · max_f` must stay below it, where
-/// `max_f` is the largest value cubed (chain, polygon) or the payload
-/// total (obst, merge).
+/// the CLI's parser), so `pardp solve`, `pardp batch`, `pardp serve` and
+/// the `pardp-apps` constructors accept and reject exactly the same
+/// instances. They also bound the payload so no tree cost or prefix sum
+/// can reach the `u64` weight infinity (`u64::MAX / 4`): `2n · max_f`
+/// must stay below it, where `max_f` is the largest value cubed (chain,
+/// polygon) or the payload total (obst, merge).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProblemSpec {
     /// Matrix chain from a dimension list.
@@ -327,9 +327,11 @@ impl ProblemSpec {
 }
 
 /// The solvable instance a [`ProblemSpec`] builds: a [`DpProblem`] over
-/// `u64` weights, with the same `init` / `f` as the reference
-/// implementations in `pardp-apps` (property-tested there — `pardp-core`
-/// cannot depend on `pardp-apps`, so the recurrences are mirrored).
+/// `u64` weights, and the one implementation of the four families'
+/// costs. `pardp-apps`' `MatrixChain`, `OptimalBst`, `WeightedPolygon`
+/// and `MergeOrder` each build one and hand it every [`DpProblem`] call,
+/// so a library solve and a wire job of one payload run the same code
+/// (`pardp-apps`' `spec_parity` test pins each family to its formula).
 ///
 /// [`DpProblem::split_min`] matches the family once per cell, not once
 /// per candidate: chain and polygon hoist `v[i]` and `v[j]` and walk
