@@ -14,17 +14,23 @@
 //! and the pebble, trace and [`OpStats`] accumulation, and the stopping
 //! rules.
 //!
-//! **Convergence-aware scheduling** (`skip_clean_rows`; §2 and §5 only)
-//! is exact under every stopping rule, because square and pebble are
-//! deterministic monotone functions of their inputs:
+//! **Convergence-aware scheduling** (`skip_clean_rows` for §2 and §5;
+//! always on for Rytter's square rows) is exact under every stopping
+//! rule, because square and pebble are deterministic monotone functions
+//! of their inputs:
 //!
 //! * **square rows** — square row `(i,j)` reads exactly the `pw'` rows
 //!   nested in `(i,j)`. If neither the previous square nor this
 //!   iteration's activate changed any of them, the row would be
-//!   reproduced verbatim, so it is copied forward instead. When every
-//!   row is clean the whole pass is skipped: no kernel, no pool region,
-//!   no buffer swap, and zero square stats, exactly what the
-//!   copy-forward pass would report.
+//!   reproduced verbatim, so it is copied forward instead. A clean §2
+//!   or §5 row reports zero candidates. When every row is clean the
+//!   whole §2 or §5 pass is skipped: no kernel, no pool region, no buffer
+//!   swap, and zero square stats, exactly what the copy-forward pass
+//!   would report. A clean Rytter row reports the full composition's
+//!   `C(d+3, 4)` candidates, no writes and no change, which is what
+//!   computing it would report; so Rytter's statistics and traces do not
+//!   depend on the schedule, and Rytter does not read `skip_clean_rows`.
+//!   Its all-clean pass still runs, to count those candidates.
 //! * **pebble pairs** — pebble pair `(i,j)` reads its own `pw'` row and
 //!   the `w'` of its nested pairs. A *persistent* per-pair dirty bit
 //!   gathers changes to those inputs and is cleared only when the pair
@@ -48,8 +54,8 @@ use std::time::Instant;
 
 use crate::ops::{
     a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_banded_scheduled,
-    a_pebble_dense_scheduled, a_square_banded_scheduled, a_square_dense_scheduled,
-    a_square_rytter_with, OpStats, SquareStrategy,
+    a_pebble_dense_scheduled, a_square_banded_scheduled, a_square_dense_scheduled, square_rytter,
+    OpStats, SquareStrategy, TileBuild,
 };
 use crate::problem::DpProblem;
 use crate::reduced::default_band;
@@ -93,30 +99,26 @@ impl<W: Weight> Layout<W> {
     }
 
     /// `a-square` into the next buffer, then swap. Rows marked in `skip`
-    /// are copied forward. The per-row changed bits are `None` for
-    /// Rytter's square, which is never scheduled.
-    fn square(
-        &mut self,
-        skip: Option<&[bool]>,
-        opts: &SolveOptions,
-    ) -> (OpStats, Option<Vec<bool>>) {
+    /// are copied forward. Returns the per-row changed bits.
+    fn square(&mut self, skip: Option<&[bool]>, opts: &SolveOptions) -> (OpStats, Vec<bool>) {
         match self {
             Layout::Dense(pw, next) => {
-                let (stats, rows) =
+                let out =
                     a_square_dense_scheduled(pw, next, SquareStrategy::Auto, skip, &opts.exec);
                 std::mem::swap(pw, next);
-                (stats, Some(rows))
+                out
             }
             Layout::Banded(pw, next) => {
-                let (stats, rows) =
+                let out =
                     a_square_banded_scheduled(pw, next, SquareStrategy::Auto, skip, &opts.exec);
                 std::mem::swap(pw, next);
-                (stats, Some(rows))
+                out
             }
             Layout::Rytter(pw, next) => {
-                let stats = a_square_rytter_with(pw, next, SquareStrategy::Auto, &opts.exec);
+                let build = TileBuild::detect();
+                let out = square_rytter(pw, next, SquareStrategy::Auto, build, skip, &opts.exec);
                 std::mem::swap(pw, next);
-                (stats, None)
+                out
             }
         }
     }
@@ -165,6 +167,9 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
     let n = problem.n();
     let cancel = opts.cancel_token();
     let skip_clean = opts.skip_clean_rows && algorithm.reads(SolveKnob::SkipCleanRows);
+    // Rytter's clean square rows report their full count, so scheduling
+    // them changes no output: they are always skipped.
+    let rytter = algorithm == Algorithm::Rytter;
     let windowed = opts.windowed_pebble && algorithm.reads(SolveKnob::WindowedPebble);
 
     let mut w = WTable::new(n);
@@ -236,7 +241,7 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
         // Square row (i,j) reads the pw' rows nested in (i,j); it is
         // copied forward when neither the previous square nor this
         // activate changed any of them.
-        let sq_skip = (skip_clean && iter > 1).then(|| {
+        let sq_skip = ((skip_clean || rytter) && iter > 1).then(|| {
             for a in 0..dim {
                 square_skip[a] = act_rows[a] || square_changed[a];
             }
@@ -246,16 +251,16 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
             }
             square_skip.as_slice()
         });
-        let sq = if sq_skip.is_some_and(|skip| skip.iter().all(|&clean| clean)) {
+        let sq = if !rytter && sq_skip.is_some_and(|skip| skip.iter().all(|&clean| clean)) {
             // Every row is clean: the pass would copy the table forward
             // verbatim, so skip it (and the buffer swap) outright.
+            // Rytter's pass runs, because its clean rows count their
+            // candidates.
             square_changed.fill(false);
             OpStats::default()
         } else {
-            let (sq, sq_rows) = tables.square(sq_skip, opts);
-            if let Some(rows) = sq_rows {
-                square_changed = rows;
-            }
+            let (sq, rows) = tables.square(sq_skip, opts);
+            square_changed = rows;
             sq
         };
         // Size window for iterations 2l-1 and 2l: (l-1)^2 < j-i <= l^2.

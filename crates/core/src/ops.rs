@@ -40,7 +40,7 @@
 //! | square | kernel ([`SquareStrategy::Auto`]) | reference ([`SquareStrategy::Naive`]) |
 //! |---|---|---|
 //! | [`a_square_dense_scheduled`] | streams each intermediate's cells over [`DensePw`]'s segment layout, positions kept incrementally | [`DensePw::get`] per candidate |
-//! | [`a_square_rytter_with`] | streams each intermediate's segments over the same layout | [`DensePw::get`] per candidate |
+//! | [`a_square_rytter_with`] | streams each intermediate's segments over the same layout, each segment one `min(cell, v + step)` over a contiguous run; an AVX-512 build that relaxes the runs in 8-lane chunks is chosen at run time | [`DensePw::get`] per candidate |
 //! | [`a_square_banded_scheduled`] | eight roots of one width per step over [`BandedPw`]'s width-major layout, each candidate one lane-wise `min(cell, v + step)` over contiguous runs; an AVX-512 build is chosen at run time | [`BandedPw::get`] per candidate |
 //!
 //! Both kernels of a square enumerate exactly the same candidate set, in
@@ -48,11 +48,15 @@
 //! are identical; only the memory access order differs.
 //!
 //! Convergence-aware scheduling: the activates return per-row changed
-//! bits, and the dense and banded squares and pebbles take an optional
-//! `skip` mask. Rows and pairs whose inputs did not change since the
-//! previous pass are copied forward instead of recomputed, and
-//! per-row/per-pair changed bits are returned for the caller's next
-//! scheduling decision. A caller without a schedule passes `None`.
+//! bits, and the squares and pebbles take an optional `skip` mask. Rows
+//! and pairs whose inputs did not change since the previous pass are
+//! copied forward instead of recomputed, and per-row/per-pair changed
+//! bits are returned for the caller's next scheduling decision. A
+//! caller without a schedule passes `None`. A skipped §2 or §5 row
+//! reports zero candidates; a skipped Rytter row reports the full
+//! composition's count, which is its count by definition, so Rytter's
+//! [`OpStats`] do not depend on the mask. The iteration engine schedules
+//! Rytter's square rows on every iteration after the first.
 
 use serde::{Deserialize, Serialize};
 
@@ -398,36 +402,78 @@ fn count_row_writes<W: Weight>(prev_row: &[W], next_row: &[W], stats: &mut OpSta
 /// ```
 ///
 /// i.e. a masked min-plus matrix square — `Theta(n^6)` candidates, the
-/// work figure the paper improves on.
+/// work figure the paper improves on. `candidates` is that full
+/// composition's count by definition: `C(d + 3, 4)` per row of width
+/// `d`, whatever the kernel skips.
 ///
 /// `strategy` selects the kernel. Both produce bit-identical tables and
 /// identical [`OpStats`]; [`SquareStrategy::Auto`] selects the
 /// intermediate-major streaming kernel (for the full composition every
 /// cell nested in an intermediate is compatible with it, so the
 /// per-intermediate update footprint is a run of contiguous segments).
+/// On x86-64 CPUs with avx512f the streaming kernel runs a second build
+/// that relaxes each run in 8-lane chunks, with the same result bits.
+///
+/// Every row is computed. The iteration engine runs the same square with
+/// a clean-row mask, which copies forward the rows whose nested rows did
+/// not change and reports the same statistics.
 pub fn a_square_rytter_with<W: Weight>(
     prev: &DensePw<W>,
     next: &mut DensePw<W>,
     strategy: SquareStrategy,
     exec: &ExecBackend,
 ) -> OpStats {
-    let process_row = |a: usize, next_row: &mut [W], _: &mut [()]| -> OpStats {
-        match strategy {
-            SquareStrategy::Naive => rytter_row_naive(prev, a, next_row),
-            SquareStrategy::Auto => rytter_row_streamed(prev, a, next_row),
+    square_rytter(prev, next, strategy, TileBuild::detect(), None, exec).0
+}
+
+/// [`a_square_rytter_with`] with the row build chosen by the caller, an
+/// optional clean-row mask, and per-row changed bits.
+///
+/// `skip`, if given, marks rows whose **inputs** did not change since the
+/// previous square (row `(i,j)` reads only rows nested in `(i,j)`). Such a
+/// row is copied from `prev` and reports what computing it would report:
+/// its full candidate count, no writes and no change.
+pub(crate) fn square_rytter<W: Weight>(
+    prev: &DensePw<W>,
+    next: &mut DensePw<W>,
+    strategy: SquareStrategy,
+    build: TileBuild,
+    skip: Option<&[bool]>,
+    exec: &ExecBackend,
+) -> (OpStats, Vec<bool>) {
+    let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
+        if skip.is_some_and(|mask| mask[a]) {
+            next_row.copy_from_slice(prev.row(a));
+            let (i, j) = prev.indexer().pair(a);
+            let stats = OpStats {
+                candidates: rytter_row_candidates(j - i),
+                ..OpStats::default()
+            };
+            return (stats, false);
         }
+        let stats = match (strategy, build) {
+            (SquareStrategy::Naive, _) => rytter_row_naive(prev, a, next_row),
+            (SquareStrategy::Auto, TileBuild::Portable) => rytter_row_streamed(prev, a, next_row),
+            // SAFETY: `TileBuild::Avx512` is only made by
+            // `TileBuild::detect`, after `is_x86_feature_detected!`
+            // reported avx512f on this CPU, and `rytter_row_avx512`
+            // enables exactly avx512f.
+            #[cfg(target_arch = "x86_64")]
+            (SquareStrategy::Auto, TileBuild::Avx512) => unsafe {
+                rytter_row_avx512(prev, a, next_row)
+            },
+        };
+        (stats, stats.changed)
     };
-    // No per-row flags here: the side partition is zero-sized, so it
-    // allocates nothing.
-    let mut unit = vec![(); prev.dim()];
-    exec.map_reduce(
-        next.rows_mut(),
-        DisjointPartsMut::uniform(&mut unit, 1),
-        1,
-        process_row,
-        OpStats::default,
-        OpStats::merge,
-    )
+    map_rows_flagged(exec, next.rows_mut(), 1, process_row)
+}
+
+/// Candidates of one Rytter row of width `d`: an intermediate of width
+/// `w` reaches the `w (w + 1) / 2` cells nested in it, and `d + 1 - w`
+/// intermediates have width `w`, so `sum_w (d + 1 - w) w (w + 1) / 2 =
+/// C(d + 3, 4)`.
+fn rytter_row_candidates(d: usize) -> u64 {
+    (d * (d + 1) * (d + 2) * (d + 3) / 24) as u64
 }
 
 /// Reference kernel: per-cell gather over every intermediate gap through
@@ -457,28 +503,63 @@ fn rytter_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) 
     stats
 }
 
-/// Streaming kernel: intermediate-major enumeration. The cells
-/// compatible with an intermediate gap `(r, s)` are exactly the pairs
-/// nested in `(r, s)`: for each `p`, the head `(p, p+1 ..= s)` of root
-/// segment `p - i`, paired with the whole segment `p - r` of row
-/// `(r, s)`. So each intermediate row is read once, front to back, and
-/// both segment starts advance by a segment length. Intermediates whose
-/// partial weight is still infinite are counted in bulk and skipped.
+/// Streaming kernel, portable build: [`rytter_row_body`] with each run
+/// relaxed one cell at a time.
 fn rytter_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) -> OpStats {
+    rytter_row_body(prev, a, next_row, |cells, v, steps| {
+        for (cell, &step) in cells.iter_mut().zip(steps) {
+            let cand = v.add(step);
+            if cand < *cell {
+                *cell = cand;
+            }
+        }
+    })
+}
+
+/// Streaming kernel, AVX-512 build: [`rytter_row_body`] with avx512f
+/// enabled and each run relaxed by [`relax_run_chunked`], so a chunk is
+/// one zmm step. Each lane op is the scalar op, so the result is the
+/// same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn rytter_row_avx512<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) -> OpStats {
+    rytter_row_body(prev, a, next_row, relax_run_chunked)
+}
+
+/// The streaming kernel's row body: intermediate-major enumeration. The
+/// cells compatible with an intermediate gap `(r, s)` are exactly the
+/// pairs nested in `(r, s)`: for each `p`, the head `(p, p+1 ..= s)` of
+/// root segment `p - i`, paired with the whole segment `p - r` of row
+/// `(r, s)`. So each intermediate row is read once, front to back, and
+/// both segment starts advance by a segment length. `relax_run(cells, v,
+/// steps)` sets `cells[t] = min(cells[t], v + steps[t])` over one such
+/// run. Intermediates whose partial weight is still infinite are
+/// skipped.
+///
+/// Intermediates run by `r` ascending, then `s` ascending, and each
+/// reaches a cell once, so every cell sees the naive kernel's min order.
+#[inline(always)]
+fn rytter_row_body<W: Weight>(
+    prev: &DensePw<W>,
+    a: usize,
+    next_row: &mut [W],
+    relax_run: impl Fn(&mut [W], W, &[W]),
+) -> OpStats {
     let idx = prev.indexer();
     let (i, j) = idx.pair(a);
     let d = j - i;
     let prev_row = prev.row(a);
     next_row.copy_from_slice(prev_row);
-    let mut stats = OpStats::default();
+    let mut stats = OpStats {
+        candidates: rytter_row_candidates(d),
+        ..OpStats::default()
+    };
     // Root-row offset of segment r - i.
     let mut seg_r = 0;
     for r in i..j {
         let c_base = idx.index(r, r + 1);
         for s in r + 1..=j {
             let vc = prev_row[seg_r + (s - r - 1)];
-            let width = (s - r) as u64;
-            stats.candidates += width * (width + 1) / 2;
             if !vc.is_finite_cost() {
                 continue;
             }
@@ -486,13 +567,11 @@ fn rytter_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W
             let (mut cell_seg, mut step_seg) = (seg_r, 0);
             for p in r..s {
                 let len = s - p;
-                let cells = &mut next_row[cell_seg..cell_seg + len];
-                for (cell, &step) in cells.iter_mut().zip(&crow[step_seg..step_seg + len]) {
-                    let cand = vc.add(step);
-                    if cand < *cell {
-                        *cell = cand;
-                    }
-                }
+                relax_run(
+                    &mut next_row[cell_seg..cell_seg + len],
+                    vc,
+                    &crow[step_seg..step_seg + len],
+                );
                 cell_seg += d - (p - i);
                 step_seg += len;
             }
@@ -501,6 +580,48 @@ fn rytter_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W
     }
     count_row_writes(prev_row, next_row, &mut stats);
     stats
+}
+
+/// `cells[t] = min(cells[t], v + steps[t])` over one run, in explicit
+/// lane chunks: runs of at least [`TILE`] cells in chunks of [`TILE`]
+/// lanes, runs of 4–7 cells in two 4-lane chunks, and shorter runs one
+/// cell at a time. Each cell gets `min2(cell, v + step)`, the scalar
+/// loop's value.
+#[inline(always)]
+fn relax_run_chunked<W: Weight>(cells: &mut [W], v: W, steps: &[W]) {
+    let steps = &steps[..cells.len()];
+    match cells.len() {
+        TILE.. => relax_run_lanes::<W, TILE>(cells, v, steps),
+        4.. => relax_run_lanes::<W, 4>(cells, v, steps),
+        _ => {
+            for (cell, &step) in cells.iter_mut().zip(steps) {
+                *cell = cell.min2(v.add(step));
+            }
+        }
+    }
+}
+
+/// [`relax_run_chunked`] over a run of at least `L` cells: chunks of `L`
+/// lanes from the front, and a last chunk that ends the run and may
+/// overlap the one before it. Both chunks relax a cell in the overlap
+/// with the same candidate, and `min2(min2(c, x), x) == min2(c, x)` bit
+/// for bit, so the overlap changes no value. The last chunk is loaded
+/// before any earlier chunk is stored, so its load does not depend on
+/// those stores.
+#[inline(always)]
+fn relax_run_lanes<W: Weight, const L: usize>(cells: &mut [W], v: W, steps: &[W]) {
+    let v = [v; L];
+    let last = cells.len() - L;
+    let mut tail: [W; L] = lanes(cells, last);
+    relax(&mut tail, &v, &lanes(steps, last));
+    let mut at = 0;
+    while at < last {
+        let mut chunk: [W; L] = lanes(cells, at);
+        relax(&mut chunk, &v, &lanes(steps, at));
+        cells[at..at + L].copy_from_slice(&chunk);
+        at += L;
+    }
+    cells[last..].copy_from_slice(&tail);
 }
 
 // ---------------------------------------------------------------------------
@@ -804,13 +925,14 @@ fn banded_square_width_naive<W: Weight>(
     stats
 }
 
-/// Roots per tile of the banded square: eight `u64` lanes fill one
-/// 512-bit vector.
+/// Roots per tile of the banded square, and lanes per chunk of Rytter's
+/// AVX-512 relax: eight `u64` lanes fill one 512-bit vector.
 const TILE: usize = 8;
 
-/// Which build of the banded square's tile body an op call runs.
+/// Which build of a dispatched square body an op call runs: the banded
+/// square's tile, or Rytter's row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TileBuild {
+pub(crate) enum TileBuild {
     /// The body compiled for the build's target.
     Portable,
     /// The body compiled with avx512f enabled. Only
@@ -821,7 +943,7 @@ enum TileBuild {
 
 impl TileBuild {
     /// The fastest build this CPU runs.
-    fn detect() -> Self {
+    pub(crate) fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
             return TileBuild::Avx512;
@@ -1647,6 +1769,140 @@ mod tests {
             _ => "portable (no avx512f here)",
         };
         println!("banded square tile parity: {squares} squares matched on {paths}");
+    }
+
+    /// Each build of Rytter's row body this host has, forced in turn,
+    /// against the naive Rytter square, bit for bit: the portable body
+    /// and, where the CPU has avx512f, the chunked AVX-512 body. Warm
+    /// `u64` and `f64` tables at sizes whose segment runs span 1–3, 4–7,
+    /// 8–15 and 16 or more cells, on Sequential and Threads(2). Then the
+    /// clean-row mask: every row masked reproduces `prev` with the full
+    /// count, and the engine's own mask (rows whose nested rows neither
+    /// the previous square nor one more activate changed) reproduces the
+    /// unmasked square. Only optimized builds vectorize, so CI also runs
+    /// this test under `--release`.
+    #[test]
+    fn rytter_square_builds_and_clean_rows_match_the_naive_square() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        /// `iters` iterations of Rytter's schedule and one more
+        /// activate: the table the next square reads, and the engine's
+        /// clean-row mask for it.
+        fn warm<W: Weight>(p: &impl DpProblem<W>, iters: usize) -> (DensePw<W>, Vec<bool>) {
+            let n = p.n();
+            let mut w = WTable::new(n);
+            for i in 0..n {
+                w.set(i, i + 1, p.init(i));
+            }
+            let mut pw = DensePw::new(n);
+            let mut next = DensePw::new(n);
+            let mut w_next = w.clone();
+            let mut square_rows = Vec::new();
+            for _ in 0..iters {
+                a_activate_dense_tracked(p, &w, &mut pw, &SEQ);
+                let build = TileBuild::detect();
+                (_, square_rows) =
+                    square_rytter(&pw, &mut next, SquareStrategy::Auto, build, None, &SEQ);
+                std::mem::swap(&mut pw, &mut next);
+                a_pebble_dense_scheduled(&pw, &w, &mut w_next, None, &SEQ);
+                std::mem::swap(&mut w, &mut w_next);
+            }
+            let (_, act_rows) = a_activate_dense_tracked(p, &w, &mut pw, &SEQ);
+            let mut clean: Vec<bool> = act_rows
+                .iter()
+                .zip(&square_rows)
+                .map(|(&a, &s)| a || s)
+                .collect();
+            pw.indexer().propagate_nested(&mut clean);
+            clean.iter_mut().for_each(|dirty| *dirty = !*dirty);
+            (pw, clean)
+        }
+        /// Every build and backend against the naive square on `pw`,
+        /// unmasked and under `clean`; returns the squares compared and
+        /// the clean rows seen.
+        fn check<W: Weight>(
+            pw: &DensePw<W>,
+            clean: &[bool],
+            builds: &[TileBuild],
+            bits: impl Fn(&W) -> u64,
+        ) -> (usize, usize) {
+            let n = pw.indexer().n();
+            let table = |t: &DensePw<W>| t.as_slice().iter().map(&bits).collect::<Vec<_>>();
+            let mut reference = DensePw::new(n);
+            let (base, base_rows) = square_rytter(
+                pw,
+                &mut reference,
+                SquareStrategy::Naive,
+                TileBuild::Portable,
+                None,
+                &SEQ,
+            );
+            let all = vec![true; pw.dim()];
+            let mut squares = 0;
+            for &build in builds {
+                for exec in [SEQ, ExecBackend::Threads(2)] {
+                    for (mask, name) in [(None, "unmasked"), (Some(clean), "engine mask")] {
+                        let mut out = DensePw::new(n);
+                        let (stats, rows) =
+                            square_rytter(pw, &mut out, SquareStrategy::Auto, build, mask, &exec);
+                        let at = format!("{build:?} on {exec}, n={n}, {name}");
+                        assert_eq!(table(&out), table(&reference), "tables {at}");
+                        assert_eq!(stats, base, "stats {at}");
+                        assert_eq!(rows, base_rows, "row flags {at}");
+                        squares += 1;
+                    }
+                    let mut out = DensePw::new(n);
+                    let (stats, rows) =
+                        square_rytter(pw, &mut out, SquareStrategy::Auto, build, Some(&all), &exec);
+                    let at = format!("{build:?} on {exec}, n={n}, every row masked");
+                    assert_eq!(table(&out), table(pw), "tables {at}");
+                    let copied = OpStats {
+                        candidates: base.candidates,
+                        ..OpStats::default()
+                    };
+                    assert_eq!(stats, copied, "stats {at}");
+                    assert!(rows.iter().all(|&changed| !changed), "row flags {at}");
+                    squares += 1;
+                }
+            }
+            (squares, clean.iter().filter(|&&c| c).count())
+        }
+
+        let mut builds = vec![TileBuild::Portable];
+        if TileBuild::detect() != TileBuild::Portable {
+            builds.push(TileBuild::detect());
+        }
+        let mut rng = SmallRng::seed_from_u64(32);
+        let (mut squares, mut clean_rows) = (0, 0);
+        for n in [3, 6, 9, 17, 24, 33] {
+            let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..60)).collect();
+            let costs: Vec<f64> = (0..=n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    _ => rng.gen_range(0.0..9.0),
+                })
+                .collect();
+            let p_u64 = FnProblem::new(n, |_| 0u64, |i, k, j| dims[i] * dims[k] * dims[j]);
+            let p_f64 = FnProblem::new(n, |_| 0.0, |i, k, j| costs[i] * costs[k] + costs[j]);
+            for iters in 1..=3 {
+                let (pw, clean) = warm(&p_u64, iters);
+                let (s, c) = check(&pw, &clean, &builds, |&v| v);
+                let (pw, clean) = warm(&p_f64, iters);
+                let (t, d) = check(&pw, &clean, &builds, |v| v.to_bits());
+                squares += s + t;
+                clean_rows += c + d;
+            }
+        }
+        assert!(clean_rows > 0, "the engine's mask marked no row clean");
+        let paths = match builds.len() {
+            2 => "portable, avx512",
+            _ => "portable (no avx512f here)",
+        };
+        println!(
+            "rytter square parity: {squares} squares matched on {paths}; \
+             {clean_rows} rows clean under the engine's mask"
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   processor demand, Brent time on any `p`, and the processor–time
 //!   product of the paper's comparison table. Each iteration's phase
 //!   work equals the candidates the iteration engine counts for that op
-//!   when it runs without row skipping (Rytter's square additionally
-//!   counts each cell's identity candidate); the value and the iteration
-//!   count of a run come from [`Solver::solve`](crate::solver::Solver::solve).
+//!   when it runs without row skipping (Rytter's square reports the same
+//!   count with its clean rows skipped, and also counts each cell's
+//!   identity candidate); the value and the iteration count of a run
+//!   come from [`Solver::solve`](crate::solver::Solver::solve).
 //! * [`audited_sublinear_value`] — execute the §2 schedule through
 //!   [`SharedArray`]s with full CREW auditing: any two writes to one cell
 //!   in a step, or any read of a freshly written cell, aborts the run.

@@ -277,7 +277,9 @@ impl SolveKnob {
             }
             SolveKnob::RecordTrace => "it does not iterate (activate, square, pebble)",
             SolveKnob::SkipCleanRows => {
-                "convergence-aware scheduling applies to the §2/§5 solvers only"
+                "convergence-aware scheduling is optional for the §2/§5 solvers \
+                 only (Rytter always copies its clean square rows forward, which \
+                 changes none of its outputs)"
             }
             SolveKnob::Band => "only the banded §5 solver reads a band width",
             SolveKnob::WindowedPebble => "only the §5 solver has a windowed pebble",
@@ -344,7 +346,11 @@ pub struct SolveOptions {
     pub record_trace: bool,
     /// Convergence-aware scheduling: copy forward square rows / pebble
     /// pairs whose inputs did not change (§2 dense and §5 banded solvers;
-    /// exact under every configuration).
+    /// exact under every configuration). A skipped §2/§5 row reports no
+    /// candidates, so the switch changes their statistics. Rytter does
+    /// not read it: its square always copies clean rows forward, and a
+    /// clean row reports the full composition's count, so nothing a
+    /// Rytter solve reports depends on the schedule.
     pub skip_clean_rows: bool,
     /// §5 band-width override; `None` uses the paper's `2⌈√n⌉`.
     pub band: Option<usize>,
