@@ -1,7 +1,8 @@
-//! T1 — the dense `a-square` (the `O(n^5)` hot path): wall-time and
-//! candidate counts of the naive reference and the streamed kernel
-//! (`auto`), plus the solver-level payoff of convergence-aware row
-//! scheduling.
+//! T1 — the dense `a-square` (the `O(n^5)` hot path over `DensePw`, the
+//! reference form of the square the §2 solver runs on its full-band
+//! width-major table): wall-time and candidate counts of the naive
+//! reference and the streamed kernel (`auto`), plus the solver-level
+//! payoff of convergence-aware row scheduling.
 //!
 //! ```text
 //! exp_tiling [--quick] [--json PATH]

@@ -7,12 +7,13 @@
 //! repeat a-activate; a-square; a-pebble; until the stopping rule fires.
 //! ```
 //!
-//! and differ only in how `pw'` is stored and squared ([`Layout`]), the
-//! §5 pebble window, and the iteration bound and stopping rule. This
-//! module owns everything they share: table set-up and warm-start
-//! seeding, cancellation, convergence-aware scheduling of the square
-//! and the pebble, trace and [`OpStats`] accumulation, and the stopping
-//! rules.
+//! and differ only in how `pw'` is stored and squared ([`Layout`]: §2 and
+//! §5 on the width-major table, §2 at full band; Rytter on the dense
+//! one), the §5 pebble's window and direct decompositions, and the
+//! iteration bound and stopping rule. This module owns everything they
+//! share: table set-up and warm-start seeding, cancellation,
+//! convergence-aware scheduling of the square and the pebble, trace and
+//! [`OpStats`] accumulation, and the stopping rules.
 //!
 //! **Convergence-aware scheduling** (`skip_clean_rows` for §2 and §5;
 //! always on for Rytter's square rows) is exact under every stopping
@@ -53,9 +54,8 @@
 use std::time::Instant;
 
 use crate::ops::{
-    a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_banded_scheduled,
-    a_pebble_dense_scheduled, a_square_banded_scheduled, a_square_dense_scheduled, square_rytter,
-    OpStats, SquareStrategy, TileBuild,
+    a_activate_banded_tracked, a_activate_dense_tracked, a_pebble_dense_scheduled,
+    a_square_banded_scheduled, pebble_banded, square_rytter, OpStats, SquareStrategy, TileBuild,
 };
 use crate::problem::DpProblem;
 use crate::reduced::default_band;
@@ -67,19 +67,34 @@ use crate::weight::Weight;
 
 /// The `pw'` double buffer (current, next) and the square it takes.
 enum Layout<W> {
-    /// §2: dense storage, the restricted endpoint-sharing square.
-    Dense(DensePw<W>, DensePw<W>),
-    /// §5: banded storage, the banded square (and the pebble window).
-    Banded(BandedPw<W>, BandedPw<W>),
+    /// §2 and §5: width-major storage, the banded square. §2 runs at full
+    /// band, where the §5 composition windows are empty and the table
+    /// holds every nested gap, so the banded square is the §2 square.
+    /// `direct` adds the §5 pebble's direct decompositions.
+    Banded {
+        pw: BandedPw<W>,
+        next: BandedPw<W>,
+        direct: bool,
+    },
     /// Rytter \[8\]: dense storage, the full-composition square.
     Rytter(DensePw<W>, DensePw<W>),
 }
 
 impl<W: Weight> Layout<W> {
+    /// Width-major tables of band `band`; `direct` as in
+    /// [`Layout::Banded`].
+    fn banded(n: usize, band: usize, direct: bool) -> Self {
+        Layout::Banded {
+            pw: BandedPw::new(n, band),
+            next: BandedPw::new(n, band),
+            direct,
+        }
+    }
+
     fn indexer(&self) -> &PairIndexer {
         match self {
-            Layout::Dense(pw, _) | Layout::Rytter(pw, _) => pw.indexer(),
-            Layout::Banded(pw, _) => pw.indexer(),
+            Layout::Banded { pw, .. } => pw.indexer(),
+            Layout::Rytter(pw, _) => pw.indexer(),
         }
     }
 
@@ -91,10 +106,8 @@ impl<W: Weight> Layout<W> {
         opts: &SolveOptions,
     ) -> (OpStats, Vec<bool>) {
         match self {
-            Layout::Dense(pw, _) | Layout::Rytter(pw, _) => {
-                a_activate_dense_tracked(problem, w, pw, &opts.exec)
-            }
-            Layout::Banded(pw, _) => a_activate_banded_tracked(problem, w, pw, &opts.exec),
+            Layout::Banded { pw, .. } => a_activate_banded_tracked(problem, w, pw, &opts.exec),
+            Layout::Rytter(pw, _) => a_activate_dense_tracked(problem, w, pw, &opts.exec),
         }
     }
 
@@ -102,13 +115,7 @@ impl<W: Weight> Layout<W> {
     /// are copied forward. Returns the per-row changed bits.
     fn square(&mut self, skip: Option<&[bool]>, opts: &SolveOptions) -> (OpStats, Vec<bool>) {
         match self {
-            Layout::Dense(pw, next) => {
-                let out =
-                    a_square_dense_scheduled(pw, next, SquareStrategy::Auto, skip, &opts.exec);
-                std::mem::swap(pw, next);
-                out
-            }
-            Layout::Banded(pw, next) => {
+            Layout::Banded { pw, next, .. } => {
                 let out =
                     a_square_banded_scheduled(pw, next, SquareStrategy::Auto, skip, &opts.exec);
                 std::mem::swap(pw, next);
@@ -124,7 +131,7 @@ impl<W: Weight> Layout<W> {
     }
 
     /// `a-pebble` from `w` into `w_next`, with per-pair changed bits.
-    /// Only the banded layout has a size window.
+    /// Only §5 has a size window.
     fn pebble<P: DpProblem<W> + ?Sized>(
         &self,
         problem: &P,
@@ -135,12 +142,11 @@ impl<W: Weight> Layout<W> {
         opts: &SolveOptions,
     ) -> (OpStats, Vec<bool>) {
         match self {
-            Layout::Dense(pw, _) | Layout::Rytter(pw, _) => {
-                a_pebble_dense_scheduled(pw, w, w_next, skip, &opts.exec)
+            Layout::Banded { pw, direct, .. } => {
+                let direct = direct.then_some(problem);
+                pebble_banded(direct, pw, w, w_next, window, skip, &opts.exec)
             }
-            Layout::Banded(pw, _) => {
-                a_pebble_banded_scheduled(problem, pw, w, w_next, window, skip, &opts.exec)
-            }
+            Layout::Rytter(pw, _) => a_pebble_dense_scheduled(pw, w, w_next, skip, &opts.exec),
         }
     }
 }
@@ -185,10 +191,11 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
         }
     }
     let (schedule, termination, mut tables) = match algorithm {
+        // Band n stores every nested gap: the §2 table.
         Algorithm::Sublinear => (
             crate::schedule_bound(n),
             opts.termination,
-            Layout::Dense(DensePw::new(n), DensePw::new(n)),
+            Layout::banded(n, n, false),
         ),
         // The §5 window argument relies on the fixed schedule.
         Algorithm::Reduced => {
@@ -196,7 +203,7 @@ pub(crate) fn solve<W: Weight, P: DpProblem<W> + ?Sized>(
             (
                 crate::schedule_bound(n),
                 Termination::FixedSqrtN,
-                Layout::Banded(BandedPw::new(n, band), BandedPw::new(n, band)),
+                Layout::banded(n, band, true),
             )
         }
         // Iterating past a fixpoint is a no-op, so this stop is exact.

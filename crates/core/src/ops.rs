@@ -2,25 +2,36 @@
 //! regimes:
 //!
 //! * **dense** — the `O(n^5)`-work algorithm of §2/§4 over [`DensePw`]'s
-//!   compact rows of nested gaps;
+//!   compact rows of nested gaps: the reference the parity tests, the
+//!   experiments and the benchmark's replay run. The §2 solver itself
+//!   runs the banded ops at full band (below);
 //! * **rytter** — the full-composition square of Rytter \[8\] (`O(n^6)`
 //!   work) over the same dense storage, used as the baseline;
 //! * **banded** — the §5 reduced-processor variant over [`BandedPw`]
-//!   (`O(n^3.5)` work per square), with the windowed pebble step.
+//!   (`O(n^3.5)` work per square), with the windowed pebble step. At a
+//!   band of `n` the table holds every nested gap and the §5 composition
+//!   windows are empty, so the banded activate and square are the §2
+//!   ones; the iteration engine runs §2 there, with a pebble that has no
+//!   direct decompositions.
 //!
 //! Every operation has PRAM semantics: all reads observe the *previous*
 //! state. `a-square` and `a-pebble` therefore read from one buffer and
 //! write another (the caller swaps); `a-activate` only writes cells no
 //! other task reads in the same step, so it updates in place.
 //!
-//! Each op has one entry point per storage regime, the form the
-//! iteration engine runs:
+//! Each op has one public entry point per storage regime:
 //!
 //! | op | dense | rytter | banded |
 //! |---|---|---|---|
 //! | `a-activate` (eq. 1a/1b) | [`a_activate_dense_tracked`] | (dense) | [`a_activate_banded_tracked`] |
 //! | `a-square` (eq. 2c) | [`a_square_dense_scheduled`] | [`a_square_rytter_with`] | [`a_square_banded_scheduled`] |
 //! | `a-pebble` (eq. 3) | [`a_pebble_dense_scheduled`] | (dense) | [`a_pebble_banded_scheduled`] |
+//!
+//! The iteration engine runs the rytter and banded columns: §5 and, at
+//! full band, §2 on the banded one, where §2's pebble is the
+//! crate-private `pebble_banded` without the direct decompositions.
+//! The dense column computes the same §2 tables, [`OpStats`] and flags
+//! (`f64` bits too) on [`DensePw`].
 //!
 //! Each function returns [`OpStats`]: the number of composition candidates
 //! examined (the unit-work measure used by the E8/E9 accounting) and
@@ -34,14 +45,14 @@
 //! per `w'` row.
 //!
 //! Each square has two kernels, selected by [`SquareStrategy`]: the
-//! kernel the iteration engine always runs, and a per-cell naive
-//! reference that the parity tests and benches compare it with:
+//! streaming or tiled kernel, and a per-cell naive reference that the
+//! parity tests and benches compare it with:
 //!
 //! | square | kernel ([`SquareStrategy::Auto`]) | reference ([`SquareStrategy::Naive`]) |
 //! |---|---|---|
-//! | [`a_square_dense_scheduled`] | streams each intermediate's cells over [`DensePw`]'s segment layout, positions kept incrementally | [`DensePw::get`] per candidate |
-//! | [`a_square_rytter_with`] | streams each intermediate's segments over the same layout, each segment one `min(cell, v + step)` over a contiguous run; an AVX-512 build that relaxes the runs in 8-lane chunks is chosen at run time | [`DensePw::get`] per candidate |
-//! | [`a_square_banded_scheduled`] | eight roots of one width per step over [`BandedPw`]'s width-major layout, each candidate one lane-wise `min(cell, v + step)` over contiguous runs; an AVX-512 build is chosen at run time | [`BandedPw::get`] per candidate |
+//! | [`a_square_dense_scheduled`] (the §2 reference; the benchmark's replay times it) | streams each intermediate's cells over [`DensePw`]'s segment layout, positions kept incrementally | [`DensePw::get`] per candidate |
+//! | [`a_square_rytter_with`] (Rytter) | streams each intermediate's segments over the same layout, each segment one `min(cell, v + step)` over a contiguous run; an AVX-512 build that relaxes the runs in 8-lane chunks is chosen at run time | [`DensePw::get`] per candidate |
+//! | [`a_square_banded_scheduled`] (§5, and §2 at full band) | 8, 4, 2 or 1 roots of one width per step (as many as the width has, up to 8) over [`BandedPw`]'s width-major layout, each candidate one lane-wise `min(cell, v + step)` over contiguous runs; an AVX-512 build is chosen at run time | [`BandedPw::get`] per candidate |
 //!
 //! Both kernels of a square enumerate exactly the same candidate set, in
 //! the same per-cell order, so tables (`f64` bits too) and [`OpStats`]
@@ -221,6 +232,9 @@ pub fn a_activate_dense_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 /// The composition is *restricted* to intermediate gaps sharing an
 /// endpoint with `(p,q)` — the source of the `O(n^5)` (vs Rytter's
 /// `O(n^6)`) work bound. Reads come from `prev`; writes go to `next`.
+/// The §2 solver runs the same square over a full-band [`BandedPw`]
+/// ([`a_square_banded_scheduled`]), with the same tables, [`OpStats`]
+/// and row flags; this dense form is its reference.
 ///
 /// * `strategy` selects the candidate enumeration order — both kernels
 ///   produce bit-identical tables and identical [`OpStats`].
@@ -290,9 +304,16 @@ fn square_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) 
 }
 
 /// Streaming kernel: identical candidate set and, per cell, the same
-/// min order (`s`-family, then `r`-family by ascending `r`), so tables
-/// are bit-identical to the naive kernel's for every weight type.
+/// min order (`r`-family by ascending `r`, then `s`-family by ascending
+/// `s`), so tables are bit-identical to the naive kernel's for every
+/// weight type, ties between `-0.0` and `+0.0` included.
 ///
+/// * **`r`-family** (intermediates `(r, q)` sharing the cell's right
+///   endpoint): walked intermediate-major. For each `(r, q)`, the cells
+///   `(p, q)` with `p` ascending; the root-row position advances by
+///   `d - (p - i) - 1` and the second factor (the last cell of segment
+///   `p - r` of row `(r, q)`) by `q - p - 1`, so no position is
+///   recomputed per candidate.
 /// * **`s`-family** (intermediates `(p, s)` sharing the cell's left
 ///   endpoint): the cells `(p, q)`, `q < s`, are the head of one
 ///   contiguous segment of the root row, and their second factors
@@ -300,12 +321,6 @@ fn square_row_naive<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W]) 
 ///   row, so each intermediate updates one contiguous slice. A segment
 ///   holds at most `n` cells, so it stays cache-resident while its
 ///   intermediates stream over it.
-/// * **`r`-family** (intermediates `(r, q)` sharing the cell's right
-///   endpoint): walked intermediate-major. For each `(r, q)`, the cells
-///   `(p, q)` with `p` ascending; the root-row position advances by
-///   `d - (p - i) - 1` and the second factor (the last cell of segment
-///   `p - r` of row `(r, q)`) by `q - p - 1`, so no position is
-///   recomputed per candidate.
 ///
 /// Intermediates whose stored partial weight is still infinite
 /// contribute no finite candidate, so they are counted in bulk and their
@@ -318,33 +333,6 @@ fn square_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W
     let prev_row = prev.row(a);
     next_row.copy_from_slice(prev_row);
     let mut stats = OpStats::default();
-
-    // s-family: cells (p, q) gather intermediates (p, s), q < s <= j.
-    // `seg` is the root-row offset of segment p - i; cell (p, q) sits at
-    // seg + (q - p - 1), intermediate (p, s) at seg + (s - p - 1).
-    let mut seg = 0;
-    for p in i..j {
-        let c_base = idx.index(p, p + 1);
-        for s in p + 2..=j {
-            // The cells (p, p+1 ..= s-1): the first s - p - 1 of the
-            // segment.
-            let len = s - p - 1;
-            stats.candidates += len as u64;
-            let vs = prev_row[seg + len];
-            if !vs.is_finite_cost() {
-                continue;
-            }
-            // Segment 0 of row (p, s) holds pw'(p,s,p,q) at q - p - 1.
-            let crow = &prev.row(c_base + len)[..len];
-            for (cell, &step) in next_row[seg..seg + len].iter_mut().zip(crow) {
-                let cand = vs.add(step);
-                if cand < *cell {
-                    *cell = cand;
-                }
-            }
-        }
-        seg += d - (p - i);
-    }
 
     // r-family: cells (p, q) gather intermediates (r, q), i <= r < p.
     // `seg_r` is the root-row offset of segment r - i, `seg_p` that of
@@ -374,6 +362,33 @@ fn square_row_streamed<W: Weight>(prev: &DensePw<W>, a: usize, next_row: &mut [W
             }
         }
         seg_r = seg_p;
+    }
+
+    // s-family: cells (p, q) gather intermediates (p, s), q < s <= j.
+    // `seg` is the root-row offset of segment p - i; cell (p, q) sits at
+    // seg + (q - p - 1), intermediate (p, s) at seg + (s - p - 1).
+    let mut seg = 0;
+    for p in i..j {
+        let c_base = idx.index(p, p + 1);
+        for s in p + 2..=j {
+            // The cells (p, p+1 ..= s-1): the first s - p - 1 of the
+            // segment.
+            let len = s - p - 1;
+            stats.candidates += len as u64;
+            let vs = prev_row[seg + len];
+            if !vs.is_finite_cost() {
+                continue;
+            }
+            // Segment 0 of row (p, s) holds pw'(p,s,p,q) at q - p - 1.
+            let crow = &prev.row(c_base + len)[..len];
+            for (cell, &step) in next_row[seg..seg + len].iter_mut().zip(crow) {
+                let cand = vs.add(step);
+                if cand < *cell {
+                    *cell = cand;
+                }
+            }
+        }
+        seg += d - (p - i);
     }
 
     count_row_writes(prev_row, next_row, &mut stats);
@@ -822,15 +837,16 @@ pub fn a_activate_banded_tracked<W: Weight, P: DpProblem<W> + ?Sized>(
 /// windows: intermediate gaps `(r,q)` need `r >= p - B` **and**
 /// `r <= q - d + B` to keep both factors in band (symmetrically for
 /// `(p,s)`), so every cell examines `O(B)` candidates. The §5 mirror of
-/// [`a_square_dense_scheduled`]:
+/// [`a_square_dense_scheduled`]; at a band of `n` the windows are empty
+/// and it computes the same square (the §2 solver runs it there):
 ///
 /// * `strategy` selects the kernel: [`SquareStrategy::Naive`] is the
 ///   definitional per-cell gather through the [`BandedPw::get`] accessor;
 ///   [`SquareStrategy::Auto`] selects the tiled kernel
-///   (`banded_square_width_tiled`), which updates eight roots of one
-///   width per step. Both kernels enumerate exactly the same candidate
-///   set, in the same per-cell order, and produce bit-identical tables,
-///   [`OpStats`] and row flags.
+///   (`banded_square_width_tiled`), which updates up to eight roots of
+///   one width per step. Both kernels enumerate exactly the same
+///   candidate set, in the same per-cell order, and produce bit-identical
+///   tables, [`OpStats`] and row flags.
 /// * `skip`, if given, marks rows whose **inputs** did not change since
 ///   the previous square (row `(i,j)` reads only rows nested in `(i,j)`);
 ///   such rows are copied from `prev` instead of recomputed and report
@@ -925,7 +941,7 @@ fn banded_square_width_naive<W: Weight>(
     stats
 }
 
-/// Roots per tile of the banded square, and lanes per chunk of Rytter's
+/// Most roots per tile of the banded square, and lanes per chunk of Rytter's
 /// AVX-512 relax: eight `u64` lanes fill one 512-bit vector.
 const TILE: usize = 8;
 
@@ -959,17 +975,29 @@ fn banded_root_candidates(emax: usize) -> u64 {
     (emax * (emax + 1) * (emax + 2) / 3) as u64
 }
 
-/// Tiled kernel: the square of every root of width `d`, [`TILE`] roots
-/// per step.
+/// Lanes per tile for a width with `m` roots: the widest of [`TILE`], 4, 2
+/// and 1 that `m` fills.
+const fn tile_lanes(m: usize) -> usize {
+    match m {
+        TILE.. => TILE,
+        4.. => 4,
+        2.. => 2,
+        _ => 1,
+    }
+}
+
+/// Tiled kernel: the square of every root of width `d`, [`tile_lanes`]
+/// roots per step.
 ///
 /// Every root of one width has the same gaps and the same candidates, so
-/// the kernel computes [`TILE`] neighbouring roots `(i0 + l, i0 + l + d)`
-/// at once (`square_tile`): each candidate is one lane-wise
+/// the kernel computes `L` neighbouring roots `(i0 + l, i0 + l + d)` at
+/// once (`square_tile`): each candidate is one lane-wise
 /// `cell = cell.min2(v.add(step))` whose three operands are contiguous
-/// runs of the width-major tables. A width's last tile overlaps the one
-/// before it, and recomputing a lane gives the same value, so only the
-/// lanes it adds are counted. Widths with fewer than [`TILE`] roots run
-/// the same body one root at a time.
+/// runs of the width-major tables. A width with at least [`TILE`] roots
+/// runs [`TILE`]-lane tiles, one with 4–7 roots 4-lane tiles, one with 2
+/// or 3 roots 2-lane tiles, and the one root of width `n` a 1-lane tile.
+/// A width's last tile overlaps the one before it, and recomputing a
+/// lane gives the same value, so only the lanes it adds are counted.
 ///
 /// A tile computes all of its lanes but keeps, and counts, only the rows
 /// `masked` does not mark: a marked row is copied from `prev` and reports
@@ -997,38 +1025,48 @@ fn banded_square_width_tiled<W: Weight>(
         stats.writes += u64::from(changes);
         flags[i] = changes > 0;
     };
-    if m < TILE {
-        let mut acc = vec![[W::INFINITY]; prev.root_cells(d)];
-        for i in 0..m {
-            let [changes] = square_tile(prev, d, i, [masked(i)], &mut acc, block);
-            tally(i, changes);
-        }
-    } else {
-        let mut acc = vec![[W::INFINITY; TILE]; prev.root_cells(d)];
-        // Roots below `done` are written and counted.
-        let mut done = 0;
-        while done < m {
-            let i0 = done.min(m - TILE);
-            let keep = std::array::from_fn(|l| masked(i0 + l));
-            let changes = match build {
-                TileBuild::Portable => square_tile(prev, d, i0, keep, &mut acc, block),
-                // SAFETY: `TileBuild::Avx512` is only made by
-                // `TileBuild::detect`, after `is_x86_feature_detected!`
-                // reported avx512f on this CPU, and `square_tile_avx512`
-                // enables exactly avx512f.
-                #[cfg(target_arch = "x86_64")]
-                TileBuild::Avx512 => unsafe {
-                    square_tile_avx512(prev, d, i0, keep, &mut acc, block)
-                },
-            };
-            for (l, &lane) in changes.iter().enumerate().skip(done - i0) {
-                tally(i0 + l, lane);
-            }
-            done = i0 + TILE;
-        }
+    match tile_lanes(m) {
+        TILE => square_tiles::<W, TILE>(prev, d, block, &masked, build, &mut tally),
+        4 => square_tiles::<W, 4>(prev, d, block, &masked, build, &mut tally),
+        2 => square_tiles::<W, 2>(prev, d, block, &masked, build, &mut tally),
+        _ => square_tiles::<W, 1>(prev, d, block, &masked, build, &mut tally),
     }
     stats.changed = stats.writes > 0;
     stats
+}
+
+/// The roots of width `d` in tiles of `L` lanes, `L <= roots(d)`, from
+/// the left, the last tile ending at the last root. `tally(i, changes)`
+/// sees each root once, with its count of changed cells.
+fn square_tiles<W: Weight, const L: usize>(
+    prev: &BandedPw<W>,
+    d: usize,
+    block: &mut [W],
+    masked: &impl Fn(usize) -> bool,
+    build: TileBuild,
+    tally: &mut impl FnMut(usize, u32),
+) {
+    let m = prev.roots(d);
+    let mut acc = vec![[W::INFINITY; L]; prev.root_cells(d)];
+    // Roots below `done` are written and counted.
+    let mut done = 0;
+    while done < m {
+        let i0 = done.min(m - L);
+        let keep = std::array::from_fn(|l| masked(i0 + l));
+        let changes = match build {
+            TileBuild::Portable => square_tile(prev, d, i0, keep, &mut acc, block),
+            // SAFETY: `TileBuild::Avx512` is only made by
+            // `TileBuild::detect`, after `is_x86_feature_detected!`
+            // reported avx512f on this CPU, and `square_tile_avx512`
+            // enables exactly avx512f.
+            #[cfg(target_arch = "x86_64")]
+            TileBuild::Avx512 => unsafe { square_tile_avx512(prev, d, i0, keep, &mut acc, block) },
+        };
+        for (l, &lane) in changes.iter().enumerate().skip(done - i0) {
+            tally(i0 + l, lane);
+        }
+        done = i0 + L;
+    }
 }
 
 /// One tile of the banded square: the `L` roots `(i0 + l, i0 + l + d)`,
@@ -1117,19 +1155,20 @@ fn square_tile<W: Weight, const L: usize>(
     changes
 }
 
-/// [`square_tile`] over [`TILE`] lanes with avx512f enabled, so the
-/// compiler may run each lane-wise step as one zmm instruction. Each
-/// lane op is the scalar op, so the result is the same bits.
+/// [`square_tile`] with avx512f enabled, so the compiler may run each
+/// lane-wise step as one zmm instruction (for 4 and 2 lanes too, in the
+/// low lanes of a zmm register). Each lane op is the scalar op, so the
+/// result is the same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn square_tile_avx512<W: Weight>(
+fn square_tile_avx512<W: Weight, const L: usize>(
     prev: &BandedPw<W>,
     d: usize,
     i0: usize,
-    keep: [bool; TILE],
-    acc: &mut [[W; TILE]],
+    keep: [bool; L],
+    acc: &mut [[W; L]],
     block: &mut [W],
-) -> [u32; TILE] {
+) -> [u32; L] {
     square_tile(prev, d, i0, keep, acc, block)
 }
 
@@ -1192,6 +1231,25 @@ pub fn a_pebble_banded_scheduled<W: Weight, P: DpProblem<W> + ?Sized>(
     skip: Option<&[bool]>,
     exec: &ExecBackend,
 ) -> (OpStats, Vec<bool>) {
+    pebble_banded(Some(problem), pw, w_prev, w_next, window, skip, exec)
+}
+
+/// [`a_pebble_banded_scheduled`] with the direct decompositions only when
+/// `direct` is given (§5). Without them the candidates are the stored
+/// gaps alone: the §2 pebble, which the iteration engine runs on a
+/// full-band table. That walk takes the gaps in [`DensePw`]'s storage
+/// order (`p`, then `q` ascending) instead of gap-number order, so its
+/// stats, flags and `w'` bits (ties between `-0.0` and `+0.0` included)
+/// are those of [`a_pebble_dense_scheduled`] on the same cells.
+pub(crate) fn pebble_banded<W: Weight, P: DpProblem<W> + ?Sized>(
+    direct: Option<&P>,
+    pw: &BandedPw<W>,
+    w_prev: &WTable<W>,
+    w_next: &mut WTable<W>,
+    window: Option<(usize, usize)>,
+    skip: Option<&[bool]>,
+    exec: &ExecBackend,
+) -> (OpStats, Vec<bool>) {
     let n = w_prev.n();
     let idx = pw.indexer().clone();
     let flag_spans = pebble_flag_spans(&idx);
@@ -1214,34 +1272,51 @@ pub fn a_pebble_banded_scheduled<W: Weight, P: DpProblem<W> + ?Sized>(
                 continue;
             }
             let mut best = old;
-            // In-band stored gaps in gap-number order: gap g of this
-            // root sits at g * m + i of its width block. Gap 0 is the
-            // (i,j) gap itself (the free 0 + w'(i,j) candidate already
-            // seeded via `old`).
-            let (block, m) = (pw.width(d), pw.roots(d));
-            let mut pos = i;
-            for e in 0..=pw.emax(d) {
-                let g = d - e;
-                for t in 0..=e {
-                    if pos > i {
-                        let pwv = block[pos];
-                        if pwv.is_finite_cost() {
-                            let p = i + t;
-                            let cand = pwv.add(w_prev.get(p, p + g));
-                            best = best.min2(cand);
+            // Gap number g of this root sits at g * m + i of its width
+            // block; gap (t, e - t), i.e. (p, q) = (i + t, j - e + t), is
+            // number block_offset(e) + t. Gap 0 is the (i,j) gap itself:
+            // the free 0 + w'(i,j) candidate that `old` already holds.
+            let (block, m, emax) = (pw.width(d), pw.roots(d), pw.emax(d));
+            let mut relax = |pos: usize, p: usize, q: usize| {
+                let pwv = block[pos];
+                if pwv.is_finite_cost() {
+                    best = best.min2(pwv.add(w_prev.get(p, q)));
+                }
+                stats.candidates += 1;
+            };
+            match direct {
+                // §5: gap-number order (eccentricity-major), one
+                // cell-row apart.
+                Some(_) => {
+                    let mut pos = i + m;
+                    for e in 1..=emax {
+                        for t in 0..=e {
+                            relax(pos, i + t, j - e + t);
+                            pos += m;
                         }
-                        stats.candidates += 1;
                     }
-                    pos += m;
+                }
+                // §2: the dense table's storage order, p then q
+                // ascending, so that f64 ties between -0.0 and +0.0
+                // resolve as in `a_pebble_dense_scheduled`.
+                None => {
+                    for t in 0..=emax {
+                        for e in (t.max(1)..=emax).rev() {
+                            let pos = (BandedPw::<W>::block_offset(e) + t) * m + i;
+                            relax(pos, i + t, j - e + t);
+                        }
+                    }
                 }
             }
-            for k in i + 1..j {
-                let cand = problem
-                    .f(i, k, j)
-                    .add(w_prev.get(i, k))
-                    .add(w_prev.get(k, j));
-                best = best.min2(cand);
-                stats.candidates += 1;
+            if let Some(problem) = direct {
+                for k in i + 1..j {
+                    let cand = problem
+                        .f(i, k, j)
+                        .add(w_prev.get(i, k))
+                        .add(w_prev.get(k, j));
+                    best = best.min2(cand);
+                    stats.candidates += 1;
+                }
             }
             if best < old {
                 stats.changed = true;
@@ -1665,10 +1740,12 @@ mod tests {
     /// Each tile build this host has, forced in turn, against the naive
     /// banded square, bit for bit: the portable body and, where the CPU
     /// has avx512f, the same body compiled for it. Warm `u64` and `f64`
-    /// tables, bands from 1 to past `n` (so full tiles, overlapped last
-    /// tiles and widths with fewer roots than a tile all run), with and
-    /// without random skip masks. Only optimized builds vectorize, so CI
-    /// also runs this test under `--release`.
+    /// tables (the `f64` costs hold zeros of both signs), bands from 1 to
+    /// past `n` (so 8-, 4-, 2- and 1-lane tiles and overlapped last tiles
+    /// all run; band `n` and past is the §2 table), with and without
+    /// random skip masks. Prints the widths squared at each lane count
+    /// under each build. Only optimized builds vectorize, so CI also runs
+    /// this test under `--release`.
     #[test]
     fn banded_square_tile_builds_match_the_naive_square() {
         use rand::rngs::SmallRng;
@@ -1693,18 +1770,32 @@ mod tests {
             pw
         }
         /// Every build against the naive square on `pw`; returns the
-        /// squares compared.
+        /// squares compared, and adds to `widths[b][k]` the widths build
+        /// `b` squared (not copied whole) at `[8, 4, 2, 1][k]` lanes.
         fn check<W: Weight>(
             pw: &BandedPw<W>,
             builds: &[TileBuild],
             rng: &mut SmallRng,
             bits: impl Fn(&W) -> u64,
+            widths: &mut [[usize; 4]],
         ) -> usize {
             let (n, band) = (pw.indexer().n(), pw.band());
+            let idx = pw.indexer();
             let table = |t: &BandedPw<W>| t.as_slice().iter().map(&bits).collect::<Vec<_>>();
             let mask: Vec<bool> = (0..pw.indexer().len()).map(|_| rng.gen_bool(0.3)).collect();
             let mut squares = 0;
             for skip in [None, Some(&mask[..])] {
+                // The widths one square runs at each lane count: those
+                // with a row the mask leaves (an all-masked width is
+                // copied whole).
+                let mut lanes = [0; 4];
+                for d in 1..=n {
+                    let m = pw.roots(d);
+                    if (0..m).any(|i| skip.is_none_or(|mask| !mask[idx.index(i, i + d)])) {
+                        let k = [TILE, 4, 2, 1].iter().position(|&l| l == tile_lanes(m));
+                        lanes[k.unwrap()] += 1;
+                    }
+                }
                 let mut reference = BandedPw::new(n, band);
                 let (base, base_rows) = square_banded(
                     pw,
@@ -1714,7 +1805,7 @@ mod tests {
                     skip,
                     &SEQ,
                 );
-                for &build in builds {
+                for (&build, widths) in builds.iter().zip(widths.iter_mut()) {
                     for exec in [SEQ, ExecBackend::Threads(2)] {
                         let mut out = BandedPw::new(n, band);
                         let (stats, rows) =
@@ -1727,6 +1818,9 @@ mod tests {
                         assert_eq!(stats, base, "stats {at}");
                         assert_eq!(rows, base_rows, "row flags {at}");
                         squares += 1;
+                        for (width, ran) in widths.iter_mut().zip(lanes) {
+                            *width += ran;
+                        }
                     }
                 }
             }
@@ -1739,6 +1833,7 @@ mod tests {
         }
         let mut rng = SmallRng::seed_from_u64(30);
         let mut squares = 0;
+        let mut widths = vec![[0; 4]; builds.len()];
         for (n, band) in [
             (3, 1),
             (9, 3),
@@ -1751,24 +1846,30 @@ mod tests {
             let dims: Vec<u64> = (0..=n).map(|_| rng.gen_range(1..60)).collect();
             let costs: Vec<f64> = (0..=n)
                 .map(|_| match rng.gen_range(0..4) {
-                    0 => 0.0,
+                    0 => -0.0,
+                    1 => 0.0,
                     _ => rng.gen_range(0.0..9.0),
                 })
                 .collect();
             let p_u64 = FnProblem::new(n, |_| 0u64, |i, k, j| dims[i] * dims[k] * dims[j]);
             let p_f64 = FnProblem::new(n, |_| 0.0, |i, k, j| costs[i] * costs[k] + costs[j]);
             for iters in 1..=3 {
-                squares += check(&warm(&p_u64, band, iters), &builds, &mut rng, |&v| v);
-                squares += check(&warm(&p_f64, band, iters), &builds, &mut rng, |v| {
-                    v.to_bits()
-                });
+                let pw = warm(&p_u64, band, iters);
+                squares += check(&pw, &builds, &mut rng, |&v| v, &mut widths);
+                let pw = warm(&p_f64, band, iters);
+                squares += check(&pw, &builds, &mut rng, |v| v.to_bits(), &mut widths);
             }
         }
-        let paths = match builds.len() {
-            2 => "portable, avx512",
-            _ => "portable (no avx512f here)",
-        };
-        println!("banded square tile parity: {squares} squares matched on {paths}");
+        if builds.len() == 1 {
+            println!("banded square tile parity: no avx512f here, portable build only");
+        }
+        println!("banded square tile parity: {squares} squares matched");
+        for (build, [l8, l4, l2, l1]) in builds.iter().zip(&widths) {
+            println!(
+                "  {build:?}: widths squared at 8 lanes {l8}, 4 lanes {l4}, 2 lanes {l2}, 1 lane {l1}"
+            );
+            assert!(l8 * l4 * l2 * l1 > 0, "{build:?} left a lane count unrun");
+        }
     }
 
     /// Each build of Rytter's row body this host has, forced in turn,
@@ -1903,6 +2004,70 @@ mod tests {
             "rytter square parity: {squares} squares matched on {paths}; \
              {clean_rows} rows clean under the engine's mask"
         );
+    }
+
+    /// The gap-only pebble (`pebble_banded` without the direct
+    /// decompositions, what §2 runs) on a full-band table against
+    /// [`a_pebble_dense_scheduled`] on the same cells: stats, pair flags
+    /// and `w'` bits, with and without a skip mask, on Sequential and
+    /// Threads(2). The cells are drawn from a few values, infinity among
+    /// them, so most pairs meet ties; the `f64` draws hold `-0.0` and
+    /// `+0.0`, whose ties only the walk order settles.
+    #[test]
+    fn gap_only_pebble_on_a_full_band_table_matches_the_dense_pebble() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn check<W: Weight>(
+            n: usize,
+            values: &[W],
+            rng: &mut SmallRng,
+            bits: impl Fn(&W) -> u64,
+        ) -> usize {
+            let idx = PairIndexer::new(n);
+            let mut dense = DensePw::new(n);
+            let mut banded = BandedPw::new(n, n);
+            let mut w = WTable::new(n);
+            for (i, j) in idx.pairs() {
+                w.set(i, j, values[rng.gen_range(0..values.len())]);
+                // Every gap but the root's own, whose 0 both tables hold.
+                let gaps: Vec<_> = banded.gaps_of(i, j).skip(1).collect();
+                for (p, q) in gaps {
+                    let v = values[rng.gen_range(0..values.len())];
+                    dense.set(i, j, p, q, v);
+                    banded.set(i, j, p, q, v);
+                }
+            }
+            let table = |t: &WTable<W>| t.as_slice().iter().map(&bits).collect::<Vec<_>>();
+            let mask: Vec<bool> = (0..idx.len()).map(|_| rng.gen_bool(0.3)).collect();
+            let mut pebbles = 0;
+            for skip in [None, Some(&mask[..])] {
+                for exec in [SEQ, ExecBackend::Threads(2)] {
+                    let mut w_dense = WTable::new(n);
+                    let dense_out = a_pebble_dense_scheduled(&dense, &w, &mut w_dense, skip, &exec);
+                    let mut w_banded = WTable::new(n);
+                    let no_direct = None::<&dyn DpProblem<W>>;
+                    let banded_out =
+                        pebble_banded(no_direct, &banded, &w, &mut w_banded, None, skip, &exec);
+                    let at = format!("n={n} on {exec}, masked: {}", skip.is_some());
+                    assert_eq!(banded_out, dense_out, "stats and flags {at}");
+                    assert_eq!(table(&w_banded), table(&w_dense), "w' bits {at}");
+                    pebbles += 1;
+                }
+            }
+            pebbles
+        }
+
+        let mut rng = SmallRng::seed_from_u64(33);
+        let mut pebbles = 0;
+        for n in [1, 2, 3, 5, 8, 13, 21] {
+            for _ in 0..4 {
+                pebbles += check(n, &[0, 1, 2, 5, u64::INFINITY], &mut rng, |&v| v);
+                let values = [-0.0, 0.0, 0.5, 1.0, f64::INFINITY];
+                pebbles += check(n, &values, &mut rng, |v| v.to_bits());
+            }
+        }
+        println!("gap-only pebble parity: {pebbles} pebbles matched the dense pebble");
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub enum Algorithm {
     /// The work-optimal anti-diagonal parallel DP \[10\].
     Wavefront,
     /// The paper's §2 algorithm: `O(√n log n)` time, `O(n⁵/log n)`
-    /// processors, dense tables.
+    /// processors, tables of every nested gap (the §5 layout at full band).
     Sublinear,
     /// The paper's §5 reduced-processor variant: banded tables and the
     /// windowed pebble, `O(n³·⁵/log n)` processors.

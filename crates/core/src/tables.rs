@@ -7,14 +7,16 @@
 //!   exactly the `d(d+1)/2` gaps `(p,q)` nested in it (`i <= p < q <= j`,
 //!   `d = j - i`), one segment per left endpoint — `C(n+3, 4)` cells in
 //!   all, where a `P x P` matrix over pair indices would need `P^2`
-//!   (5.5× more at n = 42, tending to 6×). Both the paper's restricted
-//!   `a-square` and Rytter's full square \[8\] run over it.
+//!   (5.5× more at n = 42, tending to 6×). Rytter's full square \[8\]
+//!   runs over it, and so do the reference forms of the paper's §2 ops.
 //! * [`BandedPw`] holds only the §5 band `(j-i) - (q-p) <= B` with
 //!   `B = 2 ceil(sqrt(n))`: `O(n^3)` memory instead of `O(n^4)`, realizing
 //!   the processor reduction's observation that the optimal-tree pebbling
 //!   never needs a partial weight whose gap lags the root by more than
 //!   `2 sqrt(n)` leaves. It is stored width-major: one block per root
-//!   width, one run of cells per gap across all roots of that width.
+//!   width, one run of cells per gap across all roots of that width. At
+//!   a band of `n` it holds every nested gap, `DensePw`'s cells in another
+//!   order: the table the §2 solver runs on.
 
 use crate::exec::disjoint::DisjointPartsMut;
 use crate::weight::Weight;
@@ -353,6 +355,10 @@ impl<W: Weight> DensePw<W> {
 
 /// The §5 banded `pw'` storage: only cells with
 /// `(j - i) - (q - p) <= band` are stored.
+///
+/// A band of `n - 1` or more keeps every nested gap (`emax(d) = d - 1`,
+/// `C(n+3, 4)` cells, as many as [`DensePw`]): the §2 solver's table, at
+/// band `n`.
 ///
 /// # Layout
 ///
